@@ -255,9 +255,10 @@ def format_results_table(results: Dict[str, BenchResult], speedups: Dict[str, fl
         )
     for fast_name, speedup in sorted(speedups.items()):
         # The key is the faster twin; the ratio is measured against the
-        # scenario that declared it (legacy for fast names, fast for
-        # ".vector" names).
-        slower = "the fast engine" if fast_name.endswith(".vector") else "the legacy engine"
+        # scenario that declared it: its ".interpreted" (kill-switch)
+        # twin when one ran, else its ".legacy" twin.
+        interpreted = f"{fast_name}.interpreted" in results
+        slower = "its interpreted tier" if interpreted else "the legacy engine"
         lines.append(f"speedup[{fast_name}]: {speedup:.2f}x faster than {slower}")
     return "\n".join(lines)
 

@@ -16,6 +16,8 @@ this).
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -133,9 +135,9 @@ def derive_speedups(results: Dict[str, BenchResult]) -> Dict[str, float]:
 
     Each scenario declaring ``speedup_of`` is the slower half of a pair;
     the derived ratio is keyed by the faster twin's name: ``.legacy``
-    scenarios yield the fast engine's speedup over legacy, and fast
-    scenarios with a ``.vector`` twin yield the vector engine's speedup
-    over fast.
+    scenarios yield the fast engine's speedup over legacy, and
+    ``.interpreted`` (kill-switch) scenarios the compiled kernel's
+    speedup over the fast engine's interpreted tier.
     """
     speedups: Dict[str, float] = {}
     for name, result in results.items():
@@ -401,7 +403,31 @@ _register(Scenario(
 # ---------------------------------------------------------------------------
 
 
-def _build_simulation(benchmark: str, predictor: str, accesses: int, engine: str):
+@contextmanager
+def _kill_switch():
+    """Run with ``REPRO_NO_VECTOR_KERNEL`` set, as a process started with it would.
+
+    The kernel loader remembers its decision for the process, so the
+    memo is reset on the way in and restored on the way out.
+    """
+    from repro.cache import vector
+
+    saved = (os.environ.get("REPRO_NO_VECTOR_KERNEL"), vector._KERNEL, vector._KERNEL_FAILED)
+    os.environ["REPRO_NO_VECTOR_KERNEL"] = "1"
+    vector._KERNEL, vector._KERNEL_FAILED = None, None
+    try:
+        yield
+    finally:
+        if saved[0] is None:
+            del os.environ["REPRO_NO_VECTOR_KERNEL"]
+        else:
+            os.environ["REPRO_NO_VECTOR_KERNEL"] = saved[0]
+        vector._KERNEL, vector._KERNEL_FAILED = saved[1], saved[2]
+
+
+def _build_simulation(
+    benchmark: str, predictor: str, accesses: int, engine: str, kill_switch: bool = False
+):
     def build(scale: float):
         count = _scaled(accesses, scale)
 
@@ -418,13 +444,14 @@ def _build_simulation(benchmark: str, predictor: str, accesses: int, engine: str
                 from repro.api import build_predictor
                 from repro.sim.trace_driven import simulate_benchmark
 
-                return simulate_benchmark(
-                    benchmark,
-                    prefetcher=build_predictor(predictor, engine=engine),
-                    num_accesses=count,
-                    seed=42,
-                    engine=engine,
-                )
+                with _kill_switch() if kill_switch else nullcontext():
+                    return simulate_benchmark(
+                        benchmark,
+                        prefetcher=build_predictor(predictor, engine=engine),
+                        num_accesses=count,
+                        seed=42,
+                        engine=engine,
+                    )
 
             return task
 
@@ -434,44 +461,46 @@ def _build_simulation(benchmark: str, predictor: str, accesses: int, engine: str
 
 
 def _register_simulation_pair(
-    benchmark: str, predictor: str, accesses: int, quick: bool, vector: bool = False
+    benchmark: str, predictor: str, accesses: int, quick: bool, legacy: bool = True,
+    kill_switch: bool = False,
 ) -> None:
+    """``sim.<predictor>.<benchmark>`` plus its ``.legacy`` and ``.interpreted`` twins."""
     fast_name = f"sim.{predictor}.{benchmark}"
-    vector_name = f"{fast_name}.vector" if vector else None
+    label = f"simulate_benchmark({benchmark!r}, {predictor}, {accesses // 1000}k accesses)"
     _register(Scenario(
         name=fast_name,
-        description=f"simulate_benchmark({benchmark!r}, {predictor}, {accesses // 1000}k accesses), fast engine",
+        description=f"{label}, fast engine",
         build=_build_simulation(benchmark, predictor, accesses, "fast"),
         quick=quick,
         repeats=4,
-        # When a vector twin exists, the fast scenario is the slower half
-        # of that pair: the derived ratio is the vector engine's speedup.
-        speedup_of=vector_name,
     ))
-    _register(Scenario(
-        name=f"{fast_name}.legacy",
-        description=f"simulate_benchmark({benchmark!r}, {predictor}, {accesses // 1000}k accesses), legacy engine",
-        build=_build_simulation(benchmark, predictor, accesses, "legacy"),
-        quick=quick,
-        repeats=3,
-        speedup_of=fast_name,
-    ))
-    if vector_name is not None:
+    if legacy:
         _register(Scenario(
-            name=vector_name,
-            description=f"simulate_benchmark({benchmark!r}, {predictor}, {accesses // 1000}k accesses), vector engine",
-            build=_build_simulation(benchmark, predictor, accesses, "vector"),
+            name=f"{fast_name}.legacy",
+            description=f"{label}, legacy engine",
+            build=_build_simulation(benchmark, predictor, accesses, "legacy"),
             quick=quick,
-            repeats=4,
+            repeats=3,
+            speedup_of=fast_name,
+        ))
+    if kill_switch:
+        _register(Scenario(
+            name=f"{fast_name}.interpreted",
+            description=f"{label}, fast engine under REPRO_NO_VECTOR_KERNEL",
+            build=_build_simulation(benchmark, predictor, accesses, "fast", kill_switch=True),
+            quick=quick,
+            repeats=3,
+            speedup_of=fast_name,
         ))
 
 
-# The headline pairs: the fast-rewrite >=3x gate is measured on
-# simulate_benchmark with DBCP over mcf at 200k accesses (legacy vs
-# fast), and the vector-kernel >=5x gate on the same point (fast vs
-# vector).
-_register_simulation_pair("mcf", "dbcp", 200_000, quick=True, vector=True)
-_register_simulation_pair("mcf", "none", 200_000, quick=True, vector=True)
+# The headline pairs: the fast engine's >=3x gate over legacy is measured
+# on simulate_benchmark with DBCP over mcf at 200k accesses; both DBCP and
+# the no-prefetcher baseline take the compiled kernel there.  LT-cords on
+# mcf pairs the kernel with the same run under the kill switch.
+_register_simulation_pair("mcf", "dbcp", 200_000, quick=True)
+_register_simulation_pair("mcf", "none", 200_000, quick=True)
+_register_simulation_pair("mcf", "ltcords", 100_000, quick=True, legacy=False, kill_switch=True)
 _register_simulation_pair("em3d", "ltcords", 100_000, quick=False)
 _register_simulation_pair("swim", "ghb", 100_000, quick=False)
 # Predictor-focused pairs: GHB on an irregular pointer chase (index-table

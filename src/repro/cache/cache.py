@@ -22,6 +22,14 @@ per-set arrays rather than per-block objects:
   list-shuffling replacement policy object for the LRU case,
 * ``_fills[set][way]`` — fill serial (reported via :meth:`evict_block`).
 
+The arrays are materialised on first use, so a cache that is only ever
+replayed by the compiled kernel (:mod:`repro.cache.vector`) never
+allocates them: until then each attribute holds a :class:`DeferredSets`
+stand-in whose first read builds all six.  The hot ``access_fast``
+bodies are unchanged and, once built, read plain instance attributes
+(no ``__getattr__`` and no class swap, either of which would keep the
+interpreter from specialising those reads and halve their speed).
+
 The allocation-free entry points :meth:`access_fast` and
 :meth:`insert_prefetch_fast` write miss/eviction details into the
 reusable ``__slots__`` struct :attr:`SetAssociativeCache.last` and
@@ -44,6 +52,9 @@ from typing import List, Optional
 
 from repro.cache.config import CacheConfig
 from repro.cache.replacement import LRUReplacement, ReplacementPolicy, make_replacement_policy
+
+#: The per-set arrays built on first use, in attribute order.
+_SET_ARRAYS = ("_tags", "_blocks", "_flags", "_stamps", "_fills", "_counts")
 
 # Packed per-way state bits.
 _DIRTY = 1
@@ -152,6 +163,41 @@ class FastAccessState:
         self.prefetch_hit = False
 
 
+class DeferredSets:
+    """Stands in for one per-set array of a structure not yet built.
+
+    The owner holds one stand-in per array attribute and defines
+    ``_build_sets()``, which replaces all of them with the real arrays.
+    The first read through any stand-in calls it; a stand-in held
+    elsewhere keeps working by delegating to the owner's real array.
+    """
+
+    __slots__ = ("_owner", "_name")
+
+    def __init__(self, owner: object, name: str) -> None:
+        self._owner = owner
+        self._name = name
+
+    def _array(self):
+        array = getattr(self._owner, self._name)
+        if array is self:
+            self._owner._build_sets()  # type: ignore[attr-defined]
+            array = getattr(self._owner, self._name)
+        return array
+
+    def __getitem__(self, index):
+        return self._array()[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._array()[index] = value
+
+    def __iter__(self):
+        return iter(self._array())
+
+    def __len__(self) -> int:
+        return len(self._array())
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters for one cache."""
@@ -198,12 +244,8 @@ class SetAssociativeCache:
         self._set_mask = num_sets - 1
         self._tag_shift = config.offset_bits + config.index_bits
         self._block_mask = ~(config.block_size - 1)
-        self._tags: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
-        self._blocks: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._flags: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._stamps: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._fills: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._counts: List[int] = [0] * num_sets
+        for name in _SET_ARRAYS:
+            setattr(self, name, DeferredSets(self, name))
         # LRU victim choice is served directly from the stamp arrays; only
         # the other policies keep a ReplacementPolicy object.
         policy = make_replacement_policy(replacement, num_sets, assoc)
@@ -224,6 +266,17 @@ class SetAssociativeCache:
                 self.access_fast = self._access_fast_lru2  # type: ignore[method-assign]
             else:
                 self.access_fast = self._access_fast_lru  # type: ignore[method-assign]
+
+    def _build_sets(self) -> None:
+        """Allocate the per-set arrays (all ways invalid), replacing the stand-ins."""
+        num_sets = self.config.num_sets
+        assoc = self._assoc
+        self._tags: List[List[int]] = [[-1] * assoc for _ in range(num_sets)]
+        self._blocks: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._flags: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._stamps: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._fills: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self._counts: List[int] = [0] * num_sets
 
     # ------------------------------------------------------------------ helpers
     def contains(self, address: int) -> bool:

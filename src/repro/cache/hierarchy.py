@@ -119,8 +119,7 @@ class CacheHierarchy:
 
     ``engine`` selects the cache model: ``"legacy"`` uses the original
     object-per-block reference implementation (kept for equivalence
-    testing and benchmarking); every other engine — ``"fast"`` (the
-    default) and the batch-replay ``"vector"`` engine — uses the
+    testing and benchmarking); ``"fast"`` (the default) uses the
     array-backed caches.  The array-backed caches additionally expose the
     allocation-free :meth:`access_fast` / :meth:`prefetch_into_l1_fast`
     entry points used by the trace-driven simulator's hot loop; miss
@@ -260,9 +259,9 @@ class SharedL2Hierarchy:
     one-core instance is behaviourally identical to a private hierarchy
     (the differential collapse suite asserts this end to end).
 
-    Every engine is supported: array-backed callers (``"fast"``,
-    ``"vector"``) drive :meth:`access_fast` / :meth:`prefetch_into_l1_fast`
-    (or the caches directly, settling stats in bulk) and read miss
+    Every engine is supported: array-backed (``"fast"``) callers drive
+    :meth:`access_fast` / :meth:`prefetch_into_l1_fast` (or the caches
+    directly, settling stats in bulk) and read miss
     details from the per-cache ``last`` structs; ``"legacy"`` callers use
     the object-returning :meth:`access` / :meth:`prefetch_into_l1`.  After a
     prefetch that allocated in the L2 (memory source),

@@ -1,37 +1,44 @@
-"""Compiled batch-replay kernel behind ``engine="vector"``.
+"""Compiled batch-replay kernel, the fast engine's first tier.
 
-The vector engine's throughput comes from replaying the whole trace in
-one native call instead of interpreting four cache probes plus the
-predictor protocol per reference in Python.  This module holds the C
-source of that kernel (embedded as a string so the package ships no
-build step and keeps zero hard dependencies), compiles it on first use
-with whatever C compiler the host provides (``cc``/``gcc``/``clang``),
-caches the shared object on disk keyed by a hash of the source, and
-loads it through :mod:`ctypes`.
+The fast engine's throughput comes from replaying the whole trace in one
+native call instead of interpreting four cache probes plus the predictor
+protocol per reference in Python.  This module holds the C source of
+that kernel (embedded as a string so the package ships no build step
+and keeps zero hard dependencies), compiles it on first use with
+whatever C compiler the host provides (``cc``/``gcc``/``clang``), caches
+the shared object on disk keyed by a hash of the source, and loads it
+through :mod:`ctypes`.
 
-The kernel is a bit-exact port of the fast engine's replay protocol:
+The kernel is a bit-exact port of the fast engine's replay protocol
+(``TraceDrivenSimulator._run_fast_direct``) for three predictors:
 
-* ``repro_replay_dbcp`` — the dual-hierarchy DBCP replay loop of
-  ``TraceDrivenSimulator._run_fast_direct`` fused with
-  ``FastDBCPPrefetcher.on_access_fast`` / ``on_prefetch_installed`` and
-  ``FastHistoryTable``: array-backed caches with serial-stamp LRU, an
-  open-addressed history map, an order-preserving (LRU) correlation
-  table, and the outstanding/prefetched feedback maps.  Dict semantics
-  are reproduced exactly — linear probing with backward-shift deletion,
-  and a doubly-linked node pool for the insertion-ordered table.
+* ``repro_replay_dbcp`` — fused with ``FastDBCPPrefetcher`` and
+  ``FastHistoryTable``: an open-addressed history map and an
+  order-preserving (LRU) correlation table.  Dict semantics are
+  reproduced exactly — linear probing with backward-shift deletion, and
+  a doubly-linked node pool for the insertion-ordered table.
+* ``repro_replay_ltcords`` — fused with ``FastLTCordsPrefetcher``: the
+  same history fold, ``FastSequenceStorage`` frames (fixed
+  direct-mapped frames or ``unlimited_frames``), the head-lookahead
+  window, the FIFO set-associative ``SignatureCache``, sliding-window
+  streaming with the ``fetch_delay_accesses`` pending queue, and
+  confidence feedback to both the signature cache and storage.
 * ``repro_replay_baseline`` — the no-prefetcher loop (one simulated
   L1/L2 pair; the caller mirrors the counters onto both hierarchies,
   which are identical when nothing is ever prefetched).
 
-Both kernels fill a flat ``int64`` output array with the loop counters
-and a full per-cache ``CacheStats`` mirror; :mod:`repro.sim.vector_replay`
-settles those into the simulator's Python-side objects, so results and
-statistics are indistinguishable from a fast-engine run.
+Every predictor structure is allocated as the replay fills it, so the
+kernel's heap grows with the references replayed, never with the
+configured storage capacity.  Each kernel fills a flat ``int64`` output
+array with the loop counters, the predictor statistics and a full
+per-cache ``CacheStats`` mirror; :mod:`repro.sim.vector_replay` settles
+those into the simulator's Python-side objects, so results and
+statistics are indistinguishable from an interpreted run.
 
 Availability is best-effort by design: no compiler, a failed compile, a
-read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all simply make
-:func:`load_kernel` return ``None`` and the vector engine falls back to
-its pure-python batch loop.
+read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all make
+:func:`load_kernel` return ``None`` (with :func:`unavailable_reason`
+saying why), and the fast engine replays on its interpreted loops.
 """
 
 from __future__ import annotations
@@ -45,9 +52,10 @@ import tempfile
 from typing import Optional
 
 #: Number of int64 slots in a kernel's output array.
-OUT_SLOTS = 64
+OUT_SLOTS = 96
 
 KERNEL_SOURCE = r"""
+#include <setjmp.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -58,6 +66,39 @@ KERNEL_SOURCE = r"""
 
 #define HASH_MULT 0x9E3779B1ULL
 #define HASH_INC 0x7F4A7C15ULL
+
+/* Addresses at or above this bound are replayed by the interpreted tier. */
+#define MAX_ADDRESS (1LL << 54)
+
+/* Every allocation failure unwinds to the kernel entry point, which frees
+ * whatever its state holds and reports rc 1. */
+static void *xalloc(jmp_buf *fail, void *old, size_t size) {
+    void *p = realloc(old, size ? size : 1);
+    if (!p) longjmp(*fail, 1);
+    return p;
+}
+
+static void *xzalloc(jmp_buf *fail, size_t size) {
+    void *p = calloc(size ? size : 1, 1);
+    if (!p) longjmp(*fail, 1);
+    return p;
+}
+
+/* Grow an array of `elem`-byte items to hold at least `need` of them. */
+static void *grow(jmp_buf *fail, void *p, int64_t *cap, int64_t need, size_t elem) {
+    if (need <= *cap) return p;
+    int64_t c = *cap ? *cap : 16;
+    while (c < need) c *= 2;
+    p = xalloc(fail, p, (size_t)c * elem);
+    *cap = c;
+    return p;
+}
+
+static int addresses_in_range(int64_t n, const int64_t *addr) {
+    for (int64_t i = 0; i < n; i++)
+        if ((uint64_t)addr[i] >= (uint64_t)MAX_ADDRESS) return 0;
+    return 1;
+}
 
 /* ---------------------------------------------------------------- caches */
 
@@ -73,33 +114,28 @@ typedef struct {
     int offset_bits;
     int tag_shift;
     int assoc;
-    int64_t num_sets;
     /* CacheStats mirror, same order as repro.cache.cache.CacheStats */
     int64_t accesses, hits, misses, evictions, prefetch_insertions,
         prefetch_hits, prefetch_unused_evictions, writebacks,
         prefetch_caused_evictions;
 } Cache;
 
-static int cache_init(Cache *c, int64_t num_sets, int64_t assoc,
-                      int64_t offset_bits, int64_t index_bits,
-                      int64_t block_mask) {
-    int64_t ways = num_sets * assoc;
-    memset(c, 0, sizeof(*c));
-    c->tags = (int64_t *)malloc((size_t)ways * sizeof(int64_t));
-    c->blocks = (int64_t *)calloc((size_t)ways, sizeof(int64_t));
-    c->stamps = (int64_t *)calloc((size_t)ways, sizeof(int64_t));
-    c->flags = (uint8_t *)calloc((size_t)ways, 1);
-    c->counts = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
-    if (!c->tags || !c->blocks || !c->stamps || !c->flags || !c->counts)
-        return 1;
-    for (int64_t i = 0; i < ways; i++) c->tags[i] = -1;
+/* cfg[0..3]: num_sets, assoc, offset_bits, index_bits */
+static void cache_init(jmp_buf *fail, Cache *c, const int64_t *cfg,
+                       int64_t block_mask) {
+    int64_t num_sets = cfg[0], assoc = cfg[1];
+    size_t ways = (size_t)(num_sets * assoc);
+    c->tags = (int64_t *)xalloc(fail, NULL, ways * sizeof(int64_t));
+    for (size_t i = 0; i < ways; i++) c->tags[i] = -1;
+    c->blocks = (int64_t *)xzalloc(fail, ways * sizeof(int64_t));
+    c->stamps = (int64_t *)xzalloc(fail, ways * sizeof(int64_t));
+    c->flags = (uint8_t *)xzalloc(fail, ways);
+    c->counts = (int32_t *)xzalloc(fail, (size_t)num_sets * sizeof(int32_t));
     c->set_mask = num_sets - 1;
     c->block_mask = block_mask;
-    c->offset_bits = (int)offset_bits;
-    c->tag_shift = (int)(offset_bits + index_bits);
+    c->offset_bits = (int)cfg[2];
+    c->tag_shift = (int)(cfg[2] + cfg[3]);
     c->assoc = (int)assoc;
-    c->num_sets = num_sets;
-    return 0;
 }
 
 static void cache_free(Cache *c) {
@@ -108,6 +144,35 @@ static void cache_free(Cache *c) {
     free(c->stamps);
     free(c->flags);
     free(c->counts);
+}
+
+static int64_t lru_way(const Cache *c, int64_t base) {
+    /* First-minimum scan == stamps.index(min(stamps)); stamps are
+     * distinct serials, so there are never ties to break. */
+    const int64_t *stamps = c->stamps + base;
+    int64_t best = stamps[0];
+    int way = 0;
+    for (int w = 1; w < c->assoc; w++) {
+        if (stamps[w] < best) {
+            best = stamps[w];
+            way = w;
+        }
+    }
+    return way;
+}
+
+/* Account the eviction of `way`; report the victim. */
+static void cache_evict(Cache *c, int64_t slot, int64_t *evicted,
+                        int *has_evicted, int *ev_unused) {
+    uint8_t state = c->flags[slot];
+    c->evictions++;
+    if (state & F_DIRTY) c->writebacks++;
+    if ((state & F_PREFETCHED) && !(state & F_REFERENCED)) {
+        c->prefetch_unused_evictions++;
+        *ev_unused = 1;
+    }
+    *evicted = c->blocks[slot];
+    *has_evicted = 1;
 }
 
 /* access_fast: returns 1 (hit), 2 (hit consuming an unused prefetch) or
@@ -145,26 +210,8 @@ static int cache_access(Cache *c, int64_t address, int is_write,
     *has_evicted = 0;
     *ev_unused = 0;
     if (c->counts[set_index] == assoc) {
-        /* First-minimum scan == stamps.index(min(stamps)); stamps are
-         * distinct serials, so there are never ties to break. */
-        int64_t *stamps = c->stamps + base;
-        int64_t best = stamps[0];
-        way = 0;
-        for (int w = 1; w < assoc; w++) {
-            if (stamps[w] < best) {
-                best = stamps[w];
-                way = w;
-            }
-        }
-        uint8_t state = c->flags[base + way];
-        c->evictions++;
-        if (state & F_DIRTY) c->writebacks++;
-        if ((state & F_PREFETCHED) && !(state & F_REFERENCED)) {
-            c->prefetch_unused_evictions++;
-            *ev_unused = 1;
-        }
-        *evicted = c->blocks[base + way];
-        *has_evicted = 1;
+        way = (int)lru_way(c, base);
+        cache_evict(c, base + way, evicted, has_evicted, ev_unused);
     } else {
         way = 0;
         while (tags[way] != -1) way++;
@@ -202,27 +249,9 @@ static void cache_insert_prefetch(Cache *c, int64_t set_index, int64_t tag,
                 }
             }
         }
-        if (way < 0) {
-            int64_t *stamps = c->stamps + base;
-            int64_t best = stamps[0];
-            way = 0;
-            for (int w = 1; w < assoc; w++) {
-                if (stamps[w] < best) {
-                    best = stamps[w];
-                    way = w;
-                }
-            }
-        }
-        uint8_t state = c->flags[base + way];
-        c->evictions++;
+        if (way < 0) way = (int)lru_way(c, base);
         c->prefetch_caused_evictions++;
-        if (state & F_DIRTY) c->writebacks++;
-        if ((state & F_PREFETCHED) && !(state & F_REFERENCED)) {
-            c->prefetch_unused_evictions++;
-            *ev_unused = 1;
-        }
-        *evicted = c->blocks[base + way];
-        *has_evicted = 1;
+        cache_evict(c, base + way, evicted, has_evicted, ev_unused);
     } else {
         way = 0;
         while (tags[way] != -1) way++;
@@ -248,16 +277,19 @@ static void cache_dump_stats(const Cache *c, int64_t *out) {
 }
 
 /* ------------------------------------------------- open-addressed map
- * int64 key -> (uint64 v0, int64 v1).  Linear probing with
+ * int64 key -> (uint64 v0, int64 v1, int64 v2).  Linear probing with
  * backward-shift deletion (no tombstones), so lookup chains never
- * degrade over the run. */
+ * degrade over the run; the table doubles at half load. */
 
 typedef struct {
     int64_t *keys;
     uint64_t *v0;
     int64_t *v1;
+    int64_t *v2;
     uint8_t *used;
     uint64_t mask;
+    int64_t count;
+    jmp_buf *fail;
 } Map;
 
 static uint64_t mix64(uint64_t x) {
@@ -269,20 +301,48 @@ static uint64_t mix64(uint64_t x) {
     return x;
 }
 
-static int map_init(Map *m, uint64_t cap_pow2) {
-    m->keys = (int64_t *)malloc(cap_pow2 * sizeof(int64_t));
-    m->v0 = (uint64_t *)malloc(cap_pow2 * sizeof(uint64_t));
-    m->v1 = (int64_t *)malloc(cap_pow2 * sizeof(int64_t));
-    m->used = (uint8_t *)calloc(cap_pow2, 1);
-    m->mask = cap_pow2 - 1;
-    return !(m->keys && m->v0 && m->v1 && m->used);
-}
-
 static void map_free(Map *m) {
     free(m->keys);
     free(m->v0);
     free(m->v1);
+    free(m->v2);
     free(m->used);
+}
+
+static int map_arrays(Map *m, uint64_t cap) {
+    m->keys = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->v0 = (uint64_t *)malloc(cap * sizeof(uint64_t));
+    m->v1 = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->v2 = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->used = (uint8_t *)calloc(cap, 1);
+    m->mask = cap - 1;
+    return !(m->keys && m->v0 && m->v1 && m->v2 && m->used);
+}
+
+static void map_init(Map *m, jmp_buf *fail) {
+    m->fail = fail;
+    m->count = 0;
+    if (map_arrays(m, 64)) longjmp(*fail, 1);
+}
+
+static void map_grow(Map *m) {
+    Map old = *m;
+    if (map_arrays(m, (old.mask + 1) * 2)) {
+        map_free(m);
+        *m = old;
+        longjmp(*m->fail, 1);
+    }
+    for (uint64_t i = 0; i <= old.mask; i++) {
+        if (!old.used[i]) continue;
+        uint64_t j = mix64((uint64_t)old.keys[i]) & m->mask;
+        while (m->used[j]) j = (j + 1) & m->mask;
+        m->used[j] = 1;
+        m->keys[j] = old.keys[i];
+        m->v0[j] = old.v0[i];
+        m->v1[j] = old.v1[i];
+        m->v2[j] = old.v2[i];
+    }
+    map_free(&old);
 }
 
 static int64_t map_find(const Map *m, int64_t key) {
@@ -294,28 +354,32 @@ static int64_t map_find(const Map *m, int64_t key) {
     return -1;
 }
 
+/* The slot of `key`, inserted zeroed if absent; valid until the next insert. */
 static int64_t map_get_or_insert(Map *m, int64_t key, int *inserted) {
-    uint64_t i = mix64((uint64_t)key) & m->mask;
-    while (m->used[i]) {
-        if (m->keys[i] == key) {
-            *inserted = 0;
-            return (int64_t)i;
-        }
-        i = (i + 1) & m->mask;
+    int64_t found = map_find(m, key);
+    if (found >= 0) {
+        *inserted = 0;
+        return found;
     }
+    if ((uint64_t)(m->count + 1) * 2 > m->mask + 1) map_grow(m);
+    uint64_t i = mix64((uint64_t)key) & m->mask;
+    while (m->used[i]) i = (i + 1) & m->mask;
     m->used[i] = 1;
     m->keys[i] = key;
     m->v0[i] = 0;
     m->v1[i] = 0;
+    m->v2[i] = 0;
+    m->count++;
     *inserted = 1;
     return (int64_t)i;
 }
 
-static void map_set(Map *m, int64_t key, uint64_t v0, int64_t v1) {
+static void map_set(Map *m, int64_t key, uint64_t v0, int64_t v1, int64_t v2) {
     int inserted;
     int64_t i = map_get_or_insert(m, key, &inserted);
     m->v0[i] = v0;
     m->v1[i] = v1;
+    m->v2[i] = v2;
 }
 
 static void map_del(Map *m, uint64_t i) {
@@ -329,14 +393,222 @@ static void map_del(Map *m, uint64_t i) {
             m->keys[i] = m->keys[j];
             m->v0[i] = m->v0[j];
             m->v1[i] = m->v1[j];
+            m->v2[i] = m->v2[j];
             i = j;
         }
     }
     m->used[i] = 0;
+    m->count--;
+}
+
+/* ------------------------------------------------------ history table
+ * FastHistoryTable with the closed-form fold (32-63 bit keys):
+ * block -> (pc_trace_hash, previous_block). */
+
+typedef struct {
+    Map blocks;
+    int64_t block_mask;
+    int key_bits;
+    uint64_t key_mask;
+    int64_t evictions, cold;
+} History;
+
+static uint64_t hist_key(const History *t, uint64_t trace_hash,
+                         int64_t previous, int64_t block) {
+    uint64_t raw = (trace_hash ^ (uint64_t)previous) * HASH_MULT + HASH_INC;
+    raw = (raw ^ (uint64_t)block) * HASH_MULT + HASH_INC;
+    return (raw & t->key_mask) ^ (raw >> t->key_bits);
+}
+
+/* observe_access: fold the pc into the block's trace; the candidate key. */
+static uint64_t hist_access(History *t, int64_t pc, int64_t address) {
+    int64_t block = address & t->block_mask;
+    int inserted;
+    int64_t s = map_get_or_insert(&t->blocks, block, &inserted);
+    uint64_t trace_hash = (t->blocks.v0[s] ^ (uint64_t)pc) * HASH_MULT + HASH_INC;
+    t->blocks.v0[s] = trace_hash;
+    return hist_key(t, trace_hash, t->blocks.v1[s], block);
+}
+
+/* observe_eviction: the signature key; *predicted = the replacement block. */
+static uint64_t hist_evict(History *t, int64_t evicted_address,
+                           int64_t replacement_address, int64_t *predicted) {
+    t->evictions++;
+    int64_t evicted_block = evicted_address & t->block_mask;
+    uint64_t trace_hash = 0;
+    int64_t previous = 0;
+    int64_t slot = map_find(&t->blocks, evicted_block);
+    if (slot >= 0) {
+        trace_hash = t->blocks.v0[slot];
+        previous = t->blocks.v1[slot];
+        map_del(&t->blocks, (uint64_t)slot);
+    } else {
+        t->cold++;
+    }
+    uint64_t key = hist_key(t, trace_hash, previous, evicted_block);
+    *predicted = replacement_address & t->block_mask;
+    map_set(&t->blocks, *predicted, 0, evicted_block, 0);
+    return key;
+}
+
+/* cfg[9..11]: block_mask, key_bits, key_mask */
+static void hist_init(jmp_buf *fail, History *t, const int64_t *cfg) {
+    map_init(&t->blocks, fail);
+    t->block_mask = cfg[0];
+    t->key_bits = (int)cfg[1];
+    t->key_mask = (uint64_t)cfg[2];
+}
+
+/* ---------------------------------------------- the two hierarchies
+ * The main hierarchy the predictor prefetches into and the shadow
+ * baseline that defines the opportunity, plus the simulator's
+ * prefetched-block tracking: block -> (tag key, tag word, packed
+ * (tag offset << 2) | source). */
+
+typedef struct {
+    Cache main_l1, main_l2, base_l1, base_l2;
+    Map prefetched;
+    int64_t block_mask;
+    int64_t base_misses, correct, early, base_l2_hits, base_l2_misses,
+        main_l1_hits, main_l2_hits, main_l2_misses;
+    int64_t prefetches_used, prefetches_evicted_unused, incorrect,
+        incorrect_mem;
+    int64_t prefetches_issued, prefetches_from_l2, prefetches_from_memory;
+} Hier;
+
+/* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
+ *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
+ *      8 hier_block_mask */
+static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg) {
+    cache_init(fail, &h->main_l1, cfg, cfg[8]);
+    cache_init(fail, &h->main_l2, cfg + 4, cfg[8]);
+    cache_init(fail, &h->base_l1, cfg, cfg[8]);
+    cache_init(fail, &h->base_l2, cfg + 4, cfg[8]);
+    map_init(&h->prefetched, fail);
+    h->block_mask = cfg[8];
+}
+
+static void hier_free(Hier *h) {
+    cache_free(&h->main_l1);
+    cache_free(&h->main_l2);
+    cache_free(&h->base_l1);
+    cache_free(&h->base_l2);
+    map_free(&h->prefetched);
+}
+
+/* One demand reference through both hierarchies, classified against the
+ * prediction opportunity; returns the main L1's access code. */
+static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
+                       int *has_evicted, int *ev_unused) {
+    int64_t dump;
+    int dummy_h, dummy_u;
+    int code = cache_access(&h->main_l1, address, wr, evicted, has_evicted,
+                            ev_unused);
+    if (code)
+        h->main_l1_hits++;
+    else if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u))
+        h->main_l2_hits++;
+    else
+        h->main_l2_misses++;
+    if (cache_access(&h->base_l1, address, wr, &dump, &dummy_h, &dummy_u)) {
+        if (!code) h->early++;
+    } else {
+        h->base_misses++;
+        if (code) h->correct++;
+        if (cache_access(&h->base_l2, address, 0, &dump, &dummy_h, &dummy_u))
+            h->base_l2_hits++;
+        else
+            h->base_l2_misses++;
+    }
+    return code;
+}
+
+/* prefetch_into_l1_fast: 0 if already L1-resident, else the source
+ * (1 = L2, 2 = memory) with the installed block's victim reported. */
+static int hier_prefetch(Hier *h, int64_t address, int64_t victim,
+                         int64_t *evicted, int *has_evicted, int *ev_unused) {
+    Cache *l1 = &h->main_l1;
+    int64_t dump;
+    int dummy_h, dummy_u;
+    h->prefetches_issued++;
+    int64_t set = (address >> l1->offset_bits) & l1->set_mask;
+    int64_t tag = address >> l1->tag_shift;
+    int64_t base = set * l1->assoc;
+    for (int w = 0; w < l1->assoc; w++)
+        if (l1->tags[base + w] == tag) return 0;
+    int source;
+    if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u)) {
+        h->prefetches_from_l2++;
+        source = 1;
+    } else {
+        h->prefetches_from_memory++;
+        source = 2;
+    }
+    cache_insert_prefetch(l1, set, tag, address, victim, evicted, has_evicted,
+                          ev_unused);
+    return source;
+}
+
+/* A demand hit consumed a tracked prefetch: pop its tag. */
+static int hier_used(Hier *h, int64_t block, uint64_t *tag_key,
+                     int64_t *tag_word, int64_t *tag_offset) {
+    int64_t slot = map_find(&h->prefetched, block);
+    if (slot < 0) return 0;
+    *tag_key = h->prefetched.v0[slot];
+    *tag_word = h->prefetched.v1[slot];
+    *tag_offset = h->prefetched.v2[slot] >> 2;
+    map_del(&h->prefetched, (uint64_t)slot);
+    h->prefetches_used++;
+    return 1;
+}
+
+/* _notify_unused_eviction: a tracked prefetch left the L1 unused. */
+static int hier_unused(Hier *h, int64_t block, uint64_t *tag_key,
+                       int64_t *tag_word, int64_t *tag_offset) {
+    int64_t slot = map_find(&h->prefetched, block);
+    if (slot < 0) return 0;
+    *tag_key = h->prefetched.v0[slot];
+    *tag_word = h->prefetched.v1[slot];
+    *tag_offset = h->prefetched.v2[slot] >> 2;
+    int64_t source = h->prefetched.v2[slot] & 3;
+    map_del(&h->prefetched, (uint64_t)slot);
+    h->incorrect++;
+    if (source == 2) h->incorrect_mem++;
+    h->prefetches_evicted_unused++;
+    return 1;
+}
+
+static void hier_track(Hier *h, int64_t block, uint64_t tag_key,
+                       int64_t tag_word, int64_t tag_offset, int source) {
+    map_set(&h->prefetched, block, tag_key, tag_word, (tag_offset << 2) | source);
+}
+
+/* out: 0-7 loop counters, 8-15 prefetch accounting (see vector_replay),
+ * 24/34/44/54 per-cache stats blocks. */
+static void hier_dump(const Hier *h, int64_t *out) {
+    out[0] = h->base_misses;
+    out[1] = h->correct;
+    out[2] = h->early;
+    out[3] = h->base_l2_hits;
+    out[4] = h->base_l2_misses;
+    out[5] = h->main_l1_hits;
+    out[6] = h->main_l2_hits;
+    out[7] = h->main_l2_misses;
+    out[9] = h->prefetches_used;
+    out[10] = h->prefetches_evicted_unused;
+    out[11] = h->incorrect;
+    out[12] = h->incorrect_mem;
+    out[13] = h->prefetches_issued;
+    out[14] = h->prefetches_from_l2;
+    out[15] = h->prefetches_from_memory;
+    cache_dump_stats(&h->main_l1, out + 24);
+    cache_dump_stats(&h->main_l2, out + 34);
+    cache_dump_stats(&h->base_l1, out + 44);
+    cache_dump_stats(&h->base_l2, out + 54);
 }
 
 /* -------------------------------------------------- LRU-ordered table
- * The correlation table: uint64 signature key -> packed
+ * The DBCP correlation table: uint64 signature key -> packed
  * (predicted << 8) | confidence, with python-dict insertion order as
  * LRU order.  A hash index maps keys to nodes of a doubly-linked pool
  * (head = oldest, tail = most recent). */
@@ -354,25 +626,22 @@ typedef struct {
     int64_t count;
 } Lru;
 
-static int lru_init(Lru *t, uint64_t hash_cap_pow2, int64_t pool_cap) {
-    t->hkeys = (uint64_t *)malloc(hash_cap_pow2 * sizeof(uint64_t));
-    t->hnode = (int32_t *)malloc(hash_cap_pow2 * sizeof(int32_t));
-    t->hused = (uint8_t *)calloc(hash_cap_pow2, 1);
+static void lru_init(jmp_buf *fail, Lru *t, uint64_t hash_cap_pow2,
+                     int64_t pool_cap) {
+    t->hkeys = (uint64_t *)xalloc(fail, NULL, hash_cap_pow2 * sizeof(uint64_t));
+    t->hnode = (int32_t *)xalloc(fail, NULL, hash_cap_pow2 * sizeof(int32_t));
+    t->hused = (uint8_t *)xzalloc(fail, hash_cap_pow2);
     t->hmask = hash_cap_pow2 - 1;
-    t->nkey = (uint64_t *)malloc((size_t)pool_cap * sizeof(uint64_t));
-    t->npacked = (int64_t *)malloc((size_t)pool_cap * sizeof(int64_t));
-    t->nprev = (int32_t *)malloc((size_t)pool_cap * sizeof(int32_t));
-    t->nnext = (int32_t *)malloc((size_t)pool_cap * sizeof(int32_t));
-    if (!(t->hkeys && t->hnode && t->hused && t->nkey && t->npacked &&
-          t->nprev && t->nnext))
-        return 1;
+    t->nkey = (uint64_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(uint64_t));
+    t->npacked = (int64_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int64_t));
+    t->nprev = (int32_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int32_t));
+    t->nnext = (int32_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int32_t));
     for (int64_t i = 0; i < pool_cap; i++) t->nnext[i] = (int32_t)(i + 1);
     if (pool_cap > 0) t->nnext[pool_cap - 1] = -1;
     t->free_head = pool_cap > 0 ? 0 : -1;
     t->head = -1;
     t->tail = -1;
     t->count = 0;
-    return 0;
 }
 
 static void lru_free(Lru *t) {
@@ -465,18 +734,14 @@ static uint64_t next_pow2(uint64_t x) {
 /* ------------------------------------------------------- DBCP replay */
 
 typedef struct {
-    Map hist;        /* block -> (pc_trace_hash, previous_block) */
+    jmp_buf fail;
+    Hier h;
+    History hist;
     Map outstanding; /* predicted block -> signature key */
-    Map prefetched;  /* resident prefetched block -> (key, source) */
     Lru table;
-    int64_t dbcp_block_mask;
-    int key_bits;
-    uint64_t key_mask;
     int64_t conf_threshold, init_conf, max_conf, table_entries;
-    int64_t history_evictions, history_cold, table_hits, low_conf,
-        signatures_recorded, table_evictions, predictions_issued,
-        prefetches_used, prefetches_evicted_unused, incorrect_prefetches,
-        incorrect_mem;
+    int64_t table_hits, low_conf, signatures_recorded, table_evictions,
+        predictions_issued;
 } Dbcp;
 
 /* FastDBCPPrefetcher._record */
@@ -497,26 +762,9 @@ static void dbcp_record(Dbcp *d, uint64_t key, int64_t predicted) {
     d->signatures_recorded++;
 }
 
-/* FastHistoryTable.observe_eviction fused with _record */
-static void dbcp_evict_record(Dbcp *d, int64_t evicted_address,
-                              int64_t replacement_address) {
-    d->history_evictions++;
-    int64_t evicted_block = evicted_address & d->dbcp_block_mask;
-    uint64_t eh = 0;
-    int64_t ep = 0;
-    int64_t slot = map_find(&d->hist, evicted_block);
-    if (slot >= 0) {
-        eh = d->hist.v0[slot];
-        ep = d->hist.v1[slot];
-        map_del(&d->hist, (uint64_t)slot);
-    } else {
-        d->history_cold++;
-    }
-    uint64_t raw = (eh ^ (uint64_t)ep) * HASH_MULT + HASH_INC;
-    raw = (raw ^ (uint64_t)evicted_block) * HASH_MULT + HASH_INC;
-    uint64_t key = (raw & d->key_mask) ^ (raw >> d->key_bits);
-    int64_t predicted = replacement_address & d->dbcp_block_mask;
-    map_set(&d->hist, predicted, 0, evicted_block);
+static void dbcp_evict_record(Dbcp *d, int64_t evicted, int64_t replacement) {
+    int64_t predicted;
+    uint64_t key = hist_evict(&d->hist, evicted, replacement, &predicted);
     dbcp_record(d, key, predicted);
 }
 
@@ -524,13 +772,11 @@ static void dbcp_evict_record(Dbcp *d, int64_t evicted_address,
  * table.get (NO LRU refresh) then clamp into [0, max_confidence]. */
 static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
                           int64_t delta) {
-    uint64_t key;
+    uint64_t key = tagkey;
     int64_t oslot = map_find(&d->outstanding, block_address);
     if (oslot >= 0) {
         key = d->outstanding.v0[oslot];
         map_del(&d->outstanding, (uint64_t)oslot);
-    } else {
-        key = tagkey;
     }
     int64_t slot = lru_hfind(&d->table, key);
     if (slot < 0) return;
@@ -542,262 +788,582 @@ static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
     d->table.npacked[node] = (packed & ~(int64_t)255) | conf;
 }
 
-/* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
- *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
- *      8 hier_block_mask, 9 dbcp_block_mask, 10 key_bits, 11 key_mask,
- *      12 confidence_threshold, 13 initial_confidence, 14 max_confidence,
- *      15 table_entries (-1 = unlimited)
- * out: see repro.sim.vector_replay (64 int64 slots). */
+static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
+                     const int8_t *is_write, const int64_t *cfg) {
+    Hier *h = &d->h;
+    hier_init(&d->fail, h, cfg);
+    hist_init(&d->fail, &d->hist, cfg + 9);
+    map_init(&d->outstanding, &d->fail);
+    d->conf_threshold = cfg[12];
+    d->init_conf = cfg[13];
+    d->max_conf = cfg[14];
+    d->table_entries = cfg[15];
+    /* At most 2n correlation-table inserts in total. */
+    int64_t pool = 2 * n + 16;
+    if (d->table_entries >= 0 && d->table_entries < pool) pool = d->table_entries;
+    lru_init(&d->fail, &d->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+
+    for (int64_t i = 0; i < n; i++) {
+        int64_t address = addr[i];
+        int64_t evicted = 0, tag_word, tag_offset;
+        int has_evicted = 0, ev_unused = 0;
+        uint64_t tag_key;
+        int code = hier_demand(h, address, is_write[i], &evicted, &has_evicted,
+                               &ev_unused);
+        int64_t block_address = address & h->block_mask;
+
+        /* Feedback for prefetched blocks, then on_access_fast's eviction. */
+        if (code) {
+            if (code == 2 && hier_used(h, block_address, &tag_key, &tag_word, &tag_offset))
+                dbcp_feedback(d, block_address, tag_key, 1);
+        } else {
+            if (ev_unused && hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset))
+                dbcp_feedback(d, evicted, tag_key, -1);
+            if (has_evicted) dbcp_evict_record(d, evicted, block_address);
+        }
+
+        uint64_t candidate_key = hist_access(&d->hist, pc[i], address);
+        int64_t tslot = lru_hfind(&d->table, candidate_key);
+        if (tslot < 0) continue;
+        int32_t node = d->table.hnode[tslot];
+        lru_touch(&d->table, node); /* a table hit refreshes the LRU position */
+        d->table_hits++;
+        int64_t packed = d->table.npacked[node];
+        if ((packed & 255) < d->conf_threshold) {
+            d->low_conf++;
+            continue;
+        }
+        d->predictions_issued++;
+        int64_t predicted = packed >> 8;
+        map_set(&d->outstanding, predicted, candidate_key, 0, 0);
+
+        /* The simulator executes the one command inline. */
+        int64_t pevicted = 0;
+        int phas = 0, punused = 0;
+        int source = hier_prefetch(h, predicted, block_address, &pevicted, &phas,
+                                   &punused);
+        if (!source) continue;
+        int64_t pblock = predicted & h->block_mask;
+        if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
+            dbcp_feedback(d, pevicted, tag_key, -1);
+        hier_track(h, pblock, candidate_key, 0, 0, source);
+        /* on_prefetch_installed */
+        if (phas) dbcp_evict_record(d, pevicted, pblock);
+    }
+}
+
+/* cfg: 0-8 hierarchy (see hier_init), 9 dbcp_block_mask, 10 key_bits,
+ *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
+ *      14 max_confidence, 15 table_entries (-1 = unlimited)
+ * out: 0-15 as hier_dump plus 8 predictions_issued, 16 table_hits,
+ *      17 low_conf, 18 signatures_recorded, 19 table_evictions,
+ *      20 history evictions, 21 history cold evictions.
+ * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
 int repro_replay_dbcp(int64_t n, const int64_t *pc, const int64_t *addr,
                       const int8_t *is_write, const int64_t *cfg,
                       int64_t *out) {
-    Cache main_l1, main_l2, base_l1, base_l2;
-    Dbcp d;
-    int rc = 1;
-    memset(out, 0, 64 * sizeof(int64_t));
-    memset(&d, 0, sizeof(d));
-    if (cache_init(&main_l1, cfg[0], cfg[1], cfg[2], cfg[3], cfg[8])) goto done0;
-    if (cache_init(&main_l2, cfg[4], cfg[5], cfg[6], cfg[7], cfg[8])) goto done0;
-    if (cache_init(&base_l1, cfg[0], cfg[1], cfg[2], cfg[3], cfg[8])) goto done0;
-    if (cache_init(&base_l2, cfg[4], cfg[5], cfg[6], cfg[7], cfg[8])) goto done0;
-
-    d.dbcp_block_mask = cfg[9];
-    d.key_bits = (int)cfg[10];
-    d.key_mask = (uint64_t)cfg[11];
-    d.conf_threshold = cfg[12];
-    d.init_conf = cfg[13];
-    d.max_conf = cfg[14];
-    d.table_entries = cfg[15];
-    {
-        /* At most one history insert per reference plus one per install,
-         * one outstanding/prefetched insert per issued prefetch, and at
-         * most 2n correlation-table inserts in total. */
-        int64_t pool = 2 * n + 16;
-        if (d.table_entries >= 0 && d.table_entries < pool)
-            pool = d.table_entries;
-        if (map_init(&d.hist, next_pow2((uint64_t)(4 * n + 64)))) goto done1;
-        if (map_init(&d.outstanding, next_pow2((uint64_t)(2 * n + 64)))) goto done1;
-        if (map_init(&d.prefetched, next_pow2((uint64_t)(2 * n + 64)))) goto done1;
-        if (lru_init(&d.table, next_pow2((uint64_t)(2 * pool + 64)), pool)) goto done1;
+    memset(out, 0, 96 * sizeof(int64_t));
+    if (!addresses_in_range(n, addr)) return 2;
+    Dbcp *d = (Dbcp *)calloc(1, sizeof(Dbcp));
+    if (!d) return 1;
+    volatile int rc = 1; /* set after setjmp */
+    if (setjmp(d->fail) == 0) {
+        dbcp_run(d, n, pc, addr, is_write, cfg);
+        hier_dump(&d->h, out);
+        out[8] = d->predictions_issued;
+        out[16] = d->table_hits;
+        out[17] = d->low_conf;
+        out[18] = d->signatures_recorded;
+        out[19] = d->table_evictions;
+        out[20] = d->hist.evictions;
+        out[21] = d->hist.cold;
+        rc = 0;
     }
-
-    int64_t hier_block_mask = cfg[8];
-    int64_t base_misses = 0, correct = 0, early = 0;
-    int64_t base_l2_hits = 0, base_l2_misses = 0;
-    int64_t main_l1_hits = 0, main_l2_hits = 0, main_l2_misses = 0;
-    int64_t hier_prefetches_issued = 0, prefetches_from_l2 = 0,
-            prefetches_from_memory = 0;
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t address = addr[i];
-        int wr = is_write[i];
-        int64_t evicted = 0;
-        int has_evicted = 0, ev_unused = 0;
-        int64_t dump;
-        int dummy_h, dummy_u;
-
-        int code = cache_access(&main_l1, address, wr, &evicted, &has_evicted,
-                                &ev_unused);
-        if (code) {
-            main_l1_hits++;
-        } else if (cache_access(&main_l2, address, 0, &dump, &dummy_h,
-                                &dummy_u)) {
-            main_l2_hits++;
-        } else {
-            main_l2_misses++;
-        }
-
-        /* Classify against the prediction opportunity. */
-        if (cache_access(&base_l1, address, wr, &dump, &dummy_h, &dummy_u)) {
-            if (!code) early++;
-        } else {
-            base_misses++;
-            if (code) correct++;
-            if (cache_access(&base_l2, address, 0, &dump, &dummy_h, &dummy_u))
-                base_l2_hits++;
-            else
-                base_l2_misses++;
-        }
-
-        int64_t block_address = address & hier_block_mask;
-
-        /* Feedback for prefetched blocks. */
-        if (code) {
-            if (code == 2) {
-                int64_t pslot = map_find(&d.prefetched, block_address);
-                if (pslot >= 0) {
-                    uint64_t tagkey = d.prefetched.v0[pslot];
-                    map_del(&d.prefetched, (uint64_t)pslot);
-                    d.prefetches_used++;
-                    dbcp_feedback(&d, block_address, tagkey, 1);
-                }
-            }
-        } else {
-            if (ev_unused) {
-                int64_t pslot = map_find(&d.prefetched, evicted);
-                if (pslot >= 0) {
-                    uint64_t tagkey = d.prefetched.v0[pslot];
-                    int64_t source = d.prefetched.v1[pslot];
-                    map_del(&d.prefetched, (uint64_t)pslot);
-                    d.incorrect_prefetches++;
-                    if (source == 2) d.incorrect_mem++;
-                    d.prefetches_evicted_unused++;
-                    dbcp_feedback(&d, evicted, tagkey, -1);
-                }
-            }
-            /* on_access_fast: eviction branch. */
-            if (has_evicted) dbcp_evict_record(&d, evicted, block_address);
-        }
-
-        /* on_access_fast: fused observe_access. */
-        int64_t block = address & d.dbcp_block_mask;
-        int inserted;
-        int64_t hslot = map_get_or_insert(&d.hist, block, &inserted);
-        uint64_t trace_hash =
-            (d.hist.v0[hslot] ^ (uint64_t)pc[i]) * HASH_MULT + HASH_INC;
-        d.hist.v0[hslot] = trace_hash;
-        uint64_t raw =
-            (trace_hash ^ (uint64_t)d.hist.v1[hslot]) * HASH_MULT + HASH_INC;
-        raw = (raw ^ (uint64_t)block) * HASH_MULT + HASH_INC;
-        uint64_t candidate_key = (raw & d.key_mask) ^ (raw >> d.key_bits);
-
-        int64_t tslot = lru_hfind(&d.table, candidate_key);
-        if (tslot < 0) continue;
-        int32_t node = d.table.hnode[tslot];
-        lru_touch(&d.table, node); /* a table hit refreshes the LRU position */
-        d.table_hits++;
-        int64_t packed = d.table.npacked[node];
-        if ((packed & 255) < d.conf_threshold) {
-            d.low_conf++;
-            continue;
-        }
-        d.predictions_issued++;
-        int64_t predicted_address = packed >> 8;
-        map_set(&d.outstanding, predicted_address, candidate_key, 0);
-
-        /* Execute the command inline: prefetch_into_l1_fast. */
-        hier_prefetches_issued++;
-        int64_t pset = (predicted_address >> main_l1.offset_bits) & main_l1.set_mask;
-        int64_t ptag = predicted_address >> main_l1.tag_shift;
-        {
-            int64_t pbase = pset * main_l1.assoc;
-            int resident = 0;
-            for (int w = 0; w < main_l1.assoc; w++) {
-                if (main_l1.tags[pbase + w] == ptag) {
-                    resident = 1;
-                    break;
-                }
-            }
-            if (resident) continue;
-        }
-        int64_t source;
-        if (cache_access(&main_l2, predicted_address, 0, &dump, &dummy_h,
-                         &dummy_u)) {
-            prefetches_from_l2++;
-            source = 1;
-        } else {
-            prefetches_from_memory++;
-            source = 2;
-        }
-        int64_t pevicted = 0;
-        int phas = 0, punused = 0;
-        cache_insert_prefetch(&main_l1, pset, ptag, predicted_address,
-                              block_address, &pevicted, &phas, &punused);
-        int64_t pblock = predicted_address & hier_block_mask;
-        if (punused) {
-            int64_t pslot = map_find(&d.prefetched, pevicted);
-            if (pslot >= 0) {
-                uint64_t tagkey = d.prefetched.v0[pslot];
-                int64_t psource = d.prefetched.v1[pslot];
-                map_del(&d.prefetched, (uint64_t)pslot);
-                d.incorrect_prefetches++;
-                if (psource == 2) d.incorrect_mem++;
-                d.prefetches_evicted_unused++;
-                dbcp_feedback(&d, pevicted, tagkey, -1);
-            }
-        }
-        map_set(&d.prefetched, pblock, candidate_key, source);
-        /* on_prefetch_installed */
-        if (phas) dbcp_evict_record(&d, pevicted, pblock);
-    }
-
-    out[0] = base_misses;
-    out[1] = correct;
-    out[2] = early;
-    out[3] = base_l2_hits;
-    out[4] = base_l2_misses;
-    out[5] = main_l1_hits;
-    out[6] = main_l2_hits;
-    out[7] = main_l2_misses;
-    out[8] = d.predictions_issued;
-    out[9] = d.prefetches_used;
-    out[10] = d.prefetches_evicted_unused;
-    out[11] = d.incorrect_prefetches;
-    out[12] = d.incorrect_mem;
-    out[13] = hier_prefetches_issued;
-    out[14] = prefetches_from_l2;
-    out[15] = prefetches_from_memory;
-    out[16] = d.table_hits;
-    out[17] = d.low_conf;
-    out[18] = d.signatures_recorded;
-    out[19] = d.table_evictions;
-    out[20] = d.history_evictions;
-    out[21] = d.history_cold;
-    cache_dump_stats(&main_l1, out + 24);
-    cache_dump_stats(&main_l2, out + 34);
-    cache_dump_stats(&base_l1, out + 44);
-    cache_dump_stats(&base_l2, out + 54);
-    rc = 0;
-
-done1:
-    map_free(&d.hist);
-    map_free(&d.outstanding);
-    map_free(&d.prefetched);
-    lru_free(&d.table);
-done0:
-    cache_free(&main_l1);
-    cache_free(&main_l2);
-    cache_free(&base_l1);
-    cache_free(&base_l2);
+    hier_free(&d->h);
+    map_free(&d->hist.blocks);
+    map_free(&d->outstanding);
+    lru_free(&d->table);
+    free(d);
     return rc;
 }
 
-/* No-prefetcher replay: with the NullPrefetcher the main and baseline
- * hierarchies receive identical streams, so one simulated L1/L2 pair
- * stands for both; the caller mirrors the counters.
- * cfg: slots 0-8 as above.  out: 0 l1_hits, 1 l2_hits, 2 l2_misses,
+/* --------------------------------------------------- LT-cords replay */
+
+typedef struct {
+    int64_t key, predicted, confidence;
+} Sig;
+
+/* One frame of sequence storage; its fragment is sigs[start, start+len). */
+typedef struct {
+    int64_t head, start, len, window;
+} Frame;
+
+typedef struct {
+    int64_t tag, predicted, confidence, frame, offset;
+} SigWay;
+
+typedef struct {
+    int64_t ready_at, key, predicted, confidence, frame, offset;
+} Pending;
+
+typedef struct {
+    jmp_buf fail;
+    Hier h;
+    History hist;
+    Map outstanding;  /* predicted block -> (key, frame, offset) */
+    Map frame_slots;  /* frame index -> slot in frames */
+    Map heads;        /* head key -> frame index */
+    Map sc_sets;      /* signature-cache set index -> slot in set_* */
+    Sig *sigs;
+    int64_t nsigs, sigs_cap;
+    Frame *frames;
+    int64_t nframes, frames_cap;
+    SigWay *ways;     /* sc_assoc ways per allocated set */
+    int64_t ways_cap;
+    int64_t *set_fill, *set_next; /* filled ways; next FIFO victim */
+    int64_t nsets, set_fill_cap, set_next_cap;
+    Pending *pending; /* FIFO ring of streamed, not yet visible entries */
+    int64_t pend_head, pend_len, pend_cap;
+    int64_t *recent;  /* deque(maxlen=head_lookahead) of recorded keys */
+    int64_t recent_max, recent_cap, recent_start, recent_len;
+    int64_t recording; /* slot of the frame being recorded, -1 = none */
+    int64_t next_unlimited;
+    int64_t now;       /* _access_counter */
+    int64_t threshold, init_conf, max_conf, window, delay;
+    int64_t num_frames, unlimited, fragment, sig_bytes;
+    int64_t sc_set_mask, sc_index_bits, sc_assoc;
+    int64_t created, head_matches, predictions, low_conf, streamed,
+        conf_inc, conf_dec;
+    int64_t recorded, frames_allocated, frames_overwritten, fetched,
+        bytes_written, bytes_read, conf_updates;
+    int64_t sc_lookups, sc_hits, sc_inserts, sc_replacements;
+} Ltc;
+
+static int64_t ltc_frame(const Ltc *L, int64_t index) {
+    int64_t s = map_find(&L->frame_slots, index);
+    return s < 0 ? -1 : L->frame_slots.v1[s];
+}
+
+/* FastSequenceStorage._allocate_frame */
+static int64_t ltc_allocate_frame(Ltc *L, int64_t head) {
+    int64_t index = L->unlimited ? L->next_unlimited++
+                                 : (int64_t)((uint64_t)head % (uint64_t)L->num_frames);
+    int inserted;
+    int64_t s = map_get_or_insert(&L->frame_slots, index, &inserted);
+    int64_t slot;
+    if (inserted) {
+        L->frames = (Frame *)grow(&L->fail, L->frames, &L->frames_cap,
+                                  L->nframes + 1, sizeof(Frame));
+        slot = L->nframes++;
+        L->frame_slots.v1[s] = slot;
+    } else {
+        slot = L->frame_slots.v1[s];
+        L->frames_overwritten++;
+        int64_t hs = map_find(&L->heads, L->frames[slot].head);
+        if (hs >= 0) map_del(&L->heads, (uint64_t)hs);
+    }
+    Frame *f = &L->frames[slot];
+    f->head = head;
+    f->start = L->nsigs;
+    f->len = 0;
+    f->window = 0;
+    map_set(&L->heads, head, 0, index, 0);
+    L->frames_allocated++;
+    return slot;
+}
+
+/* FastSequenceStorage.record */
+static void ltc_record(Ltc *L, int64_t key, int64_t predicted) {
+    if (L->recording < 0 || L->frames[L->recording].len >= L->fragment) {
+        int64_t head = L->recent_len ? L->recent[L->recent_start] : key;
+        L->recording = ltc_allocate_frame(L, head);
+    }
+    L->sigs = (Sig *)grow(&L->fail, L->sigs, &L->sigs_cap, L->nsigs + 1, sizeof(Sig));
+    Sig *sig = &L->sigs[L->nsigs++];
+    sig->key = key;
+    sig->predicted = predicted;
+    sig->confidence = L->init_conf;
+    L->frames[L->recording].len++;
+    L->recorded++;
+    L->bytes_written += L->sig_bytes;
+    if (L->recent_len < L->recent_max) {
+        L->recent = (int64_t *)grow(&L->fail, L->recent, &L->recent_cap,
+                                    L->recent_len + 1, sizeof(int64_t));
+        L->recent[L->recent_len++] = key;
+    } else {
+        L->recent[L->recent_start] = key;
+        L->recent_start = (L->recent_start + 1) % L->recent_max;
+    }
+}
+
+/* The signature-cache set of `key`, or -1 when it was never filled. */
+static int64_t sc_set(Ltc *L, uint64_t key, int create) {
+    int64_t index = (int64_t)(key & (uint64_t)L->sc_set_mask);
+    if (!create) {
+        int64_t s = map_find(&L->sc_sets, index);
+        return s < 0 ? -1 : L->sc_sets.v1[s];
+    }
+    int inserted;
+    int64_t s = map_get_or_insert(&L->sc_sets, index, &inserted);
+    if (inserted) {
+        int64_t set = L->nsets;
+        L->ways = (SigWay *)grow(&L->fail, L->ways, &L->ways_cap,
+                                 (set + 1) * L->sc_assoc, sizeof(SigWay));
+        L->set_fill = (int64_t *)grow(&L->fail, L->set_fill, &L->set_fill_cap,
+                                      set + 1, sizeof(int64_t));
+        L->set_next = (int64_t *)grow(&L->fail, L->set_next, &L->set_next_cap,
+                                      set + 1, sizeof(int64_t));
+        L->set_fill[set] = 0;
+        L->set_next[set] = 0;
+        L->sc_sets.v1[s] = set;
+        L->nsets++;
+    }
+    return L->sc_sets.v1[s];
+}
+
+/* SignatureCache.peek; the way stays valid until the next insert. */
+static SigWay *sc_find(Ltc *L, uint64_t key) {
+    int64_t set = sc_set(L, key, 0);
+    if (set < 0) return NULL;
+    int64_t tag = (int64_t)(key >> L->sc_index_bits);
+    SigWay *w = L->ways + set * L->sc_assoc;
+    for (int64_t k = 0; k < L->set_fill[set]; k++)
+        if (w[k].tag == tag) return &w[k];
+    return NULL;
+}
+
+/* SignatureCache.insert: update in place, else fill the lowest free way,
+ * else replace in FIFO (fill) order. */
+static void sc_insert(Ltc *L, int64_t key, int64_t predicted, int64_t confidence,
+                      int64_t frame, int64_t offset) {
+    L->sc_inserts++;
+    int64_t set = sc_set(L, (uint64_t)key, 1);
+    int64_t tag = (int64_t)((uint64_t)key >> L->sc_index_bits);
+    SigWay *w = L->ways + set * L->sc_assoc;
+    int64_t fill = L->set_fill[set], way;
+    for (way = 0; way < fill; way++)
+        if (w[way].tag == tag) break;
+    if (way == fill) {
+        if (fill < L->sc_assoc) {
+            L->set_fill[set] = fill + 1;
+        } else {
+            way = L->set_next[set];
+            L->set_next[set] = (way + 1) % L->sc_assoc;
+            L->sc_replacements++;
+        }
+        w[way].tag = tag;
+    }
+    w[way].predicted = predicted;
+    w[way].confidence = confidence;
+    w[way].frame = frame;
+    w[way].offset = offset;
+}
+
+/* _install_values: visible now, or after fetch_delay_accesses. */
+static void ltc_install(Ltc *L, const Sig *sig, int64_t frame, int64_t offset) {
+    L->streamed++;
+    if (!L->delay) {
+        sc_insert(L, sig->key, sig->predicted, sig->confidence, frame, offset);
+        return;
+    }
+    if (L->pend_len == L->pend_cap) {
+        int64_t cap = L->pend_cap ? 2 * L->pend_cap : 64;
+        Pending *ring = (Pending *)xalloc(&L->fail, NULL, (size_t)cap * sizeof(Pending));
+        for (int64_t i = 0; i < L->pend_len; i++)
+            ring[i] = L->pending[(L->pend_head + i) % L->pend_cap];
+        free(L->pending);
+        L->pending = ring;
+        L->pend_head = 0;
+        L->pend_cap = cap;
+    }
+    Pending *p = &L->pending[(L->pend_head + L->pend_len) % L->pend_cap];
+    p->ready_at = L->now + L->delay;
+    p->key = sig->key;
+    p->predicted = sig->predicted;
+    p->confidence = sig->confidence;
+    p->frame = frame;
+    p->offset = offset;
+    L->pend_len++;
+}
+
+/* _drain_pending: entries queue in ready order, so the ready ones are a
+ * prefix of the ring. */
+static void ltc_drain(Ltc *L) {
+    while (L->pend_len && L->pending[L->pend_head].ready_at <= L->now) {
+        Pending p = L->pending[L->pend_head];
+        L->pend_head = (L->pend_head + 1) % L->pend_cap;
+        L->pend_len--;
+        sc_insert(L, p.key, p.predicted, p.confidence, p.frame, p.offset);
+    }
+}
+
+/* _stream_from: read_window + install + advance_window */
+static void ltc_stream(Ltc *L, int64_t index, int64_t start, int64_t count) {
+    if (count <= 0) return;
+    int64_t slot = ltc_frame(L, index);
+    if (slot < 0) return;
+    Frame f = L->frames[slot];
+    if (start >= f.len) return;
+    int64_t m = f.len - start < count ? f.len - start : count;
+    L->fetched += m;
+    L->bytes_read += m * L->sig_bytes;
+    for (int64_t i = 0; i < m; i++)
+        ltc_install(L, &L->sigs[f.start + start + i], index, start + i);
+    if (start + m > L->frames[slot].window) L->frames[slot].window = start + m;
+}
+
+/* _advance_sequence */
+static void ltc_advance(Ltc *L, int64_t frame, int64_t offset) {
+    int64_t slot = ltc_frame(L, frame);
+    int64_t window_end = slot < 0 ? 0 : L->frames[slot].window;
+    int64_t desired_end = offset + 1 + L->window;
+    if (desired_end > window_end)
+        ltc_stream(L, frame, window_end, desired_end - window_end);
+}
+
+static int64_t ltc_clamp(const Ltc *L, int64_t confidence) {
+    if (confidence < 0) return 0;
+    return confidence > L->max_conf ? L->max_conf : confidence;
+}
+
+/* _update_confidence: the outstanding entry wins over the command tag. */
+static void ltc_feedback(Ltc *L, int64_t block, uint64_t key, int64_t frame,
+                         int64_t offset, int64_t delta) {
+    int64_t os = map_find(&L->outstanding, block);
+    if (os >= 0) {
+        key = L->outstanding.v0[os];
+        frame = L->outstanding.v1[os];
+        offset = L->outstanding.v2[os];
+        map_del(&L->outstanding, (uint64_t)os);
+    }
+    int has_new = 0;
+    int64_t new_conf = 0;
+    SigWay *resident = sc_find(L, key);
+    if (resident) {
+        resident->confidence = ltc_clamp(L, resident->confidence + delta);
+        new_conf = resident->confidence;
+        has_new = 1;
+    }
+    int64_t slot = ltc_frame(L, frame);
+    if (slot >= 0 && offset < L->frames[slot].len) {
+        Sig *stored = &L->sigs[L->frames[slot].start + offset];
+        if (!has_new) new_conf = ltc_clamp(L, stored->confidence + delta);
+        stored->confidence = new_conf;
+        L->conf_updates++;
+        L->bytes_written += 1;
+    }
+    if (delta > 0)
+        L->conf_inc++;
+    else
+        L->conf_dec++;
+}
+
+/* observe_eviction + record: a new last-touch signature, in eviction order. */
+static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
+    int64_t predicted;
+    uint64_t key = hist_evict(&L->hist, evicted, replacement, &predicted);
+    ltc_record(L, (int64_t)key, predicted);
+    L->created++;
+}
+
+static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
+                    const int8_t *is_write, const int64_t *cfg) {
+    Hier *h = &L->h;
+    hier_init(&L->fail, h, cfg);
+    hist_init(&L->fail, &L->hist, cfg + 9);
+    map_init(&L->outstanding, &L->fail);
+    map_init(&L->frame_slots, &L->fail);
+    map_init(&L->heads, &L->fail);
+    map_init(&L->sc_sets, &L->fail);
+    L->threshold = cfg[12];
+    L->init_conf = cfg[13];
+    L->max_conf = cfg[14];
+    L->window = cfg[15];
+    L->delay = cfg[16];
+    L->num_frames = cfg[17];
+    L->unlimited = cfg[18];
+    L->fragment = cfg[19];
+    L->recent_max = cfg[20];
+    L->sig_bytes = cfg[21];
+    L->sc_set_mask = cfg[22] - 1;
+    L->sc_index_bits = cfg[23];
+    L->sc_assoc = cfg[24];
+    L->recording = -1;
+
+    for (int64_t i = 0; i < n; i++) {
+        int64_t address = addr[i];
+        int64_t evicted = 0, tag_word, tag_offset;
+        int has_evicted = 0, ev_unused = 0;
+        uint64_t tag_key;
+        int code = hier_demand(h, address, is_write[i], &evicted, &has_evicted,
+                               &ev_unused);
+        int64_t block_address = address & h->block_mask;
+
+        /* Feedback for prefetched blocks. */
+        if (code) {
+            if (code == 2 && hier_used(h, block_address, &tag_key, &tag_word, &tag_offset))
+                ltc_feedback(L, block_address, tag_key, tag_word, tag_offset, 1);
+        } else if (ev_unused && hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset)) {
+            ltc_feedback(L, evicted, tag_key, tag_word, tag_offset, -1);
+        }
+
+        /* on_access_fast */
+        L->now++;
+        if (L->pend_len) ltc_drain(L);
+        if (!code && has_evicted) ltc_evict_record(L, evicted, block_address);
+        uint64_t candidate_key = hist_access(&L->hist, pc[i], address);
+
+        int issue = 0;
+        int64_t predicted = 0, frame = 0, offset = 0;
+        L->sc_lookups++;
+        SigWay *entry = sc_find(L, candidate_key);
+        if (entry) {
+            L->sc_hits++;
+            frame = entry->frame;
+            offset = entry->offset;
+            if (entry->confidence >= L->threshold) {
+                L->predictions++;
+                predicted = entry->predicted;
+                issue = 1;
+                map_set(&L->outstanding, predicted, candidate_key, frame, offset);
+            } else {
+                L->low_conf++;
+            }
+            ltc_advance(L, frame, offset);
+        }
+        int64_t hs = map_find(&L->heads, (int64_t)candidate_key);
+        if (hs >= 0) {
+            int64_t index = L->heads.v1[hs];
+            int64_t slot = ltc_frame(L, index);
+            if (slot >= 0 && L->frames[slot].head == (int64_t)candidate_key) {
+                L->head_matches++;
+                ltc_stream(L, index, 0, L->window);
+            }
+        }
+        if (!issue) continue;
+
+        /* The simulator executes the one command inline. */
+        int64_t pevicted = 0;
+        int phas = 0, punused = 0;
+        int source = hier_prefetch(h, predicted, block_address, &pevicted, &phas,
+                                   &punused);
+        if (!source) continue;
+        int64_t pblock = predicted & h->block_mask;
+        if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
+            ltc_feedback(L, pevicted, tag_key, tag_word, tag_offset, -1);
+        hier_track(h, pblock, candidate_key, frame, offset, source);
+        /* on_prefetch_installed */
+        if (phas) ltc_evict_record(L, pevicted, pblock);
+    }
+}
+
+/* cfg: 0-8 hierarchy (see hier_init), 9 ltcords_block_mask, 10 key_bits,
+ *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
+ *      14 max_confidence, 15 stream_window, 16 fetch_delay_accesses,
+ *      17 num_frames, 18 unlimited_frames, 19 fragment_size,
+ *      20 max(1, head_lookahead), 21 stored bytes per signature,
+ *      22 signature-cache sets, 23 its index bits, 24 its associativity
+ * out: 0-15 as hier_dump plus 8 predictions_issued, 20/21 history
+ *      evictions/cold, 64-70 LTCordsStats, 71-77 SequenceStorageStats,
+ *      78-81 SignatureCacheStats (lookups, hits, inserts, replacements).
+ * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
+int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
+                         const int8_t *is_write, const int64_t *cfg,
+                         int64_t *out) {
+    memset(out, 0, 96 * sizeof(int64_t));
+    if (!addresses_in_range(n, addr)) return 2;
+    Ltc *L = (Ltc *)calloc(1, sizeof(Ltc));
+    if (!L) return 1;
+    volatile int rc = 1; /* set after setjmp */
+    if (setjmp(L->fail) == 0) {
+        ltc_run(L, n, pc, addr, is_write, cfg);
+        hier_dump(&L->h, out);
+        out[8] = L->predictions;
+        out[20] = L->hist.evictions;
+        out[21] = L->hist.cold;
+        int64_t *lt = out + 64;
+        lt[0] = L->created;
+        lt[1] = L->head_matches;
+        lt[2] = L->predictions;
+        lt[3] = L->low_conf;
+        lt[4] = L->streamed;
+        lt[5] = L->conf_inc;
+        lt[6] = L->conf_dec;
+        lt[7] = L->recorded;
+        lt[8] = L->frames_allocated;
+        lt[9] = L->frames_overwritten;
+        lt[10] = L->fetched;
+        lt[11] = L->bytes_written;
+        lt[12] = L->bytes_read;
+        lt[13] = L->conf_updates;
+        lt[14] = L->sc_lookups;
+        lt[15] = L->sc_hits;
+        lt[16] = L->sc_inserts;
+        lt[17] = L->sc_replacements;
+        rc = 0;
+    }
+    hier_free(&L->h);
+    map_free(&L->hist.blocks);
+    map_free(&L->outstanding);
+    map_free(&L->frame_slots);
+    map_free(&L->heads);
+    map_free(&L->sc_sets);
+    free(L->sigs);
+    free(L->frames);
+    free(L->ways);
+    free(L->set_fill);
+    free(L->set_next);
+    free(L->pending);
+    free(L->recent);
+    free(L);
+    return rc;
+}
+
+/* ------------------------------------------------ no-prefetcher replay
+ * With the NullPrefetcher the main and baseline hierarchies receive
+ * identical streams, so one simulated L1/L2 pair stands for both; the
+ * caller mirrors the counters.
+ * cfg: slots 0-8 as hier_init.  out: 0 l1_hits, 1 l2_hits, 2 l2_misses,
  * per-cache stats at 24 (L1) and 34 (L2). */
+typedef struct {
+    jmp_buf fail;
+    Cache l1, l2;
+} Baseline;
+
 int repro_replay_baseline(int64_t n, const int64_t *addr,
                           const int8_t *is_write, const int64_t *cfg,
                           int64_t *out) {
-    Cache l1, l2;
-    memset(out, 0, 64 * sizeof(int64_t));
-    if (cache_init(&l1, cfg[0], cfg[1], cfg[2], cfg[3], cfg[8]) ||
-        cache_init(&l2, cfg[4], cfg[5], cfg[6], cfg[7], cfg[8])) {
-        cache_free(&l1);
-        cache_free(&l2);
-        return 1;
+    memset(out, 0, 96 * sizeof(int64_t));
+    if (!addresses_in_range(n, addr)) return 2;
+    Baseline *b = (Baseline *)calloc(1, sizeof(Baseline));
+    if (!b) return 1;
+    volatile int rc = 1; /* set after setjmp */
+    if (setjmp(b->fail) == 0) {
+        cache_init(&b->fail, &b->l1, cfg, cfg[8]);
+        cache_init(&b->fail, &b->l2, cfg + 4, cfg[8]);
+        int64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
+        int64_t dump;
+        int dummy_h, dummy_u;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t address = addr[i];
+            if (cache_access(&b->l1, address, is_write[i], &dump, &dummy_h, &dummy_u))
+                l1_hits++;
+            else if (cache_access(&b->l2, address, 0, &dump, &dummy_h, &dummy_u))
+                l2_hits++;
+            else
+                l2_misses++;
+        }
+        out[0] = l1_hits;
+        out[1] = l2_hits;
+        out[2] = l2_misses;
+        cache_dump_stats(&b->l1, out + 24);
+        cache_dump_stats(&b->l2, out + 34);
+        rc = 0;
     }
-    int64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
-    int64_t dump;
-    int dummy_h, dummy_u;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t address = addr[i];
-        if (cache_access(&l1, address, is_write[i], &dump, &dummy_h, &dummy_u))
-            l1_hits++;
-        else if (cache_access(&l2, address, 0, &dump, &dummy_h, &dummy_u))
-            l2_hits++;
-        else
-            l2_misses++;
-    }
-    out[0] = l1_hits;
-    out[1] = l2_hits;
-    out[2] = l2_misses;
-    cache_dump_stats(&l1, out + 24);
-    cache_dump_stats(&l2, out + 34);
-    cache_free(&l1);
-    cache_free(&l2);
-    return 0;
+    cache_free(&b->l1);
+    cache_free(&b->l2);
+    free(b);
+    return rc;
 }
 """
 
@@ -807,13 +1373,17 @@ class VectorKernel:
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self.library = library
-        i64 = ctypes.c_longlong
-        ptr = ctypes.c_void_p
+        i64 = ctypes.c_int64
+        i64p = ctypes.POINTER(ctypes.c_int64)
+        i8p = ctypes.POINTER(ctypes.c_int8)
         self.replay_dbcp = library.repro_replay_dbcp
-        self.replay_dbcp.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
+        self.replay_dbcp.argtypes = [i64, i64p, i64p, i8p, i64p, i64p]
         self.replay_dbcp.restype = ctypes.c_int
+        self.replay_ltcords = library.repro_replay_ltcords
+        self.replay_ltcords.argtypes = [i64, i64p, i64p, i8p, i64p, i64p]
+        self.replay_ltcords.restype = ctypes.c_int
         self.replay_baseline = library.repro_replay_baseline
-        self.replay_baseline.argtypes = [i64, ptr, ptr, ptr, ptr]
+        self.replay_baseline.argtypes = [i64, i64p, i8p, i64p, i64p]
         self.replay_baseline.restype = ctypes.c_int
 
 
@@ -849,8 +1419,10 @@ def _compile_kernel(so_path: str) -> bool:
             handle.write(KERNEL_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         try:
+            # -O1: the kernel is as fast as at -O2 and compiles in about
+            # two thirds of the time, which every cold set-up pays.
             proc = subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                [compiler, "-O1", "-shared", "-fPIC", "-o", tmp_so, c_path],
                 capture_output=True,
                 timeout=120,
             )
@@ -870,7 +1442,9 @@ def _compile_kernel(so_path: str) -> bool:
 
 
 _KERNEL: Optional[VectorKernel] = None
-_KERNEL_FAILED = False
+#: Why :func:`load_kernel` returned ``None`` (``"kill-switch"`` or
+#: ``"no-compiler"``), remembered for the process; ``None`` until a failure.
+_KERNEL_FAILED: Optional[str] = None
 
 
 def load_kernel() -> Optional[VectorKernel]:
@@ -886,17 +1460,22 @@ def load_kernel() -> Optional[VectorKernel]:
     if _KERNEL_FAILED:
         return None
     if os.environ.get("REPRO_NO_VECTOR_KERNEL"):
-        _KERNEL_FAILED = True
+        _KERNEL_FAILED = "kill-switch"
         return None
     digest = hashlib.sha256(KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
     so_path = os.path.join(kernel_cache_dir(), f"repro_vector_{digest}.so")
     if not os.path.exists(so_path) and not _compile_kernel(so_path):
-        _KERNEL_FAILED = True
+        _KERNEL_FAILED = "no-compiler"
         return None
     try:
         library = ctypes.CDLL(so_path)
         _KERNEL = VectorKernel(library)
     except OSError:
-        _KERNEL_FAILED = True
+        _KERNEL_FAILED = "no-compiler"
         return None
     return _KERNEL
+
+
+def unavailable_reason() -> Optional[str]:
+    """Why :func:`load_kernel` returned ``None``, or ``None`` if it did not."""
+    return _KERNEL_FAILED

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.configs import decode_config, encode_config
 from repro.cache.hierarchy import HierarchyConfig
-from repro.engines import DEFAULT_ENGINE, FAST_EQUIVALENT_ENGINES, validate_engine
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.trace.store import TRACE_FORMAT_VERSION
 from repro.version import __version__
 
@@ -56,12 +56,11 @@ class PointSpec:
     quantum_instructions: int = 20_000
     max_switches: int = 60
     label: Optional[str] = None
-    #: Simulation engine for trace points: "fast" (default), "legacy", or
-    #: "vector".  Every engine produces bit-identical results (the
-    #: equivalence suites enforce it), so engines pinned identical to the
-    #: default (see :data:`repro.engines.FAST_EQUIVALENT_ENGINES`) are
-    #: excluded from the content key and share one cache entry; "legacy"
-    #: points are keyed separately for cross-checking campaigns.
+    #: Simulation engine for trace points: "fast" (default) or "legacy".
+    #: Both produce bit-identical results (the equivalence suites enforce
+    #: it); the default is excluded from the content key, so existing
+    #: cache keys stay valid, and "legacy" points are keyed separately for
+    #: cross-checking campaigns.
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
@@ -79,10 +78,8 @@ class PointSpec:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe encoding (excludes ``label``; see class docstring).
 
-        ``engine`` is encoded only for engines not pinned bit-identical
-        to the default, so existing cache keys remain valid and a result
-        cached under one fast-equivalent engine (``"fast"``/``"vector"``)
-        is served verbatim to the others.
+        ``engine`` is encoded only when it is not the default, so
+        existing cache keys remain valid.
         """
         payload = {
             "benchmark": self.benchmark,
@@ -97,7 +94,7 @@ class PointSpec:
             "quantum_instructions": self.quantum_instructions,
             "max_switches": self.max_switches,
         }
-        if self.engine not in FAST_EQUIVALENT_ENGINES:
+        if self.engine != DEFAULT_ENGINE:
             payload["engine"] = self.engine
         return payload
 

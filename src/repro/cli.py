@@ -546,8 +546,15 @@ def run_obs_cli(args: argparse.Namespace) -> int:
     from repro.obs.events import check_events, read_events
     from repro.obs.summary import format_summary, summarize_events
 
-    events = read_events(args.log)
+    try:
+        events = read_events(args.log)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read event log: {exc}", file=sys.stderr)
+        return 2
     if args.obs_command == "summary":
+        if not events:
+            print(f"error: event log {args.log} holds no events", file=sys.stderr)
+            return 2
         summary = summarize_events(events)
         if args.as_json:
             print(json.dumps(summary, indent=2, sort_keys=True))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache.cache import DeferredSets
 from repro.cache.replacement import FIFOReplacement
 from repro.core.signatures import SignatureConfig
 
@@ -91,10 +92,17 @@ class SignatureCache:
 
     def __init__(self, config: Optional[SignatureCacheConfig] = None) -> None:
         self.config = config or SignatureCacheConfig()
-        self._sets: List[Dict[int, SignatureCacheEntry]] = [dict() for _ in range(self.config.num_sets)]
-        self._ways: List[Dict[int, int]] = [dict() for _ in range(self.config.num_sets)]
+        # The per-set maps are built on first use, so a replay on the
+        # compiled kernel (which models the cache itself) never allocates them.
+        self._sets = DeferredSets(self, "_sets")
+        self._ways = DeferredSets(self, "_ways")
         self._policy = FIFOReplacement(self.config.num_sets, self.config.associativity)
         self.stats = SignatureCacheStats()
+
+    def _build_sets(self) -> None:
+        num_sets = self.config.num_sets
+        self._sets: List[Dict[int, SignatureCacheEntry]] = [dict() for _ in range(num_sets)]
+        self._ways: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
 
     # ------------------------------------------------------------------ indexing
     def _index(self, key: int) -> int:

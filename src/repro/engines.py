@@ -21,22 +21,17 @@ from typing import Tuple
 
 #: Every simulation engine, in documentation order:
 #:
-#: * ``"fast"``   — flat-array caches + fast per-access predictor protocol
-#:   (the default);
+#: * ``"fast"``   — the compiled replay kernel where the run qualifies,
+#:   else flat-array caches + the fast per-access predictor protocol
+#:   (the default; see :mod:`repro.sim.vector_replay`);
 #: * ``"legacy"`` — the original object-per-access reference models, kept
-#:   for equivalence testing and benchmarking;
-#: * ``"vector"`` — batch replay through the compiled/NumPy kernel of
-#:   :mod:`repro.sim.vector_replay`, with a pure-python fallback.
-ENGINES: Tuple[str, ...] = ("fast", "legacy", "vector")
+#:   for equivalence testing and benchmarking.
+ENGINES: Tuple[str, ...] = ("fast", "legacy")
 
-#: The engine applied when a spec or simulator does not choose one.
+#: The engine applied when a spec or simulator does not choose one.  Specs
+#: leave it out of their content keys; "legacy" is keyed separately for
+#: cross-checking campaigns.
 DEFAULT_ENGINE = "fast"
-
-#: Engines pinned bit-identical to the default by the equivalence suites.
-#: Specs exclude these from their content keys so the result cache never
-#: splits across engines that produce byte-for-byte equal results
-#: ("legacy" is keyed separately for cross-checking campaigns).
-FAST_EQUIVALENT_ENGINES = frozenset({"fast", "vector"})
 
 
 def validate_engine(engine: str) -> str:

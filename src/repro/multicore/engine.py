@@ -31,9 +31,8 @@ closures iterate column slices with locals hoisted, drive the caches
 through ``access_fast``, use the predictors' fast per-access protocol
 when available (reused-outcome fallback otherwise), take the
 single-command queue bypass, and settle hierarchy/breakdown/bus counters
-in bulk.  ``engine="vector"`` reuses those fast closures unchanged (the
-chunked interleaving already replays in blocks, so there is no separate
-multicore vector loop to diverge).  ``engine="legacy"`` is the clear
+in bulk; the compiled single-core kernel does not apply to co-runs.
+``engine="legacy"`` is the clear
 object-per-access reference loop over the same chunk schedule.  Every
 engine produces bit-identical ``MulticoreResult.to_dict`` output (the
 multicore equivalence matrix asserts this for every benchmark), and a
@@ -215,9 +214,6 @@ class MulticoreSimulator:
         if self.engine == "legacy":
             cores = [self._make_legacy_core(core, traces[core]) for core in range(self.num_cores)]
         else:
-            # "fast" and "vector" share the per-core fast closures: the
-            # chunked interleaving means vector co-runs are already driven
-            # in blocks, so there is no separate vector loop to diverge.
             cores = [self._make_fast_core(core, columns[core]) for core in range(self.num_cores)]
         for core, start, stop in chunks:
             cores[core][0](start, stop)

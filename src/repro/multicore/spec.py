@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.campaign.configs import decode_config, encode_config
 from repro.campaign.spec import DEFAULT_NUM_ACCESSES
 from repro.cache.hierarchy import HierarchyConfig
-from repro.engines import FAST_EQUIVALENT_ENGINES, validate_engine
+from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.trace.store import TRACE_FORMAT_VERSION
 from repro.version import __version__
 
@@ -131,7 +131,7 @@ class MulticoreSpec:
             "quantum_accesses": self.quantum_accesses,
             "address_shift": self.address_shift,
         }
-        if self.engine not in FAST_EQUIVALENT_ENGINES:
+        if self.engine != DEFAULT_ENGINE:
             payload["engine"] = self.engine
         return payload
 

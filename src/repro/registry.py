@@ -103,11 +103,7 @@ class PredictorEntry:
     def build(self, config: Optional[object] = None, engine: str = "fast") -> Prefetcher:
         """Instantiate the predictor for ``engine`` with ``config`` (or the default).
 
-        Engines without a dedicated class fall back to the ``fast`` class:
-        the fast per-access protocol is the contract every non-legacy
-        engine consumes, so a plugin registered with only a fast class
-        keeps working under ``engine="vector"`` (and any future engine
-        that speaks the same protocol).
+        Engines without a dedicated class fall back to the ``fast`` class.
         """
         cls = self.engines.get(engine) or self.engines["fast"]
         if self.config_class is None:
@@ -127,7 +123,6 @@ def register_predictor(
     fast: Optional[Type[Prefetcher]] = None,
     *,
     legacy: Optional[Type[Prefetcher]] = None,
-    vector: Optional[Type[Prefetcher]] = None,
     config_class: Optional[Type[Any]] = None,
     default_config: Optional[Callable[[], Any]] = None,
     description: str = "",
@@ -144,9 +139,7 @@ def register_predictor(
         class MarkovPrefetcher(Prefetcher): ...
 
     Per-engine classes are optional beyond ``fast``: ``legacy`` defaults
-    to the fast class, and any engine without a dedicated class (e.g.
-    ``vector``) falls back to the fast class at build time, so plugins
-    registered before an engine existed keep working under it.
+    to the fast class.
 
     ``config_class`` is also added to :data:`CONFIG_CLASSES` so specs
     carrying the predictor's configuration serialise through campaigns;
@@ -160,8 +153,6 @@ def register_predictor(
         if config_class is not None:
             register_config_class(config_class)
         engines = {"fast": fast_cls, "legacy": legacy_cls if legacy_cls is not None else fast_cls}
-        if vector is not None:
-            engines["vector"] = vector
         entry = PredictorEntry(
             name=name,
             engines=engines,
@@ -217,11 +208,8 @@ def build_predictor(name: str, config: Optional[object] = None, engine: str = "f
 
     ``engine`` selects the implementation family: ``"fast"`` (flat-state
     predictors implementing the allocation-free per-access protocol, the
-    default), ``"legacy"`` (the original object-based models), or
-    ``"vector"`` (batch replay; predictors without a dedicated vector
-    class fall back to their fast class, which the vector engine drives
-    through the same per-access protocol).  All engines produce
-    bit-identical simulation results.
+    default) or ``"legacy"`` (the original object-based models).  Both
+    produce bit-identical simulation results.
     """
     validate_engine(engine)
     return predictor_entry(name).build(config, engine)

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.interface import AccessOutcome, Prefetcher
-from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
+from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.stream import TraceStream, interleave_quantum, shift_addresses
 from repro.workloads.base import WorkloadConfig
@@ -181,10 +181,12 @@ def _simulate_pair(
 
     # Standalone runs, truncated to roughly what each application executed
     # in the interleaved run so the comparison is opportunity-for-opportunity.
+    # The flat predictor is bit-identical to the object one and lets the
+    # fast engine replay on its compiled kernel.
     standalone: Dict[str, float] = {}
     for name, trace in ((primary, primary_trace), (secondary, secondary_trace)):
         simulator = TraceDrivenSimulator(
-            prefetcher=LTCordsPrefetcher(ltcords_config), hierarchy_config=hierarchy_config
+            prefetcher=FastLTCordsPrefetcher(ltcords_config), hierarchy_config=hierarchy_config
         )
         standalone[name] = simulator.run(trace).coverage
 

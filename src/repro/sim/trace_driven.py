@@ -17,21 +17,24 @@ bus-traffic categories of Figure 12.
 
 Engines
 -------
-``engine="fast"`` (the default) iterates the trace's columnar view
-(:meth:`TraceStream.as_arrays`) with locals-hoisted method references,
-drives the hierarchies through their allocation-free ``access_fast``
-entry points, reuses one :class:`MemoryAccess`/:class:`AccessOutcome`
-pair for predictor callbacks, and takes a dedicated no-prefetcher
-baseline path when the predictor is the :class:`NullPrefetcher`.
+``engine="fast"`` (the default) replays through
+:func:`repro.sim.vector_replay.replay_fast`, which takes the compiled
+kernel of :mod:`repro.cache.vector` when the run qualifies (the
+no-prefetcher baseline, DBCP and LT-cords on a fresh simulator) and
+this module's interpreted loops otherwise.  The interpreted loops
+iterate the trace's columnar view (:meth:`TraceStream.as_arrays`) with
+locals-hoisted method references, drive the hierarchies through their
+allocation-free ``access_fast`` entry points, reuse one
+:class:`MemoryAccess`/:class:`AccessOutcome` pair for predictor
+callbacks, and take a dedicated no-prefetcher baseline path when the
+predictor is the :class:`NullPrefetcher`.  The tier a replay took is
+recorded as :attr:`TraceDrivenSimulator.last_tier` (and, for a
+kernel-eligible run that fell back, the reason as ``last_fallback``).
 ``engine="legacy"`` replays through the original object-per-access loop
-and the :class:`LegacySetAssociativeCache` model.  ``engine="vector"``
-hands the whole trace to :mod:`repro.sim.vector_replay`, which replays
-it in batch — through a compiled kernel over the trace's NumPy-viewable
-columns when available, a fused pure-python loop otherwise — and settles
-the identical counters in bulk.  Every engine produces bit-identical
-:meth:`SimulationResult.to_dict` output — the equivalence suites assert
-this for every (benchmark × predictor) pair — and ``repro.bench``
-measures the speedups between them.
+and the :class:`LegacySetAssociativeCache` model.  Every engine and tier
+produces bit-identical :meth:`SimulationResult.to_dict` output — the
+equivalence suites assert this for every (benchmark × predictor) pair —
+and ``repro.bench`` measures the speedups between them.
 
 Because the fast engine mutates the shared outcome object in place,
 custom predictors must read the fields they need during ``on_access``
@@ -53,6 +56,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
 from repro.obs.timers import phase as obs_phase
 from repro.prefetchers.null import NullPrefetcher
+from repro.sim.vector_replay import replay_fast
 from repro.trace.record import AccessType, MemoryAccess
 from repro.trace.store import load_or_generate_trace
 from repro.trace.stream import TraceStream
@@ -238,6 +242,14 @@ class TraceDrivenSimulator:
         # Prefetched blocks currently resident (or outstanding): block address
         # -> (command tag, service level the data came from).
         self._prefetched: Dict[int, Tuple[object, ServiceLevel]] = {}
+        #: Replay tier of the last :meth:`replay`: ``"legacy"``, a
+        #: ``"kernel-*"`` tier or ``"interpreted"`` (see repro.sim.vector_replay).
+        self.last_tier: Optional[str] = None
+        #: Why the last replay of a kernel-eligible predictor ran interpreted.
+        self.last_fallback: Optional[str] = None
+        # A kernel run leaves the Python-side cache and predictor contents
+        # unbuilt, so no further replay may continue from them.
+        self._kernel_ran = False
 
     # ------------------------------------------------------------------ helpers
     def _notify_unused_eviction(self, evicted_address: Optional[int]) -> None:
@@ -305,17 +317,10 @@ class TraceDrivenSimulator:
         unchanged one-call form.
         """
         if self.engine == "legacy":
+            self.last_tier = "legacy"
             self._run_legacy(trace)
-        elif self.engine == "vector":
-            from repro.sim.vector_replay import replay_vector
-
-            replay_vector(self, trace)
-        elif type(self.prefetcher) is NullPrefetcher:
-            self._run_fast_baseline(trace)
-        elif self.prefetcher.on_access_fast is not None:
-            self._run_fast_direct(trace)
         else:
-            self._run_fast(trace)
+            replay_fast(self, trace)
 
     def _settle_hierarchy_stats(
         self,

@@ -1,60 +1,59 @@
-"""Batch replay for ``engine="vector"``.
+"""The fast engine's replay dispatcher: compiled kernel first, then the interpreted loops.
 
-:func:`replay_vector` replays an entire trace in one step instead of
-interpreting the per-access protocol in Python.  Three tiers, best
-available first, all bit-identical to the fast engine (the equivalence
-suites assert ``SimulationResult.to_dict`` equality):
+:func:`replay_fast` replays a whole trace in one native call when the
+run qualifies, and on the simulator's interpreted loops otherwise.  Both
+tiers are bit-identical (the equivalence suites assert
+``SimulationResult.to_dict`` equality with the kernel on and off):
 
-1. **Compiled kernel** (``kernel-dbcp`` / ``kernel-baseline``) — the C
-   replay loop from :mod:`repro.cache.vector` over the trace's
-   NumPy-viewable columns.  Requires NumPy, a C compiler at first use,
-   and a predictor the kernel implements: the exact
-   :class:`~repro.prefetchers.dbcp.FastDBCPPrefetcher` with closed-fold
-   signatures of 32–63 bits (the library defaults), or the
-   :class:`~repro.prefetchers.null.NullPrefetcher`.
-2. **Fused python loop** (``python-dbcp``) — the DBCP fast-protocol
-   closure and the prefetch-command round-trip are flattened into one
-   loop body over the raw columns; the caches are the simulator's own
-   ``access_fast`` models, so cache behaviour is shared code, not a
-   reimplementation.  No dependencies; used when the kernel is
-   unavailable (no NumPy/compiler, ``REPRO_NO_VECTOR_KERNEL``, or
-   addresses outside the kernel's 54-bit packing range).
-3. **Fast-engine loops** (``fast-fallback``) — predictors the batch
-   paths do not special-case, open-fold DBCP variants, and simulators
-   with prior replay state (the batch paths rebuild state from scratch,
-   so they only run on a fresh simulator) drop straight to the fast
-   engine's loops.
+1. **Compiled kernel** (``kernel-baseline`` / ``kernel-dbcp`` /
+   ``kernel-ltcords``) — the C replay loops of :mod:`repro.cache.vector`,
+   driven through :mod:`ctypes` over the trace's own column buffers (no
+   NumPy).  A run qualifies when its predictor is exactly the
+   :class:`~repro.prefetchers.null.NullPrefetcher`, the
+   :class:`~repro.prefetchers.dbcp.FastDBCPPrefetcher` or the
+   :class:`~repro.core.ltcords.FastLTCordsPrefetcher` with closed-fold
+   signatures of 32–63 bits (the library defaults), on a fresh simulator,
+   over addresses below 2^54.
+2. **Interpreted** — the simulator's own ``_run_fast_baseline`` /
+   ``_run_fast_direct`` / ``_run_fast`` loops: every other predictor
+   (GHB, stride, plugins), and every kernel-eligible run that cannot take
+   the kernel.
 
-The tier actually taken is recorded on the simulator as
-``last_vector_path`` for tests and diagnostics.
+The tier taken is recorded as ``sim.last_tier`` and counted in the
+``replay.tier.<tier>`` counters of :data:`repro.obs.metrics.REGISTRY`.
+When a kernel-eligible run falls to the interpreted tier, the reason —
+``no-compiler``, ``kill-switch`` (``REPRO_NO_VECTOR_KERNEL``),
+``address-range``, ``not-fresh`` or ``open-fold`` — is recorded as
+``sim.last_fallback`` and counted in ``replay.fallback.<reason>``, and
+the first such fallback in a process emits a :class:`RuntimeWarning`:
+the interpreted tier is 10-70x slower.
 
-Settling: the kernel reports every counter the fast loops accumulate —
-the loop-local demand/opportunity counters, hierarchy prefetch sourcing,
-predictor and history statistics, and a full per-cache ``CacheStats``
-mirror (plus each cache's LRU serial) — and this module folds them into
-the simulator's Python objects.  After a kernel run the Python cache
-*contents* are stale (the run happened in C), but results are built
-purely from the settled statistics, matching the fast engine exactly.
+Settling: the kernel reports every counter the interpreted loops
+accumulate — loop-local demand/opportunity counters, hierarchy prefetch
+sourcing, predictor, storage, signature-cache and history statistics,
+and a full per-cache ``CacheStats`` mirror (plus each cache's LRU
+serial) — and this module folds them into the simulator's Python
+objects.  A kernel run never builds the Python cache contents (they are
+materialised on first use), so a simulator that took the kernel cannot
+replay further; results are built purely from the settled statistics.
 """
 
 from __future__ import annotations
 
+import ctypes
+import warnings
+from array import array
+from typing import Optional
+
+from repro.cache import vector
+from repro.core.ltcords import FastLTCordsPrefetcher
 from repro.memory.bus import TrafficCategory
-from repro.prefetchers.dbcp import (
-    _HASH_INCREMENT,
-    _HASH_MULTIPLIER,
-    _MASK_64,
-    FastDBCPPrefetcher,
-)
+from repro.obs.metrics import REGISTRY
+from repro.prefetchers.dbcp import FastDBCPPrefetcher
 from repro.prefetchers.null import NullPrefetcher
 from repro.trace.stream import TraceStream
 
-#: Kernel addresses are packed as ``(block << 8) | confidence`` in an
-#: int64, so replayed addresses must fit in 54 bits (16 PiB of physical
-#: address space — every in-tree workload is far below this).
-_MAX_KERNEL_ADDRESS = 1 << 54
-
-#: The kernel's LRU node pool is indexed with int32.
+#: Kernel node pools are indexed with int32.
 _MAX_KERNEL_ACCESSES = 1 << 30
 
 # Output-slot layout shared with the C kernels (see repro/cache/vector.py).
@@ -62,37 +61,40 @@ _OUT_MAIN_L1 = 24
 _OUT_MAIN_L2 = 34
 _OUT_BASE_L1 = 44
 _OUT_BASE_L2 = 54
+_OUT_LTCORDS = 64
+
+TIERS = ("kernel-baseline", "kernel-dbcp", "kernel-ltcords", "interpreted")
+FALLBACK_REASONS = ("no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold")
+
+_TIER_COUNTERS = {tier: REGISTRY.counter(f"replay.tier.{tier}") for tier in TIERS}
+_FALLBACK_COUNTERS = {
+    reason: REGISTRY.counter(f"replay.fallback.{reason}") for reason in FALLBACK_REASONS
+}
+_warned_fallback = False
 
 
-def replay_vector(sim, trace: TraceStream) -> None:
-    """Replay ``trace`` on ``sim`` (a ``TraceDrivenSimulator``) in batch."""
-    if getattr(sim, "_vector_cache_state_stale", False):
-        # A kernel batch run settles statistics but leaves the Python
-        # cache/predictor objects untouched, so continuing to replay on
-        # this simulator would diverge silently.  The python tiers keep
-        # real state and continue fine; only kernel runs set the flag.
+def replay_fast(sim, trace: TraceStream) -> None:
+    """Replay ``trace`` on ``sim`` (a fast-engine ``TraceDrivenSimulator``)."""
+    if sim._kernel_ran:
         raise RuntimeError(
-            "cannot continue replaying on a simulator after a compiled vector "
-            "batch run; use a fresh TraceDrivenSimulator per trace"
+            "cannot continue replaying on a simulator after a compiled kernel "
+            "run; use a fresh TraceDrivenSimulator per trace"
         )
     prefetcher = sim.prefetcher
-    if _is_fresh(sim):
-        if type(prefetcher) is NullPrefetcher:
-            if _replay_baseline_kernel(sim, trace):
-                sim.last_vector_path = "kernel-baseline"
-                return
-        elif type(prefetcher) is FastDBCPPrefetcher and _dbcp_is_fresh(prefetcher):
-            if prefetcher._closed_fold and 32 <= prefetcher._key_bits < 64:
-                if _replay_dbcp_kernel(sim, trace):
-                    sim.last_vector_path = "kernel-dbcp"
-                    return
-            if prefetcher._closed_fold:
-                _replay_dbcp_python(sim, trace)
-                sim.last_vector_path = "python-dbcp"
-                return
-    # Everything else replays through the fast engine's loops.
-    sim.last_vector_path = "fast-fallback"
-    if type(prefetcher) is NullPrefetcher:
+    kind = _KERNEL_KINDS.get(type(prefetcher))
+    sim.last_fallback = None
+    if kind is not None:
+        reason = _ineligible(sim, prefetcher)
+        if reason is None:
+            reason = _run_kernel(sim, trace, kind)
+        if reason is None:
+            sim.last_tier = f"kernel-{kind}"
+            _TIER_COUNTERS[sim.last_tier].inc()
+            return
+        _note_fallback(sim, reason)
+    sim.last_tier = "interpreted"
+    _TIER_COUNTERS["interpreted"].inc()
+    if kind == "baseline":
         sim._run_fast_baseline(trace)
     elif prefetcher.on_access_fast is not None:
         sim._run_fast_direct(trace)
@@ -100,13 +102,39 @@ def replay_vector(sim, trace: TraceStream) -> None:
         sim._run_fast(trace)
 
 
+def _note_fallback(sim, reason: str) -> None:
+    global _warned_fallback
+    sim.last_fallback = reason
+    _FALLBACK_COUNTERS[reason].inc()
+    if not _warned_fallback:
+        _warned_fallback = True
+        warnings.warn(
+            f"{type(sim.prefetcher).__name__} replay fell back from the compiled "
+            f"kernel to the interpreted tier ({reason}); it runs 10-70x slower. "
+            "Later fallbacks are counted in replay.fallback.* without a warning.",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+
 # ---------------------------------------------------------------------- gates
-def _is_fresh(sim) -> bool:
+def _ineligible(sim, prefetcher) -> Optional[str]:
+    """Why a kernel-eligible predictor cannot take the kernel here, if it cannot."""
+    if type(prefetcher) is not NullPrefetcher and not (
+        prefetcher._closed_fold and prefetcher._key_bits < 64
+    ):
+        return "open-fold"
+    if not (_sim_is_fresh(sim) and _PREDICTOR_FRESH[type(prefetcher)](prefetcher)):
+        return "not-fresh"
+    return None
+
+
+def _sim_is_fresh(sim) -> bool:
     """True iff the simulator has accumulated no replay state.
 
-    The batch paths build cache and predictor state from an empty start,
-    so a simulator that has already replayed references must continue on
-    the incremental fast loops to stay bit-identical.
+    The kernel builds cache and predictor state from an empty start, so a
+    simulator that has already replayed references must continue on the
+    incremental interpreted loops to stay bit-identical.
     """
     if sim.hierarchy.stats.accesses or sim.baseline.stats.accesses:
         return False
@@ -134,38 +162,54 @@ def _dbcp_is_fresh(prefetcher: FastDBCPPrefetcher) -> bool:
     return not (history_stats.evictions or prefetcher.dbcp_stats.signatures_recorded)
 
 
-# --------------------------------------------------------------- kernel paths
-def _prepare_columns(columns, with_pc: bool):
-    """Trace columns as contiguous NumPy arrays, or ``None`` if unavailable.
+def _ltcords_is_fresh(prefetcher: FastLTCordsPrefetcher) -> bool:
+    """True iff history, storage and the signature cache are all empty."""
+    if prefetcher._blocks or prefetcher._outstanding or prefetcher._pending:
+        return False
+    if prefetcher._access_counter or prefetcher.history.stats.evictions:
+        return False
+    return not (
+        prefetcher.storage.stats.signatures_recorded or prefetcher.signature_cache.stats.inserts
+    )
 
-    The columnar views are ``array("q")``/``array("b")`` (or int64
-    memoryviews over the mmap store), which NumPy wraps zero-copy;
-    plain-list columns (huge synthetic addresses) are converted, and
-    values outside int64 fall back to the python tiers.
+
+_KERNEL_KINDS = {
+    NullPrefetcher: "baseline",
+    FastDBCPPrefetcher: "dbcp",
+    FastLTCordsPrefetcher: "ltcords",
+}
+_PREDICTOR_FRESH = {
+    NullPrefetcher: lambda prefetcher: True,
+    FastDBCPPrefetcher: _dbcp_is_fresh,
+    FastLTCordsPrefetcher: _ltcords_is_fresh,
+}
+
+
+# --------------------------------------------------------------- kernel calls
+def _c_column(column, ctype, typecode: str):
+    """A ctypes array over ``column``'s buffer, or ``None`` if out of range.
+
+    Writable buffers (``array`` columns) are viewed zero-copy; read-only
+    ones (the trace store's mmap views) are copied once.  Plain-list
+    columns hold values that do not fit 64 bits.
     """
+    kind = ctype * len(column)
     try:
-        import numpy as np
-    except ImportError:
-        return None
+        return kind.from_buffer(column)
+    except TypeError:
+        pass
     try:
-        address = np.ascontiguousarray(np.asarray(columns.address, dtype=np.int64))
-        is_write = np.ascontiguousarray(np.asarray(columns.is_write, dtype=np.int8))
-        pc = (
-            np.ascontiguousarray(np.asarray(columns.pc, dtype=np.int64))
-            if with_pc
-            else None
-        )
-    except (OverflowError, ValueError, TypeError):
+        return kind.from_buffer_copy(column)
+    except TypeError:
+        pass
+    try:
+        return kind.from_buffer(array(typecode, column))
+    except OverflowError:
         return None
-    if len(address) and (
-        int(address.min()) < 0 or int(address.max()) >= _MAX_KERNEL_ADDRESS
-    ):
-        return None
-    return np, pc, address, is_write
 
 
 def _geometry_cfg(sim) -> list:
-    """cfg slots 0-8: cache geometry shared by both kernels."""
+    """cfg slots 0-8: cache geometry shared by every kernel."""
     l1 = sim.hierarchy_config.l1
     l2 = sim.hierarchy_config.l2
     return [
@@ -181,6 +225,80 @@ def _geometry_cfg(sim) -> list:
     ]
 
 
+def _predictor_cfg(prefetcher) -> list:
+    """cfg slots 9-14: the history fold and confidence counter."""
+    return [
+        prefetcher._block_mask,
+        prefetcher._key_bits,
+        prefetcher._key_mask,
+        prefetcher._confidence_threshold,
+        prefetcher._initial_confidence,
+        prefetcher._max_confidence,
+    ]
+
+
+def _dbcp_cfg(prefetcher: FastDBCPPrefetcher) -> list:
+    table_entries = prefetcher._table_entries
+    return _predictor_cfg(prefetcher) + [-1 if table_entries is None else table_entries]
+
+
+def _ltcords_cfg(prefetcher: FastLTCordsPrefetcher) -> list:
+    storage = prefetcher.config.storage_config
+    signature_cache = prefetcher.config.signature_cache_config
+    return _predictor_cfg(prefetcher) + [
+        prefetcher._stream_window,
+        prefetcher._fetch_delay,
+        storage.num_frames,
+        int(storage.unlimited_frames),
+        storage.fragment_size,
+        max(1, storage.head_lookahead),
+        storage.signature_config.stored_bytes,
+        signature_cache.num_sets,
+        signature_cache.index_bits,
+        signature_cache.associativity,
+    ]
+
+
+def _run_kernel(sim, trace: TraceStream, kind: str) -> Optional[str]:
+    """Replay through the compiled kernel; the fallback reason if it cannot."""
+    kernel = vector.load_kernel()
+    if kernel is None:
+        return vector.unavailable_reason()
+    num_accesses = len(trace)
+    if num_accesses >= _MAX_KERNEL_ACCESSES:
+        return "address-range"
+    columns = trace.as_arrays()
+    address = _c_column(columns.address, ctypes.c_int64, "q")
+    is_write = _c_column(columns.is_write, ctypes.c_int8, "b")
+    if address is None or is_write is None:
+        return "address-range"
+    out = (ctypes.c_int64 * vector.OUT_SLOTS)()
+    prefetcher = sim.prefetcher
+    if kind == "baseline":
+        cfg = _geometry_cfg(sim)
+        rc = kernel.replay_baseline(
+            num_accesses, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out
+        )
+    else:
+        pc = _c_column(columns.pc, ctypes.c_int64, "q")
+        if pc is None:
+            return "address-range"
+        if kind == "dbcp":
+            cfg, entry = _geometry_cfg(sim) + _dbcp_cfg(prefetcher), kernel.replay_dbcp
+        else:
+            cfg, entry = _geometry_cfg(sim) + _ltcords_cfg(prefetcher), kernel.replay_ltcords
+        rc = entry(num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out)
+    if rc == 2:
+        return "address-range"
+    if rc != 0:
+        raise MemoryError("the compiled replay kernel ran out of memory")
+    counters = list(out)  # plain python ints: stats stay JSON-safe
+    _SETTLE[kind](sim, num_accesses, counters)
+    sim._kernel_ran = True
+    return None
+
+
+# ------------------------------------------------------------------ settling
 def _settle_cache(cache, counters) -> None:
     """Fold one kernel per-cache stats block (10 ints) into a live cache."""
     stats = cache.stats
@@ -196,60 +314,10 @@ def _settle_cache(cache, counters) -> None:
     cache._serial += counters[9]
 
 
-def _replay_dbcp_kernel(sim, trace: TraceStream) -> bool:
-    """Run the compiled DBCP kernel; ``False`` means fall to the next tier."""
-    num_accesses = len(trace)
-    if num_accesses == 0 or num_accesses >= _MAX_KERNEL_ACCESSES:
-        return False
-    from repro.cache.vector import OUT_SLOTS, load_kernel
-
-    kernel = load_kernel()
-    if kernel is None:
-        return False
-    prepared = _prepare_columns(trace.as_arrays(), with_pc=True)
-    if prepared is None:
-        return False
-    np, pc, address, is_write = prepared
-
-    prefetcher = sim.prefetcher
-    table_entries = prefetcher._table_entries
-    cfg = np.asarray(
-        _geometry_cfg(sim)
-        + [
-            prefetcher._block_mask,
-            prefetcher._key_bits,
-            prefetcher._key_mask,
-            prefetcher._confidence_threshold,
-            prefetcher._initial_confidence,
-            prefetcher._max_confidence,
-            -1 if table_entries is None else table_entries,
-        ],
-        dtype=np.int64,
-    )
-    out = np.zeros(OUT_SLOTS, dtype=np.int64)
-    rc = kernel.replay_dbcp(
-        num_accesses,
-        pc.ctypes.data,
-        address.ctypes.data,
-        is_write.ctypes.data,
-        cfg.ctypes.data,
-        out.ctypes.data,
-    )
-    if rc != 0:
-        return False
-    counters = out.tolist()  # plain python ints: stats stay JSON-safe
-
-    sim._settle_fast_run(
-        num_accesses,
-        counters[0],  # base_misses
-        counters[1],  # correct
-        counters[2],  # early
-        counters[3],  # base_l2_hits
-        counters[4],  # base_l2_misses
-        counters[5],  # main_l1_hits
-        counters[6],  # main_l2_hits
-        counters[7],  # main_l2_misses
-    )
+def _settle_predicting(sim, num_accesses: int, counters) -> None:
+    """What the DBCP and LT-cords kernels share: caches, bus, feedback counts."""
+    sim._settle_fast_run(num_accesses, *counters[0:8])
+    issued = counters[13]
     breakdown = sim.breakdown
     breakdown.incorrect_prefetches += counters[11]
     if counters[12]:
@@ -259,21 +327,22 @@ def _replay_dbcp_kernel(sim, trace: TraceStream) -> bool:
             requests=counters[12],
         )
     hierarchy_stats = sim.hierarchy.stats
-    hierarchy_stats.prefetches_issued += counters[13]
+    hierarchy_stats.prefetches_issued += issued
     hierarchy_stats.prefetches_from_l2 += counters[14]
     hierarchy_stats.prefetches_from_memory += counters[15]
+    # Every command went straight to execution (note_immediate_issue).
+    request_queue = sim.request_queue
+    request_queue._serial += issued
+    request_queue.enqueued += issued
+    request_queue.issued += issued
 
+    prefetcher = sim.prefetcher
     stats = prefetcher.stats
     stats.accesses_observed += num_accesses
     stats.misses_observed += num_accesses - counters[5]
     stats.predictions_issued += counters[8]
     stats.prefetches_used += counters[9]
     stats.prefetches_evicted_unused += counters[10]
-    dbcp_stats = prefetcher.dbcp_stats
-    dbcp_stats.table_hits += counters[16]
-    dbcp_stats.low_confidence_suppressions += counters[17]
-    dbcp_stats.signatures_recorded += counters[18]
-    dbcp_stats.table_evictions += counters[19]
     history_stats = prefetcher.history.stats
     history_stats.evictions += counters[20]
     history_stats.cold_evictions += counters[21]
@@ -282,231 +351,57 @@ def _replay_dbcp_kernel(sim, trace: TraceStream) -> bool:
     _settle_cache(sim.hierarchy.l2, counters[_OUT_MAIN_L2 : _OUT_MAIN_L2 + 10])
     _settle_cache(sim.baseline.l1, counters[_OUT_BASE_L1 : _OUT_BASE_L1 + 10])
     _settle_cache(sim.baseline.l2, counters[_OUT_BASE_L2 : _OUT_BASE_L2 + 10])
-    sim._vector_cache_state_stale = True
-    return True
 
 
-def _replay_baseline_kernel(sim, trace: TraceStream) -> bool:
-    """Run the compiled no-prefetcher kernel; ``False`` = next tier.
+def _settle_dbcp(sim, num_accesses: int, counters) -> None:
+    _settle_predicting(sim, num_accesses, counters)
+    dbcp_stats = sim.prefetcher.dbcp_stats
+    dbcp_stats.table_hits += counters[16]
+    dbcp_stats.low_confidence_suppressions += counters[17]
+    dbcp_stats.signatures_recorded += counters[18]
+    dbcp_stats.table_evictions += counters[19]
+
+
+def _settle_ltcords(sim, num_accesses: int, counters) -> None:
+    _settle_predicting(sim, num_accesses, counters)
+    prefetcher = sim.prefetcher
+    prefetcher._access_counter += num_accesses
+    values = iter(counters[_OUT_LTCORDS : _OUT_LTCORDS + 18])
+    for stats, fields in (
+        (prefetcher.ltstats, (
+            "signatures_created", "head_matches", "signature_cache_predictions",
+            "low_confidence_suppressions", "signatures_streamed",
+            "confidence_increments", "confidence_decrements",
+        )),
+        (prefetcher.storage.stats, (
+            "signatures_recorded", "frames_allocated", "frames_overwritten",
+            "signatures_fetched", "bytes_written", "bytes_read", "confidence_updates",
+        )),
+        (prefetcher.signature_cache.stats, ("lookups", "hits", "inserts", "replacements")),
+    ):
+        for name in fields:
+            setattr(stats, name, getattr(stats, name) + next(values))
+
+
+def _settle_baseline(sim, num_accesses: int, counters) -> None:
+    """Mirror the one simulated L1/L2 pair onto both hierarchies.
 
     With the :class:`NullPrefetcher` the main and baseline hierarchies
-    see identical streams, so the kernel simulates one L1/L2 pair and
-    the counters are mirrored onto both.
+    see identical streams, so every baseline miss is a main miss too:
+    correct and early are structurally zero.
     """
-    num_accesses = len(trace)
-    if num_accesses == 0 or num_accesses >= _MAX_KERNEL_ACCESSES:
-        return False
-    from repro.cache.vector import OUT_SLOTS, load_kernel
-
-    kernel = load_kernel()
-    if kernel is None:
-        return False
-    prepared = _prepare_columns(trace.as_arrays(), with_pc=False)
-    if prepared is None:
-        return False
-    np, _, address, is_write = prepared
-
-    cfg = np.asarray(_geometry_cfg(sim), dtype=np.int64)
-    out = np.zeros(OUT_SLOTS, dtype=np.int64)
-    rc = kernel.replay_baseline(
-        num_accesses,
-        address.ctypes.data,
-        is_write.ctypes.data,
-        cfg.ctypes.data,
-        out.ctypes.data,
-    )
-    if rc != 0:
-        return False
-    counters = out.tolist()
     l1_hits, l2_hits, l2_misses = counters[0], counters[1], counters[2]
-
-    # Identical caches never diverge: every baseline miss is a main miss
-    # too, so correct and early are structurally zero.
     sim._settle_fast_run(
-        num_accesses,
-        num_accesses - l1_hits,
-        0,
-        0,
-        l2_hits,
-        l2_misses,
-        l1_hits,
-        l2_hits,
-        l2_misses,
+        num_accesses, num_accesses - l1_hits, 0, 0, l2_hits, l2_misses, l1_hits, l2_hits, l2_misses
     )
     l1_counters = counters[_OUT_MAIN_L1 : _OUT_MAIN_L1 + 10]
     l2_counters = counters[_OUT_MAIN_L2 : _OUT_MAIN_L2 + 10]
-    _settle_cache(sim.hierarchy.l1, l1_counters)
-    _settle_cache(sim.hierarchy.l2, l2_counters)
-    _settle_cache(sim.baseline.l1, l1_counters)
-    _settle_cache(sim.baseline.l2, l2_counters)
+    for hierarchy in (sim.hierarchy, sim.baseline):
+        _settle_cache(hierarchy.l1, l1_counters)
+        _settle_cache(hierarchy.l2, l2_counters)
     stats = sim.prefetcher.stats
     stats.accesses_observed += num_accesses
     stats.misses_observed += num_accesses - l1_hits
-    sim._vector_cache_state_stale = True
-    return True
 
 
-# ---------------------------------------------------------- fused python tier
-def _replay_dbcp_python(sim, trace: TraceStream) -> None:
-    """Dependency-free batch tier: fused DBCP replay over the raw columns.
-
-    The caches are the simulator's own ``access_fast`` models (shared,
-    already-verified code); what is fused away is the per-access
-    predictor protocol — the ``on_access_fast`` closure call, the
-    command buffer, and the request-queue round-trip — by inlining the
-    closed-fold body of
-    :meth:`FastDBCPPrefetcher._make_on_access_fast` directly into the
-    replay loop.
-    """
-    columns = trace.as_arrays()
-    baseline = sim.baseline
-    hierarchy = sim.hierarchy
-    base_l1_access = baseline.l1.access_fast
-    base_l2_access = baseline.l2.access_fast
-    main_l1_access = hierarchy.l1.access_fast
-    main_l2_access = hierarchy.l2.access_fast
-    main_l1_last = hierarchy.l1.last
-    block_mask = sim._block_mask
-
-    prefetcher = sim.prefetcher
-    on_prefetch_used = prefetcher.on_prefetch_used
-    on_prefetch_installed = prefetcher.on_prefetch_installed
-    notify_unused = sim._notify_unused_eviction
-    prefetched = sim._prefetched
-    prefetched_pop = prefetched.pop
-    prefetch_into_l1 = hierarchy.prefetch_into_l1_fast
-    from repro.sim.trace_driven import _LEVEL_BY_CODE as level_by_code
-
-    queue_note_immediate = sim.request_queue.note_immediate_issue
-
-    # Predictor internals (the locals the fused closure would hoist).
-    blocks = prefetcher._blocks
-    table = prefetcher._table
-    outstanding = prefetcher._outstanding
-    history_stats = prefetcher.history.stats
-    stats = prefetcher.stats
-    dbcp_stats = prefetcher.dbcp_stats
-    dbcp_mask = prefetcher._block_mask
-    key_bits = prefetcher._key_bits
-    key_mask = prefetcher._key_mask
-    confidence_threshold = prefetcher._confidence_threshold
-    initial_confidence = prefetcher._initial_confidence
-    table_entries = prefetcher._table_entries
-    multiplier = _HASH_MULTIPLIER
-    increment = _HASH_INCREMENT
-    mask64 = _MASK_64
-
-    base_misses = 0
-    correct = 0
-    early = 0
-    base_l2_hits = 0
-    base_l2_misses = 0
-    main_l1_hits = 0
-    main_l2_hits = 0
-    main_l2_misses = 0
-
-    for pc, address, is_write in zip(columns.pc, columns.address, columns.is_write):
-        code = main_l1_access(address, is_write)
-        if code:
-            main_l1_hits += 1
-        elif main_l2_access(address, 0):
-            main_l2_hits += 1
-        else:
-            main_l2_misses += 1
-
-        # Classify against the prediction opportunity.
-        if base_l1_access(address, is_write):
-            if not code:
-                early += 1
-        else:
-            base_misses += 1
-            if code:
-                correct += 1
-            if base_l2_access(address, 0):
-                base_l2_hits += 1
-            else:
-                base_l2_misses += 1
-
-        block_address = address & block_mask
-
-        # Feedback for prefetched blocks, then the fused on_access_fast.
-        if code:
-            if code == 2:
-                info = prefetched_pop(block_address, None)
-                if info is not None:
-                    on_prefetch_used(block_address, info[0])
-        else:
-            evicted_address = main_l1_last.evicted_address
-            if main_l1_last.evicted_unused_prefetch:
-                notify_unused(evicted_address)
-            if evicted_address is not None:
-                # FastHistoryTable.observe_eviction + _record, fused.
-                history_stats.evictions += 1
-                evicted_block = evicted_address & dbcp_mask
-                history_entry = blocks.pop(evicted_block, None)
-                if history_entry is None:
-                    evicted_hash = evicted_previous = 0
-                    history_stats.cold_evictions += 1
-                    history_entry = [0, evicted_block]
-                else:
-                    evicted_hash = history_entry[0]
-                    evicted_previous = history_entry[1]
-                    history_entry[0] = 0
-                    history_entry[1] = evicted_block
-                raw = ((evicted_hash ^ evicted_previous) * multiplier + increment) & mask64
-                raw = ((raw ^ evicted_block) * multiplier + increment) & mask64
-                key = (raw & key_mask) ^ (raw >> key_bits)
-                predicted = block_address & dbcp_mask
-                blocks[predicted] = history_entry
-                packed = table.pop(key, -1)
-                if packed >= 0:
-                    table[key] = (predicted << 8) | (packed & 255)
-                else:
-                    if table_entries is not None and len(table) >= table_entries:
-                        del table[next(iter(table))]
-                        dbcp_stats.table_evictions += 1
-                    table[key] = (predicted << 8) | initial_confidence
-                    dbcp_stats.signatures_recorded += 1
-
-        # FastHistoryTable.observe_access, fused inline.
-        block = address & dbcp_mask
-        entry = blocks.get(block)
-        if entry is None:
-            entry = [0, 0]
-            blocks[block] = entry
-        trace_hash = ((entry[0] ^ pc) * multiplier + increment) & mask64
-        entry[0] = trace_hash
-        raw = ((trace_hash ^ entry[1]) * multiplier + increment) & mask64
-        raw = ((raw ^ block) * multiplier + increment) & mask64
-        candidate_key = (raw & key_mask) ^ (raw >> key_bits)
-
-        packed = table.pop(candidate_key, -1)
-        if packed < 0:
-            continue
-        table[candidate_key] = packed  # a table hit refreshes the LRU position
-        dbcp_stats.table_hits += 1
-        if (packed & 255) < confidence_threshold:
-            dbcp_stats.low_confidence_suppressions += 1
-            continue
-        stats.predictions_issued += 1
-        predicted_address = packed >> 8
-        outstanding[predicted_address] = candidate_key
-
-        # Execute the single command inline (no queue round-trip).
-        queue_note_immediate()
-        source = prefetch_into_l1(predicted_address, block_address)
-        if source:
-            prefetch_evicted = main_l1_last.evicted_address
-            prefetch_block = predicted_address & block_mask
-            if main_l1_last.evicted_unused_prefetch:
-                notify_unused(prefetch_evicted)
-            prefetched[prefetch_block] = (candidate_key, level_by_code[source])
-            on_prefetch_installed(prefetch_block, prefetch_evicted, tag=candidate_key)
-
-    num_accesses = len(columns)
-    sim._settle_fast_run(
-        num_accesses, base_misses, correct, early,
-        base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
-    )
-    stats.accesses_observed += num_accesses
-    stats.misses_observed += num_accesses - main_l1_hits
+_SETTLE = {"baseline": _settle_baseline, "dbcp": _settle_dbcp, "ltcords": _settle_ltcords}

@@ -38,6 +38,10 @@ class TraceColumns:
     columns (plain lists when a value does not fit 64 bits); ``is_write``
     is an ``array('b')`` of 0/1 flags.  Columns are position-aligned:
     element ``i`` of every column describes reference ``i``.
+
+    Addresses are non-negative (the address domain every engine shares):
+    the caches mark empty ways with tag ``-1``, which a negative address
+    would alias, so negative addresses are rejected here, once.
     """
 
     __slots__ = ("pc", "address", "is_write", "icount")
@@ -45,6 +49,11 @@ class TraceColumns:
     def __init__(self, pc, address, is_write, icount) -> None:
         if not (len(pc) == len(address) == len(is_write) == len(icount)):
             raise ValueError("trace columns must have equal lengths")
+        if len(address) and min(address) < 0:
+            index = next(i for i, value in enumerate(address) if value < 0)
+            raise ValueError(
+                f"trace address {index} is negative ({address[index]}); addresses must be >= 0"
+            )
         self.pc = pc
         self.address = address
         self.is_write = is_write

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, List
 
 import pytest
@@ -77,3 +78,20 @@ def small_l1_config() -> CacheConfig:
 def tiny_cache_config() -> CacheConfig:
     """A tiny 2-set cache for exhaustive behavioural tests."""
     return CacheConfig(name="tiny", size_bytes=256, block_size=64, associativity=2, hit_latency=1)
+
+
+@contextmanager
+def kernel_disabled():
+    """Replay on the interpreted tier, as under ``REPRO_NO_VECTOR_KERNEL=1``.
+
+    Sets the kernel loader's process-wide failure memo exactly as the
+    kill switch does, and restores it afterwards.
+    """
+    import repro.cache.vector as vector
+
+    saved = (vector._KERNEL, vector._KERNEL_FAILED)
+    vector._KERNEL, vector._KERNEL_FAILED = None, "kill-switch"
+    try:
+        yield
+    finally:
+        vector._KERNEL, vector._KERNEL_FAILED = saved

@@ -61,10 +61,11 @@ class TestScenarios:
         assert "sim.dbcp.mcf" in names
         assert "sim.dbcp.mcf.legacy" in names
         assert get_scenario("sim.dbcp.mcf.legacy").speedup_of == "sim.dbcp.mcf"
-        # The vector twin chains onto the fast scenario: the derived
-        # ratio for "sim.dbcp.mcf.vector" is the vector engine's speedup.
-        assert "sim.dbcp.mcf.vector" in names
-        assert get_scenario("sim.dbcp.mcf").speedup_of == "sim.dbcp.mcf.vector"
+        # The kill-switch twin chains onto the kernel scenario: the derived
+        # ratio for "sim.ltcords.mcf" is the kernel's speedup.
+        assert "sim.ltcords.mcf.interpreted" in names
+        assert get_scenario("sim.ltcords.mcf.interpreted").speedup_of == "sim.ltcords.mcf"
+        assert get_scenario("sim.dbcp.mcf").speedup_of is None
 
     def test_quick_set_is_a_subset_and_has_calibration(self):
         quick = scenario_names(quick_only=True)
@@ -95,12 +96,14 @@ class TestScenarios:
         assert speedups["sim.dbcp.mcf"] > 0
 
     def test_vector_twin_speedup_derivation(self):
+        # The vector kernel against the same run under the kill switch.
         results = run_scenarios(
-            ["sim.dbcp.mcf", "sim.dbcp.mcf.vector"], scale=0.01, repeats=1
+            ["sim.ltcords.mcf", "sim.ltcords.mcf.interpreted"], scale=0.01, repeats=1
         )
         speedups = derive_speedups(results)
-        assert "sim.dbcp.mcf.vector" in speedups
-        assert speedups["sim.dbcp.mcf.vector"] > 0
+        assert "sim.ltcords.mcf" in speedups
+        assert speedups["sim.ltcords.mcf"] > 0
+        assert "its interpreted tier" in format_results_table(results, speedups)
 
     def test_multicore_scenarios_run_and_pair(self):
         results = run_scenarios(

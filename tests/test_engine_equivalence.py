@@ -7,10 +7,13 @@ and predictors) must produce bit-identical ``SimulationResult.to_dict()``
 output.  This is the acceptance gate of the fast-path rewrite: any
 behavioural drift in the cache model, the trace representation, the
 simulator loop or a predictor's flat rewrite shows up here as a counter
-mismatch.
+mismatch.  The fast engine is checked on both of its replay tiers: the
+compiled vector kernel (the default where a C compiler exists) and the
+interpreted loops.
 """
 
 import pytest
+from conftest import kernel_disabled
 
 from repro.api import available_benchmarks, available_predictors, build_predictor
 from repro.sim.trace_driven import TraceDrivenSimulator, simulate_benchmark
@@ -55,25 +58,19 @@ def test_engines_bit_identical(workload, predictor):
 
 @pytest.mark.parametrize("workload,predictor", _pairs())
 def test_vector_engine_bit_identical(workload, predictor):
-    """The batch vector engine matches fast on the full grid.
+    """The vector kernel tier matches the interpreted tier on the full grid.
 
-    Covers every tier the vector engine dispatches to: the compiled
-    kernel for dbcp/none (when a compiler is present), and the
-    fast-fallback for the other predictors.
+    dbcp, dbcp-unlimited, ltcords and none take the compiled kernel when
+    a compiler is present; ghb and stride are interpreted either way.
     """
-    fast = simulate_benchmark(
-        workload,
-        build_predictor(predictor, engine="fast"),
-        num_accesses=NUM_ACCESSES,
-        engine="fast",
-    )
     vector = simulate_benchmark(
-        workload,
-        build_predictor(predictor, engine="vector"),
-        num_accesses=NUM_ACCESSES,
-        engine="vector",
+        workload, build_predictor(predictor), num_accesses=NUM_ACCESSES
     )
-    assert fast.to_dict() == vector.to_dict()
+    with kernel_disabled():
+        interpreted = simulate_benchmark(
+            workload, build_predictor(predictor), num_accesses=NUM_ACCESSES
+        )
+    assert interpreted.to_dict() == vector.to_dict()
 
 
 @pytest.mark.parametrize("predictor", ["dbcp", "ltcords"])
@@ -86,11 +83,10 @@ def test_engines_agree_on_longer_shared_trace(predictor):
     legacy = TraceDrivenSimulator(
         prefetcher=build_predictor(predictor, engine="legacy"), engine="legacy"
     ).run(trace)
-    vector = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, engine="vector"), engine="vector"
-    ).run(trace)
+    with kernel_disabled():
+        interpreted = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
     assert fast.to_dict() == legacy.to_dict()
-    assert fast.to_dict() == vector.to_dict()
+    assert fast.to_dict() == interpreted.to_dict()
 
 
 @pytest.mark.parametrize("predictor", ["dbcp", "ghb", "ltcords", "stride"])

@@ -5,23 +5,19 @@ half-registered — accepted by the cache hierarchy but rejected by the
 campaign spec layer.  These tests pin the fix: :mod:`repro.engines` is
 the one source of truth (a source scan proves the tuple literal exists
 nowhere else), every consumer accepts every registered engine, and
-engines pinned bit-identical to the default share one result-cache
-entry in both directions.
+the fast engine's two replay tiers (the compiled vector kernel and the
+interpreted loops) share one result-cache entry in both directions.
 """
 
-import dataclasses
 import re
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
+from conftest import kernel_disabled
 
 import repro.engines as engines_mod
-from repro.engines import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    FAST_EQUIVALENT_ENGINES,
-    validate_engine,
-)
+from repro.engines import DEFAULT_ENGINE, ENGINES, validate_engine
 
 SRC_ROOT = Path(__file__).parent.parent / "src"
 
@@ -57,11 +53,8 @@ def test_engine_tuple_literal_appears_only_in_engines_module():
 
 
 def test_registry_contents():
-    assert ENGINES == ("fast", "legacy", "vector")
-    assert DEFAULT_ENGINE in ENGINES
-    assert FAST_EQUIVALENT_ENGINES <= set(ENGINES)
-    assert DEFAULT_ENGINE in FAST_EQUIVALENT_ENGINES
-    assert "legacy" not in FAST_EQUIVALENT_ENGINES
+    assert ENGINES == ("fast", "legacy")
+    assert DEFAULT_ENGINE == "fast"
 
 
 def test_validate_engine():
@@ -128,27 +121,8 @@ def test_build_predictor_falls_back_to_fast_class():
         unregister_predictor("_test_fast_only")
 
 
-def test_build_predictor_prefers_dedicated_vector_class():
-    from repro.prefetchers.null import NullPrefetcher
-    from repro.registry import build_predictor, register_predictor, unregister_predictor
-
-    class Fast(NullPrefetcher):
-        pass
-
-    class Vector(NullPrefetcher):
-        pass
-
-    register_predictor("_test_vector_cls", Fast, vector=Vector)
-    try:
-        assert type(build_predictor("_test_vector_cls", engine="fast")) is Fast
-        assert type(build_predictor("_test_vector_cls", engine="legacy")) is Fast
-        assert type(build_predictor("_test_vector_cls", engine="vector")) is Vector
-    finally:
-        unregister_predictor("_test_vector_cls")
-
-
 # ---------------------------------------------------------------------------
-# Cache-key invariance: fast and vector share one cache entry.
+# Cache-key invariance: the replay tier is not part of any key.
 # ---------------------------------------------------------------------------
 
 
@@ -160,10 +134,16 @@ def _spec(**overrides):
     return RunSpec(**fields)
 
 
+def _tier(name):
+    """Replay on the ``"vector"`` kernel tier or the interpreted ``"fast"`` loops."""
+    return kernel_disabled() if name == "fast" else nullcontext()
+
+
 def test_fast_equivalent_engines_share_one_spec_key():
-    fast, legacy, vector = (_spec(engine=e) for e in ("fast", "legacy", "vector"))
-    assert fast.key() == vector.key()
-    assert fast.to_dict() == vector.to_dict()
+    """Asking for the default engine explicitly or implicitly is one key."""
+    fast, legacy, default = _spec(engine="fast"), _spec(engine="legacy"), _spec()
+    assert fast.key() == default.key()
+    assert fast.to_dict() == default.to_dict()
     assert "engine" not in fast.to_dict()
     # Legacy stays separately keyed so cross-checking campaigns can pin it.
     assert legacy.key() != fast.key()
@@ -173,35 +153,37 @@ def test_fast_equivalent_engines_share_one_spec_key():
 def test_multicore_spec_key_is_engine_invariant_for_fast_equivalents():
     from repro.multicore import MulticoreSpec
 
-    def make(engine):
+    def make(**engine):
         return MulticoreSpec(
-            benchmarks=("mcf", "gcc"), predictors=("dbcp",),
-            num_accesses=2000, engine=engine,
+            benchmarks=("mcf", "gcc"), predictors=("dbcp",), num_accesses=2000, **engine
         )
 
-    assert make("fast").key() == make("vector").key()
-    assert make("fast").key() != make("legacy").key()
+    assert make(engine="fast").key() == make().key()
+    assert make(engine="fast").key() != make(engine="legacy").key()
 
 
 @pytest.mark.parametrize(
     "first,second", [("fast", "vector"), ("vector", "fast")], ids=["fast_then_vector", "vector_then_fast"]
 )
 def test_result_cache_is_shared_across_fast_and_vector(first, second):
-    """A result computed under one fast-equivalent engine serves the other.
+    """A result computed on one replay tier serves the other.
 
-    Both directions matter: the bug this guards against is an engine
-    field leaking into the content key, which would silently split the
-    cache and recompute every point per engine.
+    ``"vector"`` is the compiled kernel tier and ``"fast"`` the
+    interpreted loops (kernel switched off).  Both directions matter: the
+    bug this guards against is tier state leaking into the content key,
+    which would silently split the cache and recompute every point on a
+    host without a compiler.
     """
     from repro.run import Session
 
     session = Session(jobs=1)
-    spec_first = _spec(engine=first)
-    spec_second = _spec(engine=second)
-    assert session.cache.get(spec_second) is None
-    computed = session.run(spec_first)
-    served = session.cache.get(spec_second)
-    assert served is not None, f"{second} spec missed the cache after a {first} run"
-    assert served.to_dict() == computed.to_dict()
-    # And the facade path agrees end to end.
-    assert session.run(spec_second).to_dict() == computed.to_dict()
+    spec = _spec()
+    assert session.cache.get(spec) is None
+    with _tier(first):
+        computed = session.run(spec)
+    with _tier(second):
+        served = session.cache.get(spec)
+        assert served is not None, f"{second} tier missed the cache after a {first} run"
+        assert served.to_dict() == computed.to_dict()
+        # And the facade path agrees end to end.
+        assert session.run(spec).to_dict() == computed.to_dict()

@@ -1,7 +1,8 @@
 """Golden-figure regression harness.
 
-Quick configurations of the Figure 8 and Figure 11 campaigns are run end
-to end and compared against committed JSON under ``tests/goldens/``:
+Quick configurations of every paper campaign (Figures 4 and 8-12,
+Tables 2 and 3) are run end to end and compared against committed JSON
+under ``tests/goldens/``:
 integer counters must match **exactly** (the simulators are
 deterministic), derived ratios within 1e-9.  Any unintentional change to
 cache behaviour, predictor logic, trace generation, interleaving or
@@ -9,13 +10,20 @@ result serialisation shows up here as a field-level diff; after an
 *intentional* change, refresh the files with::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
+
+Every golden is checked twice: on the default fast engine, which replays
+through the compiled vector kernel where a C compiler exists, and with
+the kernel switched off (the interpreted tier).
 """
 
+import dataclasses
+import importlib
 import json
 import math
 from pathlib import Path
 
 import pytest
+from conftest import kernel_disabled
 
 from repro.run import Session
 
@@ -27,6 +35,19 @@ FIG8_BENCHMARKS = ["mcf", "swim", "em3d", "gzip"]
 FIG8_ACCESSES = 20_000
 FIG11_PAIRINGS = [("gcc", "mcf"), ("mcf", "gcc"), ("swim", "gcc"), ("lucas", "applu")]
 FIG11_ACCESSES = 12_000
+
+#: Shape of the campaign goldens below: both footprint extremes of the
+#: quick set, short enough to replay on the interpreted tier in seconds.
+CAMPAIGN_BENCHMARKS = ["mcf", "gzip"]
+CAMPAIGN_ACCESSES = 8_000
+CAMPAIGN_GOLDENS = {
+    "fig4_quick": "repro.experiments.fig4_dbcp_sensitivity",
+    "fig9_quick": "repro.experiments.fig9_sigcache",
+    "fig10_quick": "repro.experiments.fig10_storage",
+    "fig12_quick": "repro.experiments.fig12_bandwidth",
+    "table2_quick": "repro.experiments.table2_baseline",
+    "table3_quick": "repro.experiments.table3_speedup",
+}
 
 #: Tolerance for ratio fields (coverage fractions etc.); counts compare exactly.
 RATIO_TOLERANCE = 1e-9
@@ -73,6 +94,38 @@ def _compute_fig11():
     }
 
 
+class _RecordingSession(Session):
+    """An uncached session that keeps every campaign result it computes."""
+
+    def __init__(self):
+        super().__init__(jobs=1, use_cache=False)
+        self.campaigns = []
+
+    def sweep(self, spec, name=None, resume=None):
+        result = super().sweep(spec, name=name, resume=resume)
+        self.campaigns.append(result)
+        return result
+
+
+def _compute_campaign(module_name):
+    """A campaign's driver output plus the full payload of every point."""
+    module = importlib.import_module(module_name)
+    session = _RecordingSession()
+    output = module.run(
+        benchmarks=CAMPAIGN_BENCHMARKS, num_accesses=CAMPAIGN_ACCESSES, session=session
+    )
+    rows = [dataclasses.asdict(row) for row in output] if isinstance(output, list) else (
+        dataclasses.asdict(output)
+    )
+    return {
+        "config": {"benchmarks": CAMPAIGN_BENCHMARKS, "num_accesses": CAMPAIGN_ACCESSES, "seed": 42},
+        "rows": rows,
+        "points": [
+            result.to_dict() for campaign in session.campaigns for result in campaign.results
+        ],
+    }
+
+
 def assert_matches_golden(golden, actual, path="$"):
     """Recursive comparison: exact for counts/strings, 1e-9 for ratios."""
     if isinstance(golden, dict):
@@ -100,10 +153,13 @@ def assert_matches_golden(golden, actual, path="$"):
         )
 
 
-@pytest.mark.parametrize(
-    "name,compute", [("fig8_quick", _compute_fig8), ("fig11_quick", _compute_fig11)]
-)
-def test_figure_matches_golden(name, compute, request):
+def _golden_compute(name):
+    if name in CAMPAIGN_GOLDENS:
+        return lambda: _compute_campaign(CAMPAIGN_GOLDENS[name])
+    return {"fig8_quick": _compute_fig8, "fig11_quick": _compute_fig11}[name]
+
+
+def _check_golden(name, compute, request):
     path = GOLDEN_DIR / f"{name}.json"
     actual = json.loads(json.dumps(compute(), sort_keys=True))  # normalise types
     if request.config.getoption("--update-goldens"):
@@ -117,16 +173,37 @@ def test_figure_matches_golden(name, compute, request):
     assert_matches_golden(golden, actual)
 
 
+@pytest.mark.parametrize(
+    "name,compute", [("fig8_quick", _compute_fig8), ("fig11_quick", _compute_fig11)]
+)
+def test_figure_matches_golden(name, compute, request):
+    _check_golden(name, compute, request)
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_GOLDENS))
+def test_campaign_matches_golden(name, request):
+    _check_golden(name, _golden_compute(name), request)
+
+
+@pytest.mark.parametrize("name", ["fig8_quick", "fig11_quick", *sorted(CAMPAIGN_GOLDENS)])
+def test_golden_reproduced_without_kernel(name):
+    """The interpreted tier reproduces every committed golden too."""
+    path = GOLDEN_DIR / f"{name}.json"
+    assert path.is_file(), f"missing golden {path}"
+    with kernel_disabled():
+        actual = json.loads(json.dumps(_golden_compute(name)(), sort_keys=True))
+    assert_matches_golden(json.loads(path.read_text(encoding="utf-8")), actual)
+
+
 # The parameter is named workload (not "benchmark") because the
 # pytest-benchmark plugin reserves that funcarg name.
 @pytest.mark.parametrize("workload", FIG8_BENCHMARKS)
 def test_fig8_golden_reproduced_by_vector_engine(workload):
-    """``engine="vector"`` reproduces the committed Figure 8 goldens.
+    """Direct simulation on the default engine reproduces the Figure 8 goldens.
 
-    The campaign cache serves fast and vector from one entry (their
-    specs share a content key), so this pins the vector engine to the
-    goldens by simulating directly — covering both the compiled-kernel
-    tier (oracle DBCP) and the fast-fallback tier (LT-cords).
+    With a C compiler both predictors take the compiled vector kernel
+    (``kernel-ltcords`` and ``kernel-dbcp``); the campaign path is
+    covered by :func:`test_figure_matches_golden`.
     """
     from repro.api import build_predictor
     from repro.prefetchers.dbcp import DBCPConfig
@@ -136,16 +213,10 @@ def test_fig8_golden_reproduced_by_vector_engine(workload):
     assert path.is_file(), f"missing golden {path}"
     golden = json.loads(path.read_text(encoding="utf-8"))["rows"][workload]
     ltcords = simulate_benchmark(
-        workload,
-        build_predictor("ltcords", engine="vector"),
-        num_accesses=FIG8_ACCESSES,
-        engine="vector",
+        workload, build_predictor("ltcords"), num_accesses=FIG8_ACCESSES
     )
     oracle = simulate_benchmark(
-        workload,
-        build_predictor("dbcp", DBCPConfig.unlimited(), engine="vector"),
-        num_accesses=FIG8_ACCESSES,
-        engine="vector",
+        workload, build_predictor("dbcp", DBCPConfig.unlimited()), num_accesses=FIG8_ACCESSES
     )
     assert_matches_golden(
         golden["ltcords"], json.loads(json.dumps(ltcords.to_dict(), sort_keys=True))

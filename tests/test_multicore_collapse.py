@@ -1,41 +1,52 @@
 """Differential collapse: a 1-core multicore run IS the single-core simulator.
 
-For every real predictor and both engines, a one-core
-``repro.multicore`` run must produce a per-core ``SimulationResult``
-whose full ``to_dict`` payload is bit-identical to
+For every real predictor, both engines and both of the fast engine's
+replay tiers, a one-core ``repro.multicore`` run must produce a per-core
+``SimulationResult`` whose full ``to_dict`` payload is bit-identical to
 :class:`~repro.sim.trace_driven.TraceDrivenSimulator` on the same spec.
+The modes are ``"legacy"``, ``"fast"`` (the fast engine with the
+compiled kernel switched off) and ``"vector"`` (the fast engine with the
+vector kernel, as by default).
 This pins the shared-hierarchy generalisation to the extensively
 cross-checked single-core engines: any drift in the multicore walk,
 prefetch path, feedback plumbing or stat settlement shows up here as a
 field-level diff.
 """
 
+from contextlib import nullcontext
+
 import pytest
+from conftest import kernel_disabled
 
 from repro.multicore import MulticoreSpec, simulate_multicore
 from repro.registry import build_predictor
 from repro.sim.trace_driven import simulate_benchmark
 
-from repro.engines import ENGINES
-
 PREDICTORS = ("ltcords", "dbcp", "ghb", "stride")
 NUM_ACCESSES = 4000
+MODES = ("fast", "legacy", "vector")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def _engine(mode):
+    return "legacy" if mode == "legacy" else "fast"
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("predictor", PREDICTORS)
-def test_one_core_collapses_to_trace_driven(predictor, engine):
+def test_one_core_collapses_to_trace_driven(predictor, mode):
+    engine = _engine(mode)
     spec = MulticoreSpec(
         benchmarks=("mcf",), predictors=(predictor,),
         num_accesses=NUM_ACCESSES, engine=engine,
     )
     multi = simulate_multicore(spec)
-    single = simulate_benchmark(
-        "mcf",
-        prefetcher=build_predictor(predictor, engine=engine),
-        num_accesses=NUM_ACCESSES,
-        engine=engine,
-    )
+    with kernel_disabled() if mode == "fast" else nullcontext():
+        single = simulate_benchmark(
+            "mcf",
+            prefetcher=build_predictor(predictor, engine=engine),
+            num_accesses=NUM_ACCESSES,
+            engine=engine,
+        )
     assert multi.num_cores == 1
     assert multi.per_core[0].to_dict() == single.to_dict()
     # No co-runner: the shared structures show no interference.
@@ -43,17 +54,19 @@ def test_one_core_collapses_to_trace_driven(predictor, engine):
     assert multi.prefetch_cross_core_evictions == [0]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_one_core_collapse_holds_for_null_predictor(engine):
+@pytest.mark.parametrize("mode", MODES)
+def test_one_core_collapse_holds_for_null_predictor(mode):
     # "none" exercises the generic (non-fast-protocol) multicore path
-    # against the single-core dedicated baseline loop.
+    # against the single-core dedicated baseline loop (or kernel).
+    engine = _engine(mode)
     spec = MulticoreSpec(benchmarks=("swim",), predictors=("none",),
                          num_accesses=NUM_ACCESSES, engine=engine)
     multi = simulate_multicore(spec)
-    single = simulate_benchmark(
-        "swim", prefetcher=build_predictor("none", engine=engine),
-        num_accesses=NUM_ACCESSES, engine=engine,
-    )
+    with kernel_disabled() if mode == "fast" else nullcontext():
+        single = simulate_benchmark(
+            "swim", prefetcher=build_predictor("none", engine=engine),
+            num_accesses=NUM_ACCESSES, engine=engine,
+        )
     assert multi.per_core[0].to_dict() == single.to_dict()
 
 

@@ -525,6 +525,24 @@ class TestCli:
                      "--require", "run_start", "phase", "run_end"]) == 0
         capsys.readouterr()
 
+    def test_obs_summary_of_missing_log_is_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["obs", "summary", str(tmp_path / "missing.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_obs_summary_of_empty_log_is_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        log = tmp_path / "empty.jsonl"
+        log.write_text("\n", encoding="utf-8")
+        assert main(["obs", "summary", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: event log {log} holds no events\n"
+
     def test_obs_check_fails_on_incomplete_log(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,26 +1,35 @@
-"""Behavioural contract of the ``engine="vector"`` batch replay path.
+"""Behavioural contract of the fast engine's compiled vector-kernel tier.
 
-The equivalence suites pin vector == fast on the full benchmark grid;
-this file pins everything *around* that equality: which tier the
-dispatcher picks (``sim.last_vector_path``), the pure-python fallbacks
-(no NumPy, no compiler, kill-switch), per-cache statistics fidelity,
-the stale-state guard after a compiled batch run, and the kernel
-compilation cache plumbing.
+The equivalence suites pin kernel == interpreted on the full benchmark
+grid; this file pins everything *around* that equality: which tier the
+dispatcher picks (``sim.last_tier``) and why it falls back
+(``sim.last_fallback``), the interpreted fallbacks (kill-switch, open
+fold, continued replay, out-of-range addresses), the fallback warning and
+counters, per-cache statistics fidelity, the stale-state guard after a
+kernel run, NumPy staying unimported, and the kernel compilation cache
+plumbing.
 """
 
 import json
+import subprocess
 import sys
+import warnings
 
 import pytest
+from conftest import kernel_disabled
 
 import repro.cache.vector as vector_mod
+import repro.sim.vector_replay as replay_mod
 from repro.api import build_predictor
+from repro.cache.cache import DeferredSets
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import kernel_cache_dir, load_kernel
 from repro.core.signatures import SignatureConfig
+from repro.obs.metrics import REGISTRY
 from repro.prefetchers.dbcp import DBCPConfig
 from repro.sim.trace_driven import TraceDrivenSimulator
+from repro.trace.stream import TraceColumns, TraceStream
 from repro.workloads.base import WorkloadConfig
 from repro.workloads.registry import get_workload
 
@@ -31,7 +40,7 @@ def _trace(benchmark="mcf", num_accesses=NUM_ACCESSES, seed=11):
     return get_workload(benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
 
 
-def _run(engine, predictor="dbcp", config=None, trace=None, hierarchy_config=None):
+def _run(predictor="dbcp", config=None, trace=None, hierarchy_config=None, engine="fast"):
     sim = TraceDrivenSimulator(
         prefetcher=build_predictor(predictor, config, engine=engine),
         hierarchy_config=hierarchy_config,
@@ -41,30 +50,21 @@ def _run(engine, predictor="dbcp", config=None, trace=None, hierarchy_config=Non
     return sim, result
 
 
-def _numpy_usable():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def _interpreted(**kwargs):
+    with kernel_disabled():
+        return _run(**kwargs)
 
 
-def _expected_dbcp_path():
-    return "kernel-dbcp" if _numpy_usable() and load_kernel() is not None else "python-dbcp"
-
-
-def _expected_baseline_path():
-    return (
-        "kernel-baseline" if _numpy_usable() and load_kernel() is not None else "fast-fallback"
-    )
+def _expected(tier):
+    return tier if load_kernel() is not None else "interpreted"
 
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """Force the no-compiled-kernel world, restoring the memo afterwards."""
+    """The environment kill switch, with the loader's memo reset around it."""
     monkeypatch.setenv("REPRO_NO_VECTOR_KERNEL", "1")
     monkeypatch.setattr(vector_mod, "_KERNEL", None)
-    monkeypatch.setattr(vector_mod, "_KERNEL_FAILED", False)
+    monkeypatch.setattr(vector_mod, "_KERNEL_FAILED", None)
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +74,39 @@ def no_kernel(monkeypatch):
 
 def test_dbcp_takes_the_kernel_tier_and_matches_fast():
     trace = _trace()
-    _, fast = _run("fast", trace=trace)
-    sim, vector = _run("vector", trace=trace)
-    assert sim.last_vector_path == _expected_dbcp_path()
-    assert vector.to_dict() == fast.to_dict()
+    _, interpreted = _interpreted(trace=trace)
+    sim, kernel = _run(trace=trace)
+    assert sim.last_tier == _expected("kernel-dbcp")
+    assert kernel.to_dict() == interpreted.to_dict()
 
 
 def test_null_predictor_takes_the_baseline_kernel_tier():
     trace = _trace("swim")
-    _, fast = _run("fast", predictor="none", trace=trace)
-    sim, vector = _run("vector", predictor="none", trace=trace)
-    assert sim.last_vector_path == _expected_baseline_path()
-    assert vector.to_dict() == fast.to_dict()
+    _, interpreted = _interpreted(predictor="none", trace=trace)
+    sim, kernel = _run(predictor="none", trace=trace)
+    assert sim.last_tier == _expected("kernel-baseline")
+    assert kernel.to_dict() == interpreted.to_dict()
+
+
+def test_ltcords_takes_the_kernel_tier_and_matches_fast():
+    trace = _trace("gcc", num_accesses=3000)
+    _, interpreted = _interpreted(predictor="ltcords", trace=trace)
+    sim, kernel = _run(predictor="ltcords", trace=trace)
+    assert sim.last_tier == _expected("kernel-ltcords")
+    assert sim.last_fallback is None or load_kernel() is None
+    assert kernel.to_dict() == interpreted.to_dict()
 
 
 def test_non_dbcp_predictors_take_the_fast_fallback_tier():
+    # Predictors without a kernel port are interpreted, and that is no
+    # fallback: nothing is recorded or warned about.
     trace = _trace("gcc", num_accesses=3000)
-    _, fast = _run("fast", predictor="ltcords", trace=trace)
-    sim, vector = _run("vector", predictor="ltcords", trace=trace)
-    assert sim.last_vector_path == "fast-fallback"
-    assert vector.to_dict() == fast.to_dict()
+    for predictor in ("ghb", "stride"):
+        sim, result = _run(predictor=predictor, trace=trace)
+        assert sim.last_tier == "interpreted"
+        assert sim.last_fallback is None
+        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        assert result.to_dict() == legacy.to_dict()
 
 
 @pytest.mark.parametrize("table_entries", [64, 1])
@@ -102,10 +115,10 @@ def test_small_correlation_tables_exercise_kernel_lru_eviction(table_entries):
     # LRU list and backward-shift hash deletion run constantly.
     config = DBCPConfig(table_entries=table_entries)
     trace = _trace()
-    _, fast = _run("fast", config=config, trace=trace)
-    sim, vector = _run("vector", config=config, trace=trace)
-    assert sim.last_vector_path == _expected_dbcp_path()
-    assert vector.to_dict() == fast.to_dict()
+    _, interpreted = _interpreted(config=config, trace=trace)
+    sim, kernel = _run(config=config, trace=trace)
+    assert sim.last_tier == _expected("kernel-dbcp")
+    assert kernel.to_dict() == interpreted.to_dict()
 
 
 def test_custom_geometry_and_mismatched_dbcp_block_size_match():
@@ -120,46 +133,106 @@ def test_custom_geometry_and_mismatched_dbcp_block_size_match():
         table_entries=256,
     )
     trace = _trace()
-    _, fast = _run("fast", config=config, trace=trace, hierarchy_config=hierarchy)
-    sim, vector = _run("vector", config=config, trace=trace, hierarchy_config=hierarchy)
-    assert sim.last_vector_path == _expected_dbcp_path()
-    assert vector.to_dict() == fast.to_dict()
+    _, interpreted = _interpreted(config=config, trace=trace, hierarchy_config=hierarchy)
+    sim, kernel = _run(config=config, trace=trace, hierarchy_config=hierarchy)
+    assert sim.last_tier == _expected("kernel-dbcp")
+    assert kernel.to_dict() == interpreted.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# Pure-python fallbacks: no NumPy, kill-switch.
+# Interpreted fallbacks: kill-switch, open fold, address range; no NumPy.
 # ---------------------------------------------------------------------------
 
 
 def test_without_numpy_the_python_tier_is_bit_identical(monkeypatch):
     # ``None`` in sys.modules makes ``import numpy`` raise ImportError
-    # even though the real module is importable: the documented CPython
-    # idiom for simulating an absent dependency in-process.
+    # even though the real module is importable: the kernel tier never
+    # needs NumPy, so it still runs and still matches.
     trace = _trace()
-    _, fast = _run("fast", trace=trace)
+    _, interpreted = _interpreted(trace=trace)
     monkeypatch.setitem(sys.modules, "numpy", None)
-    sim, vector = _run("vector", trace=trace)
-    assert sim.last_vector_path == "python-dbcp"
-    assert vector.to_dict() == fast.to_dict()
+    sim, kernel = _run(trace=trace)
+    assert sim.last_tier == _expected("kernel-dbcp")
+    assert kernel.to_dict() == interpreted.to_dict()
+
+
+def test_default_kernel_replay_never_imports_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "from repro.run import Session\n"
+        "from repro.sim.trace_driven import TraceDrivenSimulator\n"
+        "from repro.api import build_predictor\n"
+        "from repro.workloads.base import WorkloadConfig\n"
+        "from repro.workloads.registry import get_workload\n"
+        "trace = get_workload('mcf', WorkloadConfig(num_accesses=2000)).generate()\n"
+        "for name in ('none', 'dbcp', 'ltcords'):\n"
+        "    sim = TraceDrivenSimulator(prefetcher=build_predictor(name))\n"
+        "    sim.run(trace)\n"
+        "    print(sim.last_tier)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**__import__("os").environ, "REPRO_TRACE_DIR": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert lines[-1] == "False"
+    if load_kernel() is not None:
+        assert lines[:3] == ["kernel-baseline", "kernel-dbcp", "kernel-ltcords"]
 
 
 def test_kill_switch_forces_python_tier(no_kernel):
     trace = _trace()
-    _, fast = _run("fast", trace=trace)
-    sim, vector = _run("vector", trace=trace)
-    assert sim.last_vector_path == "python-dbcp"
-    assert vector.to_dict() == fast.to_dict()
+    _, legacy = _run(trace=trace, engine="legacy")
+    sim, result = _run(trace=trace)
+    assert sim.last_tier == "interpreted"
+    assert sim.last_fallback == "kill-switch"
+    assert result.to_dict() == legacy.to_dict()
     assert load_kernel() is None
 
 
 def test_open_fold_dbcp_uses_fast_fallback():
-    # Open-fold signatures are outside the fused tiers' contract.
+    # Open-fold signatures are outside the kernel's contract.
     config = DBCPConfig(signature_config=SignatureConfig(trace_hash_bits=16))
     trace = _trace(num_accesses=2500)
-    _, fast = _run("fast", config=config, trace=trace)
-    sim, vector = _run("vector", config=config, trace=trace)
-    assert sim.last_vector_path == "fast-fallback"
-    assert vector.to_dict() == fast.to_dict()
+    sim, result = _run(config=config, trace=trace)
+    _, legacy = _run(config=config, trace=trace, engine="legacy")
+    assert sim.last_tier == "interpreted"
+    assert sim.last_fallback == "open-fold"
+    assert result.to_dict() == legacy.to_dict()
+
+
+def test_addresses_beyond_the_kernel_range_are_interpreted():
+    # Addresses >= 2^54 stay legal: they replay on the interpreted tier.
+    base = _trace(num_accesses=2000).as_arrays()
+    shifted = TraceColumns(
+        base.pc, [a + (1 << 62) for a in base.address], base.is_write, base.icount
+    )
+    trace = TraceStream.from_columns(shifted, name="high")
+    for predictor in ("none", "dbcp", "ltcords"):
+        sim, result = _run(predictor=predictor, trace=trace)
+        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        assert sim.last_tier == "interpreted"
+        if load_kernel() is not None:
+            assert sim.last_fallback == "address-range"
+        assert result.to_dict() == legacy.to_dict()
+
+
+def test_fallbacks_are_counted_and_warned_once(monkeypatch):
+    monkeypatch.setattr(replay_mod, "_warned_fallback", False)
+    counter = REGISTRY.counter("replay.fallback.open-fold")
+    tier = REGISTRY.counter("replay.tier.interpreted")
+    before, tier_before = counter.value, tier.value
+    config = DBCPConfig(signature_config=SignatureConfig(trace_hash_bits=16))
+    trace = _trace(num_accesses=500)
+    with pytest.warns(RuntimeWarning, match="open-fold"):
+        _run(config=config, trace=trace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run(config=config, trace=trace)  # a second fallback: counted, not warned
+    assert counter.value == before + 2
+    assert tier.value == tier_before + 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +241,30 @@ def test_open_fold_dbcp_uses_fast_fallback():
 
 
 def test_per_cache_statistics_match_fast_engine_exactly():
+    for predictor in ("dbcp", "ltcords"):
+        _check_per_cache_statistics(predictor)
+
+
+def _check_per_cache_statistics(predictor):
     trace = _trace()
-    fast_sim, _ = _run("fast", trace=trace)
-    vec_sim, _ = _run("vector", trace=trace)
+    fast_sim, _ = _interpreted(predictor=predictor, trace=trace)
+    vec_sim, _ = _run(predictor=predictor, trace=trace)
     for attr in ("hierarchy", "baseline"):
         for level in ("l1", "l2"):
             fast_cache = getattr(getattr(fast_sim, attr), level)
             vec_cache = getattr(getattr(vec_sim, attr), level)
             assert vec_cache.stats == fast_cache.stats, f"{attr}.{level} stats diverge"
+            assert vec_cache._serial == fast_cache._serial
+        assert getattr(vec_sim, attr).stats == getattr(fast_sim, attr).stats
+    assert vec_sim.prefetcher.stats == fast_sim.prefetcher.stats
+    assert vec_sim.prefetcher.history.stats == fast_sim.prefetcher.history.stats
+    for name in ("enqueued", "issued", "dropped"):
+        assert getattr(vec_sim.request_queue, name) == getattr(fast_sim.request_queue, name)
 
 
 def test_kernel_counters_are_plain_python_ints():
-    sim, result = _run("vector")
-    if not sim.last_vector_path.startswith("kernel"):
+    sim, result = _run()
+    if not sim.last_tier.startswith("kernel"):
         pytest.skip("no compiled kernel available")
     stats = sim.hierarchy.l1.stats
     assert type(stats.hits) is int and type(stats.misses) is int
@@ -188,35 +272,44 @@ def test_kernel_counters_are_plain_python_ints():
     json.dumps(result.to_dict(), allow_nan=False)
 
 
+def test_kernel_run_never_builds_the_python_cache_state():
+    sim, _ = _run(predictor="ltcords")
+    if not sim.last_tier.startswith("kernel"):
+        pytest.skip("no compiled kernel available")
+    for hierarchy in (sim.hierarchy, sim.baseline):
+        for cache in (hierarchy.l1, hierarchy.l2):
+            assert type(vars(cache)["_tags"]) is DeferredSets
+    assert type(vars(sim.prefetcher.signature_cache)["_sets"]) is DeferredSets
+
+
 # ---------------------------------------------------------------------------
-# Stale-state guard and python-tier continuation.
+# Stale-state guard and interpreted continuation.
 # ---------------------------------------------------------------------------
 
 
 def test_second_replay_after_kernel_batch_is_rejected():
-    sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"), engine="vector")
+    sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"))
     sim.replay(_trace())
-    if not sim.last_vector_path.startswith("kernel"):
+    if not sim.last_tier.startswith("kernel"):
         pytest.skip("no compiled kernel available")
     with pytest.raises(RuntimeError, match="fresh TraceDrivenSimulator"):
         sim.replay(_trace(seed=12))
 
 
 def test_python_tier_supports_continued_replay(no_kernel):
-    # The python tiers mutate the real cache/predictor objects, so a
-    # second replay on the same simulator must keep matching fast.
+    # The interpreted tier mutates the real cache/predictor objects, so a
+    # second replay on the same simulator keeps matching legacy.
     first, second = _trace(seed=11), _trace("gcc", seed=12)
-    fast_sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"), engine="fast")
-    vec_sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"), engine="vector")
-    for sim in (fast_sim, vec_sim):
+    fast_sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"))
+    legacy_sim = TraceDrivenSimulator(
+        prefetcher=build_predictor("dbcp", engine="legacy"), engine="legacy"
+    )
+    for sim in (fast_sim, legacy_sim):
         sim.replay(first)
         sim.replay(second)
-    assert vec_sim.last_vector_path == "fast-fallback"  # warm sim: no batch tier
-    for attr in ("hierarchy", "baseline"):
-        for level in ("l1", "l2"):
-            assert getattr(getattr(vec_sim, attr), level).stats == getattr(
-                getattr(fast_sim, attr), level
-            ).stats
+    assert fast_sim.last_tier == "interpreted"
+    assert fast_sim.last_fallback == "not-fresh"  # warm sim: never the kernel
+    assert fast_sim.build_result(second).to_dict() == legacy_sim.build_result(second).to_dict()
 
 
 # ---------------------------------------------------------------------------
