@@ -10,7 +10,7 @@ the shared object on disk keyed by a hash of the source, and loads it
 through :mod:`ctypes`.
 
 The kernel is a bit-exact port of the fast engine's replay protocol
-(``TraceDrivenSimulator._run_fast_direct``) for three predictors:
+(``TraceDrivenSimulator._run_fast``) for three predictors:
 
 * ``repro_replay_dbcp`` — fused with ``FastDBCPPrefetcher`` and
   ``FastHistoryTable``: an open-addressed history map and an
@@ -33,7 +33,11 @@ configured storage capacity.  Each kernel fills a flat ``int64`` output
 array with the loop counters, the predictor statistics and a full
 per-cache ``CacheStats`` mirror; :mod:`repro.sim.vector_replay` settles
 those into the simulator's Python-side objects, so results and
-statistics are indistinguishable from an interpreted run.
+statistics are indistinguishable from an interpreted run.  Given a
+non-NULL ``col``, a kernel also writes one outcome byte per access (the
+main hierarchy's service level, the baseline-miss bit and the
+memory-sourced prefetch fills), which the timing model and the
+pairwise multiprogram runs consume.
 
 Availability is best-effort by design: no compiler, a failed compile, a
 read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all make
@@ -474,12 +478,16 @@ typedef struct {
     int64_t prefetches_used, prefetches_evicted_unused, incorrect,
         incorrect_mem;
     int64_t prefetches_issued, prefetches_from_l2, prefetches_from_memory;
+    int8_t *col; /* per-access outcome bytes (see hier_init), or NULL */
 } Hier;
 
 /* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
  *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
- *      8 hier_block_mask */
-static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg) {
+ *      8 hier_block_mask
+ * col: NULL, or one outcome byte per access: the main level (0 L1, 1 L2,
+ *      2 memory) | 4 on a baseline L1 miss | 8 per memory-sourced fill. */
+static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg, int8_t *col) {
+    h->col = col;
     cache_init(fail, &h->main_l1, cfg, cfg[8]);
     cache_init(fail, &h->main_l2, cfg + 4, cfg[8]);
     cache_init(fail, &h->base_l1, cfg, cfg[8]);
@@ -502,24 +510,30 @@ static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
                        int *has_evicted, int *ev_unused) {
     int64_t dump;
     int dummy_h, dummy_u;
+    int outcome = 0;
     int code = cache_access(&h->main_l1, address, wr, evicted, has_evicted,
                             ev_unused);
-    if (code)
+    if (code) {
         h->main_l1_hits++;
-    else if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u))
+    } else if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u)) {
         h->main_l2_hits++;
-    else
+        outcome = 1;
+    } else {
         h->main_l2_misses++;
+        outcome = 2;
+    }
     if (cache_access(&h->base_l1, address, wr, &dump, &dummy_h, &dummy_u)) {
         if (!code) h->early++;
     } else {
         h->base_misses++;
+        outcome |= 4;
         if (code) h->correct++;
         if (cache_access(&h->base_l2, address, 0, &dump, &dummy_h, &dummy_u))
             h->base_l2_hits++;
         else
             h->base_l2_misses++;
     }
+    if (h->col) *h->col++ = (int8_t)outcome;
     return code;
 }
 
@@ -543,6 +557,7 @@ static int hier_prefetch(Hier *h, int64_t address, int64_t victim,
     } else {
         h->prefetches_from_memory++;
         source = 2;
+        if (h->col) h->col[-1] += 8; /* one more memory fill after this access */
     }
     cache_insert_prefetch(l1, set, tag, address, victim, evicted, has_evicted,
                           ev_unused);
@@ -789,9 +804,9 @@ static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
 }
 
 static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
-                     const int8_t *is_write, const int64_t *cfg) {
+                     const int8_t *is_write, const int64_t *cfg, int8_t *col) {
     Hier *h = &d->h;
-    hier_init(&d->fail, h, cfg);
+    hier_init(&d->fail, h, cfg, col);
     hist_init(&d->fail, &d->hist, cfg + 9);
     map_init(&d->outstanding, &d->fail);
     d->conf_threshold = cfg[12];
@@ -861,14 +876,14 @@ static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
  * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
 int repro_replay_dbcp(int64_t n, const int64_t *pc, const int64_t *addr,
                       const int8_t *is_write, const int64_t *cfg,
-                      int64_t *out) {
+                      int64_t *out, int8_t *col) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Dbcp *d = (Dbcp *)calloc(1, sizeof(Dbcp));
     if (!d) return 1;
     volatile int rc = 1; /* set after setjmp */
     if (setjmp(d->fail) == 0) {
-        dbcp_run(d, n, pc, addr, is_write, cfg);
+        dbcp_run(d, n, pc, addr, is_write, cfg, col);
         hier_dump(&d->h, out);
         out[8] = d->predictions_issued;
         out[16] = d->table_hits;
@@ -1167,9 +1182,9 @@ static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
 }
 
 static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
-                    const int8_t *is_write, const int64_t *cfg) {
+                    const int8_t *is_write, const int64_t *cfg, int8_t *col) {
     Hier *h = &L->h;
-    hier_init(&L->fail, h, cfg);
+    hier_init(&L->fail, h, cfg, col);
     hist_init(&L->fail, &L->hist, cfg + 9);
     map_init(&L->outstanding, &L->fail);
     map_init(&L->frame_slots, &L->fail);
@@ -1269,14 +1284,14 @@ static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
  * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
 int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
                          const int8_t *is_write, const int64_t *cfg,
-                         int64_t *out) {
+                         int64_t *out, int8_t *col) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Ltc *L = (Ltc *)calloc(1, sizeof(Ltc));
     if (!L) return 1;
     volatile int rc = 1; /* set after setjmp */
     if (setjmp(L->fail) == 0) {
-        ltc_run(L, n, pc, addr, is_write, cfg);
+        ltc_run(L, n, pc, addr, is_write, cfg, col);
         hier_dump(&L->h, out);
         out[8] = L->predictions;
         out[20] = L->hist.evictions;
@@ -1324,7 +1339,8 @@ int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
  * identical streams, so one simulated L1/L2 pair stands for both; the
  * caller mirrors the counters.
  * cfg: slots 0-8 as hier_init.  out: 0 l1_hits, 1 l2_hits, 2 l2_misses,
- * per-cache stats at 24 (L1) and 34 (L2). */
+ * per-cache stats at 24 (L1) and 34 (L2).  col: as hier_init (every L1
+ * miss is a baseline miss). */
 typedef struct {
     jmp_buf fail;
     Cache l1, l2;
@@ -1332,7 +1348,7 @@ typedef struct {
 
 int repro_replay_baseline(int64_t n, const int64_t *addr,
                           const int8_t *is_write, const int64_t *cfg,
-                          int64_t *out) {
+                          int64_t *out, int8_t *col) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Baseline *b = (Baseline *)calloc(1, sizeof(Baseline));
@@ -1346,12 +1362,17 @@ int repro_replay_baseline(int64_t n, const int64_t *addr,
         int dummy_h, dummy_u;
         for (int64_t i = 0; i < n; i++) {
             int64_t address = addr[i];
-            if (cache_access(&b->l1, address, is_write[i], &dump, &dummy_h, &dummy_u))
+            int outcome = 0;
+            if (cache_access(&b->l1, address, is_write[i], &dump, &dummy_h, &dummy_u)) {
                 l1_hits++;
-            else if (cache_access(&b->l2, address, 0, &dump, &dummy_h, &dummy_u))
+            } else if (cache_access(&b->l2, address, 0, &dump, &dummy_h, &dummy_u)) {
                 l2_hits++;
-            else
+                outcome = 1 | 4;
+            } else {
                 l2_misses++;
+                outcome = 2 | 4;
+            }
+            if (col) col[i] = (int8_t)outcome;
         }
         out[0] = l1_hits;
         out[1] = l2_hits;
@@ -1377,13 +1398,13 @@ class VectorKernel:
         i64p = ctypes.POINTER(ctypes.c_int64)
         i8p = ctypes.POINTER(ctypes.c_int8)
         self.replay_dbcp = library.repro_replay_dbcp
-        self.replay_dbcp.argtypes = [i64, i64p, i64p, i8p, i64p, i64p]
+        self.replay_dbcp.argtypes = [i64, i64p, i64p, i8p, i64p, i64p, i8p]
         self.replay_dbcp.restype = ctypes.c_int
         self.replay_ltcords = library.repro_replay_ltcords
-        self.replay_ltcords.argtypes = [i64, i64p, i64p, i8p, i64p, i64p]
+        self.replay_ltcords.argtypes = [i64, i64p, i64p, i8p, i64p, i64p, i8p]
         self.replay_ltcords.restype = ctypes.c_int
         self.replay_baseline = library.repro_replay_baseline
-        self.replay_baseline.argtypes = [i64, i64p, i8p, i64p, i64p]
+        self.replay_baseline.argtypes = [i64, i64p, i8p, i64p, i64p, i8p]
         self.replay_baseline.restype = ctypes.c_int
 
 

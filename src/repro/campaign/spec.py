@@ -56,7 +56,7 @@ class PointSpec:
     quantum_instructions: int = 20_000
     max_switches: int = 60
     label: Optional[str] = None
-    #: Simulation engine for trace points: "fast" (default) or "legacy".
+    #: Simulation engine of every sim kind: "fast" (default) or "legacy".
     #: Both produce bit-identical results (the equivalence suites enforce
     #: it); the default is excluded from the content key, so existing
     #: cache keys stay valid, and "legacy" points are keyed separately for
@@ -71,8 +71,6 @@ class PointSpec:
         if self.num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
         validate_engine(self.engine)
-        if self.engine != DEFAULT_ENGINE and self.sim != "trace":
-            raise ValueError("only trace points support a non-default engine")
 
     # ------------------------------------------------------------------ serialisation
     def to_dict(self) -> Dict[str, Any]:

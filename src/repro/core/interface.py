@@ -119,9 +119,9 @@ class Prefetcher(ABC):
     the next call, and settles ``stats.accesses_observed`` /
     ``stats.misses_observed`` in bulk after the replay loop, so
     ``on_access_fast`` must *not* maintain those two counters itself.
-    ``on_access`` remains the general entry point (legacy engine, timing
-    and multi-programmed simulators) and on fast predictors is a thin
-    wrapper that does count observations per call.
+    ``on_access`` remains the general entry point (the legacy engines,
+    and predictors without the fast protocol) and on fast predictors is
+    a thin wrapper that does count observations per call.
     """
 
     name: str = "prefetcher"

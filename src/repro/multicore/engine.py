@@ -224,8 +224,8 @@ class MulticoreSimulator:
     def _make_fast_core(self, core: int, columns):
         """Per-core columnar closures: ``(run_chunk, settle)``.
 
-        Mirrors the single-core fast loops (``_run_fast_direct`` /
-        ``_run_fast``): locals hoisted once per core, caches driven
+        Mirrors the single-core interpreted loop (``_run_fast``):
+        locals hoisted once per core, caches driven
         through ``access_fast``, single-command queue bypass, counters
         settled in bulk by ``settle``.  The only additions are the
         shared-L2 ownership updates on L2 allocations.

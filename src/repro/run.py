@@ -34,8 +34,6 @@ from repro.campaign.spec import PointSpec, SweepSpec
 from repro.obs.events import make_event, next_run_id
 from repro.obs.metrics import REGISTRY
 from repro.obs.observer import RunObserver
-from repro.obs.timers import PHASE_REPLAY
-from repro.obs.timers import phase as obs_phase
 from repro.registry import build_predictor
 from repro.resilience.policy import RetryPolicy
 
@@ -69,9 +67,10 @@ def execute_spec(
     cacheable because the spec no longer captures the predictor state),
     ``system_config`` feeds the timing model, and ``trace_store``
     overrides the default on-disk trace store.  ``observer`` receives
-    ``phase`` events splitting the run into trace-acquire / replay /
-    settle (trace and multicore kinds; the timing and multiprogram
-    shims report a single ``replay`` span).
+    ``phase`` events splitting every kind of run into trace-acquire /
+    replay / settle; for timing runs settle includes the timing model,
+    and for multiprogram runs replay covers the paired and both
+    standalone replays.
     """
     _POINTS_EXECUTED.inc()
     if spec.sim == "trace":
@@ -96,18 +95,19 @@ def execute_spec(
         from repro.sim.timing import _simulate_speedup
 
         if prefetcher is None and spec.predictor != "none":
-            prefetcher = build_predictor(spec.predictor, spec.predictor_config)
-        with obs_phase(PHASE_REPLAY, observer=observer):
-            return _simulate_speedup(
-                spec.benchmark,
-                prefetcher=prefetcher,
-                num_accesses=spec.num_accesses,
-                seed=spec.seed,
-                hierarchy_config=spec.hierarchy_config,
-                system_config=system_config,
-                perfect_l1=spec.perfect_l1,
-                trace_store=trace_store,
-            )
+            prefetcher = build_predictor(spec.predictor, spec.predictor_config, engine=spec.engine)
+        return _simulate_speedup(
+            spec.benchmark,
+            prefetcher=prefetcher,
+            num_accesses=spec.num_accesses,
+            seed=spec.seed,
+            hierarchy_config=spec.hierarchy_config,
+            system_config=system_config,
+            perfect_l1=spec.perfect_l1,
+            trace_store=trace_store,
+            engine=spec.engine,
+            observer=observer,
+        )
     if spec.sim == "multicore":
         from repro.multicore import simulate_multicore
 
@@ -122,18 +122,19 @@ def execute_spec(
 
         if spec.predictor != "ltcords":
             raise ValueError("multiprogram points currently support only the ltcords predictor")
-        with obs_phase(PHASE_REPLAY, observer=observer):
-            return _simulate_pair(
-                spec.benchmark,
-                spec.secondary,
-                num_accesses=spec.num_accesses,
-                quantum_instructions=spec.quantum_instructions,
-                max_switches=spec.max_switches,
-                seed=spec.seed,
-                hierarchy_config=spec.hierarchy_config,
-                ltcords_config=spec.predictor_config,
-                trace_store=trace_store,
-            )
+        return _simulate_pair(
+            spec.benchmark,
+            spec.secondary,
+            num_accesses=spec.num_accesses,
+            quantum_instructions=spec.quantum_instructions,
+            max_switches=spec.max_switches,
+            seed=spec.seed,
+            hierarchy_config=spec.hierarchy_config,
+            ltcords_config=spec.predictor_config,
+            trace_store=trace_store,
+            engine=spec.engine,
+            observer=observer,
+        )
     raise ValueError(f"unknown sim kind {spec.sim!r}")
 
 
@@ -247,9 +248,7 @@ class Session:
         """
         if not isinstance(spec, str):
             return dataclasses.replace(spec, **overrides) if overrides else spec
-        if self.engine is not None and overrides.get("sim", "trace") == "trace":
-            # Only trace points have an engine choice (timing/multiprogram
-            # specs reject a non-default engine).
+        if self.engine is not None:
             overrides.setdefault("engine", self.engine)
         return RunSpec(benchmark=spec, **overrides)
 
@@ -341,10 +340,10 @@ class Session:
         campaign runner: cache-first, then fanned out across the process pool.
 
         Mirroring how :meth:`run` treats keyword-form specs, the session's
-        default ``engine`` is applied to the engine-capable points a
-        :class:`SweepSpec` generates (trace and multicore kinds; its grid
-        has no engine axis), while explicit point lists keep each point's
-        own engine — so fast-vs-legacy cross-check lists survive intact.
+        default ``engine`` is applied to every point a :class:`SweepSpec`
+        generates (its grid has no engine axis), while explicit point
+        lists keep each point's own engine — so fast-vs-legacy
+        cross-check lists survive intact.
         ``name`` overrides the campaign name recorded on the result (and
         therefore the artifact directory); bare lists default to
         ``"adhoc"``.  The session's trace store is threaded into both the
@@ -356,9 +355,7 @@ class Session:
         if self.engine is None or not isinstance(spec, SweepSpec):
             return self.runner.run(spec, name=name, observer=self.observer, resume=resume)
         points = [
-            dataclasses.replace(point, engine=self.engine)
-            if point.sim in ("trace", "multicore") and point.engine != self.engine
-            else point
+            dataclasses.replace(point, engine=self.engine) if point.engine != self.engine else point
             for point in spec.points()
         ]
         return self.runner.run(

@@ -8,20 +8,27 @@ This module reproduces the experiment at the simulator's scale: quanta
 are expressed in (scaled) dynamic instructions, the second application's
 addresses are shifted by a large constant, and coverage is reported per
 application, standalone versus paired.
+
+The pair replays like any trace run (:meth:`TraceDrivenSimulator.replay`,
+so on the fast engine's compiled kernel when it is available) with one
+shared LT-cords predictor; per-application coverage is counted from the
+replay's per-access outcome column, attributed by address range.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.core.interface import AccessOutcome, Prefetcher
 from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
-from repro.sim.trace_driven import TraceDrivenSimulator
-from repro.trace.stream import TraceStream, interleave_quantum, shift_addresses
+from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
+from repro.obs.timers import phase as obs_phase
+from repro.sim.trace_driven import OUTCOME_BASE_MISS, OUTCOME_LEVEL_MASK, TraceDrivenSimulator
+from repro.trace.stream import interleave_quantum, shift_addresses
 from repro.workloads.base import WorkloadConfig
-from repro.workloads.registry import benchmark_metadata, get_workload
+from repro.workloads.registry import benchmark_metadata
 
 #: Address shift applied to the second application in a pair (1GB), mirroring
 #: the paper's "non-overlapping physical address ranges".
@@ -92,56 +99,24 @@ def _quantum_instructions(benchmark: str, base_quantum: int) -> int:
     return base_quantum * 2 if metadata.is_floating_point else base_quantum
 
 
-def _coverage_by_app(
-    trace: TraceStream,
-    prefetcher: Prefetcher,
-    address_split: int,
-    hierarchy_config: Optional[HierarchyConfig],
-) -> Tuple[float, float]:
-    """Run the interleaved trace; report coverage separately per address range."""
-    simulator = TraceDrivenSimulator(prefetcher=prefetcher, hierarchy_config=hierarchy_config)
-    hierarchy_config = simulator.hierarchy_config
+def _coverage_by_app(outcomes: array, addresses, address_split: int) -> Tuple[float, float]:
+    """Coverage per application of a paired replay, split by address range.
 
-    per_app_base = {0: 0, 1: 0}
-    per_app_correct = {0: 0, 1: 0}
-    l1_config = hierarchy_config.l1
-
-    # Reuse the simulator's machinery access by access so that misses can be
-    # attributed to the owning application (by address range).
-    for access in trace:
-        app = 1 if access.address >= address_split else 0
-        base_result = simulator.baseline.access(access.address, access.is_write)
-        main_result = simulator.hierarchy.access(access.address, access.is_write)
-        if base_result.l1_miss:
-            per_app_base[app] += 1
-            if main_result.l1_hit:
-                per_app_correct[app] += 1
-
-        block_address = l1_config.block_address(access.address)
-        if main_result.l1_hit and main_result.prefetch_hit:
-            info = simulator._prefetched.pop(block_address, None)
-            if info is not None:
-                prefetcher.on_prefetch_used(block_address, info[0])
-        if main_result.l1_miss and main_result.l1_result.evicted_was_prefetched_unused:
-            simulator._notify_unused_eviction(main_result.l1_result.evicted_address)
-
-        outcome = AccessOutcome(
-            access=access,
-            block_address=block_address,
-            set_index=main_result.l1_result.set_index,
-            l1_hit=main_result.l1_hit,
-            prefetch_hit=main_result.prefetch_hit,
-            evicted_address=main_result.l1_result.evicted_address,
-            evicted_was_unused_prefetch=main_result.l1_result.evicted_was_prefetched_unused,
-        )
-        for command in prefetcher.on_access(outcome):
-            simulator.request_queue.push(command.address, command.victim_address, tag=command.tag)
-        simulator._execute_prefetches()
-
-    def coverage(app: int) -> float:
-        return per_app_correct[app] / per_app_base[app] if per_app_base[app] else 0.0
-
-    return coverage(0), coverage(1)
+    ``outcomes`` is the replay's per-access outcome column: an access
+    is a prediction opportunity on a baseline L1 miss and is covered
+    when the main hierarchy hit in the L1 anyway.
+    """
+    base_misses = [0, 0]
+    correct = [0, 0]
+    for outcome, address in zip(outcomes, addresses):
+        if outcome & OUTCOME_BASE_MISS:
+            app = address >= address_split
+            base_misses[app] += 1
+            if not outcome & OUTCOME_LEVEL_MASK:
+                correct[app] += 1
+    return tuple(
+        correct[app] / base_misses[app] if base_misses[app] else 0.0 for app in (0, 1)
+    )
 
 
 def _simulate_pair(
@@ -154,49 +129,66 @@ def _simulate_pair(
     hierarchy_config: Optional[HierarchyConfig] = None,
     ltcords_config: Optional[LTCordsConfig] = None,
     trace_store: Optional[object] = None,
+    engine: str = "fast",
+    observer: Optional[object] = None,
 ) -> MultiProgramResult:
-    """Multi-programmed-simulation implementation (``repro.run.execute_spec`` target)."""
+    """Multi-programmed-simulation implementation (``repro.run.execute_spec`` target).
+
+    Three replays on the requested engine — the interleaved pair with
+    one shared LT-cords predictor, then each application standalone on
+    its full trace — split into the trace_acquire / replay / settle
+    phases of a trace run.
+    """
     from repro.trace.store import load_or_generate_trace
 
-    config = WorkloadConfig(num_accesses=num_accesses, seed=seed)
-    primary_trace = load_or_generate_trace(primary, config, store=trace_store)
-    secondary_trace = shift_addresses(
-        load_or_generate_trace(secondary, config, store=trace_store), DEFAULT_ADDRESS_SHIFT
-    )
-
-    interleaved = interleave_quantum(
-        [primary_trace, secondary_trace],
-        quanta=[
-            _quantum_instructions(primary, quantum_instructions),
-            _quantum_instructions(secondary, quantum_instructions),
-        ],
-        max_switches=max_switches,
-        name=f"{primary}+{secondary}",
-    )
-
-    paired_prefetcher = LTCordsPrefetcher(ltcords_config)
-    primary_cov, secondary_cov = _coverage_by_app(
-        interleaved, paired_prefetcher, DEFAULT_ADDRESS_SHIFT, hierarchy_config
-    )
-
-    # Standalone runs, truncated to roughly what each application executed
-    # in the interleaved run so the comparison is opportunity-for-opportunity.
-    # The flat predictor is bit-identical to the object one and lets the
-    # fast engine replay on its compiled kernel.
-    standalone: Dict[str, float] = {}
-    for name, trace in ((primary, primary_trace), (secondary, secondary_trace)):
-        simulator = TraceDrivenSimulator(
-            prefetcher=FastLTCordsPrefetcher(ltcords_config), hierarchy_config=hierarchy_config
+    with obs_phase(PHASE_TRACE_ACQUIRE, observer=observer):
+        config = WorkloadConfig(num_accesses=num_accesses, seed=seed)
+        primary_trace = load_or_generate_trace(primary, config, store=trace_store)
+        secondary_trace = shift_addresses(
+            load_or_generate_trace(secondary, config, store=trace_store), DEFAULT_ADDRESS_SHIFT
         )
-        standalone[name] = simulator.run(trace).coverage
+        interleaved = interleave_quantum(
+            [primary_trace, secondary_trace],
+            quanta=[
+                _quantum_instructions(primary, quantum_instructions),
+                _quantum_instructions(secondary, quantum_instructions),
+            ],
+            max_switches=max_switches,
+            name=f"{primary}+{secondary}",
+        )
+
+    predictor_class = LTCordsPrefetcher if engine == "legacy" else FastLTCordsPrefetcher
+    outcomes = array("b")
+    paired, *standalone = (
+        TraceDrivenSimulator(
+            prefetcher=predictor_class(ltcords_config),
+            hierarchy_config=hierarchy_config,
+            engine=engine,
+            outcomes=column,
+        )
+        for column in (outcomes, None, None)
+    )
+    traces = (primary_trace, secondary_trace)
+    with obs_phase(PHASE_REPLAY, observer=observer):
+        paired.replay(interleaved)
+        for simulator, trace in zip(standalone, traces):
+            simulator.replay(trace)
+    with obs_phase(PHASE_SETTLE, observer=observer):
+        primary_cov, secondary_cov = _coverage_by_app(
+            outcomes, interleaved.as_arrays().address, DEFAULT_ADDRESS_SHIFT
+        )
+        primary_alone, secondary_alone = (
+            simulator.build_result(trace).coverage
+            for simulator, trace in zip(standalone, traces)
+        )
 
     return MultiProgramResult(
         primary=primary,
         secondary=secondary,
         primary_coverage=primary_cov,
         secondary_coverage=secondary_cov,
-        primary_standalone_coverage=standalone[primary],
-        secondary_standalone_coverage=standalone[secondary],
+        primary_standalone_coverage=primary_alone,
+        secondary_standalone_coverage=secondary_alone,
         context_switches=max_switches,
     )
 

@@ -1,27 +1,37 @@
 """Timing simulation: functional cache/predictor replay + the OoO timing model.
 
 Used for the speedup comparison of Table 3 and the bandwidth study of
-Figure 12.  The simulator resolves every reference against the
-predictor-augmented hierarchy (exactly as the trace-driven simulator
-does), feeds the resulting service level into the first-order
-out-of-order timing model, and charges predictor metadata traffic to the
-memory bus.
+Figure 12.  A timing run is a trace-driven replay
+(:meth:`TraceDrivenSimulator.replay`, so it takes the fast engine's
+compiled kernel or interpreted tier, or the legacy engine, exactly as a
+trace run does) that also records a per-access outcome column.  The
+first-order out-of-order timing model then consumes that column in
+program order: each reference's main-hierarchy service level, and one
+block of bus occupancy per memory-sourced prefetch fill after it.
+Predictor metadata traffic is charged to the memory bus at the end.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
-from repro.core.interface import AccessOutcome, Prefetcher
-from repro.memory.request_queue import PrefetchRequestQueue
-from repro.prefetchers.null import NullPrefetcher
+from repro.cache.hierarchy import HierarchyConfig, ServiceLevel
+from repro.core.interface import Prefetcher
+from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
+from repro.obs.timers import phase as obs_phase
+from repro.sim.trace_driven import (
+    LEVEL_BY_CODE,
+    OUTCOME_FILL_SHIFT,
+    OUTCOME_LEVEL_MASK,
+    OUTCOME_FILL_SPILL,
+    TraceDrivenSimulator,
+)
 from repro.timing.config import SystemConfig
 from repro.timing.model import OutOfOrderTimingModel, TimingBreakdown
 from repro.trace.stream import TraceStream
 from repro.workloads.base import WorkloadConfig
-from repro.workloads.registry import get_workload
 
 
 @dataclass
@@ -87,32 +97,39 @@ class TimingSimulator:
         system_config: Optional[SystemConfig] = None,
         perfect_l1: bool = False,
         request_queue_size: int = 128,
+        engine: str = "fast",
     ) -> None:
-        self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
-        self.hierarchy_config = hierarchy_config or HierarchyConfig()
+        #: Per-access outcome bytes of the replay (see TraceDrivenSimulator.outcomes).
+        self.outcomes = array("b")
+        self.simulator = TraceDrivenSimulator(
+            prefetcher=prefetcher,
+            hierarchy_config=hierarchy_config,
+            request_queue_size=request_queue_size,
+            engine=engine,
+            outcomes=self.outcomes,
+        )
+        self.prefetcher = self.simulator.prefetcher
+        self.hierarchy = self.simulator.hierarchy
         self.system_config = system_config or SystemConfig()
         self.perfect_l1 = perfect_l1
-        self.hierarchy = CacheHierarchy(self.hierarchy_config)
-        self.request_queue = PrefetchRequestQueue(request_queue_size)
-        self._prefetched: Dict[int, object] = {}
-
-    def _execute_prefetches(self, timing: OutOfOrderTimingModel) -> None:
-        for request in self.request_queue.pop_all():
-            outcome = self.hierarchy.prefetch_into_l1(request.address, request.victim_address)
-            if not outcome.installed:
-                continue
-            block = self.hierarchy_config.l1.block_address(request.address)
-            self._prefetched[block] = request.tag
-            self.prefetcher.on_prefetch_installed(block, outcome.evicted_address, tag=request.tag)
-            if outcome.source is ServiceLevel.MEMORY:
-                # Prefetch transfers occupy the bus like any other off-chip
-                # transfer; useful ones replace a later demand transfer, but
-                # modelling the occupancy here keeps bandwidth-bound
-                # benchmarks honest.
-                timing.add_bus_traffic(self.hierarchy.block_size)
 
     def run(self, trace: TraceStream) -> TimingResult:
         """Replay ``trace`` and return IPC/cycle results."""
+        self.replay(trace)
+        return self.build_result(trace)
+
+    def replay(self, trace: TraceStream) -> None:
+        """The functional replay only, recording ``trace``'s outcome column.
+
+        The column of an earlier replay is dropped, so the timing model
+        always walks the outcomes of the trace it is given.
+        """
+        del self.outcomes[:]
+        self.simulator.fill_spill.clear()
+        self.simulator.replay(trace)
+
+    def build_result(self, trace: TraceStream) -> TimingResult:
+        """Run the timing model over the recorded outcomes and fold the result."""
         serialize = bool(trace.metadata.get("serial_misses", False))
         core_ipc = trace.metadata.get("core_ipc")
         timing = OutOfOrderTimingModel(
@@ -120,48 +137,37 @@ class TimingSimulator:
             serialize_misses=serialize,
             core_ipc=float(core_ipc) if core_ipc else None,
         )
-        l1_config = self.hierarchy_config.l1
-
-        for access in trace:
-            result = self.hierarchy.access(access.address, access.is_write)
-            level = ServiceLevel.L1 if self.perfect_l1 else result.level
-            timing.observe(access.icount, level)
-
-            block_address = l1_config.block_address(access.address)
-            if result.prefetch_hit:
-                tag = self._prefetched.pop(block_address, None)
-                self.prefetcher.on_prefetch_used(block_address, tag)
-            if result.l1_miss and result.l1_result.evicted_was_prefetched_unused:
-                evicted = result.l1_result.evicted_address
-                if evicted is not None:
-                    self.prefetcher.on_prefetch_evicted_unused(evicted, self._prefetched.pop(evicted, None))
-
-            outcome = AccessOutcome(
-                access=access,
-                block_address=block_address,
-                set_index=result.l1_result.set_index,
-                l1_hit=result.l1_hit,
-                l2_hit=result.level is ServiceLevel.L2,
-                prefetch_hit=result.prefetch_hit,
-                evicted_address=result.l1_result.evicted_address,
-                evicted_was_unused_prefetch=result.l1_result.evicted_was_prefetched_unused,
-            )
-            for command in self.prefetcher.on_access(outcome):
-                self.request_queue.push(command.address, command.victim_address, tag=command.tag)
-            self._execute_prefetches(timing)
+        observe = timing.observe
+        add_bus_traffic = timing.add_bus_traffic
+        block_size = self.hierarchy.block_size
+        levels = (ServiceLevel.L1,) * 3 if self.perfect_l1 else LEVEL_BY_CODE
+        spill = iter(self.simulator.fill_spill)
+        for icount, outcome in zip(trace.as_arrays().icount, self.outcomes):
+            observe(icount, levels[outcome & OUTCOME_LEVEL_MASK])
+            fills = outcome >> OUTCOME_FILL_SHIFT
+            if fills:
+                if fills == OUTCOME_FILL_SPILL:
+                    fills = next(spill)
+                # Prefetch transfers occupy the bus like any other off-chip
+                # transfer; useful ones replace a later demand transfer, but
+                # modelling the occupancy here keeps bandwidth-bound
+                # benchmarks honest.
+                for _ in range(fills):
+                    add_bus_traffic(block_size)
 
         signature_bytes = self.prefetcher.signature_traffic_bytes()
         timing.add_bus_traffic(signature_bytes)
         breakdown = timing.finalize()
+        stats = self.hierarchy.stats
         return TimingResult(
             benchmark=trace.name,
             predictor="perfect-l1" if self.perfect_l1 else self.prefetcher.name,
             breakdown=breakdown,
-            l1_misses=self.hierarchy.stats.l1_misses,
-            l2_misses=self.hierarchy.stats.l2_misses,
+            l1_misses=stats.l1_misses,
+            l2_misses=stats.l2_misses,
             signature_traffic_bytes=signature_bytes,
-            accesses=self.hierarchy.stats.accesses,
-            l2_hits=self.hierarchy.stats.l2_hits,
+            accesses=stats.accesses,
+            l2_hits=stats.l2_hits,
         )
 
 
@@ -174,20 +180,31 @@ def _simulate_speedup(
     system_config: Optional[SystemConfig] = None,
     perfect_l1: bool = False,
     trace_store: Optional[object] = None,
+    engine: str = "fast",
+    observer: Optional[object] = None,
 ) -> TimingResult:
-    """Timing-simulation implementation (``repro.run.execute_spec`` target)."""
+    """Timing-simulation implementation (``repro.run.execute_spec`` target).
+
+    Split into the trace_acquire / replay / settle phases of a trace
+    run; settle runs the timing model over the replay's outcome column.
+    """
     from repro.trace.store import load_or_generate_trace
 
-    trace = load_or_generate_trace(
-        benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed), store=trace_store
-    )
+    with obs_phase(PHASE_TRACE_ACQUIRE, observer=observer):
+        trace = load_or_generate_trace(
+            benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed), store=trace_store
+        )
     simulator = TimingSimulator(
         prefetcher=prefetcher,
         hierarchy_config=hierarchy_config,
         system_config=system_config,
         perfect_l1=perfect_l1,
+        engine=engine,
     )
-    return simulator.run(trace)
+    with obs_phase(PHASE_REPLAY, observer=observer):
+        simulator.replay(trace)
+    with obs_phase(PHASE_SETTLE, observer=observer):
+        return simulator.build_result(trace)
 
 
 def simulate_speedup(

@@ -21,20 +21,23 @@ Engines
 :func:`repro.sim.vector_replay.replay_fast`, which takes the compiled
 kernel of :mod:`repro.cache.vector` when the run qualifies (the
 no-prefetcher baseline, DBCP and LT-cords on a fresh simulator) and
-this module's interpreted loops otherwise.  The interpreted loops
-iterate the trace's columnar view (:meth:`TraceStream.as_arrays`) with
-locals-hoisted method references, drive the hierarchies through their
-allocation-free ``access_fast`` entry points, reuse one
-:class:`MemoryAccess`/:class:`AccessOutcome` pair for predictor
-callbacks, and take a dedicated no-prefetcher baseline path when the
-predictor is the :class:`NullPrefetcher`.  The tier a replay took is
+this module's interpreted loop otherwise.  The interpreted loop
+iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
+locals-hoisted method references, drives the hierarchies through their
+allocation-free ``access_fast`` entry points, and calls predictors
+through ``on_access_fast`` with plain integers, or through ``on_access``
+with one reused :class:`MemoryAccess`/:class:`AccessOutcome` pair for
+predictors without the fast protocol.  The tier a replay took is
 recorded as :attr:`TraceDrivenSimulator.last_tier` (and, for a
 kernel-eligible run that fell back, the reason as ``last_fallback``).
 ``engine="legacy"`` replays through the original object-per-access loop
 and the :class:`LegacySetAssociativeCache` model.  Every engine and tier
 produces bit-identical :meth:`SimulationResult.to_dict` output — the
 equivalence suites assert this for every (benchmark × predictor) pair —
-and ``repro.bench`` measures the speedups between them.
+and ``repro.bench`` measures the speedups between them.  Every engine
+and tier can also record a per-access outcome column
+(:attr:`TraceDrivenSimulator.outcomes`), through which the timing and
+pairwise multiprogram simulators consume the replay.
 
 Because the fast engine mutates the shared outcome object in place,
 custom predictors must read the fields they need during ``on_access``
@@ -44,8 +47,9 @@ in-tree predictor already obeys this.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
 from repro.core.interface import AccessOutcome, Prefetcher
@@ -62,8 +66,20 @@ from repro.trace.store import load_or_generate_trace
 from repro.trace.stream import TraceStream
 from repro.workloads.base import WorkloadConfig
 
-#: ServiceLevel by the int code ``prefetch_into_l1_fast`` returns.
-_LEVEL_BY_CODE = (ServiceLevel.L1, ServiceLevel.L2, ServiceLevel.MEMORY)
+#: ServiceLevel by the int code ``prefetch_into_l1_fast`` returns, which is
+#: also the level code in bits 0-1 of an outcome byte.
+LEVEL_BY_CODE = (ServiceLevel.L1, ServiceLevel.L2, ServiceLevel.MEMORY)
+
+#: Outcome byte (``TraceDrivenSimulator(outcomes=...)``): bits 0-1 hold the
+#: main hierarchy's level code, bit 2 (OUTCOME_BASE_MISS) a baseline L1 miss,
+#: and bits 3-6 the memory-sourced prefetch fills that followed the access.
+OUTCOME_LEVEL_MASK = 3
+OUTCOME_BASE_MISS = 4
+OUTCOME_FILL_SHIFT = 3
+#: A fill count this large is stored as this value; the exact count is
+#: appended to the simulator's ``fill_spill`` list (the compiled kernels
+#: fill at most one block per access, so only deep-degree predictors spill).
+OUTCOME_FILL_SPILL = 15
 
 #: Total references replayed by this process (all engines, all sim kinds).
 _ACCESSES_REPLAYED = REGISTRY.counter("replay.accesses")
@@ -228,6 +244,7 @@ class TraceDrivenSimulator:
         hierarchy_config: Optional[HierarchyConfig] = None,
         request_queue_size: int = 128,
         engine: str = "fast",
+        outcomes: Optional[array] = None,
     ) -> None:
         validate_engine(engine)
         self.engine = engine
@@ -250,6 +267,12 @@ class TraceDrivenSimulator:
         # A kernel run leaves the Python-side cache and predictor contents
         # unbuilt, so no further replay may continue from them.
         self._kernel_ran = False
+        #: An ``array('b')`` receiving one outcome byte (see OUTCOME_BASE_MISS)
+        #: per replayed access from every engine and tier; the timing model
+        #: and the pairwise multiprogram runs consume it.
+        self.outcomes = outcomes
+        #: Exact fill counts of outcome bytes that saturated at OUTCOME_FILL_SPILL.
+        self.fill_spill: List[int] = []
 
     # ------------------------------------------------------------------ helpers
     def _notify_unused_eviction(self, evicted_address: Optional[int]) -> None:
@@ -277,8 +300,33 @@ class TraceDrivenSimulator:
         if l1_last.evicted_unused_prefetch:
             self._notify_unused_eviction(l1_last.evicted_address)
         # Track the inserted block for later used/unused classification.
-        self._prefetched[block] = (tag, _LEVEL_BY_CODE[source])
+        self._prefetched[block] = (tag, LEVEL_BY_CODE[source])
         self.prefetcher.on_prefetch_installed(block, l1_last.evicted_address, tag=tag)
+
+    def _outcome_writer(self) -> Optional[Callable[[int], None]]:
+        """The interpreted and legacy loops' outcome writer (``None`` without a column).
+
+        Called once per access, after the access's prefetches executed,
+        with the level code and baseline-miss bit; adds the memory fills
+        since the previous call from the hierarchy's prefetch counters.
+        """
+        if self.outcomes is None:
+            return None
+        append = self.outcomes.append
+        spill = self.fill_spill.append
+        stats = self.hierarchy.stats
+        filled = stats.prefetches_from_memory
+
+        def write(outcome: int) -> None:
+            nonlocal filled
+            fills = stats.prefetches_from_memory - filled
+            filled += fills
+            if fills >= OUTCOME_FILL_SPILL:
+                spill(fills)
+                fills = OUTCOME_FILL_SPILL
+            append(outcome | fills << OUTCOME_FILL_SHIFT)
+
+        return write
 
     def _execute_prefetches(self) -> None:
         if self.engine == "legacy":
@@ -314,13 +362,15 @@ class TraceDrivenSimulator:
         Split from :meth:`build_result` so instrumented callers (the
         ``repro.obs`` phase timers in :func:`simulate_benchmark`) can
         time the replay and settle phases separately; :meth:`run` is the
-        unchanged one-call form.
+        unchanged one-call form.  With an :attr:`outcomes` column it also
+        appends one outcome byte per access.
         """
         if self.engine == "legacy":
             self.last_tier = "legacy"
             self._run_legacy(trace)
         else:
             replay_fast(self, trace)
+        _ACCESSES_REPLAYED.inc(len(trace))
 
     def _settle_hierarchy_stats(
         self,
@@ -369,13 +419,18 @@ class TraceDrivenSimulator:
             )
 
     def _run_fast(self, trace: TraceStream) -> None:
-        """Columnar fast path: no per-access allocations.
+        """The interpreted tier: one columnar loop for every predictor.
 
         The hierarchy walk is flattened into this loop — the four caches
         are driven through ``access_fast`` directly and the per-hierarchy
-        demand counters are settled in bulk afterwards, so one reference
-        costs two to four C-speed tag probes plus the predictor callback,
-        with no intermediate result objects.
+        demand counters are settled in bulk afterwards — so a reference
+        allocates nothing.  Predictors implementing the fast per-access
+        protocol get ``on_access_fast`` with plain integers (their
+        ``accesses_observed`` / ``misses_observed`` counters are settled
+        after the loop); any other predictor gets ``on_access`` with one
+        reused :class:`MemoryAccess`/:class:`AccessOutcome` view.  Command
+        buffers returned by the predictor may be reused — each one is
+        consumed before the next call.
         """
         columns = trace.as_arrays()
         baseline = self.baseline
@@ -391,18 +446,23 @@ class TraceDrivenSimulator:
         set_mask = l1_config.num_sets - 1
 
         prefetcher = self.prefetcher
+        on_access_fast = prefetcher.on_access_fast
         on_access = prefetcher.on_access
         on_prefetch_used = prefetcher.on_prefetch_used
+        on_prefetch_installed = prefetcher.on_prefetch_installed
         notify_unused = self._notify_unused_eviction
-        prefetched_pop = self._prefetched.pop
+        prefetched = self._prefetched
+        prefetched_pop = prefetched.pop
+        prefetch_into_l1 = hierarchy.prefetch_into_l1_fast
+        level_by_code = LEVEL_BY_CODE
         request_queue = self.request_queue
         queue_push = request_queue.push
         queue_pending = request_queue._queue
         queue_note_immediate = request_queue.note_immediate_issue
         execute_prefetches = self._execute_prefetches
-        execute_one = self._execute_prefetch_one
+        write_outcome = self._outcome_writer()
 
-        # One reusable access record + outcome, mutated in place per access.
+        # One reusable access record + outcome for on_access, mutated in place.
         store = AccessType.STORE
         load = AccessType.LOAD
         access_view = MemoryAccess.__new__(MemoryAccess)
@@ -425,14 +485,15 @@ class TraceDrivenSimulator:
             columns.pc, columns.address, columns.is_write, columns.icount
         ):
             code = main_l1_access(address, is_write)
-            l2_hit = False
             if code:
                 main_l1_hits += 1
+                level = 0
             elif main_l2_access(address, 0):
                 main_l2_hits += 1
-                l2_hit = True
+                level = 1
             else:
                 main_l2_misses += 1
+                level = 2
 
             # Classify against the prediction opportunity.
             if base_l1_access(address, is_write):
@@ -440,6 +501,7 @@ class TraceDrivenSimulator:
                     early += 1
             else:
                 base_misses += 1
+                level |= OUTCOME_BASE_MISS
                 if code:
                     correct += 1
                 if base_l2_access(address, 0):
@@ -453,7 +515,6 @@ class TraceDrivenSimulator:
             if code:
                 evicted_address = None
                 evicted_unused = False
-                set_index = (address >> set_shift) & set_mask
                 if code == 2:
                     info = prefetched_pop(block_address, None)
                     if info is not None:
@@ -461,123 +522,24 @@ class TraceDrivenSimulator:
             else:
                 evicted_address = main_l1_last.evicted_address
                 evicted_unused = main_l1_last.evicted_unused_prefetch
-                set_index = main_l1_last.set_index
                 if evicted_unused:
                     notify_unused(evicted_address)
 
-            access_view.pc = pc
-            access_view.address = address
-            access_view.access_type = store if is_write else load
-            access_view.icount = icount
-            outcome.block_address = block_address
-            outcome.set_index = set_index
-            outcome.l1_hit = code != 0
-            outcome.l2_hit = l2_hit
-            outcome.prefetch_hit = code == 2
-            outcome.evicted_address = evicted_address
-            outcome.evicted_was_unused_prefetch = evicted_unused
-            commands = on_access(outcome)
-            if commands:
-                if len(commands) == 1 and not queue_pending:
-                    # Common case: one command into an empty queue, drained
-                    # immediately — skip the queue round-trip entirely.
-                    command = commands[0]
-                    queue_note_immediate()
-                    execute_one(command.address, command.victim_address, command.tag)
-                else:
-                    for command in commands:
-                        queue_push(command.address, command.victim_address, tag=command.tag)
-                    execute_prefetches()
-            elif queue_pending:
-                execute_prefetches()
-
-        self._settle_fast_run(
-            len(columns), base_misses, correct, early,
-            base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
-        )
-
-    def _run_fast_direct(self, trace: TraceStream) -> None:
-        """Columnar loop for predictors implementing the fast per-access protocol.
-
-        The predictor is driven through ``on_access_fast`` with plain
-        integers, so no :class:`MemoryAccess` view or
-        :class:`AccessOutcome` is mutated per reference and the L1 set
-        index is never recomputed; the predictor's observation counters
-        (``accesses_observed`` / ``misses_observed``) are settled in bulk
-        after the loop.  Command buffers returned by the predictor may be
-        reused — each one is consumed before the next call.
-        """
-        columns = trace.as_arrays()
-        baseline = self.baseline
-        hierarchy = self.hierarchy
-        base_l1_access = baseline.l1.access_fast
-        base_l2_access = baseline.l2.access_fast
-        main_l1_access = hierarchy.l1.access_fast
-        main_l2_access = hierarchy.l2.access_fast
-        main_l1_last = hierarchy.l1.last
-        block_mask = self._block_mask
-
-        prefetcher = self.prefetcher
-        on_access_fast = prefetcher.on_access_fast
-        on_prefetch_used = prefetcher.on_prefetch_used
-        on_prefetch_installed = prefetcher.on_prefetch_installed
-        notify_unused = self._notify_unused_eviction
-        prefetched = self._prefetched
-        prefetched_pop = prefetched.pop
-        prefetch_into_l1 = hierarchy.prefetch_into_l1_fast
-        level_by_code = _LEVEL_BY_CODE
-        request_queue = self.request_queue
-        queue_push = request_queue.push
-        queue_pending = request_queue._queue
-        queue_note_immediate = request_queue.note_immediate_issue
-        execute_prefetches = self._execute_prefetches
-
-        base_misses = 0
-        correct = 0
-        early = 0
-        base_l2_hits = 0
-        base_l2_misses = 0
-        main_l1_hits = 0
-        main_l2_hits = 0
-        main_l2_misses = 0
-
-        for pc, address, is_write in zip(columns.pc, columns.address, columns.is_write):
-            code = main_l1_access(address, is_write)
-            if code:
-                main_l1_hits += 1
-            elif main_l2_access(address, 0):
-                main_l2_hits += 1
+            if on_access_fast is not None:
+                commands = on_access_fast(pc, address, block_address, code, evicted_address)
             else:
-                main_l2_misses += 1
-
-            # Classify against the prediction opportunity.
-            if base_l1_access(address, is_write):
-                if not code:
-                    early += 1
-            else:
-                base_misses += 1
-                if code:
-                    correct += 1
-                if base_l2_access(address, 0):
-                    base_l2_hits += 1
-                else:
-                    base_l2_misses += 1
-
-            block_address = address & block_mask
-
-            # Feedback for prefetched blocks.
-            if code:
-                evicted_address = None
-                if code == 2:
-                    info = prefetched_pop(block_address, None)
-                    if info is not None:
-                        on_prefetch_used(block_address, info[0])
-            else:
-                evicted_address = main_l1_last.evicted_address
-                if main_l1_last.evicted_unused_prefetch:
-                    notify_unused(evicted_address)
-
-            commands = on_access_fast(pc, address, block_address, code, evicted_address)
+                access_view.pc = pc
+                access_view.address = address
+                access_view.access_type = store if is_write else load
+                access_view.icount = icount
+                outcome.block_address = block_address
+                outcome.set_index = (address >> set_shift) & set_mask
+                outcome.l1_hit = code != 0
+                outcome.l2_hit = level & OUTCOME_LEVEL_MASK == 1
+                outcome.prefetch_hit = code == 2
+                outcome.evicted_address = evicted_address
+                outcome.evicted_was_unused_prefetch = evicted_unused
+                commands = on_access(outcome)
             if commands:
                 if len(commands) == 1 and not queue_pending:
                     # Common case: one command into an empty queue, drained
@@ -602,74 +564,24 @@ class TraceDrivenSimulator:
                     execute_prefetches()
             elif queue_pending:
                 execute_prefetches()
+            if write_outcome is not None:
+                write_outcome(level)
 
         num_accesses = len(columns)
         self._settle_fast_run(
             num_accesses, base_misses, correct, early,
             base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
         )
-        stats = prefetcher.stats
-        stats.accesses_observed += num_accesses
-        stats.misses_observed += num_accesses - main_l1_hits
-
-    def _run_fast_baseline(self, trace: TraceStream) -> None:
-        """Dedicated no-prefetcher path: both hierarchies, no predictor plumbing.
-
-        With the :class:`NullPrefetcher` no prefetch is ever issued, so the
-        outcome/queue/feedback machinery is dead weight; only the cache
-        walks and the opportunity classification remain.  The predictor's
-        observation counters are settled once after the loop.
-        """
-        columns = trace.as_arrays()
-        baseline = self.baseline
-        hierarchy = self.hierarchy
-        base_l1_access = baseline.l1.access_fast
-        base_l2_access = baseline.l2.access_fast
-        main_l1_access = hierarchy.l1.access_fast
-        main_l2_access = hierarchy.l2.access_fast
-
-        base_misses = 0
-        correct = 0
-        early = 0
-        base_l2_hits = 0
-        base_l2_misses = 0
-        main_l1_hits = 0
-        main_l2_hits = 0
-        main_l2_misses = 0
-
-        for address, is_write in zip(columns.address, columns.is_write):
-            main_hit = main_l1_access(address, is_write)
-            if main_hit:
-                main_l1_hits += 1
-            elif main_l2_access(address, 0):
-                main_l2_hits += 1
-            else:
-                main_l2_misses += 1
-            if base_l1_access(address, is_write):
-                if not main_hit:
-                    early += 1
-            else:
-                base_misses += 1
-                if main_hit:
-                    correct += 1
-                if base_l2_access(address, 0):
-                    base_l2_hits += 1
-                else:
-                    base_l2_misses += 1
-
-        num_accesses = len(columns)
-        self._settle_fast_run(
-            num_accesses, base_misses, correct, early,
-            base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
-        )
-        stats = self.prefetcher.stats
-        stats.accesses_observed += num_accesses
-        stats.misses_observed += num_accesses - main_l1_hits
+        if on_access_fast is not None:
+            stats = prefetcher.stats
+            stats.accesses_observed += num_accesses
+            stats.misses_observed += num_accesses - main_l1_hits
 
     def _run_legacy(self, trace: TraceStream) -> None:
         """The original object-per-access loop (reference engine)."""
         block_size = self.hierarchy.block_size
         l1_config = self.hierarchy_config.l1
+        write_outcome = self._outcome_writer()
 
         for access in trace:
             base_result = self.baseline.access(access.address, access.is_write)
@@ -708,6 +620,11 @@ class TraceDrivenSimulator:
             for command in self.prefetcher.on_access(outcome):
                 self.request_queue.push(command.address, command.victim_address, tag=command.tag)
             self._execute_prefetches()
+            if write_outcome is not None:
+                write_outcome(
+                    LEVEL_BY_CODE.index(main_result.level)
+                    | (OUTCOME_BASE_MISS if base_result.l1_miss else 0)
+                )
 
     def build_result(self, trace: TraceStream) -> SimulationResult:
         """Fold the accumulated counters into a :class:`SimulationResult`."""
@@ -769,6 +686,4 @@ def simulate_benchmark(
     with obs_phase(PHASE_REPLAY, observer=observer):
         simulator.replay(trace)
     with obs_phase(PHASE_SETTLE, observer=observer):
-        result = simulator.build_result(trace)
-    _ACCESSES_REPLAYED.inc(len(trace))
-    return result
+        return simulator.build_result(trace)

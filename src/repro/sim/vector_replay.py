@@ -14,10 +14,15 @@ tiers are bit-identical (the equivalence suites assert
    :class:`~repro.core.ltcords.FastLTCordsPrefetcher` with closed-fold
    signatures of 32–63 bits (the library defaults), on a fresh simulator,
    over addresses below 2^54.
-2. **Interpreted** — the simulator's own ``_run_fast_baseline`` /
-   ``_run_fast_direct`` / ``_run_fast`` loops: every other predictor
-   (GHB, stride, plugins), and every kernel-eligible run that cannot take
-   the kernel.
+2. **Interpreted** — the simulator's own columnar ``_run_fast`` loop:
+   every other predictor (GHB, stride, plugins), and every
+   kernel-eligible run that cannot take the kernel.
+
+Both tiers serve every replaying simulation kind: trace-driven runs,
+the timing runs of :mod:`repro.sim.timing` (Table 3) and the pairwise
+runs of :mod:`repro.sim.multiprogram` (Figure 11).  The latter two ask
+for the per-access outcome column (``TraceDrivenSimulator.outcomes``),
+which each tier fills alongside its counters.
 
 The tier taken is recorded as ``sim.last_tier`` and counted in the
 ``replay.tier.<tier>`` counters of :data:`repro.obs.metrics.REGISTRY`.
@@ -94,12 +99,7 @@ def replay_fast(sim, trace: TraceStream) -> None:
         _note_fallback(sim, reason)
     sim.last_tier = "interpreted"
     _TIER_COUNTERS["interpreted"].inc()
-    if kind == "baseline":
-        sim._run_fast_baseline(trace)
-    elif prefetcher.on_access_fast is not None:
-        sim._run_fast_direct(trace)
-    else:
-        sim._run_fast(trace)
+    sim._run_fast(trace)
 
 
 def _note_fallback(sim, reason: str) -> None:
@@ -273,11 +273,13 @@ def _run_kernel(sim, trace: TraceStream, kind: str) -> Optional[str]:
     if address is None or is_write is None:
         return "address-range"
     out = (ctypes.c_int64 * vector.OUT_SLOTS)()
+    outcomes = sim.outcomes
+    col = None if outcomes is None else (ctypes.c_int8 * num_accesses)()
     prefetcher = sim.prefetcher
     if kind == "baseline":
         cfg = _geometry_cfg(sim)
         rc = kernel.replay_baseline(
-            num_accesses, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out
+            num_accesses, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col
         )
     else:
         pc = _c_column(columns.pc, ctypes.c_int64, "q")
@@ -287,13 +289,17 @@ def _run_kernel(sim, trace: TraceStream, kind: str) -> Optional[str]:
             cfg, entry = _geometry_cfg(sim) + _dbcp_cfg(prefetcher), kernel.replay_dbcp
         else:
             cfg, entry = _geometry_cfg(sim) + _ltcords_cfg(prefetcher), kernel.replay_ltcords
-        rc = entry(num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out)
+        rc = entry(
+            num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col
+        )
     if rc == 2:
         return "address-range"
     if rc != 0:
         raise MemoryError("the compiled replay kernel ran out of memory")
     counters = list(out)  # plain python ints: stats stay JSON-safe
     _SETTLE[kind](sim, num_accesses, counters)
+    if col is not None:
+        outcomes.frombytes(col)
     sim._kernel_ran = True
     return None
 

@@ -26,6 +26,7 @@ of the source stream.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.trace.record import AccessType, MemoryAccess
@@ -278,50 +279,90 @@ def interleave_quantum(
 
     Instruction counts in the result are renumbered globally so the
     interleaved trace remains monotonically non-decreasing in ``icount``.
+    The result is columnar: each quantum is a slice of its trace's
+    columns, so no per-reference record is built.
     """
     if len(traces) != len(quanta):
         raise ValueError("traces and quanta must have the same length")
     if any(q <= 0 for q in quanta):
         raise ValueError("quanta must be positive")
 
+    columns = [trace.as_arrays() for trace in traces]
     positions = [0] * len(traces)
-    out: List[MemoryAccess] = []
+    # One (columns, start, end, icount delta) entry per quantum run.
+    runs: List[tuple] = []
     icount_base = 0
     switches = 0
-    active = [len(t) > 0 for t in traces]
+    active = [len(c) > 0 for c in columns]
 
     while any(active):
         if max_switches is not None and switches >= max_switches:
             break
         progressed = False
-        for idx, trace in enumerate(traces):
+        for idx, trace_columns in enumerate(columns):
             if not active[idx]:
                 continue
             if max_switches is not None and switches >= max_switches:
                 break
-            start_pos = positions[idx]
-            accesses = trace.accesses
-            if start_pos >= len(accesses):
+            start = positions[idx]
+            icount = trace_columns.icount
+            if start >= len(icount):
                 active[idx] = False
                 continue
-            icount_start = accesses[start_pos].icount
-            icount_limit = icount_start + quanta[idx]
-            pos = start_pos
-            local_last = 0
-            while pos < len(accesses) and accesses[pos].icount < icount_limit:
-                access = accesses[pos]
-                local_offset = access.icount - icount_start
-                out.append(
-                    MemoryAccess(access.pc, access.address, access.access_type, icount_base + local_offset)
-                )
-                local_last = local_offset
-                pos += 1
-            positions[idx] = pos
-            if pos >= len(accesses):
+            icount_start = icount[start]
+            end = _quantum_end(icount, start, icount_start + quanta[idx])
+            runs.append((trace_columns, start, end, icount_base - icount_start))
+            positions[idx] = end
+            if end >= len(icount):
                 active[idx] = False
-            icount_base += max(local_last + 1, 1)
+            icount_base += max(icount[end - 1] - icount_start + 1, 1)
             switches += 1
             progressed = True
         if not progressed:
             break
-    return TraceStream(out, name=name)
+    return TraceStream.from_columns(
+        TraceColumns(
+            _gather(runs, "pc", "q"),
+            _gather(runs, "address", "q"),
+            _gather(runs, "is_write", "b"),
+            _renumbered_icounts(runs),
+        ),
+        name=name,
+    )
+
+
+def _quantum_end(icount, start: int, limit: int) -> int:
+    """The first position from ``start`` whose icount reaches ``limit``."""
+    end = bisect_left(icount, limit, start)
+    if end > start and max(icount[start:end]) >= limit:
+        # Out-of-order icounts defeat the bisection: scan instead.
+        end = next((i for i in range(start, len(icount)) if icount[i] >= limit), len(icount))
+    return end
+
+
+def _gather(runs, field: str, typecode: str):
+    """Concatenate one column over the quantum runs (buffer copies, no records)."""
+    out = array(typecode)
+    try:
+        for columns, start, end, _ in runs:
+            out.frombytes(getattr(columns, field)[start:end])
+    except TypeError:  # plain-list columns hold values beyond 64 bits
+        return [
+            value for columns, start, end, _ in runs for value in getattr(columns, field)[start:end]
+        ]
+    return out
+
+
+def _renumbered_icounts(runs):
+    """The runs' icounts, each shifted by its run's delta."""
+    try:
+        out = array("q")
+        for columns, start, end, delta in runs:
+            out.extend(map(delta.__add__, columns.icount[start:end]))
+        return out
+    except OverflowError:
+        return [
+            value + delta
+            for columns, start, end, delta in runs
+            for value in columns.icount[start:end]
+        ]

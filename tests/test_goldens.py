@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 from conftest import kernel_disabled
 
-from repro.run import Session
+from repro.run import RunSpec, Session
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -35,6 +35,11 @@ FIG8_BENCHMARKS = ["mcf", "swim", "em3d", "gzip"]
 FIG8_ACCESSES = 20_000
 FIG11_PAIRINGS = [("gcc", "mcf"), ("mcf", "gcc"), ("swim", "gcc"), ("lucas", "applu")]
 FIG11_ACCESSES = 12_000
+#: Pairwise runs long enough for LT-cords to cover misses of both
+#: applications, so the per-application attribution split is pinned
+#: (every pairing above reports zero coverage at its length).
+FIG11_PAIRWISE_PAIRINGS = [("equake", "lucas"), ("gcc", "equake")]
+FIG11_PAIRWISE_ACCESSES = 60_000
 
 #: Shape of the campaign goldens below: both footprint extremes of the
 #: quick set, short enough to replay on the interpreted tier in seconds.
@@ -90,6 +95,28 @@ def _compute_fig11():
                 "shared_l2": row.shared.to_dict(),
             }
             for row in rows
+        ],
+    }
+
+
+def _compute_fig11_pairwise():
+    session = Session(jobs=1, use_cache=False)
+    return {
+        "config": {
+            "pairings": [list(pair) for pair in FIG11_PAIRWISE_PAIRINGS],
+            "num_accesses": FIG11_PAIRWISE_ACCESSES,
+            "seed": 42,
+        },
+        "rows": [
+            session.run(
+                RunSpec(
+                    benchmark=primary,
+                    secondary=secondary,
+                    sim="multiprogram",
+                    num_accesses=FIG11_PAIRWISE_ACCESSES,
+                )
+            ).to_dict()
+            for primary, secondary in FIG11_PAIRWISE_PAIRINGS
         ],
     }
 
@@ -156,7 +183,11 @@ def assert_matches_golden(golden, actual, path="$"):
 def _golden_compute(name):
     if name in CAMPAIGN_GOLDENS:
         return lambda: _compute_campaign(CAMPAIGN_GOLDENS[name])
-    return {"fig8_quick": _compute_fig8, "fig11_quick": _compute_fig11}[name]
+    return {
+        "fig8_quick": _compute_fig8,
+        "fig11_quick": _compute_fig11,
+        "fig11_pairwise": _compute_fig11_pairwise,
+    }[name]
 
 
 def _check_golden(name, compute, request):
@@ -174,7 +205,12 @@ def _check_golden(name, compute, request):
 
 
 @pytest.mark.parametrize(
-    "name,compute", [("fig8_quick", _compute_fig8), ("fig11_quick", _compute_fig11)]
+    "name,compute",
+    [
+        ("fig8_quick", _compute_fig8),
+        ("fig11_quick", _compute_fig11),
+        ("fig11_pairwise", _compute_fig11_pairwise),
+    ],
 )
 def test_figure_matches_golden(name, compute, request):
     _check_golden(name, compute, request)
@@ -185,7 +221,9 @@ def test_campaign_matches_golden(name, request):
     _check_golden(name, _golden_compute(name), request)
 
 
-@pytest.mark.parametrize("name", ["fig8_quick", "fig11_quick", *sorted(CAMPAIGN_GOLDENS)])
+@pytest.mark.parametrize(
+    "name", ["fig8_quick", "fig11_quick", "fig11_pairwise", *sorted(CAMPAIGN_GOLDENS)]
+)
 def test_golden_reproduced_without_kernel(name):
     """The interpreted tier reproduces every committed golden too."""
     path = GOLDEN_DIR / f"{name}.json"

@@ -57,7 +57,7 @@ def test_one_core_collapses_to_trace_driven(predictor, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_one_core_collapse_holds_for_null_predictor(mode):
     # "none" exercises the generic (non-fast-protocol) multicore path
-    # against the single-core dedicated baseline loop (or kernel).
+    # against the single-core interpreted loop (or kernel).
     engine = _engine(mode)
     spec = MulticoreSpec(benchmarks=("swim",), predictors=("none",),
                          num_accesses=NUM_ACCESSES, engine=engine)

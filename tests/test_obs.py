@@ -315,6 +315,18 @@ class TestSessionEvents:
         names = sorted(e["name"] for e in observer.events if e["type"] == "phase")
         assert names == ["replay", "settle", "trace_acquire"]
 
+    @pytest.mark.parametrize("kind", [
+        {"sim": "timing", "predictor": "ltcords"},
+        {"sim": "multiprogram", "secondary": "swim", "max_switches": 6},
+    ])
+    def test_timing_and_multiprogram_runs_report_three_phases(self, kind):
+        """Timing and pairwise runs split like trace runs, in phase order."""
+        observer = ListObserver()
+        session = Session(observer=observer, use_cache=False)
+        session.run("mcf", num_accesses=2000, **kind)
+        names = [e["name"] for e in observer.events if e["type"] == "phase"]
+        assert names == ["trace_acquire", "replay", "settle"]
+
 
 # ---------------------------------------------------------------------------
 # Campaign streaming: serial vs pool determinism

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -61,11 +63,19 @@ class TestSessionRun:
         fast_spec = RunSpec(benchmark="gzip", num_accesses=ACCESSES)
         assert session.spec(fast_spec).engine == "fast"
 
-    def test_engine_default_skips_non_trace_kinds(self):
-        """Timing/multiprogram specs have no engine choice; the default must not break them."""
+    def test_engine_default_applies_to_timing_and_multiprogram_kinds(self):
+        """Every sim kind has the engine axis; legacy reproduces the default engine."""
         session = Session(engine="legacy")
-        timing = session.run("gzip", sim="timing", predictor="none", num_accesses=ACCESSES)
-        assert timing.ipc > 0
+        for kind in ({"sim": "timing", "predictor": "none"},
+                     {"sim": "multiprogram", "secondary": "swim", "max_switches": 5}):
+            spec = session.spec("gzip", num_accesses=ACCESSES, **kind)
+            assert spec.engine == "legacy"
+            # The default engine stays out of the content key, as before.
+            assert "engine" not in dataclasses.replace(spec, engine="fast").to_dict()
+            assert spec.key() != dataclasses.replace(spec, engine="fast").key()
+            legacy = session.run(spec)
+            fast = Session(use_cache=False).run(dataclasses.replace(spec, engine="fast"))
+            assert legacy.to_dict() == fast.to_dict()
 
     def test_prefetcher_override_bypasses_cache(self):
         session = Session()
