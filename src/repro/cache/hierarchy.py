@@ -7,13 +7,19 @@ both the miss-rate study (Table 2) and the timing model (Table 3) need.
 Prefetches are inserted directly into the L1D, and the hierarchy reports
 whether the prefetched data was found in the L2 or had to come from
 memory so that bus-utilisation accounting (Figure 12) is possible.
+
+A hierarchy normally owns its L2.  The multicore co-run simulator
+instead gives each core's hierarchy one :class:`SharedL2`: the cores
+keep private L1Ds and stats but contend for one L2 cache, and the
+:class:`SharedL2` records which core allocated each block so that
+cross-core evictions can be counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.config import CacheConfig, L1D_CONFIG, L2_CONFIG
@@ -114,6 +120,39 @@ class HierarchyStats:
         return self.l2_misses / l2_accesses if l2_accesses else 0.0
 
 
+class SharedL2:
+    """One L2 cache shared by several cores' hierarchies, with block ownership.
+
+    Each allocation reported through :meth:`allocated` by core ``c``
+    makes ``c`` the block's owner.  An allocation that displaces a block
+    owned by another core is a *cross-core eviction*, counted in
+    aggregate and, when the displacing allocation was a prefetch, against
+    the prefetching core.  A hierarchy over the shared L2 reports its
+    memory-sourced prefetches; the replay loop driving it reports its
+    demand misses (a co-run's baselines report none: they never prefetch
+    and their interference is not measured).
+    """
+
+    def __init__(self, config: CacheConfig, engine: str, num_cores: int) -> None:
+        cache_cls = LegacySetAssociativeCache if engine == "legacy" else SetAssociativeCache
+        self.cache = cache_cls(config, replacement="lru")
+        self._block_mask = ~(config.block_size - 1)
+        #: Block address -> core that last allocated it.
+        self.owners: Dict[int, int] = {}
+        self.cross_core_evictions = 0
+        self.prefetch_cross_core_evictions = [0] * num_cores
+
+    def allocated(
+        self, core: int, address: int, evicted_address: Optional[int], by_prefetch: bool = False
+    ) -> None:
+        """Record that ``core`` allocated ``address``'s block, displacing ``evicted_address``."""
+        if evicted_address is not None and self.owners.pop(evicted_address, core) != core:
+            self.cross_core_evictions += 1
+            if by_prefetch:
+                self.prefetch_cross_core_evictions[core] += 1
+        self.owners[address & self._block_mask] = core
+
+
 class CacheHierarchy:
     """Functional L1D + unified L2 hierarchy with prefetch-into-L1 support.
 
@@ -125,15 +164,31 @@ class CacheHierarchy:
     entry points used by the trace-driven simulator's hot loop; miss
     details are reported through the per-cache reusable ``last`` structs
     and the hierarchy's :attr:`last_level` (0 = L1, 1 = L2, 2 = memory).
+
+    ``shared_l2`` (internal to :mod:`repro.multicore`) replaces the
+    private L2 with a :class:`SharedL2`'s cache, and each memory-sourced
+    prefetch is reported to it as core ``core``'s allocation.  ``stats``
+    stay this hierarchy's own either way.
     """
 
-    def __init__(self, config: Optional[HierarchyConfig] = None, engine: str = "fast") -> None:
+    def __init__(
+        self,
+        config: Optional[HierarchyConfig] = None,
+        engine: str = "fast",
+        shared_l2: Optional[SharedL2] = None,
+        core: int = 0,
+    ) -> None:
         validate_engine(engine)
         self.config = config or HierarchyConfig()
         self.engine = engine
         cache_cls = LegacySetAssociativeCache if engine == "legacy" else SetAssociativeCache
         self.l1 = cache_cls(self.config.l1, replacement="lru")
-        self.l2 = cache_cls(self.config.l2, replacement="lru")
+        if shared_l2 is None:
+            self.l2 = cache_cls(self.config.l2, replacement="lru")
+        else:
+            self.l2 = shared_l2.cache
+        self.shared_l2 = shared_l2
+        self.core = core
         self.stats = HierarchyStats()
         self.last_level = 0
 
@@ -218,6 +273,10 @@ class CacheHierarchy:
         else:
             stats.prefetches_from_memory += 1
             source = 2
+            if self.shared_l2 is not None:
+                self.shared_l2.allocated(
+                    self.core, address, self.l2.last.evicted_address, by_prefetch=True
+                )
         l1._insert_prefetch_absent(l1_set, l1_tag, address, victim_address)
         return source
 
@@ -238,170 +297,15 @@ class CacheHierarchy:
         else:
             source = ServiceLevel.MEMORY
             self.stats.prefetches_from_memory += 1
-            self.l2.access(address, is_write=False)  # allocate in L2 on the way in
+            l2_result = self.l2.access(address, is_write=False)  # allocate in L2 on the way in
+            if self.shared_l2 is not None:
+                self.shared_l2.allocated(
+                    self.core, address, l2_result.evicted_address, by_prefetch=True
+                )
         insert_result = self.l1.insert_prefetch(address, victim_address=victim_address)
         return PrefetchOutcome(source=source, l1_result=insert_result)
 
     def flush(self) -> None:
         """Invalidate both cache levels."""
         self.l1.flush()
-        self.l2.flush()
-
-
-class SharedL2Hierarchy:
-    """N private L1Ds backed by one genuinely shared unified L2.
-
-    The multicore co-run simulator's substrate: every core owns a private
-    L1D (and its demand/prefetch traffic), while all cores contend for
-    one L2.  Per-core :class:`HierarchyStats` live in ``stats[core]``;
-    an access by core ``c`` walks ``l1s[c]`` then the shared ``l2`` with
-    exactly the per-level semantics of :class:`CacheHierarchy`, so a
-    one-core instance is behaviourally identical to a private hierarchy
-    (the differential collapse suite asserts this end to end).
-
-    Every engine is supported: array-backed (``"fast"``) callers drive
-    :meth:`access_fast` / :meth:`prefetch_into_l1_fast` (or the caches
-    directly, settling stats in bulk) and read miss
-    details from the per-cache ``last`` structs; ``"legacy"`` callers use
-    the object-returning :meth:`access` / :meth:`prefetch_into_l1`.  After a
-    prefetch that allocated in the L2 (memory source),
-    :attr:`last_l2_evicted_address` names the shared-L2 block the
-    allocation displaced so callers can attribute cross-core
-    interference; demand allocations report the same through the L2
-    access result (``l2.last`` / ``l2_result``).
-    """
-
-    def __init__(
-        self,
-        config: Optional[HierarchyConfig] = None,
-        num_cores: int = 1,
-        engine: str = "fast",
-    ) -> None:
-        validate_engine(engine)
-        if num_cores < 1:
-            raise ValueError("num_cores must be at least 1")
-        self.config = config or HierarchyConfig()
-        self.engine = engine
-        self.num_cores = num_cores
-        cache_cls = LegacySetAssociativeCache if engine == "legacy" else SetAssociativeCache
-        self.l1s = [cache_cls(self.config.l1, replacement="lru") for _ in range(num_cores)]
-        self.l2 = cache_cls(self.config.l2, replacement="lru")
-        self.stats = [HierarchyStats() for _ in range(num_cores)]
-        self.last_level = 0
-        #: Shared-L2 block displaced by the most recent memory-sourced
-        #: prefetch allocation (``None`` when nothing was displaced).
-        self.last_l2_evicted_address: Optional[int] = None
-
-    @property
-    def block_size(self) -> int:
-        """Cache block size shared by every level."""
-        return self.config.l1.block_size
-
-    def access_fast(self, core: int, address: int, is_write) -> int:
-        """Demand access by ``core`` without allocating result objects.
-
-        Same contract as :meth:`CacheHierarchy.access_fast`; eviction
-        details are in ``self.l1s[core].last`` / ``self.l2.last``.
-        """
-        stats = self.stats[core]
-        stats.accesses += 1
-        code = self.l1s[core].access_fast(address, is_write)
-        if code:
-            stats.l1_hits += 1
-            self.last_level = 0
-            return code
-        stats.l1_misses += 1
-        if self.l2.access_fast(address, False):
-            stats.l2_hits += 1
-            self.last_level = 1
-        else:
-            stats.l2_misses += 1
-            self.last_level = 2
-        return 0
-
-    def access(self, core: int, address: int, is_write: bool = False) -> HierarchyAccessResult:
-        """Demand access by ``core``, walking its L1D, the shared L2, then memory."""
-        stats = self.stats[core]
-        stats.accesses += 1
-        l1_result = self.l1s[core].access(address, is_write=is_write)
-        if l1_result.hit:
-            stats.l1_hits += 1
-            return HierarchyAccessResult(
-                level=ServiceLevel.L1,
-                l1_result=l1_result,
-                prefetch_hit=l1_result.prefetch_hit,
-            )
-        stats.l1_misses += 1
-        l2_result = self.l2.access(address, is_write=False)
-        if l2_result.hit:
-            stats.l2_hits += 1
-            level = ServiceLevel.L2
-        else:
-            stats.l2_misses += 1
-            level = ServiceLevel.MEMORY
-        return HierarchyAccessResult(level=level, l1_result=l1_result, l2_result=l2_result)
-
-    def prefetch_into_l1_fast(self, core: int, address: int, victim_address: Optional[int] = None) -> int:
-        """Prefetch into ``core``'s L1D without allocating result objects.
-
-        Same contract as :meth:`CacheHierarchy.prefetch_into_l1_fast`;
-        insertion details are in ``self.l1s[core].last`` and, for a
-        memory-sourced allocation, the displaced shared-L2 block is in
-        :attr:`last_l2_evicted_address`.
-        """
-        stats = self.stats[core]
-        stats.prefetches_issued += 1
-        self.last_l2_evicted_address = None
-        l1 = self.l1s[core]
-        l1_set = (address >> l1._offset_bits) & l1._set_mask
-        l1_tag = address >> l1._tag_shift
-        if l1_tag in l1._tags[l1_set]:
-            return 0
-        if self.l2.access_fast(address, False):
-            stats.prefetches_from_l2 += 1
-            source = 1
-        else:
-            stats.prefetches_from_memory += 1
-            self.last_l2_evicted_address = self.l2.last.evicted_address
-            source = 2
-        l1._insert_prefetch_absent(l1_set, l1_tag, address, victim_address)
-        return source
-
-    def prefetch_into_l1(self, core: int, address: int, victim_address: Optional[int] = None) -> PrefetchOutcome:
-        """Bring the block holding ``address`` into ``core``'s L1D as a prefetch."""
-        stats = self.stats[core]
-        stats.prefetches_issued += 1
-        self.last_l2_evicted_address = None
-        if self.l1s[core].contains(address):
-            return PrefetchOutcome(source=ServiceLevel.L1)
-        if self.l2.contains(address):
-            source = ServiceLevel.L2
-            stats.prefetches_from_l2 += 1
-            self.l2.access(address, is_write=False)  # refresh L2 LRU state
-        else:
-            source = ServiceLevel.MEMORY
-            stats.prefetches_from_memory += 1
-            l2_result = self.l2.access(address, is_write=False)  # allocate on the way in
-            self.last_l2_evicted_address = l2_result.evicted_address
-        insert_result = self.l1s[core].insert_prefetch(address, victim_address=victim_address)
-        return PrefetchOutcome(source=source, l1_result=insert_result)
-
-    def aggregate_stats(self) -> HierarchyStats:
-        """Sum of the per-core hierarchy counters."""
-        total = HierarchyStats()
-        for stats in self.stats:
-            total.accesses += stats.accesses
-            total.l1_hits += stats.l1_hits
-            total.l1_misses += stats.l1_misses
-            total.l2_hits += stats.l2_hits
-            total.l2_misses += stats.l2_misses
-            total.prefetches_issued += stats.prefetches_issued
-            total.prefetches_from_l2 += stats.prefetches_from_l2
-            total.prefetches_from_memory += stats.prefetches_from_memory
-        return total
-
-    def flush(self) -> None:
-        """Invalidate every L1D and the shared L2."""
-        for l1 in self.l1s:
-            l1.flush()
         self.l2.flush()

@@ -10,7 +10,7 @@ the shared object on disk keyed by a hash of the source, and loads it
 through :mod:`ctypes`.
 
 The kernel is a bit-exact port of the fast engine's replay protocol
-(``TraceDrivenSimulator._run_fast``) for three predictors:
+(``TraceDrivenSimulator._fast_loop``) for three predictors:
 
 * ``repro_replay_dbcp`` — fused with ``FastDBCPPrefetcher`` and
   ``FastHistoryTable``: an open-addressed history map and an

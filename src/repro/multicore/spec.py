@@ -36,6 +36,14 @@ DEFAULT_ADDRESS_SHIFT = 1 << 30
 DEFAULT_QUANTUM_ACCESSES = 1_000
 
 
+def validate_schedule(interleave: str, quantum_accesses: int) -> None:
+    """Reject an unknown interleave policy or a quantum below one access."""
+    if interleave not in INTERLEAVE_POLICIES:
+        raise ValueError(f"interleave must be one of {INTERLEAVE_POLICIES}, got {interleave!r}")
+    if quantum_accesses < 1:
+        raise ValueError(f"quantum_accesses must be at least 1, got {quantum_accesses}")
+
+
 @dataclass
 class MulticoreSpec:
     """One fully-specified N-core co-run.
@@ -82,14 +90,9 @@ class MulticoreSpec:
             raise ValueError("predictor_configs must align with predictors (1 or one per core)")
         if self.num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
-        if self.quantum_accesses <= 0:
-            raise ValueError("quantum_accesses must be positive")
+        validate_schedule(self.interleave, self.quantum_accesses)
         if self.address_shift < 0:
             raise ValueError("address_shift must be non-negative")
-        if self.interleave not in INTERLEAVE_POLICIES:
-            raise ValueError(
-                f"interleave must be one of {INTERLEAVE_POLICIES}, got {self.interleave!r}"
-            )
         validate_engine(self.engine)
 
     # ------------------------------------------------------------------ views

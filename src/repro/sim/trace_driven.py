@@ -17,11 +17,11 @@ bus-traffic categories of Figure 12.
 
 Engines
 -------
-``engine="fast"`` (the default) replays through
-:func:`repro.sim.vector_replay.replay_fast`, which takes the compiled
-kernel of :mod:`repro.cache.vector` when the run qualifies (the
-no-prefetcher baseline, DBCP and LT-cords on a fresh simulator) and
-this module's interpreted loop otherwise.  The interpreted loop
+``engine="fast"`` (the default) replays through the compiled kernel of
+:mod:`repro.cache.vector` when the run qualifies (the no-prefetcher
+baseline, DBCP and LT-cords on a fresh simulator, see
+:func:`repro.sim.vector_replay.replay_kernel`) and through this
+module's interpreted loop otherwise.  The interpreted loop
 iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
 locals-hoisted method references, drives the hierarchies through their
 allocation-free ``access_fast`` entry points, and calls predictors
@@ -39,6 +39,11 @@ and tier can also record a per-access outcome column
 (:attr:`TraceDrivenSimulator.outcomes`), through which the timing and
 pairwise multiprogram simulators consume the replay.
 
+Both loops are resumable: :meth:`TraceDrivenSimulator.replay_chunks` hands one
+out as a ``(run_chunk(start, stop), settle())`` pair.  A whole-trace
+replay calls it once; a :mod:`repro.multicore` co-run drives one lane
+per core, chunk by chunk, over L2 caches shared between the cores.
+
 Because the fast engine mutates the shared outcome object in place,
 custom predictors must read the fields they need during ``on_access``
 and must not retain the outcome (or its ``access``) across calls; every
@@ -49,7 +54,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import islice, repeat
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
 from repro.core.interface import AccessOutcome, Prefetcher
@@ -60,7 +66,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
 from repro.obs.timers import phase as obs_phase
 from repro.prefetchers.null import NullPrefetcher
-from repro.sim.vector_replay import replay_fast
+from repro.sim.vector_replay import replay_kernel
 from repro.trace.record import AccessType, MemoryAccess
 from repro.trace.store import load_or_generate_trace
 from repro.trace.stream import TraceStream
@@ -81,8 +87,15 @@ OUTCOME_FILL_SHIFT = 3
 #: fill at most one block per access, so only deep-degree predictors spill).
 OUTCOME_FILL_SPILL = 15
 
+#: A replay loop: a generator sent chunk sizes, then ``None`` to settle.
+ReplayLoop = Generator[None, Optional[int], None]
+#: A resumable replay: ``(run_chunk(start, stop), settle())``.
+ChunkedReplay = Tuple[Callable[[int, int], None], Callable[[], None]]
+
 #: Total references replayed by this process (all engines, all sim kinds).
 _ACCESSES_REPLAYED = REGISTRY.counter("replay.accesses")
+#: Fast-engine replays (whole traces and co-run lanes) on the interpreted tier.
+_INTERPRETED_REPLAYS = REGISTRY.counter("replay.tier.interpreted")
 
 
 @dataclass
@@ -365,12 +378,34 @@ class TraceDrivenSimulator:
         unchanged one-call form.  With an :attr:`outcomes` column it also
         appends one outcome byte per access.
         """
+        if self.engine == "legacy" or not replay_kernel(self, trace):
+            run_chunk, settle = self.replay_chunks(trace)
+            run_chunk(0, len(trace))
+            settle()
+        _ACCESSES_REPLAYED.inc(len(trace))
+
+    def replay_chunks(self, trace: TraceStream) -> ChunkedReplay:
+        """Resumable replay of ``trace``: ``(run_chunk(start, stop), settle())``.
+
+        ``run_chunk`` replays accesses ``start:stop`` (chunks must follow
+        each other in order) and ``settle`` folds the loop's counters into
+        the simulator's statistics once the trace is done.  The lane runs
+        the legacy loop or the interpreted tier, never the compiled
+        kernel: :meth:`replay` takes it over the whole trace when the
+        kernel does not apply, and a multicore co-run interleaves one lane
+        per core over a shared L2.
+        """
         if self.engine == "legacy":
             self.last_tier = "legacy"
-            self._run_legacy(trace)
-        else:
-            replay_fast(self, trace)
-        _ACCESSES_REPLAYED.inc(len(trace))
+            return _resumable(self._legacy_loop(iter(trace)), len(trace))
+        self.last_tier = "interpreted"
+        _INTERPRETED_REPLAYS.inc()
+        columns = trace.as_arrays()
+        # Only the on_access protocol reads icounts; a constant spares the
+        # fast protocol an int object per access.
+        icounts = columns.icount if self.prefetcher.on_access_fast is None else repeat(0)
+        rows = zip(columns.pc, columns.address, columns.is_write, icounts)
+        return _resumable(self._fast_loop(rows), len(columns))
 
     def _settle_hierarchy_stats(
         self,
@@ -418,10 +453,14 @@ class TraceDrivenSimulator:
                 requests=base_l2_misses,
             )
 
-    def _run_fast(self, trace: TraceStream) -> None:
+    def _fast_loop(self, rows: Iterator[Tuple[int, int, int, int]]) -> ReplayLoop:
         """The interpreted tier: one columnar loop for every predictor.
 
-        The hierarchy walk is flattened into this loop — the four caches
+        A generator driven by :func:`_resumable` over the trace's
+        ``(pc, address, is_write, icount)`` rows: each count sent in
+        replays that many further rows, and ``None`` ends the replay and
+        settles the counters.  The hierarchy walk is flattened into this
+        loop — the four caches
         are driven through ``access_fast`` directly and the per-hierarchy
         demand counters are settled in bulk afterwards — so a reference
         allocates nothing.  Predictors implementing the fast per-access
@@ -430,9 +469,9 @@ class TraceDrivenSimulator:
         after the loop); any other predictor gets ``on_access`` with one
         reused :class:`MemoryAccess`/:class:`AccessOutcome` view.  Command
         buffers returned by the predictor may be reused — each one is
-        consumed before the next call.
+        consumed before the next call.  The main hierarchy's demand
+        allocations into a shared L2 are reported to it here.
         """
-        columns = trace.as_arrays()
         baseline = self.baseline
         hierarchy = self.hierarchy
         base_l1_access = baseline.l1.access_fast
@@ -440,10 +479,14 @@ class TraceDrivenSimulator:
         main_l1_access = hierarchy.l1.access_fast
         main_l2_access = hierarchy.l2.access_fast
         main_l1_last = hierarchy.l1.last
+        main_l2_last = hierarchy.l2.last
         block_mask = self._block_mask
         l1_config = self.hierarchy_config.l1
         set_shift = l1_config.offset_bits
         set_mask = l1_config.num_sets - 1
+        # A co-run's shared L2 (None when private) and this lane's core.
+        shared_l2 = hierarchy.shared_l2
+        core = hierarchy.core
 
         prefetcher = self.prefetcher
         on_access_fast = prefetcher.on_access_fast
@@ -472,6 +515,7 @@ class TraceDrivenSimulator:
         access_view.icount = 0
         outcome = AccessOutcome(access=access_view, block_address=0, set_index=0, l1_hit=True)
 
+        num_accesses = 0
         base_misses = 0
         correct = 0
         early = 0
@@ -481,93 +525,96 @@ class TraceDrivenSimulator:
         main_l2_hits = 0
         main_l2_misses = 0
 
-        for pc, address, is_write, icount in zip(
-            columns.pc, columns.address, columns.is_write, columns.icount
-        ):
-            code = main_l1_access(address, is_write)
-            if code:
-                main_l1_hits += 1
-                level = 0
-            elif main_l2_access(address, 0):
-                main_l2_hits += 1
-                level = 1
-            else:
-                main_l2_misses += 1
-                level = 2
-
-            # Classify against the prediction opportunity.
-            if base_l1_access(address, is_write):
-                if not code:
-                    early += 1
-            else:
-                base_misses += 1
-                level |= OUTCOME_BASE_MISS
+        count = yield
+        while count is not None:
+            num_accesses += count
+            for pc, address, is_write, icount in islice(rows, count):
+                code = main_l1_access(address, is_write)
                 if code:
-                    correct += 1
-                if base_l2_access(address, 0):
-                    base_l2_hits += 1
+                    main_l1_hits += 1
+                    level = 0
+                elif main_l2_access(address, 0):
+                    main_l2_hits += 1
+                    level = 1
                 else:
-                    base_l2_misses += 1
+                    main_l2_misses += 1
+                    level = 2
+                    if shared_l2 is not None:
+                        shared_l2.allocated(core, address, main_l2_last.evicted_address)
 
-            block_address = address & block_mask
-
-            # Feedback for prefetched blocks.
-            if code:
-                evicted_address = None
-                evicted_unused = False
-                if code == 2:
-                    info = prefetched_pop(block_address, None)
-                    if info is not None:
-                        on_prefetch_used(block_address, info[0])
-            else:
-                evicted_address = main_l1_last.evicted_address
-                evicted_unused = main_l1_last.evicted_unused_prefetch
-                if evicted_unused:
-                    notify_unused(evicted_address)
-
-            if on_access_fast is not None:
-                commands = on_access_fast(pc, address, block_address, code, evicted_address)
-            else:
-                access_view.pc = pc
-                access_view.address = address
-                access_view.access_type = store if is_write else load
-                access_view.icount = icount
-                outcome.block_address = block_address
-                outcome.set_index = (address >> set_shift) & set_mask
-                outcome.l1_hit = code != 0
-                outcome.l2_hit = level & OUTCOME_LEVEL_MASK == 1
-                outcome.prefetch_hit = code == 2
-                outcome.evicted_address = evicted_address
-                outcome.evicted_was_unused_prefetch = evicted_unused
-                commands = on_access(outcome)
-            if commands:
-                if len(commands) == 1 and not queue_pending:
-                    # Common case: one command into an empty queue, drained
-                    # immediately — skip the queue round-trip entirely and
-                    # execute inline (the body of _execute_prefetch_one
-                    # with every lookup hoisted).
-                    command = commands[0]
-                    queue_note_immediate()
-                    prefetch_address = command.address
-                    source = prefetch_into_l1(prefetch_address, command.victim_address)
-                    if source:
-                        prefetch_evicted = main_l1_last.evicted_address
-                        prefetch_block = prefetch_address & block_mask
-                        if main_l1_last.evicted_unused_prefetch:
-                            notify_unused(prefetch_evicted)
-                        tag = command.tag
-                        prefetched[prefetch_block] = (tag, level_by_code[source])
-                        on_prefetch_installed(prefetch_block, prefetch_evicted, tag=tag)
+                # Classify against the prediction opportunity.
+                if base_l1_access(address, is_write):
+                    if not code:
+                        early += 1
                 else:
-                    for command in commands:
-                        queue_push(command.address, command.victim_address, tag=command.tag)
+                    base_misses += 1
+                    level |= OUTCOME_BASE_MISS
+                    if code:
+                        correct += 1
+                    if base_l2_access(address, 0):
+                        base_l2_hits += 1
+                    else:
+                        base_l2_misses += 1
+
+                block_address = address & block_mask
+
+                # Feedback for prefetched blocks.
+                if code:
+                    evicted_address = None
+                    evicted_unused = False
+                    if code == 2:
+                        info = prefetched_pop(block_address, None)
+                        if info is not None:
+                            on_prefetch_used(block_address, info[0])
+                else:
+                    evicted_address = main_l1_last.evicted_address
+                    evicted_unused = main_l1_last.evicted_unused_prefetch
+                    if evicted_unused:
+                        notify_unused(evicted_address)
+
+                if on_access_fast is not None:
+                    commands = on_access_fast(pc, address, block_address, code, evicted_address)
+                else:
+                    access_view.pc = pc
+                    access_view.address = address
+                    access_view.access_type = store if is_write else load
+                    access_view.icount = icount
+                    outcome.block_address = block_address
+                    outcome.set_index = (address >> set_shift) & set_mask
+                    outcome.l1_hit = code != 0
+                    outcome.l2_hit = level & OUTCOME_LEVEL_MASK == 1
+                    outcome.prefetch_hit = code == 2
+                    outcome.evicted_address = evicted_address
+                    outcome.evicted_was_unused_prefetch = evicted_unused
+                    commands = on_access(outcome)
+                if commands:
+                    if len(commands) == 1 and not queue_pending:
+                        # Common case: one command into an empty queue, drained
+                        # immediately — skip the queue round-trip entirely and
+                        # execute inline (the body of _execute_prefetch_one
+                        # with every lookup hoisted).
+                        command = commands[0]
+                        queue_note_immediate()
+                        prefetch_address = command.address
+                        source = prefetch_into_l1(prefetch_address, command.victim_address)
+                        if source:
+                            prefetch_evicted = main_l1_last.evicted_address
+                            prefetch_block = prefetch_address & block_mask
+                            if main_l1_last.evicted_unused_prefetch:
+                                notify_unused(prefetch_evicted)
+                            tag = command.tag
+                            prefetched[prefetch_block] = (tag, level_by_code[source])
+                            on_prefetch_installed(prefetch_block, prefetch_evicted, tag=tag)
+                    else:
+                        for command in commands:
+                            queue_push(command.address, command.victim_address, tag=command.tag)
+                        execute_prefetches()
+                elif queue_pending:
                     execute_prefetches()
-            elif queue_pending:
-                execute_prefetches()
-            if write_outcome is not None:
-                write_outcome(level)
+                if write_outcome is not None:
+                    write_outcome(level)
+            count = yield
 
-        num_accesses = len(columns)
         self._settle_fast_run(
             num_accesses, base_misses, correct, early,
             base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
@@ -577,54 +624,71 @@ class TraceDrivenSimulator:
             stats.accesses_observed += num_accesses
             stats.misses_observed += num_accesses - main_l1_hits
 
-    def _run_legacy(self, trace: TraceStream) -> None:
-        """The original object-per-access loop (reference engine)."""
+    def _legacy_loop(self, accesses: Iterator[MemoryAccess]) -> ReplayLoop:
+        """The original object-per-access loop (reference engine).
+
+        Driven like :meth:`_fast_loop`, over the trace's access records;
+        statistics accumulate per access, so there is nothing to settle.
+        The main hierarchy's demand allocations into a shared L2 are
+        reported to it here.
+        """
         block_size = self.hierarchy.block_size
         l1_config = self.hierarchy_config.l1
+        shared_l2 = self.hierarchy.shared_l2
         write_outcome = self._outcome_writer()
 
-        for access in trace:
-            base_result = self.baseline.access(access.address, access.is_write)
-            main_result = self.hierarchy.access(access.address, access.is_write)
+        count = yield
+        while count is not None:
+            for access in islice(accesses, count):
+                base_result = self.baseline.access(access.address, access.is_write)
+                main_result = self.hierarchy.access(access.address, access.is_write)
 
-            block_address = l1_config.block_address(access.address)
+                block_address = l1_config.block_address(access.address)
 
-            # Classify against the prediction opportunity.
-            if base_result.l1_miss:
-                self.breakdown.base_misses += 1
-                if main_result.l1_hit:
-                    self.breakdown.correct += 1
-                if base_result.l2_miss:
-                    self.bus.record(TrafficCategory.BASE_DATA, block_size)
-            elif main_result.l1_miss:
-                self.breakdown.early += 1
+                # Classify against the prediction opportunity.
+                if base_result.l1_miss:
+                    self.breakdown.base_misses += 1
+                    if main_result.l1_hit:
+                        self.breakdown.correct += 1
+                    if base_result.l2_miss:
+                        self.bus.record(TrafficCategory.BASE_DATA, block_size)
+                elif main_result.l1_miss:
+                    self.breakdown.early += 1
 
-            # Feedback for prefetched blocks.
-            if main_result.l1_hit and main_result.prefetch_hit:
-                info = self._prefetched.pop(block_address, None)
-                if info is not None:
-                    self.prefetcher.on_prefetch_used(block_address, info[0])
-            if main_result.l1_miss and main_result.l1_result.evicted_was_prefetched_unused:
-                self._notify_unused_eviction(main_result.l1_result.evicted_address)
+                if shared_l2 is not None and main_result.l2_miss:
+                    shared_l2.allocated(
+                        self.hierarchy.core, access.address, main_result.l2_result.evicted_address
+                    )
 
-            outcome = AccessOutcome(
-                access=access,
-                block_address=block_address,
-                set_index=main_result.l1_result.set_index,
-                l1_hit=main_result.l1_hit,
-                l2_hit=main_result.level is ServiceLevel.L2,
-                prefetch_hit=main_result.prefetch_hit,
-                evicted_address=main_result.l1_result.evicted_address,
-                evicted_was_unused_prefetch=main_result.l1_result.evicted_was_prefetched_unused,
-            )
-            for command in self.prefetcher.on_access(outcome):
-                self.request_queue.push(command.address, command.victim_address, tag=command.tag)
-            self._execute_prefetches()
-            if write_outcome is not None:
-                write_outcome(
-                    LEVEL_BY_CODE.index(main_result.level)
-                    | (OUTCOME_BASE_MISS if base_result.l1_miss else 0)
+                # Feedback for prefetched blocks.
+                if main_result.l1_hit and main_result.prefetch_hit:
+                    info = self._prefetched.pop(block_address, None)
+                    if info is not None:
+                        self.prefetcher.on_prefetch_used(block_address, info[0])
+                if main_result.l1_miss and main_result.l1_result.evicted_was_prefetched_unused:
+                    self._notify_unused_eviction(main_result.l1_result.evicted_address)
+
+                outcome = AccessOutcome(
+                    access=access,
+                    block_address=block_address,
+                    set_index=main_result.l1_result.set_index,
+                    l1_hit=main_result.l1_hit,
+                    l2_hit=main_result.level is ServiceLevel.L2,
+                    prefetch_hit=main_result.prefetch_hit,
+                    evicted_address=main_result.l1_result.evicted_address,
+                    evicted_was_unused_prefetch=main_result.l1_result.evicted_was_prefetched_unused,
                 )
+                for command in self.prefetcher.on_access(outcome):
+                    self.request_queue.push(
+                        command.address, command.victim_address, tag=command.tag
+                    )
+                self._execute_prefetches()
+                if write_outcome is not None:
+                    write_outcome(
+                        LEVEL_BY_CODE.index(main_result.level)
+                        | (OUTCOME_BASE_MISS if base_result.l1_miss else 0)
+                    )
+            count = yield
 
     def build_result(self, trace: TraceStream) -> SimulationResult:
         """Fold the accumulated counters into a :class:`SimulationResult`."""
@@ -652,6 +716,36 @@ class TraceDrivenSimulator:
             bus_bytes=dict(self.bus.bytes_by_category),
             on_chip_storage_bytes=on_chip,
         )
+
+
+def _resumable(loop: ReplayLoop, length: int) -> ChunkedReplay:
+    """A replay-loop generator over ``length`` accesses as ``(run_chunk, settle)``.
+
+    ``run_chunk(start, stop)`` sends ``loop`` (:meth:`TraceDrivenSimulator._fast_loop`
+    or ``_legacy_loop``) the count of its next chunk; ``settle()`` sends
+    ``None``, which ends the loop.
+    """
+    next(loop)
+    send = loop.send
+    position = 0
+
+    def run_chunk(start: int, stop: int) -> None:
+        nonlocal position
+        if start != position or not start <= stop <= length:
+            raise ValueError(
+                f"chunk {start}:{stop} does not continue the replay at {position} of {length}"
+            )
+        position = stop
+        send(stop - start)
+
+    def settle() -> None:
+        try:
+            send(None)
+        except StopIteration:
+            return
+        raise RuntimeError("replay loop did not stop on settle")
+
+    return run_chunk, settle
 
 
 def simulate_benchmark(

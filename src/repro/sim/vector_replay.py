@@ -1,9 +1,10 @@
-"""The fast engine's replay dispatcher: compiled kernel first, then the interpreted loops.
+"""The fast engine's first tier: the compiled replay kernel, and when a run may take it.
 
-:func:`replay_fast` replays a whole trace in one native call when the
-run qualifies, and on the simulator's interpreted loops otherwise.  Both
-tiers are bit-identical (the equivalence suites assert
-``SimulationResult.to_dict`` equality with the kernel on and off):
+:func:`replay_kernel` replays a whole trace in one native call when the
+run qualifies; otherwise ``TraceDrivenSimulator.replay`` replays it on
+the simulator's interpreted loop.  Both tiers are bit-identical (the
+equivalence suites assert ``SimulationResult.to_dict`` equality with
+the kernel on and off):
 
 1. **Compiled kernel** (``kernel-baseline`` / ``kernel-dbcp`` /
    ``kernel-ltcords``) — the C replay loops of :mod:`repro.cache.vector`,
@@ -14,9 +15,10 @@ tiers are bit-identical (the equivalence suites assert
    :class:`~repro.core.ltcords.FastLTCordsPrefetcher` with closed-fold
    signatures of 32–63 bits (the library defaults), on a fresh simulator,
    over addresses below 2^54.
-2. **Interpreted** — the simulator's own columnar ``_run_fast`` loop:
-   every other predictor (GHB, stride, plugins), and every
-   kernel-eligible run that cannot take the kernel.
+2. **Interpreted** — the simulator's own columnar loop
+   (``TraceDrivenSimulator.replay_chunks``): every other predictor
+   (GHB, stride, plugins), every kernel-eligible run that cannot take
+   the kernel, and every core of a :mod:`repro.multicore` co-run.
 
 Both tiers serve every replaying simulation kind: trace-driven runs,
 the timing runs of :mod:`repro.sim.timing` (Table 3) and the pairwise
@@ -78,8 +80,12 @@ _FALLBACK_COUNTERS = {
 _warned_fallback = False
 
 
-def replay_fast(sim, trace: TraceStream) -> None:
-    """Replay ``trace`` on ``sim`` (a fast-engine ``TraceDrivenSimulator``)."""
+def replay_kernel(sim, trace: TraceStream) -> bool:
+    """Replay ``trace`` on ``sim`` through the kernel; ``False`` if it must run interpreted.
+
+    ``sim`` is a fast-engine ``TraceDrivenSimulator``; a kernel-eligible
+    predictor that cannot take the kernel has its fallback noted.
+    """
     if sim._kernel_ran:
         raise RuntimeError(
             "cannot continue replaying on a simulator after a compiled kernel "
@@ -95,11 +101,9 @@ def replay_fast(sim, trace: TraceStream) -> None:
         if reason is None:
             sim.last_tier = f"kernel-{kind}"
             _TIER_COUNTERS[sim.last_tier].inc()
-            return
+            return True
         _note_fallback(sim, reason)
-    sim.last_tier = "interpreted"
-    _TIER_COUNTERS["interpreted"].inc()
-    sim._run_fast(trace)
+    return False
 
 
 def _note_fallback(sim, reason: str) -> None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cache.hierarchy import HierarchyConfig, SharedL2Hierarchy
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, SharedL2
 from repro.cli import main
 from repro.multicore import (
     MulticoreResult,
@@ -44,6 +44,10 @@ class TestScheduleChunks:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="interleave"):
             schedule_chunks([range(3)], "lottery")
+
+    def test_zero_quantum_rejected(self):
+        with pytest.raises(ValueError, match="quantum"):
+            schedule_chunks([[1, 2, 3]], "rr", 0)
 
 
 class TestMulticoreSpec:
@@ -87,30 +91,46 @@ class TestMulticoreSpec:
 
 
 class TestSharedL2Hierarchy:
-    def test_one_core_matches_private_hierarchy(self):
-        from repro.cache.hierarchy import CacheHierarchy
+    """Per-core hierarchies over one SharedL2 (the co-run substrate)."""
 
-        shared = SharedL2Hierarchy(HierarchyConfig(), num_cores=1)
+    @staticmethod
+    def _hierarchies(num_cores, engine="fast"):
+        config = HierarchyConfig()
+        shared = SharedL2(config.l2, engine, num_cores)
+        return shared, [
+            CacheHierarchy(config, engine, shared_l2=shared, core=core)
+            for core in range(num_cores)
+        ]
+
+    def test_one_core_matches_private_hierarchy(self):
+        _, (shared,) = self._hierarchies(1)
         private = CacheHierarchy(HierarchyConfig())
         addresses = [0x1000 * i for i in range(64)] * 3
         for address in addresses:
-            assert shared.access_fast(0, address, 0) == private.access_fast(address, 0)
-        assert shared.stats[0] == private.stats
+            assert shared.access_fast(address, 0) == private.access_fast(address, 0)
+        assert shared.stats == private.stats
 
     def test_cores_share_the_l2(self):
-        shared = SharedL2Hierarchy(HierarchyConfig(), num_cores=2)
-        shared.access_fast(0, 0x4000, 0)   # core 0 misses to memory, fills L2
-        shared.access_fast(1, 0x4000, 0)   # core 1 misses L1 but hits shared L2
-        assert shared.stats[0].l2_misses == 1
-        assert shared.stats[1].l2_hits == 1
+        for engine in ("fast", "legacy"):
+            _, (core0, core1) = self._hierarchies(2, engine)
+            core0.access(0x4000)   # core 0 misses to memory, fills L2
+            core1.access(0x4000)   # core 1 misses L1 but hits shared L2
+            assert core0.stats.l2_misses == 1
+            assert core1.stats.l2_hits == 1
 
-    def test_aggregate_stats_sum_cores(self):
-        shared = SharedL2Hierarchy(HierarchyConfig(), num_cores=2)
-        for core in (0, 1):
-            shared.access_fast(core, 0x8000 + core * 0x100000, 0)
-        total = shared.aggregate_stats()
-        assert total.accesses == 2
-        assert total.l1_misses == 2
+    @pytest.mark.parametrize("engine", ["fast", "legacy"])
+    def test_prefetch_cross_core_evictions_are_attributed(self, engine):
+        # Core 0's prefetches overfill one L2 set, evicting only its own
+        # block; core 1's prefetch into the set then displaces one of core 0's.
+        shared, (core0, core1) = self._hierarchies(2, engine)
+        l2 = HierarchyConfig().l2
+        stride = l2.num_sets * l2.block_size
+        for way in range(l2.associativity + 1):
+            core0.prefetch_into_l1(way * stride)
+        assert shared.cross_core_evictions == 0
+        core1.prefetch_into_l1((l2.associativity + 1) * stride)
+        assert (shared.cross_core_evictions, shared.prefetch_cross_core_evictions) == (1, [0, 1])
+        assert shared.owners[(l2.associativity + 1) * stride] == 1
 
 
 class TestMulticoreSimulator:
@@ -140,6 +160,13 @@ class TestMulticoreSimulator:
         assert decoded.to_dict() == result.to_dict()
         assert decoded.coverage == result.coverage
         assert decoded.bus_occupancy() == result.bus_occupancy()
+
+    @pytest.mark.parametrize("schedule", [
+        {"quantum_accesses": 0}, {"quantum_accesses": -1}, {"interleave": "lottery"},
+    ])
+    def test_bad_schedule_rejected_at_construction(self, schedule):
+        with pytest.raises(ValueError, match="quantum|interleave"):
+            MulticoreSimulator([build_predictor("none")], **schedule)
 
     def test_trace_count_must_match_cores(self):
         simulator = MulticoreSimulator([build_predictor("none"), build_predictor("none")])

@@ -4,12 +4,13 @@ For every real predictor, both engines and both of the fast engine's
 replay tiers, a one-core ``repro.multicore`` run must produce a per-core
 ``SimulationResult`` whose full ``to_dict`` payload is bit-identical to
 :class:`~repro.sim.trace_driven.TraceDrivenSimulator` on the same spec.
-The modes are ``"legacy"``, ``"fast"`` (the fast engine with the
-compiled kernel switched off) and ``"vector"`` (the fast engine with the
-vector kernel, as by default).
-This pins the shared-hierarchy generalisation to the extensively
-cross-checked single-core engines: any drift in the multicore walk,
-prefetch path, feedback plumbing or stat settlement shows up here as a
+The co-run always replays its core on the interpreted (or legacy) loop;
+the single-core side runs in three modes: ``"legacy"``, ``"fast"`` (the
+fast engine with the compiled kernel switched off) and ``"kernel"`` (the
+fast engine with the compiled kernel, as by default).
+This pins the co-run's shared-L2 lanes to the extensively cross-checked
+single-core engines: any drift in the shared hierarchy, the chunked
+replay, the feedback plumbing or the stat settlement shows up here as a
 field-level diff.
 """
 
@@ -24,7 +25,7 @@ from repro.sim.trace_driven import simulate_benchmark
 
 PREDICTORS = ("ltcords", "dbcp", "ghb", "stride")
 NUM_ACCESSES = 4000
-MODES = ("fast", "legacy", "vector")
+MODES = ("fast", "legacy", "kernel")
 
 
 def _engine(mode):
@@ -56,8 +57,8 @@ def test_one_core_collapses_to_trace_driven(predictor, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_one_core_collapse_holds_for_null_predictor(mode):
-    # "none" exercises the generic (non-fast-protocol) multicore path
-    # against the single-core interpreted loop (or kernel).
+    # "none" exercises the on_access (non-fast-protocol) path of the
+    # co-run lane against the single-core interpreted loop (or kernel).
     engine = _engine(mode)
     spec = MulticoreSpec(benchmarks=("swim",), predictors=("none",),
                          num_accesses=NUM_ACCESSES, engine=engine)

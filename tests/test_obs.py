@@ -315,6 +315,23 @@ class TestSessionEvents:
         names = sorted(e["name"] for e in observer.events if e["type"] == "phase")
         assert names == ["replay", "settle", "trace_acquire"]
 
+    @pytest.mark.parametrize("engine", ["fast", "legacy"])
+    def test_multicore_lanes_count_in_replay_tiers(self, engine):
+        """Every fast-engine co-run core counts as one interpreted replay, not a fallback."""
+        from repro.multicore import MulticoreSpec
+        from repro.sim.vector_replay import FALLBACK_REASONS
+
+        tier = REGISTRY.counter("replay.tier.interpreted")
+        fallbacks = [REGISTRY.counter(f"replay.fallback.{reason}") for reason in FALLBACK_REASONS]
+        before = (tier.value, [counter.value for counter in fallbacks])
+        spec = MulticoreSpec(benchmarks=("mcf", "art", "gzip"), predictors=("dbcp",),
+                             num_accesses=1000, engine=engine)
+        Session(use_cache=False).run(spec)
+        cores = 3 if engine == "fast" else 0
+        assert (tier.value, [counter.value for counter in fallbacks]) == (
+            before[0] + cores, before[1]
+        )
+
     @pytest.mark.parametrize("kind", [
         {"sim": "timing", "predictor": "ltcords"},
         {"sim": "multiprogram", "secondary": "swim", "max_switches": 6},
