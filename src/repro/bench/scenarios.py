@@ -497,16 +497,17 @@ def _register_simulation_pair(
 # The headline pairs: the fast engine's >=3x gate over legacy is measured
 # on simulate_benchmark with DBCP over mcf at 200k accesses; both DBCP and
 # the no-prefetcher baseline take the compiled kernel there.  LT-cords on
-# mcf pairs the kernel with the same run under the kill switch.
+# mcf, GHB and stride pair the kernel with the same run under the kill
+# switch.
 _register_simulation_pair("mcf", "dbcp", 200_000, quick=True)
 _register_simulation_pair("mcf", "none", 200_000, quick=True)
 _register_simulation_pair("mcf", "ltcords", 100_000, quick=True, legacy=False, kill_switch=True)
 _register_simulation_pair("em3d", "ltcords", 100_000, quick=False)
-_register_simulation_pair("swim", "ghb", 100_000, quick=False)
+_register_simulation_pair("swim", "ghb", 100_000, quick=False, kill_switch=True)
 # Predictor-focused pairs: GHB on an irregular pointer chase (index-table
 # and chain-walk pressure) and the stride RPT on its natural workload.
-_register_simulation_pair("mcf", "ghb", 100_000, quick=False)
-_register_simulation_pair("swim", "stride", 100_000, quick=False)
+_register_simulation_pair("mcf", "ghb", 100_000, quick=False, kill_switch=True)
+_register_simulation_pair("swim", "stride", 100_000, quick=False, kill_switch=True)
 
 
 def _build_multicore(benchmarks, predictor: str, accesses: int, engine: str):

@@ -10,7 +10,7 @@ the shared object on disk keyed by a hash of the source, and loads it
 through :mod:`ctypes`.
 
 The kernel is a bit-exact port of the fast engine's replay protocol
-(``TraceDrivenSimulator._fast_loop``) for three predictors:
+(``TraceDrivenSimulator._fast_loop``) for five predictors:
 
 * ``repro_replay_dbcp`` — fused with ``FastDBCPPrefetcher`` and
   ``FastHistoryTable``: an open-addressed history map and an
@@ -23,21 +23,33 @@ The kernel is a bit-exact port of the fast engine's replay protocol
   window, the FIFO set-associative ``SignatureCache``, sliding-window
   streaming with the ``fetch_delay_accesses`` pending queue, and
   confidence feedback to both the signature cache and storage.
+* ``repro_replay_ghb`` — fused with ``FastGHBPrefetcher``: the flat
+  slot ring with serial validity, the PC index table as the same LRU
+  node pool, the per-PC chain walk and a line-for-line port of
+  ``_delta_correlate``.
+* ``repro_replay_stride`` — fused with ``FastStridePrefetcher``: the
+  insertion-ordered reference prediction table.
 * ``repro_replay_baseline`` — the no-prefetcher loop (one simulated
   L1/L2 pair; the caller mirrors the counters onto both hierarchies,
   which are identical when nothing is ever prefetched).
 
-Every predictor structure is allocated as the replay fills it, so the
-kernel's heap grows with the references replayed, never with the
-configured storage capacity.  Each kernel fills a flat ``int64`` output
-array with the loop counters, the predictor statistics and a full
-per-cache ``CacheStats`` mirror; :mod:`repro.sim.vector_replay` settles
-those into the simulator's Python-side objects, so results and
-statistics are indistinguishable from an interpreted run.  Given a
-non-NULL ``col``, a kernel also writes one outcome byte per access (the
-main hierarchy's service level, the baseline-miss bit and the
-memory-sourced prefetch fills), which the timing model and the
-pairwise multiprogram runs consume.
+GHB and stride answer one access with several prefetches; the kernel
+runs them through the simulator's request-queue semantics (drops
+beyond the queue size included).  Their predictions are computed
+addresses, so a prediction reaching 2^54 ends the kernel run (rc 2) and
+the interpreted tier replays the trace instead.
+
+Every predictor structure is allocated as the replay fills it (or
+bounded by the references replayed), so the kernel's heap grows with
+the references replayed, never with the configured storage capacity.
+Each kernel fills a flat ``int64`` output array with the loop counters,
+the predictor statistics and a full per-cache ``CacheStats`` mirror;
+:mod:`repro.sim.vector_replay` settles those into the simulator's
+Python-side objects, so results and statistics are indistinguishable
+from an interpreted run.  Given a non-NULL ``col``, a kernel also writes
+one outcome byte per access (the main hierarchy's service level, the
+baseline-miss bit and the memory-sourced prefetch fills), which the
+timing model and the pairwise multiprogram runs consume.
 
 Availability is best-effort by design: no compiler, a failed compile, a
 read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all make
@@ -73,6 +85,8 @@ KERNEL_SOURCE = r"""
 
 /* Addresses at or above this bound are replayed by the interpreted tier. */
 #define MAX_ADDRESS (1LL << 54)
+/* OUTCOME_FILL_SPILL: the most fills an outcome byte holds. */
+#define FILL_SPILL 15
 
 /* Every allocation failure unwinds to the kernel entry point, which frees
  * whatever its state holds and reports rc 1. */
@@ -229,12 +243,13 @@ static int cache_access(Cache *c, int64_t address, int is_write,
 }
 
 /* _insert_prefetch_absent: the caller has verified the block is not
- * resident.  victim_address is displaced iff it maps to the same set and
- * is resident; otherwise the LRU way goes (full sets only). */
+ * resident.  With has_victim, victim_address is displaced iff it maps to
+ * the same set and is resident; otherwise the LRU way goes (full sets
+ * only). */
 static void cache_insert_prefetch(Cache *c, int64_t set_index, int64_t tag,
-                                  int64_t address, int64_t victim_address,
-                                  int64_t *evicted, int *has_evicted,
-                                  int *ev_unused) {
+                                  int64_t address, int has_victim,
+                                  int64_t victim_address, int64_t *evicted,
+                                  int *has_evicted, int *ev_unused) {
     int64_t serial = ++c->serial;
     c->prefetch_insertions++;
     int assoc = c->assoc;
@@ -244,7 +259,8 @@ static void cache_insert_prefetch(Cache *c, int64_t set_index, int64_t tag,
     *has_evicted = 0;
     *ev_unused = 0;
     if (c->counts[set_index] == assoc) {
-        if (((victim_address >> c->offset_bits) & c->set_mask) == set_index) {
+        if (has_victim &&
+            ((victim_address >> c->offset_bits) & c->set_mask) == set_index) {
             int64_t vtag = victim_address >> c->tag_shift;
             for (int w = 0; w < assoc; w++) {
                 if (tags[w] == vtag) {
@@ -478,16 +494,23 @@ typedef struct {
     int64_t prefetches_used, prefetches_evicted_unused, incorrect,
         incorrect_mem;
     int64_t prefetches_issued, prefetches_from_l2, prefetches_from_memory;
+    int64_t queue_size, dropped; /* the request queue (see hier_issue) */
     int8_t *col; /* per-access outcome bytes (see hier_init), or NULL */
+    int64_t fills; /* memory-sourced fills after the current access */
+    int64_t *spill, nspill; /* exact counts of saturated fills, or NULL */
 } Hier;
 
 /* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
  *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
  *      8 hier_block_mask
  * col: NULL, or one outcome byte per access: the main level (0 L1, 1 L2,
- *      2 memory) | 4 on a baseline L1 miss | 8 per memory-sourced fill. */
-static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg, int8_t *col) {
+ *      2 memory) | 4 on a baseline L1 miss | 8 per memory-sourced fill,
+ *      up to FILL_SPILL fills; a count that saturates is also appended
+ *      to spill (NULL when no access can fill that many). */
+static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg, int8_t *col,
+                      int64_t *spill) {
     h->col = col;
+    h->spill = spill;
     cache_init(fail, &h->main_l1, cfg, cfg[8]);
     cache_init(fail, &h->main_l2, cfg + 4, cfg[8]);
     cache_init(fail, &h->base_l1, cfg, cfg[8]);
@@ -511,6 +534,7 @@ static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
     int64_t dump;
     int dummy_h, dummy_u;
     int outcome = 0;
+    h->fills = 0;
     int code = cache_access(&h->main_l1, address, wr, evicted, has_evicted,
                             ev_unused);
     if (code) {
@@ -539,7 +563,7 @@ static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
 
 /* prefetch_into_l1_fast: 0 if already L1-resident, else the source
  * (1 = L2, 2 = memory) with the installed block's victim reported. */
-static int hier_prefetch(Hier *h, int64_t address, int64_t victim,
+static int hier_prefetch(Hier *h, int64_t address, int has_victim, int64_t victim,
                          int64_t *evicted, int *has_evicted, int *ev_unused) {
     Cache *l1 = &h->main_l1;
     int64_t dump;
@@ -557,10 +581,11 @@ static int hier_prefetch(Hier *h, int64_t address, int64_t victim,
     } else {
         h->prefetches_from_memory++;
         source = 2;
-        if (h->col) h->col[-1] += 8; /* one more memory fill after this access */
+        /* one more memory fill after this access */
+        if (h->col && h->fills++ < FILL_SPILL) h->col[-1] += 8;
     }
-    cache_insert_prefetch(l1, set, tag, address, victim, evicted, has_evicted,
-                          ev_unused);
+    cache_insert_prefetch(l1, set, tag, address, has_victim, victim, evicted,
+                          has_evicted, ev_unused);
     return source;
 }
 
@@ -599,7 +624,8 @@ static void hier_track(Hier *h, int64_t block, uint64_t tag_key,
 }
 
 /* out: 0-7 loop counters, 8-15 prefetch accounting (see vector_replay),
- * 24/34/44/54 per-cache stats blocks. */
+ * 22 request-queue drops, 23 spilled fill counts, 24/34/44/54 per-cache
+ * stats blocks. */
 static void hier_dump(const Hier *h, int64_t *out) {
     out[0] = h->base_misses;
     out[1] = h->correct;
@@ -616,6 +642,8 @@ static void hier_dump(const Hier *h, int64_t *out) {
     out[13] = h->prefetches_issued;
     out[14] = h->prefetches_from_l2;
     out[15] = h->prefetches_from_memory;
+    out[22] = h->dropped;
+    out[23] = h->nspill;
     cache_dump_stats(&h->main_l1, out + 24);
     cache_dump_stats(&h->main_l2, out + 34);
     cache_dump_stats(&h->base_l1, out + 44);
@@ -806,7 +834,7 @@ static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
 static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
                      const int8_t *is_write, const int64_t *cfg, int8_t *col) {
     Hier *h = &d->h;
-    hier_init(&d->fail, h, cfg, col);
+    hier_init(&d->fail, h, cfg, col, NULL);
     hist_init(&d->fail, &d->hist, cfg + 9);
     map_init(&d->outstanding, &d->fail);
     d->conf_threshold = cfg[12];
@@ -855,8 +883,8 @@ static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
         /* The simulator executes the one command inline. */
         int64_t pevicted = 0;
         int phas = 0, punused = 0;
-        int source = hier_prefetch(h, predicted, block_address, &pevicted, &phas,
-                                   &punused);
+        int source = hier_prefetch(h, predicted, 1, block_address, &pevicted,
+                                   &phas, &punused);
         if (!source) continue;
         int64_t pblock = predicted & h->block_mask;
         if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
@@ -873,10 +901,11 @@ static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
  * out: 0-15 as hier_dump plus 8 predictions_issued, 16 table_hits,
  *      17 low_conf, 18 signatures_recorded, 19 table_evictions,
  *      20 history evictions, 21 history cold evictions.
+ * spill goes unused: DBCP fills at most one block per access.
  * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
 int repro_replay_dbcp(int64_t n, const int64_t *pc, const int64_t *addr,
                       const int8_t *is_write, const int64_t *cfg,
-                      int64_t *out, int8_t *col) {
+                      int64_t *out, int8_t *col, int64_t *spill) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Dbcp *d = (Dbcp *)calloc(1, sizeof(Dbcp));
@@ -1184,7 +1213,7 @@ static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
 static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
                     const int8_t *is_write, const int64_t *cfg, int8_t *col) {
     Hier *h = &L->h;
-    hier_init(&L->fail, h, cfg, col);
+    hier_init(&L->fail, h, cfg, col, NULL);
     hist_init(&L->fail, &L->hist, cfg + 9);
     map_init(&L->outstanding, &L->fail);
     map_init(&L->frame_slots, &L->fail);
@@ -1260,8 +1289,8 @@ static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
         /* The simulator executes the one command inline. */
         int64_t pevicted = 0;
         int phas = 0, punused = 0;
-        int source = hier_prefetch(h, predicted, block_address, &pevicted, &phas,
-                                   &punused);
+        int source = hier_prefetch(h, predicted, 1, block_address, &pevicted,
+                                   &phas, &punused);
         if (!source) continue;
         int64_t pblock = predicted & h->block_mask;
         if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
@@ -1281,10 +1310,11 @@ static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
  * out: 0-15 as hier_dump plus 8 predictions_issued, 20/21 history
  *      evictions/cold, 64-70 LTCordsStats, 71-77 SequenceStorageStats,
  *      78-81 SignatureCacheStats (lookups, hits, inserts, replacements).
+ * spill goes unused: LT-cords fills at most one block per access.
  * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
 int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
                          const int8_t *is_write, const int64_t *cfg,
-                         int64_t *out, int8_t *col) {
+                         int64_t *out, int8_t *col, int64_t *spill) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Ltc *L = (Ltc *)calloc(1, sizeof(Ltc));
@@ -1334,10 +1364,305 @@ int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
     return rc;
 }
 
+/* ---------------------------------------- GHB PC/DC and stride replay
+ * Both predictors answer a demand access with up to `degree` commands
+ * carrying no victim and the PC as tag; their only feedback is the base
+ * Prefetcher's use and unused-eviction counts. */
+
+/* One demand access and its feedback; returns the main L1's access code. */
+static int hier_step(Hier *h, int64_t address, int wr, int64_t *block) {
+    int64_t evicted = 0, tag_word, tag_offset;
+    int has_evicted = 0, ev_unused = 0;
+    uint64_t tag_key;
+    int code = hier_demand(h, address, wr, &evicted, &has_evicted, &ev_unused);
+    *block = address & h->block_mask;
+    if (code == 2)
+        hier_used(h, *block, &tag_key, &tag_word, &tag_offset);
+    else if (!code && ev_unused)
+        hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset);
+    return code;
+}
+
+/* The commands of one access: aligned targets, deduplicated against the
+ * demand block and each other. */
+typedef struct {
+    int64_t *v;
+    int64_t n, cap, issued; /* issued: predictions_issued */
+} Targets;
+
+static void target_add(jmp_buf *fail, Targets *t, int64_t aligned, int64_t block) {
+    if (aligned == block) return;
+    for (int64_t j = 0; j < t->n; j++)
+        if (t->v[j] == aligned) return;
+    t->v = (int64_t *)grow(fail, t->v, &t->cap, t->n + 1, sizeof(int64_t));
+    t->v[t->n++] = aligned;
+    t->issued++;
+}
+
+/* The simulator's request queue, drained after every access: one command
+ * is issued at once; k > 1 are pushed (the oldest dropped beyond the
+ * queue size) and then issued in order. */
+static void hier_issue(Hier *h, const Targets *t, int64_t pc) {
+    int64_t first = t->n > h->queue_size ? t->n - h->queue_size : 0;
+    int64_t evicted, tag_word, tag_offset;
+    int has_evicted, ev_unused;
+    uint64_t tag_key;
+    h->dropped += first;
+    for (int64_t j = first; j < t->n; j++) {
+        int source = hier_prefetch(h, t->v[j], 0, 0, &evicted, &has_evicted,
+                                   &ev_unused);
+        if (!source) continue;
+        if (ev_unused) hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset);
+        hier_track(h, t->v[j] & h->block_mask, (uint64_t)pc, 0, 0, source);
+    }
+    if (h->spill && h->fills >= FILL_SPILL) h->spill[h->nspill++] = h->fills;
+}
+
+static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
+
+typedef struct {
+    jmp_buf fail;
+    Hier h;
+    Lru index; /* pc -> newest serial, in LRU order */
+    int64_t *address, *pc, *link, *stored; /* the ring's slots */
+    int64_t *hist, *deltas;
+    Targets t;
+    int64_t entries, index_entries, degree, depth, block_mask, serial;
+    int64_t inserted, correlations, stride_fallbacks, too_short;
+} Ghb;
+
+/* _delta_correlate over hist[0, len) (most recent first), adding the
+ * aligned targets; 2 when a prediction reaches MAX_ADDRESS. */
+static int ghb_predict(Ghb *G, int64_t len, int64_t block) {
+    if (len < 3) {
+        G->too_short++;
+        return 0;
+    }
+    /* The oldest-first delta stream. */
+    int64_t nd = len - 1, *d = G->deltas;
+    for (int64_t i = 0; i < nd; i++) d[i] = G->hist[len - 2 - i] - G->hist[len - 1 - i];
+    int64_t from = -1, count = G->degree;
+    for (int64_t i = nd - 3; i > 0; i--) {
+        if (d[i - 1] == d[nd - 2] && d[i] == d[nd - 1]) {
+            from = i + 1;
+            count = min64(count, nd - from);
+            G->correlations++;
+            break;
+        }
+    }
+    if (from < 0) {
+        /* Repeat a stable last delta, else predict nothing. */
+        if (d[nd - 1] == 0 || d[nd - 1] != d[nd - 2]) return 0;
+        G->stride_fallbacks++;
+    }
+    int64_t current = G->hist[0];
+    for (int64_t j = 0; j < count; j++) {
+        int64_t delta = from < 0 ? d[nd - 1] : d[from + j];
+        if (delta >= MAX_ADDRESS - current) return 2;
+        current += delta;
+        if (current < 0) break;
+        target_add(&G->fail, &G->t, current & G->block_mask, block);
+    }
+    return 0;
+}
+
+static int ghb_run(Ghb *G, int64_t n, const int64_t *pc, const int64_t *addr,
+                   const int8_t *is_write, const int64_t *cfg, int8_t *col,
+                   int64_t *spill) {
+    Hier *h = &G->h;
+    hier_init(&G->fail, h, cfg, col, spill);
+    h->queue_size = cfg[9];
+    G->block_mask = cfg[10];
+    G->index_entries = cfg[11];
+    G->entries = cfg[12];
+    G->degree = cfg[13];
+    G->depth = cfg[14];
+    /* At most n misses: the ring, the index table and a chain never hold more. */
+    int64_t ring = min64(G->entries, n) + 1;
+    G->address = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
+    G->pc = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
+    G->link = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
+    G->stored = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
+    int64_t chain = min64(G->depth, ring);
+    G->hist = (int64_t *)xalloc(&G->fail, NULL, (size_t)chain * sizeof(int64_t));
+    G->deltas = (int64_t *)xalloc(&G->fail, NULL, (size_t)chain * sizeof(int64_t));
+    int64_t pool = min64(G->index_entries, n) + 1;
+    lru_init(&G->fail, &G->index, next_pow2((uint64_t)(2 * pool + 64)), pool);
+
+    for (int64_t i = 0; i < n; i++) {
+        int64_t block, p = pc[i];
+        if (hier_step(h, addr[i], is_write[i], &block)) continue;
+
+        /* _insert_miss: the index table maps the PC to its newest serial. */
+        int64_t serial = ++G->serial, previous = 0;
+        Lru *it = &G->index;
+        int64_t s = lru_hfind(it, (uint64_t)p);
+        if (s >= 0) {
+            int32_t node = it->hnode[s];
+            previous = it->npacked[node];
+            it->npacked[node] = serial;
+            lru_touch(it, node);
+        } else {
+            if (it->count >= G->index_entries) lru_evict_oldest(it);
+            lru_insert(it, (uint64_t)p, serial);
+        }
+        int64_t slot = (serial - 1) % G->entries;
+        G->address[slot] = block;
+        G->pc[slot] = p;
+        G->link[slot] = previous;
+        G->stored[slot] = serial;
+        G->inserted++;
+
+        /* _pc_history: serials at or below the floor were overwritten. */
+        int64_t len = 1, current = previous, floor = serial - G->entries;
+        G->hist[0] = block;
+        while (current > floor && current > 0 && len < G->depth) {
+            slot = (current - 1) % G->entries;
+            if (G->stored[slot] != current || G->pc[slot] != p) break;
+            G->hist[len++] = G->address[slot];
+            current = G->link[slot];
+        }
+        G->t.n = 0;
+        if (ghb_predict(G, len, block)) return 2;
+        hier_issue(h, &G->t, p);
+    }
+    return 0;
+}
+
+/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
+ *      10 ghb_block_mask, 11 index_table_entries, 12 ghb_entries,
+ *      13 degree, 14 history_depth
+ * out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued, 16-19
+ *      GHBStats (misses_inserted, delta_correlations, stride_fallbacks,
+ *      chains_too_short).
+ * Returns 0, 1 (out of memory) or 2 (an address or prediction outside
+ * the kernel range). */
+int repro_replay_ghb(int64_t n, const int64_t *pc, const int64_t *addr,
+                     const int8_t *is_write, const int64_t *cfg, int64_t *out,
+                     int8_t *col, int64_t *spill) {
+    memset(out, 0, 96 * sizeof(int64_t));
+    if (!addresses_in_range(n, addr)) return 2;
+    Ghb *G = (Ghb *)calloc(1, sizeof(Ghb));
+    if (!G) return 1;
+    volatile int rc = 1; /* set after setjmp */
+    if (setjmp(G->fail) == 0) {
+        rc = ghb_run(G, n, pc, addr, is_write, cfg, col, spill);
+        hier_dump(&G->h, out);
+        out[8] = G->t.issued;
+        out[16] = G->inserted;
+        out[17] = G->correlations;
+        out[18] = G->stride_fallbacks;
+        out[19] = G->too_short;
+    }
+    hier_free(&G->h);
+    lru_free(&G->index);
+    free(G->address);
+    free(G->pc);
+    free(G->link);
+    free(G->stored);
+    free(G->hist);
+    free(G->deltas);
+    free(G->t.v);
+    free(G);
+    return rc;
+}
+
+typedef struct {
+    jmp_buf fail;
+    Hier h;
+    Lru table; /* pc -> last address, in LRU order */
+    int64_t *stride, *conf; /* by table node */
+    Targets t;
+    int64_t entries, degree, threshold, block_mask;
+} Stride;
+
+static int stride_run(Stride *S, int64_t n, const int64_t *pc, const int64_t *addr,
+                      const int8_t *is_write, const int64_t *cfg, int8_t *col,
+                      int64_t *spill) {
+    Hier *h = &S->h;
+    hier_init(&S->fail, h, cfg, col, spill);
+    h->queue_size = cfg[9];
+    S->block_mask = cfg[10];
+    S->entries = cfg[11];
+    S->degree = cfg[12];
+    S->threshold = cfg[13];
+    int64_t pool = min64(S->entries, n) + 1;
+    Lru *t = &S->table;
+    lru_init(&S->fail, t, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    S->stride = (int64_t *)xalloc(&S->fail, NULL, (size_t)pool * sizeof(int64_t));
+    S->conf = (int64_t *)xalloc(&S->fail, NULL, (size_t)pool * sizeof(int64_t));
+
+    for (int64_t i = 0; i < n; i++) {
+        int64_t block, address = addr[i];
+        int code = hier_step(h, address, is_write[i], &block);
+
+        /* The RPT trains on every access; every probe refreshes its LRU position. */
+        int64_t s = lru_hfind(t, (uint64_t)pc[i]);
+        if (s < 0) {
+            if (t->count >= S->entries) lru_evict_oldest(t);
+            lru_insert(t, (uint64_t)pc[i], address);
+            S->stride[t->tail] = 0;
+            S->conf[t->tail] = 0;
+            continue;
+        }
+        int32_t node = t->hnode[s];
+        lru_touch(t, node);
+        int64_t stride = address - t->npacked[node];
+        if (stride == S->stride[node] && stride != 0) {
+            if (S->conf[node] < 3) S->conf[node]++;
+        } else {
+            S->conf[node] = 0;
+            S->stride[node] = stride;
+        }
+        t->npacked[node] = address;
+        if (code || S->conf[node] < S->threshold) continue;
+
+        S->t.n = 0;
+        int64_t target = address;
+        for (int64_t k = 0; k < S->degree; k++) {
+            if (stride >= MAX_ADDRESS - target) return 2;
+            target += stride;
+            if (target < 0) break;
+            target_add(&S->fail, &S->t, target & S->block_mask, block);
+        }
+        hier_issue(h, &S->t, pc[i]);
+    }
+    return 0;
+}
+
+/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
+ *      10 stride_block_mask, 11 table_entries, 12 degree,
+ *      13 train_threshold
+ * out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued.
+ * Returns 0, 1 (out of memory) or 2 (an address or prediction outside
+ * the kernel range). */
+int repro_replay_stride(int64_t n, const int64_t *pc, const int64_t *addr,
+                        const int8_t *is_write, const int64_t *cfg, int64_t *out,
+                        int8_t *col, int64_t *spill) {
+    memset(out, 0, 96 * sizeof(int64_t));
+    if (!addresses_in_range(n, addr)) return 2;
+    Stride *S = (Stride *)calloc(1, sizeof(Stride));
+    if (!S) return 1;
+    volatile int rc = 1; /* set after setjmp */
+    if (setjmp(S->fail) == 0) {
+        rc = stride_run(S, n, pc, addr, is_write, cfg, col, spill);
+        hier_dump(&S->h, out);
+        out[8] = S->t.issued;
+    }
+    hier_free(&S->h);
+    lru_free(&S->table);
+    free(S->stride);
+    free(S->conf);
+    free(S->t.v);
+    free(S);
+    return rc;
+}
+
 /* ------------------------------------------------ no-prefetcher replay
  * With the NullPrefetcher the main and baseline hierarchies receive
  * identical streams, so one simulated L1/L2 pair stands for both; the
- * caller mirrors the counters.
+ * caller mirrors the counters.  Takes every kernel's arguments; pc and
+ * spill go unused.
  * cfg: slots 0-8 as hier_init.  out: 0 l1_hits, 1 l2_hits, 2 l2_misses,
  * per-cache stats at 24 (L1) and 34 (L2).  col: as hier_init (every L1
  * miss is a baseline miss). */
@@ -1346,9 +1671,9 @@ typedef struct {
     Cache l1, l2;
 } Baseline;
 
-int repro_replay_baseline(int64_t n, const int64_t *addr,
+int repro_replay_baseline(int64_t n, const int64_t *pc, const int64_t *addr,
                           const int8_t *is_write, const int64_t *cfg,
-                          int64_t *out, int8_t *col) {
+                          int64_t *out, int8_t *col, int64_t *spill) {
     memset(out, 0, 96 * sizeof(int64_t));
     if (!addresses_in_range(n, addr)) return 2;
     Baseline *b = (Baseline *)calloc(1, sizeof(Baseline));
@@ -1389,23 +1714,26 @@ int repro_replay_baseline(int64_t n, const int64_t *addr,
 """
 
 
+#: The kernel entry points, ``repro_replay_<kind>``.
+KERNELS = ("baseline", "dbcp", "ltcords", "ghb", "stride")
+
+
 class VectorKernel:
-    """ctypes handle over the compiled replay kernels."""
+    """ctypes handle over the compiled replay kernels.
+
+    Every entry point takes ``(n, pc, addr, is_write, cfg, out, col,
+    spill)`` and is exposed as ``replay_<kind>``.
+    """
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self.library = library
-        i64 = ctypes.c_int64
         i64p = ctypes.POINTER(ctypes.c_int64)
         i8p = ctypes.POINTER(ctypes.c_int8)
-        self.replay_dbcp = library.repro_replay_dbcp
-        self.replay_dbcp.argtypes = [i64, i64p, i64p, i8p, i64p, i64p, i8p]
-        self.replay_dbcp.restype = ctypes.c_int
-        self.replay_ltcords = library.repro_replay_ltcords
-        self.replay_ltcords.argtypes = [i64, i64p, i64p, i8p, i64p, i64p, i8p]
-        self.replay_ltcords.restype = ctypes.c_int
-        self.replay_baseline = library.repro_replay_baseline
-        self.replay_baseline.argtypes = [i64, i64p, i8p, i64p, i64p, i8p]
-        self.replay_baseline.restype = ctypes.c_int
+        for kind in KERNELS:
+            entry = getattr(library, f"repro_replay_{kind}")
+            entry.argtypes = [ctypes.c_int64, i64p, i64p, i8p, i64p, i64p, i8p, i64p]
+            entry.restype = ctypes.c_int
+            setattr(self, f"replay_{kind}", entry)
 
 
 def kernel_cache_dir() -> str:

@@ -83,8 +83,8 @@ OUTCOME_LEVEL_MASK = 3
 OUTCOME_BASE_MISS = 4
 OUTCOME_FILL_SHIFT = 3
 #: A fill count this large is stored as this value; the exact count is
-#: appended to the simulator's ``fill_spill`` list (the compiled kernels
-#: fill at most one block per access, so only deep-degree predictors spill).
+#: appended to the simulator's ``fill_spill`` list (only a GHB or stride
+#: predictor of this degree or more can spill).
 OUTCOME_FILL_SPILL = 15
 
 #: A replay loop: a generator sent chunk sizes, then ``None`` to settle.

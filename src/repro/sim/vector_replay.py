@@ -7,18 +7,22 @@ equivalence suites assert ``SimulationResult.to_dict`` equality with
 the kernel on and off):
 
 1. **Compiled kernel** (``kernel-baseline`` / ``kernel-dbcp`` /
-   ``kernel-ltcords``) — the C replay loops of :mod:`repro.cache.vector`,
-   driven through :mod:`ctypes` over the trace's own column buffers (no
-   NumPy).  A run qualifies when its predictor is exactly the
-   :class:`~repro.prefetchers.null.NullPrefetcher`, the
+   ``kernel-ltcords`` / ``kernel-ghb`` / ``kernel-stride``) — the C
+   replay loops of :mod:`repro.cache.vector`, driven through
+   :mod:`ctypes` over the trace's own column buffers (no NumPy).  A run
+   qualifies when its predictor is exactly one of the built-in fast
+   predictors — the :class:`~repro.prefetchers.null.NullPrefetcher`, the
    :class:`~repro.prefetchers.dbcp.FastDBCPPrefetcher` or the
    :class:`~repro.core.ltcords.FastLTCordsPrefetcher` with closed-fold
-   signatures of 32–63 bits (the library defaults), on a fresh simulator,
-   over addresses below 2^54.
+   signatures of 32–63 bits (the library defaults), the
+   :class:`~repro.prefetchers.ghb.FastGHBPrefetcher` or the
+   :class:`~repro.prefetchers.stride.FastStridePrefetcher` — on a fresh
+   simulator, over addresses below 2^54 whose GHB/stride predictions
+   stay below 2^54 too.
 2. **Interpreted** — the simulator's own columnar loop
-   (``TraceDrivenSimulator.replay_chunks``): every other predictor
-   (GHB, stride, plugins), every kernel-eligible run that cannot take
-   the kernel, and every core of a :mod:`repro.multicore` co-run.
+   (``TraceDrivenSimulator.replay_chunks``): plugin predictors, every
+   kernel-eligible run that cannot take the kernel, and every core of a
+   :mod:`repro.multicore` co-run.
 
 Both tiers serve every replaying simulation kind: trace-driven runs,
 the timing runs of :mod:`repro.sim.timing` (Table 3) and the pairwise
@@ -50,14 +54,16 @@ from __future__ import annotations
 import ctypes
 import warnings
 from array import array
-from typing import Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 from repro.cache import vector
 from repro.core.ltcords import FastLTCordsPrefetcher
 from repro.memory.bus import TrafficCategory
 from repro.obs.metrics import REGISTRY
 from repro.prefetchers.dbcp import FastDBCPPrefetcher
+from repro.prefetchers.ghb import FastGHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
+from repro.prefetchers.stride import FastStridePrefetcher
 from repro.trace.stream import TraceStream
 
 #: Kernel node pools are indexed with int32.
@@ -70,7 +76,10 @@ _OUT_BASE_L1 = 44
 _OUT_BASE_L2 = 54
 _OUT_LTCORDS = 64
 
-TIERS = ("kernel-baseline", "kernel-dbcp", "kernel-ltcords", "interpreted")
+TIERS = (
+    "kernel-baseline", "kernel-dbcp", "kernel-ltcords", "kernel-ghb", "kernel-stride",
+    "interpreted",
+)
 FALLBACK_REASONS = ("no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold")
 
 _TIER_COUNTERS = {tier: REGISTRY.counter(f"replay.tier.{tier}") for tier in TIERS}
@@ -91,15 +100,16 @@ def replay_kernel(sim, trace: TraceStream) -> bool:
             "cannot continue replaying on a simulator after a compiled kernel "
             "run; use a fresh TraceDrivenSimulator per trace"
         )
-    prefetcher = sim.prefetcher
-    kind = _KERNEL_KINDS.get(type(prefetcher))
+    route = _ROUTES.get(type(sim.prefetcher))
     sim.last_fallback = None
-    if kind is not None:
-        reason = _ineligible(sim, prefetcher)
+    if route is not None:
+        reason = route.unfit(sim.prefetcher)
+        if reason is None and not _sim_is_fresh(sim):
+            reason = "not-fresh"
         if reason is None:
-            reason = _run_kernel(sim, trace, kind)
+            reason = _run_kernel(sim, trace, route)
         if reason is None:
-            sim.last_tier = f"kernel-{kind}"
+            sim.last_tier = f"kernel-{route.kind}"
             _TIER_COUNTERS[sim.last_tier].inc()
             return True
         _note_fallback(sim, reason)
@@ -122,17 +132,6 @@ def _note_fallback(sim, reason: str) -> None:
 
 
 # ---------------------------------------------------------------------- gates
-def _ineligible(sim, prefetcher) -> Optional[str]:
-    """Why a kernel-eligible predictor cannot take the kernel here, if it cannot."""
-    if type(prefetcher) is not NullPrefetcher and not (
-        prefetcher._closed_fold and prefetcher._key_bits < 64
-    ):
-        return "open-fold"
-    if not (_sim_is_fresh(sim) and _PREDICTOR_FRESH[type(prefetcher)](prefetcher)):
-        return "not-fresh"
-    return None
-
-
 def _sim_is_fresh(sim) -> bool:
     """True iff the simulator has accumulated no replay state.
 
@@ -158,35 +157,30 @@ def _sim_is_fresh(sim) -> bool:
     return not (stats.accesses_observed or stats.predictions_issued)
 
 
-def _dbcp_is_fresh(prefetcher: FastDBCPPrefetcher) -> bool:
-    """True iff the predictor's tables hold no prior observations."""
-    if prefetcher._blocks or prefetcher._table or prefetcher._outstanding:
-        return False
-    history_stats = prefetcher.history.stats
-    return not (history_stats.evictions or prefetcher.dbcp_stats.signatures_recorded)
+def _fresh(is_fresh: bool) -> Optional[str]:
+    return None if is_fresh else "not-fresh"
 
 
-def _ltcords_is_fresh(prefetcher: FastLTCordsPrefetcher) -> bool:
-    """True iff history, storage and the signature cache are all empty."""
-    if prefetcher._blocks or prefetcher._outstanding or prefetcher._pending:
-        return False
-    if prefetcher._access_counter or prefetcher.history.stats.evictions:
-        return False
-    return not (
-        prefetcher.storage.stats.signatures_recorded or prefetcher.signature_cache.stats.inserts
-    )
+def _history_unfit(prefetcher, is_fresh: bool) -> Optional[str]:
+    """The DBCP/LT-cords gate: the kernel folds closed history keys of under 64 bits."""
+    if not (prefetcher._closed_fold and prefetcher._key_bits < 64):
+        return "open-fold"
+    return _fresh(is_fresh and not prefetcher.history.stats.evictions)
 
 
-_KERNEL_KINDS = {
-    NullPrefetcher: "baseline",
-    FastDBCPPrefetcher: "dbcp",
-    FastLTCordsPrefetcher: "ltcords",
-}
-_PREDICTOR_FRESH = {
-    NullPrefetcher: lambda prefetcher: True,
-    FastDBCPPrefetcher: _dbcp_is_fresh,
-    FastLTCordsPrefetcher: _ltcords_is_fresh,
-}
+def _dbcp_unfit(prefetcher: FastDBCPPrefetcher) -> Optional[str]:
+    return _history_unfit(prefetcher, not (
+        prefetcher._blocks or prefetcher._table or prefetcher._outstanding
+        or prefetcher.dbcp_stats.signatures_recorded
+    ))
+
+
+def _ltcords_unfit(prefetcher: FastLTCordsPrefetcher) -> Optional[str]:
+    return _history_unfit(prefetcher, not (
+        prefetcher._blocks or prefetcher._outstanding or prefetcher._pending
+        or prefetcher._access_counter or prefetcher.storage.stats.signatures_recorded
+        or prefetcher.signature_cache.stats.inserts
+    ))
 
 
 # --------------------------------------------------------------- kernel calls
@@ -229,8 +223,8 @@ def _geometry_cfg(sim) -> list:
     ]
 
 
-def _predictor_cfg(prefetcher) -> list:
-    """cfg slots 9-14: the history fold and confidence counter."""
+def _history_cfg(prefetcher) -> list:
+    """DBCP/LT-cords cfg slots 9-14: the history fold and confidence counter."""
     return [
         prefetcher._block_mask,
         prefetcher._key_bits,
@@ -241,15 +235,17 @@ def _predictor_cfg(prefetcher) -> list:
     ]
 
 
-def _dbcp_cfg(prefetcher: FastDBCPPrefetcher) -> list:
+def _dbcp_cfg(sim) -> list:
+    prefetcher = sim.prefetcher
     table_entries = prefetcher._table_entries
-    return _predictor_cfg(prefetcher) + [-1 if table_entries is None else table_entries]
+    return _history_cfg(prefetcher) + [-1 if table_entries is None else table_entries]
 
 
-def _ltcords_cfg(prefetcher: FastLTCordsPrefetcher) -> list:
+def _ltcords_cfg(sim) -> list:
+    prefetcher = sim.prefetcher
     storage = prefetcher.config.storage_config
     signature_cache = prefetcher.config.signature_cache_config
-    return _predictor_cfg(prefetcher) + [
+    return _history_cfg(prefetcher) + [
         prefetcher._stream_window,
         prefetcher._fetch_delay,
         storage.num_frames,
@@ -263,8 +259,33 @@ def _ltcords_cfg(prefetcher: FastLTCordsPrefetcher) -> list:
     ]
 
 
-def _run_kernel(sim, trace: TraceStream, kind: str) -> Optional[str]:
+def _ghb_cfg(sim) -> list:
+    prefetcher = sim.prefetcher
+    return [
+        sim.request_queue.capacity,
+        prefetcher._block_mask,
+        prefetcher._index_entries,
+        prefetcher._entries,
+        prefetcher._degree,
+        prefetcher._history_depth,
+    ]
+
+
+def _stride_cfg(sim) -> list:
+    prefetcher = sim.prefetcher
+    return [
+        sim.request_queue.capacity,
+        prefetcher._block_mask,
+        prefetcher._table_entries,
+        prefetcher._degree,
+        prefetcher._train_threshold,
+    ]
+
+
+def _run_kernel(sim, trace: TraceStream, route: "_Route") -> Optional[str]:
     """Replay through the compiled kernel; the fallback reason if it cannot."""
+    from repro.sim.trace_driven import OUTCOME_FILL_SPILL
+
     kernel = vector.load_kernel()
     if kernel is None:
         return vector.unavailable_reason()
@@ -276,34 +297,34 @@ def _run_kernel(sim, trace: TraceStream, kind: str) -> Optional[str]:
     is_write = _c_column(columns.is_write, ctypes.c_int8, "b")
     if address is None or is_write is None:
         return "address-range"
-    out = (ctypes.c_int64 * vector.OUT_SLOTS)()
-    outcomes = sim.outcomes
-    col = None if outcomes is None else (ctypes.c_int8 * num_accesses)()
-    prefetcher = sim.prefetcher
-    if kind == "baseline":
-        cfg = _geometry_cfg(sim)
-        rc = kernel.replay_baseline(
-            num_accesses, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col
-        )
-    else:
+    pc = None
+    if route.kind != "baseline":  # the no-prefetcher kernel never reads the PCs
         pc = _c_column(columns.pc, ctypes.c_int64, "q")
         if pc is None:
             return "address-range"
-        if kind == "dbcp":
-            cfg, entry = _geometry_cfg(sim) + _dbcp_cfg(prefetcher), kernel.replay_dbcp
-        else:
-            cfg, entry = _geometry_cfg(sim) + _ltcords_cfg(prefetcher), kernel.replay_ltcords
-        rc = entry(
-            num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col
-        )
+    out = (ctypes.c_int64 * vector.OUT_SLOTS)()
+    outcomes = sim.outcomes
+    col = spill = None
+    if outcomes is not None:
+        col = (ctypes.c_int8 * num_accesses)()
+        # Only a degree this deep can fill more blocks after one access
+        # than an outcome byte holds.
+        if getattr(sim.prefetcher, "_degree", 0) >= OUTCOME_FILL_SPILL:
+            spill = (ctypes.c_int64 * num_accesses)()
+    cfg = _geometry_cfg(sim) + route.cfg(sim)
+    rc = getattr(kernel, f"replay_{route.kind}")(
+        num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col, spill
+    )
     if rc == 2:
         return "address-range"
     if rc != 0:
         raise MemoryError("the compiled replay kernel ran out of memory")
     counters = list(out)  # plain python ints: stats stay JSON-safe
-    _SETTLE[kind](sim, num_accesses, counters)
+    route.settle(sim, num_accesses, counters)
     if col is not None:
         outcomes.frombytes(col)
+    if spill is not None:
+        sim.fill_spill.extend(spill[: counters[23]])
     sim._kernel_ran = True
     return None
 
@@ -324,10 +345,9 @@ def _settle_cache(cache, counters) -> None:
     cache._serial += counters[9]
 
 
-def _settle_predicting(sim, num_accesses: int, counters) -> None:
-    """What the DBCP and LT-cords kernels share: caches, bus, feedback counts."""
+def _settle_prefetching(sim, num_accesses: int, counters) -> None:
+    """What every prefetching kernel shares: caches, bus, request queue, feedback counts."""
     sim._settle_fast_run(num_accesses, *counters[0:8])
-    issued = counters[13]
     breakdown = sim.breakdown
     breakdown.incorrect_prefetches += counters[11]
     if counters[12]:
@@ -336,26 +356,24 @@ def _settle_predicting(sim, num_accesses: int, counters) -> None:
             counters[12] * sim.hierarchy.block_size,
             requests=counters[12],
         )
+    issued, dropped = counters[13], counters[22]
     hierarchy_stats = sim.hierarchy.stats
     hierarchy_stats.prefetches_issued += issued
     hierarchy_stats.prefetches_from_l2 += counters[14]
     hierarchy_stats.prefetches_from_memory += counters[15]
-    # Every command went straight to execution (note_immediate_issue).
+    # The queue drains after every access: each command was issued or dropped.
     request_queue = sim.request_queue
-    request_queue._serial += issued
-    request_queue.enqueued += issued
+    request_queue._serial += issued + dropped
+    request_queue.enqueued += issued + dropped
+    request_queue.dropped += dropped
     request_queue.issued += issued
 
-    prefetcher = sim.prefetcher
-    stats = prefetcher.stats
+    stats = sim.prefetcher.stats
     stats.accesses_observed += num_accesses
     stats.misses_observed += num_accesses - counters[5]
     stats.predictions_issued += counters[8]
     stats.prefetches_used += counters[9]
     stats.prefetches_evicted_unused += counters[10]
-    history_stats = prefetcher.history.stats
-    history_stats.evictions += counters[20]
-    history_stats.cold_evictions += counters[21]
 
     _settle_cache(sim.hierarchy.l1, counters[_OUT_MAIN_L1 : _OUT_MAIN_L1 + 10])
     _settle_cache(sim.hierarchy.l2, counters[_OUT_MAIN_L2 : _OUT_MAIN_L2 + 10])
@@ -363,34 +381,50 @@ def _settle_predicting(sim, num_accesses: int, counters) -> None:
     _settle_cache(sim.baseline.l2, counters[_OUT_BASE_L2 : _OUT_BASE_L2 + 10])
 
 
+def _settle_fields(stats, fields, values) -> None:
+    """Add ``values`` to the named counters of one statistics object."""
+    for name, value in zip(fields, values):
+        setattr(stats, name, getattr(stats, name) + value)
+
+
+def _settle_with_history(sim, num_accesses: int, counters) -> None:
+    """What DBCP and LT-cords share: the above plus their history table's evictions."""
+    _settle_prefetching(sim, num_accesses, counters)
+    _settle_fields(sim.prefetcher.history.stats, ("evictions", "cold_evictions"), counters[20:22])
+
+
 def _settle_dbcp(sim, num_accesses: int, counters) -> None:
-    _settle_predicting(sim, num_accesses, counters)
-    dbcp_stats = sim.prefetcher.dbcp_stats
-    dbcp_stats.table_hits += counters[16]
-    dbcp_stats.low_confidence_suppressions += counters[17]
-    dbcp_stats.signatures_recorded += counters[18]
-    dbcp_stats.table_evictions += counters[19]
+    _settle_with_history(sim, num_accesses, counters)
+    _settle_fields(sim.prefetcher.dbcp_stats, (
+        "table_hits", "low_confidence_suppressions", "signatures_recorded", "table_evictions",
+    ), counters[16:20])
 
 
 def _settle_ltcords(sim, num_accesses: int, counters) -> None:
-    _settle_predicting(sim, num_accesses, counters)
+    _settle_with_history(sim, num_accesses, counters)
     prefetcher = sim.prefetcher
     prefetcher._access_counter += num_accesses
-    values = iter(counters[_OUT_LTCORDS : _OUT_LTCORDS + 18])
-    for stats, fields in (
-        (prefetcher.ltstats, (
-            "signatures_created", "head_matches", "signature_cache_predictions",
-            "low_confidence_suppressions", "signatures_streamed",
-            "confidence_increments", "confidence_decrements",
-        )),
-        (prefetcher.storage.stats, (
-            "signatures_recorded", "frames_allocated", "frames_overwritten",
-            "signatures_fetched", "bytes_written", "bytes_read", "confidence_updates",
-        )),
-        (prefetcher.signature_cache.stats, ("lookups", "hits", "inserts", "replacements")),
-    ):
-        for name in fields:
-            setattr(stats, name, getattr(stats, name) + next(values))
+    values = counters[_OUT_LTCORDS : _OUT_LTCORDS + 18]
+    _settle_fields(prefetcher.ltstats, (
+        "signatures_created", "head_matches", "signature_cache_predictions",
+        "low_confidence_suppressions", "signatures_streamed",
+        "confidence_increments", "confidence_decrements",
+    ), values[0:7])
+    _settle_fields(prefetcher.storage.stats, (
+        "signatures_recorded", "frames_allocated", "frames_overwritten",
+        "signatures_fetched", "bytes_written", "bytes_read", "confidence_updates",
+    ), values[7:14])
+    _settle_fields(
+        prefetcher.signature_cache.stats, ("lookups", "hits", "inserts", "replacements"),
+        values[14:18],
+    )
+
+
+def _settle_ghb(sim, num_accesses: int, counters) -> None:
+    _settle_prefetching(sim, num_accesses, counters)
+    _settle_fields(sim.prefetcher.ghb_stats, (
+        "misses_inserted", "delta_correlations", "stride_fallbacks", "chains_too_short",
+    ), counters[16:20])
 
 
 def _settle_baseline(sim, num_accesses: int, counters) -> None:
@@ -414,4 +448,32 @@ def _settle_baseline(sim, num_accesses: int, counters) -> None:
     stats.misses_observed += num_accesses - l1_hits
 
 
-_SETTLE = {"baseline": _settle_baseline, "dbcp": _settle_dbcp, "ltcords": _settle_ltcords}
+# ------------------------------------------------------------------- routes
+class _Route(NamedTuple):
+    """How one predictor class replays on the kernel."""
+
+    #: The tier is ``kernel-<kind>``; the entry point ``repro_replay_<kind>``.
+    kind: str
+    #: Why the predictor's configuration or state keeps it off the kernel.
+    unfit: Callable[[Any], Optional[str]]
+    #: The cfg slots after the geometry (9 on).
+    cfg: Callable[[Any], List[int]]
+    #: Folds the ``out`` counters into the simulator's objects.
+    settle: Callable[[Any, int, List[int]], None]
+
+
+_ROUTES = {
+    NullPrefetcher: _Route("baseline", lambda prefetcher: None, lambda sim: [], _settle_baseline),
+    FastDBCPPrefetcher: _Route("dbcp", _dbcp_unfit, _dbcp_cfg, _settle_dbcp),
+    FastLTCordsPrefetcher: _Route("ltcords", _ltcords_unfit, _ltcords_cfg, _settle_ltcords),
+    FastGHBPrefetcher: _Route(
+        "ghb",
+        lambda prefetcher: _fresh(prefetcher._serial == 0 and not prefetcher._index_table),
+        _ghb_cfg,
+        _settle_ghb,
+    ),
+    FastStridePrefetcher: _Route(
+        "stride", lambda prefetcher: _fresh(not prefetcher._table), _stride_cfg,
+        _settle_prefetching,
+    ),
+}

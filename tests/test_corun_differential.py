@@ -32,7 +32,8 @@ from repro.workloads.registry import get_workload
 
 BENCHMARKS = ("mcf", "gzip", "swim", "em3d", "art")
 PREDICTORS = ("none", "dbcp", "ltcords", "ghb", "stride")
-KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "kernel-ltcords"}
+KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "kernel-ltcords",
+                "ghb": "kernel-ghb", "stride": "kernel-stride"}
 GENERATED = 1500
 HIERARCHIES = {
     "default": HierarchyConfig(),
@@ -108,7 +109,7 @@ def test_co_run_engines_agree_and_one_core_is_the_single_core_run(
     assert fast["cross_core_evictions"] == 0
     simulator, kernel = _single_core(trace, predictor, hierarchy)
     if load_kernel() is not None:
-        assert simulator.last_tier == KERNEL_TIERS.get(predictor, "interpreted")
+        assert simulator.last_tier == KERNEL_TIERS[predictor]
     with kernel_disabled():
         simulator, interpreted = _single_core(trace, predictor, hierarchy)
     assert simulator.last_tier == "interpreted"

@@ -60,8 +60,8 @@ def test_engines_bit_identical(workload, predictor):
 def test_vector_engine_bit_identical(workload, predictor):
     """The vector kernel tier matches the interpreted tier on the full grid.
 
-    dbcp, dbcp-unlimited, ltcords and none take the compiled kernel when
-    a compiler is present; ghb and stride are interpreted either way.
+    Every predictor on the grid takes the compiled kernel when a
+    compiler is present.
     """
     vector = simulate_benchmark(
         workload, build_predictor(predictor), num_accesses=NUM_ACCESSES

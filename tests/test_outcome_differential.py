@@ -34,7 +34,8 @@ from repro.trace.stream import TraceColumns, TraceStream
 
 L1_SETS = 512  # the default 64 KB, 2-way L1D
 HIERARCHIES = {"default": HierarchyConfig(), "4mb-l2": HierarchyConfig(l2=L2_4MB_CONFIG)}
-KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "kernel-ltcords"}
+KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "kernel-ltcords",
+                "ghb": "kernel-ghb", "stride": "kernel-stride"}
 PAIR_BENCHMARKS = ["mcf", "gzip", "swim", "em3d", "gcc", "art"]
 
 BUDGET = settings(
@@ -81,7 +82,7 @@ def _timing(predictor, trace, perfect_l1, hierarchy, engine="fast"):
 def test_timing_kernel_interpreted_and_legacy_agree(predictor, perfect_l1, hierarchy, trace):
     sim, kernel = _timing(predictor, trace, perfect_l1, hierarchy)
     if load_kernel() is not None:
-        assert sim.simulator.last_tier == KERNEL_TIERS.get(predictor, "interpreted")
+        assert sim.simulator.last_tier == KERNEL_TIERS[predictor]
     with kernel_disabled():
         interpreted_sim, interpreted = _timing(predictor, trace, perfect_l1, hierarchy)
     assert interpreted_sim.simulator.last_tier == "interpreted"
@@ -172,8 +173,10 @@ def test_second_interpreted_timing_run_times_its_own_trace():
     ))
     for prefetcher, engine in ((FastGHBPrefetcher(), "fast"), (GHBPrefetcher(), "legacy")):
         sim = TimingSimulator(prefetcher=prefetcher, engine=engine)
-        first = sim.run(trace)
-        second = sim.run(trace[:200])
+        # A kernel run cannot be continued: the fast reuse is the interpreted tier's.
+        with kernel_disabled():
+            first = sim.run(trace)
+            second = sim.run(trace[:200])
         assert len(sim.outcomes) == 200
         assert second.breakdown.memory_references == 200
         assert first.breakdown.memory_references == 600

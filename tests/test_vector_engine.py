@@ -28,6 +28,7 @@ from repro.cache.vector import kernel_cache_dir, load_kernel
 from repro.core.signatures import SignatureConfig
 from repro.obs.metrics import REGISTRY
 from repro.prefetchers.dbcp import DBCPConfig
+from repro.prefetchers.stride import FastStridePrefetcher
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.stream import TraceColumns, TraceStream
 from repro.workloads.base import WorkloadConfig
@@ -97,16 +98,33 @@ def test_ltcords_takes_the_kernel_tier_and_matches_fast():
     assert kernel.to_dict() == interpreted.to_dict()
 
 
-def test_non_dbcp_predictors_take_the_fast_fallback_tier():
-    # Predictors without a kernel port are interpreted, and that is no
-    # fallback: nothing is recorded or warned about.
+class _PluginPrefetcher(FastStridePrefetcher):
+    """A plugin predictor: the kernel ports exact built-in classes only."""
+
+    name = "plugin-stride"
+
+
+def test_ghb_and_stride_take_their_kernel_tiers_and_plugins_stay_interpreted():
     trace = _trace("gcc", num_accesses=3000)
     for predictor in ("ghb", "stride"):
+        tier = REGISTRY.counter(f"replay.tier.{_expected(f'kernel-{predictor}')}")
+        before = tier.value
         sim, result = _run(predictor=predictor, trace=trace)
-        assert sim.last_tier == "interpreted"
-        assert sim.last_fallback is None
+        assert sim.last_tier == _expected(f"kernel-{predictor}")
+        assert tier.value == before + 1
+        assert sim.last_fallback is None or load_kernel() is None
         _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
         assert result.to_dict() == legacy.to_dict()
+    # A predictor without a kernel port is interpreted, and that is no
+    # fallback: nothing is recorded or counted.
+    fallbacks = {reason: REGISTRY.counter(f"replay.fallback.{reason}").value
+                 for reason in replay_mod.FALLBACK_REASONS}
+    sim = TraceDrivenSimulator(prefetcher=_PluginPrefetcher())
+    sim.run(trace)
+    assert sim.last_tier == "interpreted"
+    assert sim.last_fallback is None
+    assert fallbacks == {reason: REGISTRY.counter(f"replay.fallback.{reason}").value
+                         for reason in replay_mod.FALLBACK_REASONS}
 
 
 @pytest.mark.parametrize("table_entries", [64, 1])
@@ -184,11 +202,15 @@ def test_default_kernel_replay_never_imports_numpy(tmp_path):
 
 def test_kill_switch_forces_python_tier(no_kernel):
     trace = _trace()
-    _, legacy = _run(trace=trace, engine="legacy")
-    sim, result = _run(trace=trace)
-    assert sim.last_tier == "interpreted"
-    assert sim.last_fallback == "kill-switch"
-    assert result.to_dict() == legacy.to_dict()
+    counter = REGISTRY.counter("replay.fallback.kill-switch")
+    for predictor in ("dbcp", "ghb", "stride"):
+        before = counter.value
+        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        sim, result = _run(predictor=predictor, trace=trace)
+        assert sim.last_tier == "interpreted"
+        assert sim.last_fallback == "kill-switch"
+        assert counter.value == before + 1
+        assert result.to_dict() == legacy.to_dict()
     assert load_kernel() is None
 
 
@@ -210,7 +232,7 @@ def test_addresses_beyond_the_kernel_range_are_interpreted():
         base.pc, [a + (1 << 62) for a in base.address], base.is_write, base.icount
     )
     trace = TraceStream.from_columns(shifted, name="high")
-    for predictor in ("none", "dbcp", "ltcords"):
+    for predictor in ("none", "dbcp", "ltcords", "ghb", "stride"):
         sim, result = _run(predictor=predictor, trace=trace)
         _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
         assert sim.last_tier == "interpreted"
@@ -241,7 +263,7 @@ def test_fallbacks_are_counted_and_warned_once(monkeypatch):
 
 
 def test_per_cache_statistics_match_fast_engine_exactly():
-    for predictor in ("dbcp", "ltcords"):
+    for predictor in ("dbcp", "ltcords", "ghb", "stride"):
         _check_per_cache_statistics(predictor)
 
 
@@ -257,8 +279,11 @@ def _check_per_cache_statistics(predictor):
             assert vec_cache._serial == fast_cache._serial
         assert getattr(vec_sim, attr).stats == getattr(fast_sim, attr).stats
     assert vec_sim.prefetcher.stats == fast_sim.prefetcher.stats
-    assert vec_sim.prefetcher.history.stats == fast_sim.prefetcher.history.stats
-    for name in ("enqueued", "issued", "dropped"):
+    if predictor in ("dbcp", "ltcords"):
+        assert vec_sim.prefetcher.history.stats == fast_sim.prefetcher.history.stats
+    if predictor == "ghb":
+        assert vec_sim.prefetcher.ghb_stats == fast_sim.prefetcher.ghb_stats
+    for name in ("enqueued", "issued", "dropped", "_serial"):
         assert getattr(vec_sim.request_queue, name) == getattr(fast_sim.request_queue, name)
 
 
