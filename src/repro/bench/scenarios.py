@@ -510,7 +510,9 @@ _register_simulation_pair("mcf", "ghb", 100_000, quick=False, kill_switch=True)
 _register_simulation_pair("swim", "stride", 100_000, quick=False, kill_switch=True)
 
 
-def _build_multicore(benchmarks, predictor: str, accesses: int, engine: str):
+def _build_multicore(
+    benchmarks, predictor: str, accesses: int, engine: str, kill_switch: bool = False
+):
     def build(scale: float):
         count = _scaled(accesses, scale)
 
@@ -520,13 +522,14 @@ def _build_multicore(benchmarks, predictor: str, accesses: int, engine: str):
             def task():
                 from repro.multicore import MulticoreSpec, simulate_multicore
 
-                return simulate_multicore(MulticoreSpec(
-                    benchmarks=benchmarks,
-                    predictors=(predictor,),
-                    num_accesses=count,
-                    seed=42,
-                    engine=engine,
-                ))
+                with _kill_switch() if kill_switch else nullcontext():
+                    return simulate_multicore(MulticoreSpec(
+                        benchmarks=benchmarks,
+                        predictors=(predictor,),
+                        num_accesses=count,
+                        seed=42,
+                        engine=engine,
+                    ))
 
             return task
 
@@ -553,6 +556,17 @@ _register(Scenario(
     description="4-core shared-L2 co-run (mcf+art+swim+gzip, ltcords, 40k accesses/core)",
     build=_build_multicore(("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast"),
     repeats=3,
+))
+# The co-run's kernel lanes against the same co-run under the kill switch.
+_register(Scenario(
+    name="sim.multicore.4x.interpreted",
+    description="4-core shared-L2 co-run (mcf+art+swim+gzip, ltcords, 40k accesses/core), "
+    "fast engine under REPRO_NO_VECTOR_KERNEL",
+    build=_build_multicore(
+        ("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast", kill_switch=True
+    ),
+    repeats=3,
+    speedup_of="sim.multicore.4x",
 ))
 
 

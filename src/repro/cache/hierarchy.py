@@ -130,7 +130,9 @@ class SharedL2:
     the prefetching core.  A hierarchy over the shared L2 reports its
     memory-sourced prefetches; the replay loop driving it reports its
     demand misses (a co-run's baselines report none: they never prefetch
-    and their interference is not measured).
+    and their interference is not measured).  A co-run on the compiled
+    kernel keeps all of this in C and settles the cache's statistics,
+    :attr:`owners` and the counters here once, at the end.
     """
 
     def __init__(self, config: CacheConfig, engine: str, num_cores: int) -> None:

@@ -10,51 +10,69 @@ the shared object on disk keyed by a hash of the source, and loads it
 through :mod:`ctypes`.
 
 The kernel is a bit-exact port of the fast engine's replay protocol
-(``TraceDrivenSimulator._fast_loop``) for five predictors:
+(``TraceDrivenSimulator._fast_loop``) for five predictors, each a lane
+*kind* (:data:`KERNELS`):
 
-* ``repro_replay_dbcp`` — fused with ``FastDBCPPrefetcher`` and
+* ``dbcp`` — fused with ``FastDBCPPrefetcher`` and
   ``FastHistoryTable``: an open-addressed history map and an
   order-preserving (LRU) correlation table.  Dict semantics are
   reproduced exactly — linear probing with backward-shift deletion, and
   a doubly-linked node pool for the insertion-ordered table.
-* ``repro_replay_ltcords`` — fused with ``FastLTCordsPrefetcher``: the
+* ``ltcords`` — fused with ``FastLTCordsPrefetcher``: the
   same history fold, ``FastSequenceStorage`` frames (fixed
   direct-mapped frames or ``unlimited_frames``), the head-lookahead
   window, the FIFO set-associative ``SignatureCache``, sliding-window
   streaming with the ``fetch_delay_accesses`` pending queue, and
   confidence feedback to both the signature cache and storage.
-* ``repro_replay_ghb`` — fused with ``FastGHBPrefetcher``: the flat
+* ``ghb`` — fused with ``FastGHBPrefetcher``: the flat
   slot ring with serial validity, the PC index table as the same LRU
   node pool, the per-PC chain walk and a line-for-line port of
   ``_delta_correlate``.
-* ``repro_replay_stride`` — fused with ``FastStridePrefetcher``: the
+* ``stride`` — fused with ``FastStridePrefetcher``: the
   insertion-ordered reference prediction table.
-* ``repro_replay_baseline`` — the no-prefetcher loop (one simulated
-  L1/L2 pair; the caller mirrors the counters onto both hierarchies,
-  which are identical when nothing is ever prefetched).
+* ``baseline`` — the no-prefetcher loop (one simulated L1/L2 pair; the
+  caller mirrors the counters onto both hierarchies, which are
+  identical when nothing is ever prefetched), and ``null``, the
+  no-prefetcher co-run lane, which steps both hierarchies because other
+  cores' prefetches reach its shared L2.
+
+Every replay is resumable: ``repro_open`` builds a kind's state over a
+lane's whole trace columns, ``repro_run`` replays the next chunk
+``[start, stop)`` of them, and ``repro_close`` dumps the counters and
+frees the state.  A single-core replay is one chunk; a multicore co-run
+interleaves one lane per core in schedule order.  A lane's L2s are its
+own, or a co-run's shared L2s (``repro_shared_open``): one shared cache
+with the block→core ownership map and the cross-core eviction counters
+of :class:`repro.cache.hierarchy.SharedL2`, dumped once by
+``repro_shared_close``.
 
 GHB and stride answer one access with several prefetches; the kernel
 runs them through the simulator's request-queue semantics (drops
 beyond the queue size included).  Their predictions are computed
-addresses, so a prediction reaching 2^54 ends the kernel run (rc 2) and
-the interpreted tier replays the trace instead.
+addresses, so a prediction reaching 2^54 ends the lane (rc 2) and the
+interpreted tier replays the trace — the whole co-run, for a co-run
+lane — instead.
 
 Every predictor structure is allocated as the replay fills it (or
-bounded by the references replayed), so the kernel's heap grows with
+bounded by the lane's trace length), so the kernel's heap grows with
 the references replayed, never with the configured storage capacity.
-Each kernel fills a flat ``int64`` output array with the loop counters,
-the predictor statistics and a full per-cache ``CacheStats`` mirror;
-:mod:`repro.sim.vector_replay` settles those into the simulator's
-Python-side objects, so results and statistics are indistinguishable
-from an interpreted run.  Given a non-NULL ``col``, a kernel also writes
-one outcome byte per access (the main hierarchy's service level, the
-baseline-miss bit and the memory-sourced prefetch fills), which the
-timing model and the pairwise multiprogram runs consume.
+Closing a lane fills a flat ``int64`` output array with the loop
+counters, the predictor statistics and a full per-cache ``CacheStats``
+mirror; :mod:`repro.sim.vector_replay` settles those into the
+simulator's Python-side objects, so results and statistics are
+indistinguishable from an interpreted run.  Given a non-NULL ``col``, a
+lane also writes one outcome byte per access (the main hierarchy's
+service level, the baseline-miss bit and the memory-sourced prefetch
+fills), which the timing model and the pairwise multiprogram runs
+consume.
 
 Availability is best-effort by design: no compiler, a failed compile, a
 read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all make
 :func:`load_kernel` return ``None`` (with :func:`unavailable_reason`
 saying why), and the fast engine replays on its interpreted loops.
+``REPRO_KERNEL_SANITIZE=1`` builds the kernel with AddressSanitizer and
+UBSan under its own cache file name (load ``libasan`` first with
+``LD_PRELOAD``).
 """
 
 from __future__ import annotations
@@ -88,8 +106,9 @@ KERNEL_SOURCE = r"""
 /* OUTCOME_FILL_SPILL: the most fills an outcome byte holds. */
 #define FILL_SPILL 15
 
-/* Every allocation failure unwinds to the kernel entry point, which frees
- * whatever its state holds and reports rc 1. */
+/* Every allocation failure unwinds to the entry point that armed the
+ * state's jmp_buf (repro_open or repro_run), which marks the state dead
+ * with rc 1; repro_close frees whatever it holds. */
 static void *xalloc(jmp_buf *fail, void *old, size_t size) {
     void *p = realloc(old, size ? size : 1);
     if (!p) longjmp(*fail, 1);
@@ -479,14 +498,49 @@ static void hist_init(jmp_buf *fail, History *t, const int64_t *cfg) {
     t->key_mask = (uint64_t)cfg[2];
 }
 
+/* ------------------------------------------------------- shared L2
+ * repro.cache.hierarchy.SharedL2: one L2 cache shared by the lanes of a
+ * co-run, the block -> core map of who allocated each block last, and
+ * the cross-core eviction counters. */
+
+typedef struct {
+    Cache cache;
+    Map owners; /* block -> core (v1); fail points at the running lane's */
+    int64_t cross;
+    int64_t *prefetch_cross; /* by the prefetching core */
+    int64_t ncores;
+} SharedL2;
+
+/* SharedL2.allocated: `core` allocated address's block, displacing the
+ * block `evicted` when has_evicted. */
+static void shared_allocated(SharedL2 *s, int64_t core, int64_t address,
+                             int has_evicted, int64_t evicted, int by_prefetch) {
+    if (has_evicted) {
+        int64_t slot = map_find(&s->owners, evicted);
+        if (slot >= 0) {
+            int64_t owner = s->owners.v1[slot];
+            map_del(&s->owners, (uint64_t)slot);
+            if (owner != core) {
+                s->cross++;
+                if (by_prefetch) s->prefetch_cross[core]++;
+            }
+        }
+    }
+    map_set(&s->owners, address & s->cache.block_mask, 0, core, 0);
+}
+
 /* ---------------------------------------------- the two hierarchies
  * The main hierarchy the predictor prefetches into and the shadow
  * baseline that defines the opportunity, plus the simulator's
  * prefetched-block tracking: block -> (tag key, tag word, packed
- * (tag offset << 2) | source). */
+ * (tag offset << 2) | source).  Each side's L2 is its own cache, or a
+ * co-run's SharedL2 cache. */
 
 typedef struct {
-    Cache main_l1, main_l2, base_l1, base_l2;
+    Cache main_l1, base_l1, own_l2[2];
+    Cache *main_l2, *base_l2;
+    SharedL2 *shared; /* the shared main L2 recording ownership, or NULL */
+    int64_t core;
     Map prefetched;
     int64_t block_mask;
     int64_t base_misses, correct, early, base_l2_hits, base_l2_misses,
@@ -500,51 +554,68 @@ typedef struct {
     int64_t *spill, nspill; /* exact counts of saturated fills, or NULL */
 } Hier;
 
+/* What repro_open hands a kind's init. */
+typedef struct {
+    const int64_t *cfg;
+    int8_t *col;
+    int64_t *spill;
+    SharedL2 *shared_main, *shared_base;
+    int64_t core;
+} OpenArgs;
+
 /* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
  *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
  *      8 hier_block_mask
  * col: NULL, or one outcome byte per access: the main level (0 L1, 1 L2,
  *      2 memory) | 4 on a baseline L1 miss | 8 per memory-sourced fill,
  *      up to FILL_SPILL fills; a count that saturates is also appended
- *      to spill (NULL when no access can fill that many). */
-static void hier_init(jmp_buf *fail, Hier *h, const int64_t *cfg, int8_t *col,
-                      int64_t *spill) {
-    h->col = col;
-    h->spill = spill;
+ *      to spill (NULL when no access can fill that many).
+ * shared_main / shared_base: the co-run's shared L2s, or NULL for the
+ *      lane's own; core: the lane's core in the ownership map. */
+static void hier_init(jmp_buf *fail, Hier *h, const OpenArgs *a) {
+    const int64_t *cfg = a->cfg;
+    h->col = a->col;
+    h->spill = a->spill;
     cache_init(fail, &h->main_l1, cfg, cfg[8]);
-    cache_init(fail, &h->main_l2, cfg + 4, cfg[8]);
     cache_init(fail, &h->base_l1, cfg, cfg[8]);
-    cache_init(fail, &h->base_l2, cfg + 4, cfg[8]);
+    h->shared = a->shared_main;
+    h->core = a->core;
+    h->main_l2 = a->shared_main ? &a->shared_main->cache : &h->own_l2[0];
+    h->base_l2 = a->shared_base ? &a->shared_base->cache : &h->own_l2[1];
+    if (!a->shared_main) cache_init(fail, &h->own_l2[0], cfg + 4, cfg[8]);
+    if (!a->shared_base) cache_init(fail, &h->own_l2[1], cfg + 4, cfg[8]);
     map_init(&h->prefetched, fail);
     h->block_mask = cfg[8];
 }
 
 static void hier_free(Hier *h) {
     cache_free(&h->main_l1);
-    cache_free(&h->main_l2);
     cache_free(&h->base_l1);
-    cache_free(&h->base_l2);
+    cache_free(&h->own_l2[0]);
+    cache_free(&h->own_l2[1]);
     map_free(&h->prefetched);
 }
 
 /* One demand reference through both hierarchies, classified against the
- * prediction opportunity; returns the main L1's access code. */
+ * prediction opportunity; returns the main L1's access code.  A main L2
+ * miss allocates into a shared L2 as the lane's core. */
 static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
                        int *has_evicted, int *ev_unused) {
-    int64_t dump;
-    int dummy_h, dummy_u;
+    int64_t dump, l2_evicted = 0;
+    int dummy_h, dummy_u, l2_has = 0;
     int outcome = 0;
     h->fills = 0;
     int code = cache_access(&h->main_l1, address, wr, evicted, has_evicted,
                             ev_unused);
     if (code) {
         h->main_l1_hits++;
-    } else if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u)) {
+    } else if (cache_access(h->main_l2, address, 0, &l2_evicted, &l2_has, &dummy_u)) {
         h->main_l2_hits++;
         outcome = 1;
     } else {
         h->main_l2_misses++;
         outcome = 2;
+        if (h->shared) shared_allocated(h->shared, h->core, address, l2_has, l2_evicted, 0);
     }
     if (cache_access(&h->base_l1, address, wr, &dump, &dummy_h, &dummy_u)) {
         if (!code) h->early++;
@@ -552,7 +623,7 @@ static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
         h->base_misses++;
         outcome |= 4;
         if (code) h->correct++;
-        if (cache_access(&h->base_l2, address, 0, &dump, &dummy_h, &dummy_u))
+        if (cache_access(h->base_l2, address, 0, &dump, &dummy_h, &dummy_u))
             h->base_l2_hits++;
         else
             h->base_l2_misses++;
@@ -566,8 +637,8 @@ static int hier_demand(Hier *h, int64_t address, int wr, int64_t *evicted,
 static int hier_prefetch(Hier *h, int64_t address, int has_victim, int64_t victim,
                          int64_t *evicted, int *has_evicted, int *ev_unused) {
     Cache *l1 = &h->main_l1;
-    int64_t dump;
-    int dummy_h, dummy_u;
+    int64_t l2_evicted = 0;
+    int l2_has = 0, dummy_u;
     h->prefetches_issued++;
     int64_t set = (address >> l1->offset_bits) & l1->set_mask;
     int64_t tag = address >> l1->tag_shift;
@@ -575,12 +646,13 @@ static int hier_prefetch(Hier *h, int64_t address, int has_victim, int64_t victi
     for (int w = 0; w < l1->assoc; w++)
         if (l1->tags[base + w] == tag) return 0;
     int source;
-    if (cache_access(&h->main_l2, address, 0, &dump, &dummy_h, &dummy_u)) {
+    if (cache_access(h->main_l2, address, 0, &l2_evicted, &l2_has, &dummy_u)) {
         h->prefetches_from_l2++;
         source = 1;
     } else {
         h->prefetches_from_memory++;
         source = 2;
+        if (h->shared) shared_allocated(h->shared, h->core, address, l2_has, l2_evicted, 1);
         /* one more memory fill after this access */
         if (h->col && h->fills++ < FILL_SPILL) h->col[-1] += 8;
     }
@@ -625,7 +697,8 @@ static void hier_track(Hier *h, int64_t block, uint64_t tag_key,
 
 /* out: 0-7 loop counters, 8-15 prefetch accounting (see vector_replay),
  * 22 request-queue drops, 23 spilled fill counts, 24/34/44/54 per-cache
- * stats blocks. */
+ * stats blocks; a shared L2's block stays zero (repro_shared_close dumps
+ * it once for every lane). */
 static void hier_dump(const Hier *h, int64_t *out) {
     out[0] = h->base_misses;
     out[1] = h->correct;
@@ -645,10 +718,52 @@ static void hier_dump(const Hier *h, int64_t *out) {
     out[22] = h->dropped;
     out[23] = h->nspill;
     cache_dump_stats(&h->main_l1, out + 24);
-    cache_dump_stats(&h->main_l2, out + 34);
+    if (h->main_l2 == &h->own_l2[0]) cache_dump_stats(h->main_l2, out + 34);
     cache_dump_stats(&h->base_l1, out + 44);
-    cache_dump_stats(&h->base_l2, out + 54);
+    if (h->base_l2 == &h->own_l2[1]) cache_dump_stats(h->base_l2, out + 54);
 }
+
+/* --------------------------------------------------------- lane states
+ * One resumable replay: repro_open builds a kind's state over the
+ * lane's whole columns, repro_run replays accesses [start, stop) of
+ * them (chunks follow each other in order), and repro_close dumps the
+ * counters and frees the state. */
+
+typedef struct Lane Lane;
+
+typedef struct {
+    size_t size;
+    void (*init)(Lane *, const OpenArgs *);
+    int (*run)(Lane *, int64_t start, int64_t stop); /* 0, or 2 out of range */
+    void (*dump)(Lane *, int64_t *out);
+    void (*release)(Lane *); /* frees what init allocated beyond the Hier */
+} Kind;
+
+struct Lane {
+    jmp_buf fail;
+    const Kind *kind;
+    int dead; /* 0, or the rc that ended the replay */
+    int64_t n, pos;
+    const int64_t *pc, *addr;
+    const int8_t *is_write;
+    Hier h;
+};
+
+/* Open kernel states (lanes and shared L2s), for leak checks. */
+static int64_t live_states;
+
+int64_t repro_live_states(void) {
+    return __atomic_load_n(&live_states, __ATOMIC_SEQ_CST);
+}
+
+static void live_add(int64_t delta) {
+    __atomic_add_fetch(&live_states, delta, __ATOMIC_SEQ_CST);
+}
+
+/* The Hier-only kinds' hooks: init, dump and (nothing to) release. */
+static void hier_only_init(Lane *s, const OpenArgs *a) { hier_init(&s->fail, &s->h, a); }
+static void hier_only_dump(Lane *s, int64_t *out) { hier_dump(&s->h, out); }
+static void nothing_to_release(Lane *s) { (void)s; }
 
 /* -------------------------------------------------- LRU-ordered table
  * The DBCP correlation table: uint64 signature key -> packed
@@ -777,8 +892,7 @@ static uint64_t next_pow2(uint64_t x) {
 /* ------------------------------------------------------- DBCP replay */
 
 typedef struct {
-    jmp_buf fail;
-    Hier h;
+    Lane lane;
     History hist;
     Map outstanding; /* predicted block -> signature key */
     Lru table;
@@ -831,22 +945,31 @@ static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
     d->table.npacked[node] = (packed & ~(int64_t)255) | conf;
 }
 
-static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
-                     const int8_t *is_write, const int64_t *cfg, int8_t *col) {
-    Hier *h = &d->h;
-    hier_init(&d->fail, h, cfg, col, NULL);
-    hist_init(&d->fail, &d->hist, cfg + 9);
-    map_init(&d->outstanding, &d->fail);
+/* cfg: 0-8 hierarchy (see hier_init), 9 dbcp_block_mask, 10 key_bits,
+ *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
+ *      14 max_confidence, 15 table_entries (-1 = unlimited) */
+static void dbcp_init(Lane *s, const OpenArgs *a) {
+    Dbcp *d = (Dbcp *)s;
+    const int64_t *cfg = a->cfg;
+    hier_init(&s->fail, &s->h, a);
+    hist_init(&s->fail, &d->hist, cfg + 9);
+    map_init(&d->outstanding, &s->fail);
     d->conf_threshold = cfg[12];
     d->init_conf = cfg[13];
     d->max_conf = cfg[14];
     d->table_entries = cfg[15];
     /* At most 2n correlation-table inserts in total. */
-    int64_t pool = 2 * n + 16;
+    int64_t pool = 2 * s->n + 16;
     if (d->table_entries >= 0 && d->table_entries < pool) pool = d->table_entries;
-    lru_init(&d->fail, &d->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    lru_init(&s->fail, &d->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+}
 
-    for (int64_t i = 0; i < n; i++) {
+static int dbcp_run(Lane *s, int64_t start, int64_t stop) {
+    Dbcp *d = (Dbcp *)s;
+    Hier *h = &s->h;
+    const int64_t *pc = s->pc, *addr = s->addr;
+    const int8_t *is_write = s->is_write;
+    for (int64_t i = start; i < stop; i++) {
         int64_t address = addr[i];
         int64_t evicted = 0, tag_word, tag_offset;
         int has_evicted = 0, ev_unused = 0;
@@ -893,42 +1016,30 @@ static void dbcp_run(Dbcp *d, int64_t n, const int64_t *pc, const int64_t *addr,
         /* on_prefetch_installed */
         if (phas) dbcp_evict_record(d, pevicted, pblock);
     }
+    return 0;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 dbcp_block_mask, 10 key_bits,
- *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
- *      14 max_confidence, 15 table_entries (-1 = unlimited)
- * out: 0-15 as hier_dump plus 8 predictions_issued, 16 table_hits,
+/* out: 0-15 as hier_dump plus 8 predictions_issued, 16 table_hits,
  *      17 low_conf, 18 signatures_recorded, 19 table_evictions,
  *      20 history evictions, 21 history cold evictions.
- * spill goes unused: DBCP fills at most one block per access.
- * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
-int repro_replay_dbcp(int64_t n, const int64_t *pc, const int64_t *addr,
-                      const int8_t *is_write, const int64_t *cfg,
-                      int64_t *out, int8_t *col, int64_t *spill) {
-    memset(out, 0, 96 * sizeof(int64_t));
-    if (!addresses_in_range(n, addr)) return 2;
-    Dbcp *d = (Dbcp *)calloc(1, sizeof(Dbcp));
-    if (!d) return 1;
-    volatile int rc = 1; /* set after setjmp */
-    if (setjmp(d->fail) == 0) {
-        dbcp_run(d, n, pc, addr, is_write, cfg, col);
-        hier_dump(&d->h, out);
-        out[8] = d->predictions_issued;
-        out[16] = d->table_hits;
-        out[17] = d->low_conf;
-        out[18] = d->signatures_recorded;
-        out[19] = d->table_evictions;
-        out[20] = d->hist.evictions;
-        out[21] = d->hist.cold;
-        rc = 0;
-    }
-    hier_free(&d->h);
+ * spill goes unused: DBCP fills at most one block per access. */
+static void dbcp_dump(Lane *s, int64_t *out) {
+    Dbcp *d = (Dbcp *)s;
+    hier_dump(&s->h, out);
+    out[8] = d->predictions_issued;
+    out[16] = d->table_hits;
+    out[17] = d->low_conf;
+    out[18] = d->signatures_recorded;
+    out[19] = d->table_evictions;
+    out[20] = d->hist.evictions;
+    out[21] = d->hist.cold;
+}
+
+static void dbcp_release(Lane *s) {
+    Dbcp *d = (Dbcp *)s;
     map_free(&d->hist.blocks);
     map_free(&d->outstanding);
     lru_free(&d->table);
-    free(d);
-    return rc;
 }
 
 /* --------------------------------------------------- LT-cords replay */
@@ -951,8 +1062,7 @@ typedef struct {
 } Pending;
 
 typedef struct {
-    jmp_buf fail;
-    Hier h;
+    Lane lane;
     History hist;
     Map outstanding;  /* predicted block -> (key, frame, offset) */
     Map frame_slots;  /* frame index -> slot in frames */
@@ -996,7 +1106,7 @@ static int64_t ltc_allocate_frame(Ltc *L, int64_t head) {
     int64_t s = map_get_or_insert(&L->frame_slots, index, &inserted);
     int64_t slot;
     if (inserted) {
-        L->frames = (Frame *)grow(&L->fail, L->frames, &L->frames_cap,
+        L->frames = (Frame *)grow(&L->lane.fail, L->frames, &L->frames_cap,
                                   L->nframes + 1, sizeof(Frame));
         slot = L->nframes++;
         L->frame_slots.v1[s] = slot;
@@ -1022,7 +1132,7 @@ static void ltc_record(Ltc *L, int64_t key, int64_t predicted) {
         int64_t head = L->recent_len ? L->recent[L->recent_start] : key;
         L->recording = ltc_allocate_frame(L, head);
     }
-    L->sigs = (Sig *)grow(&L->fail, L->sigs, &L->sigs_cap, L->nsigs + 1, sizeof(Sig));
+    L->sigs = (Sig *)grow(&L->lane.fail, L->sigs, &L->sigs_cap, L->nsigs + 1, sizeof(Sig));
     Sig *sig = &L->sigs[L->nsigs++];
     sig->key = key;
     sig->predicted = predicted;
@@ -1031,7 +1141,7 @@ static void ltc_record(Ltc *L, int64_t key, int64_t predicted) {
     L->recorded++;
     L->bytes_written += L->sig_bytes;
     if (L->recent_len < L->recent_max) {
-        L->recent = (int64_t *)grow(&L->fail, L->recent, &L->recent_cap,
+        L->recent = (int64_t *)grow(&L->lane.fail, L->recent, &L->recent_cap,
                                     L->recent_len + 1, sizeof(int64_t));
         L->recent[L->recent_len++] = key;
     } else {
@@ -1051,11 +1161,11 @@ static int64_t sc_set(Ltc *L, uint64_t key, int create) {
     int64_t s = map_get_or_insert(&L->sc_sets, index, &inserted);
     if (inserted) {
         int64_t set = L->nsets;
-        L->ways = (SigWay *)grow(&L->fail, L->ways, &L->ways_cap,
+        L->ways = (SigWay *)grow(&L->lane.fail, L->ways, &L->ways_cap,
                                  (set + 1) * L->sc_assoc, sizeof(SigWay));
-        L->set_fill = (int64_t *)grow(&L->fail, L->set_fill, &L->set_fill_cap,
+        L->set_fill = (int64_t *)grow(&L->lane.fail, L->set_fill, &L->set_fill_cap,
                                       set + 1, sizeof(int64_t));
-        L->set_next = (int64_t *)grow(&L->fail, L->set_next, &L->set_next_cap,
+        L->set_next = (int64_t *)grow(&L->lane.fail, L->set_next, &L->set_next_cap,
                                       set + 1, sizeof(int64_t));
         L->set_fill[set] = 0;
         L->set_next[set] = 0;
@@ -1112,7 +1222,7 @@ static void ltc_install(Ltc *L, const Sig *sig, int64_t frame, int64_t offset) {
     }
     if (L->pend_len == L->pend_cap) {
         int64_t cap = L->pend_cap ? 2 * L->pend_cap : 64;
-        Pending *ring = (Pending *)xalloc(&L->fail, NULL, (size_t)cap * sizeof(Pending));
+        Pending *ring = (Pending *)xalloc(&L->lane.fail, NULL, (size_t)cap * sizeof(Pending));
         for (int64_t i = 0; i < L->pend_len; i++)
             ring[i] = L->pending[(L->pend_head + i) % L->pend_cap];
         free(L->pending);
@@ -1210,15 +1320,21 @@ static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
     L->created++;
 }
 
-static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
-                    const int8_t *is_write, const int64_t *cfg, int8_t *col) {
-    Hier *h = &L->h;
-    hier_init(&L->fail, h, cfg, col, NULL);
-    hist_init(&L->fail, &L->hist, cfg + 9);
-    map_init(&L->outstanding, &L->fail);
-    map_init(&L->frame_slots, &L->fail);
-    map_init(&L->heads, &L->fail);
-    map_init(&L->sc_sets, &L->fail);
+/* cfg: 0-8 hierarchy (see hier_init), 9 ltcords_block_mask, 10 key_bits,
+ *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
+ *      14 max_confidence, 15 stream_window, 16 fetch_delay_accesses,
+ *      17 num_frames, 18 unlimited_frames, 19 fragment_size,
+ *      20 max(1, head_lookahead), 21 stored bytes per signature,
+ *      22 signature-cache sets, 23 its index bits, 24 its associativity */
+static void ltc_init(Lane *s, const OpenArgs *a) {
+    Ltc *L = (Ltc *)s;
+    const int64_t *cfg = a->cfg;
+    hier_init(&s->fail, &s->h, a);
+    hist_init(&s->fail, &L->hist, cfg + 9);
+    map_init(&L->outstanding, &s->fail);
+    map_init(&L->frame_slots, &s->fail);
+    map_init(&L->heads, &s->fail);
+    map_init(&L->sc_sets, &s->fail);
     L->threshold = cfg[12];
     L->init_conf = cfg[13];
     L->max_conf = cfg[14];
@@ -1233,8 +1349,14 @@ static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
     L->sc_index_bits = cfg[23];
     L->sc_assoc = cfg[24];
     L->recording = -1;
+}
 
-    for (int64_t i = 0; i < n; i++) {
+static int ltc_run(Lane *s, int64_t start, int64_t stop) {
+    Ltc *L = (Ltc *)s;
+    Hier *h = &s->h;
+    const int64_t *pc = s->pc, *addr = s->addr;
+    const int8_t *is_write = s->is_write;
+    for (int64_t i = start; i < stop; i++) {
         int64_t address = addr[i];
         int64_t evicted = 0, tag_word, tag_offset;
         int has_evicted = 0, ev_unused = 0;
@@ -1299,55 +1421,42 @@ static void ltc_run(Ltc *L, int64_t n, const int64_t *pc, const int64_t *addr,
         /* on_prefetch_installed */
         if (phas) ltc_evict_record(L, pevicted, pblock);
     }
+    return 0;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 ltcords_block_mask, 10 key_bits,
- *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
- *      14 max_confidence, 15 stream_window, 16 fetch_delay_accesses,
- *      17 num_frames, 18 unlimited_frames, 19 fragment_size,
- *      20 max(1, head_lookahead), 21 stored bytes per signature,
- *      22 signature-cache sets, 23 its index bits, 24 its associativity
- * out: 0-15 as hier_dump plus 8 predictions_issued, 20/21 history
+/* out: 0-15 as hier_dump plus 8 predictions_issued, 20/21 history
  *      evictions/cold, 64-70 LTCordsStats, 71-77 SequenceStorageStats,
  *      78-81 SignatureCacheStats (lookups, hits, inserts, replacements).
- * spill goes unused: LT-cords fills at most one block per access.
- * Returns 0, 1 (out of memory) or 2 (an address outside the kernel range). */
-int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
-                         const int8_t *is_write, const int64_t *cfg,
-                         int64_t *out, int8_t *col, int64_t *spill) {
-    memset(out, 0, 96 * sizeof(int64_t));
-    if (!addresses_in_range(n, addr)) return 2;
-    Ltc *L = (Ltc *)calloc(1, sizeof(Ltc));
-    if (!L) return 1;
-    volatile int rc = 1; /* set after setjmp */
-    if (setjmp(L->fail) == 0) {
-        ltc_run(L, n, pc, addr, is_write, cfg, col);
-        hier_dump(&L->h, out);
-        out[8] = L->predictions;
-        out[20] = L->hist.evictions;
-        out[21] = L->hist.cold;
-        int64_t *lt = out + 64;
-        lt[0] = L->created;
-        lt[1] = L->head_matches;
-        lt[2] = L->predictions;
-        lt[3] = L->low_conf;
-        lt[4] = L->streamed;
-        lt[5] = L->conf_inc;
-        lt[6] = L->conf_dec;
-        lt[7] = L->recorded;
-        lt[8] = L->frames_allocated;
-        lt[9] = L->frames_overwritten;
-        lt[10] = L->fetched;
-        lt[11] = L->bytes_written;
-        lt[12] = L->bytes_read;
-        lt[13] = L->conf_updates;
-        lt[14] = L->sc_lookups;
-        lt[15] = L->sc_hits;
-        lt[16] = L->sc_inserts;
-        lt[17] = L->sc_replacements;
-        rc = 0;
-    }
-    hier_free(&L->h);
+ * spill goes unused: LT-cords fills at most one block per access. */
+static void ltc_dump(Lane *s, int64_t *out) {
+    Ltc *L = (Ltc *)s;
+    hier_dump(&s->h, out);
+    out[8] = L->predictions;
+    out[20] = L->hist.evictions;
+    out[21] = L->hist.cold;
+    int64_t *lt = out + 64;
+    lt[0] = L->created;
+    lt[1] = L->head_matches;
+    lt[2] = L->predictions;
+    lt[3] = L->low_conf;
+    lt[4] = L->streamed;
+    lt[5] = L->conf_inc;
+    lt[6] = L->conf_dec;
+    lt[7] = L->recorded;
+    lt[8] = L->frames_allocated;
+    lt[9] = L->frames_overwritten;
+    lt[10] = L->fetched;
+    lt[11] = L->bytes_written;
+    lt[12] = L->bytes_read;
+    lt[13] = L->conf_updates;
+    lt[14] = L->sc_lookups;
+    lt[15] = L->sc_hits;
+    lt[16] = L->sc_inserts;
+    lt[17] = L->sc_replacements;
+}
+
+static void ltc_release(Lane *s) {
+    Ltc *L = (Ltc *)s;
     map_free(&L->hist.blocks);
     map_free(&L->outstanding);
     map_free(&L->frame_slots);
@@ -1360,8 +1469,6 @@ int repro_replay_ltcords(int64_t n, const int64_t *pc, const int64_t *addr,
     free(L->set_next);
     free(L->pending);
     free(L->recent);
-    free(L);
-    return rc;
 }
 
 /* ---------------------------------------- GHB PC/DC and stride replay
@@ -1421,8 +1528,7 @@ static void hier_issue(Hier *h, const Targets *t, int64_t pc) {
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
 typedef struct {
-    jmp_buf fail;
-    Hier h;
+    Lane lane;
     Lru index; /* pc -> newest serial, in LRU order */
     int64_t *address, *pc, *link, *stored; /* the ring's slots */
     int64_t *hist, *deltas;
@@ -1461,35 +1567,43 @@ static int ghb_predict(Ghb *G, int64_t len, int64_t block) {
         if (delta >= MAX_ADDRESS - current) return 2;
         current += delta;
         if (current < 0) break;
-        target_add(&G->fail, &G->t, current & G->block_mask, block);
+        target_add(&G->lane.fail, &G->t, current & G->block_mask, block);
     }
     return 0;
 }
 
-static int ghb_run(Ghb *G, int64_t n, const int64_t *pc, const int64_t *addr,
-                   const int8_t *is_write, const int64_t *cfg, int8_t *col,
-                   int64_t *spill) {
-    Hier *h = &G->h;
-    hier_init(&G->fail, h, cfg, col, spill);
-    h->queue_size = cfg[9];
+/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
+ *      10 ghb_block_mask, 11 index_table_entries, 12 ghb_entries,
+ *      13 degree, 14 history_depth */
+static void ghb_init(Lane *s, const OpenArgs *a) {
+    Ghb *G = (Ghb *)s;
+    const int64_t *cfg = a->cfg;
+    hier_init(&s->fail, &s->h, a);
+    s->h.queue_size = cfg[9];
     G->block_mask = cfg[10];
     G->index_entries = cfg[11];
     G->entries = cfg[12];
     G->degree = cfg[13];
     G->depth = cfg[14];
     /* At most n misses: the ring, the index table and a chain never hold more. */
-    int64_t ring = min64(G->entries, n) + 1;
-    G->address = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
-    G->pc = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
-    G->link = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
-    G->stored = (int64_t *)xzalloc(&G->fail, (size_t)ring * sizeof(int64_t));
+    int64_t ring = min64(G->entries, s->n) + 1;
+    G->address = (int64_t *)xzalloc(&s->fail, (size_t)ring * sizeof(int64_t));
+    G->pc = (int64_t *)xzalloc(&s->fail, (size_t)ring * sizeof(int64_t));
+    G->link = (int64_t *)xzalloc(&s->fail, (size_t)ring * sizeof(int64_t));
+    G->stored = (int64_t *)xzalloc(&s->fail, (size_t)ring * sizeof(int64_t));
     int64_t chain = min64(G->depth, ring);
-    G->hist = (int64_t *)xalloc(&G->fail, NULL, (size_t)chain * sizeof(int64_t));
-    G->deltas = (int64_t *)xalloc(&G->fail, NULL, (size_t)chain * sizeof(int64_t));
-    int64_t pool = min64(G->index_entries, n) + 1;
-    lru_init(&G->fail, &G->index, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    G->hist = (int64_t *)xalloc(&s->fail, NULL, (size_t)chain * sizeof(int64_t));
+    G->deltas = (int64_t *)xalloc(&s->fail, NULL, (size_t)chain * sizeof(int64_t));
+    int64_t pool = min64(G->index_entries, s->n) + 1;
+    lru_init(&s->fail, &G->index, next_pow2((uint64_t)(2 * pool + 64)), pool);
+}
 
-    for (int64_t i = 0; i < n; i++) {
+static int ghb_run(Lane *s, int64_t start, int64_t stop) {
+    Ghb *G = (Ghb *)s;
+    Hier *h = &s->h;
+    const int64_t *pc = s->pc, *addr = s->addr;
+    const int8_t *is_write = s->is_write;
+    for (int64_t i = start; i < stop; i++) {
         int64_t block, p = pc[i];
         if (hier_step(h, addr[i], is_write[i], &block)) continue;
 
@@ -1529,32 +1643,21 @@ static int ghb_run(Ghb *G, int64_t n, const int64_t *pc, const int64_t *addr,
     return 0;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
- *      10 ghb_block_mask, 11 index_table_entries, 12 ghb_entries,
- *      13 degree, 14 history_depth
- * out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued, 16-19
+/* out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued, 16-19
  *      GHBStats (misses_inserted, delta_correlations, stride_fallbacks,
- *      chains_too_short).
- * Returns 0, 1 (out of memory) or 2 (an address or prediction outside
- * the kernel range). */
-int repro_replay_ghb(int64_t n, const int64_t *pc, const int64_t *addr,
-                     const int8_t *is_write, const int64_t *cfg, int64_t *out,
-                     int8_t *col, int64_t *spill) {
-    memset(out, 0, 96 * sizeof(int64_t));
-    if (!addresses_in_range(n, addr)) return 2;
-    Ghb *G = (Ghb *)calloc(1, sizeof(Ghb));
-    if (!G) return 1;
-    volatile int rc = 1; /* set after setjmp */
-    if (setjmp(G->fail) == 0) {
-        rc = ghb_run(G, n, pc, addr, is_write, cfg, col, spill);
-        hier_dump(&G->h, out);
-        out[8] = G->t.issued;
-        out[16] = G->inserted;
-        out[17] = G->correlations;
-        out[18] = G->stride_fallbacks;
-        out[19] = G->too_short;
-    }
-    hier_free(&G->h);
+ *      chains_too_short). */
+static void ghb_dump(Lane *s, int64_t *out) {
+    Ghb *G = (Ghb *)s;
+    hier_dump(&s->h, out);
+    out[8] = G->t.issued;
+    out[16] = G->inserted;
+    out[17] = G->correlations;
+    out[18] = G->stride_fallbacks;
+    out[19] = G->too_short;
+}
+
+static void ghb_release(Lane *s) {
+    Ghb *G = (Ghb *)s;
     lru_free(&G->index);
     free(G->address);
     free(G->pc);
@@ -1563,36 +1666,41 @@ int repro_replay_ghb(int64_t n, const int64_t *pc, const int64_t *addr,
     free(G->hist);
     free(G->deltas);
     free(G->t.v);
-    free(G);
-    return rc;
 }
 
 typedef struct {
-    jmp_buf fail;
-    Hier h;
+    Lane lane;
     Lru table; /* pc -> last address, in LRU order */
     int64_t *stride, *conf; /* by table node */
     Targets t;
     int64_t entries, degree, threshold, block_mask;
 } Stride;
 
-static int stride_run(Stride *S, int64_t n, const int64_t *pc, const int64_t *addr,
-                      const int8_t *is_write, const int64_t *cfg, int8_t *col,
-                      int64_t *spill) {
-    Hier *h = &S->h;
-    hier_init(&S->fail, h, cfg, col, spill);
-    h->queue_size = cfg[9];
+/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
+ *      10 stride_block_mask, 11 table_entries, 12 degree,
+ *      13 train_threshold */
+static void stride_init(Lane *s, const OpenArgs *a) {
+    Stride *S = (Stride *)s;
+    const int64_t *cfg = a->cfg;
+    hier_init(&s->fail, &s->h, a);
+    s->h.queue_size = cfg[9];
     S->block_mask = cfg[10];
     S->entries = cfg[11];
     S->degree = cfg[12];
     S->threshold = cfg[13];
-    int64_t pool = min64(S->entries, n) + 1;
-    Lru *t = &S->table;
-    lru_init(&S->fail, t, next_pow2((uint64_t)(2 * pool + 64)), pool);
-    S->stride = (int64_t *)xalloc(&S->fail, NULL, (size_t)pool * sizeof(int64_t));
-    S->conf = (int64_t *)xalloc(&S->fail, NULL, (size_t)pool * sizeof(int64_t));
+    int64_t pool = min64(S->entries, s->n) + 1;
+    lru_init(&s->fail, &S->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    S->stride = (int64_t *)xalloc(&s->fail, NULL, (size_t)pool * sizeof(int64_t));
+    S->conf = (int64_t *)xalloc(&s->fail, NULL, (size_t)pool * sizeof(int64_t));
+}
 
-    for (int64_t i = 0; i < n; i++) {
+static int stride_run(Lane *s, int64_t start, int64_t stop) {
+    Stride *S = (Stride *)s;
+    Hier *h = &s->h;
+    Lru *t = &S->table;
+    const int64_t *pc = s->pc, *addr = s->addr;
+    const int8_t *is_write = s->is_write;
+    for (int64_t i = start; i < stop; i++) {
         int64_t block, address = addr[i];
         int code = hier_step(h, address, is_write[i], &block);
 
@@ -1623,117 +1731,248 @@ static int stride_run(Stride *S, int64_t n, const int64_t *pc, const int64_t *ad
             if (stride >= MAX_ADDRESS - target) return 2;
             target += stride;
             if (target < 0) break;
-            target_add(&S->fail, &S->t, target & S->block_mask, block);
+            target_add(&S->lane.fail, &S->t, target & S->block_mask, block);
         }
         hier_issue(h, &S->t, pc[i]);
     }
     return 0;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
- *      10 stride_block_mask, 11 table_entries, 12 degree,
- *      13 train_threshold
- * out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued.
- * Returns 0, 1 (out of memory) or 2 (an address or prediction outside
- * the kernel range). */
-int repro_replay_stride(int64_t n, const int64_t *pc, const int64_t *addr,
-                        const int8_t *is_write, const int64_t *cfg, int64_t *out,
-                        int8_t *col, int64_t *spill) {
-    memset(out, 0, 96 * sizeof(int64_t));
-    if (!addresses_in_range(n, addr)) return 2;
-    Stride *S = (Stride *)calloc(1, sizeof(Stride));
-    if (!S) return 1;
-    volatile int rc = 1; /* set after setjmp */
-    if (setjmp(S->fail) == 0) {
-        rc = stride_run(S, n, pc, addr, is_write, cfg, col, spill);
-        hier_dump(&S->h, out);
-        out[8] = S->t.issued;
-    }
-    hier_free(&S->h);
+/* out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued. */
+static void stride_dump(Lane *s, int64_t *out) {
+    hier_dump(&s->h, out);
+    out[8] = ((Stride *)s)->t.issued;
+}
+
+static void stride_release(Lane *s) {
+    Stride *S = (Stride *)s;
     lru_free(&S->table);
     free(S->stride);
     free(S->conf);
     free(S->t.v);
-    free(S);
-    return rc;
 }
 
 /* ------------------------------------------------ no-prefetcher replay
  * With the NullPrefetcher the main and baseline hierarchies receive
  * identical streams, so one simulated L1/L2 pair stands for both; the
- * caller mirrors the counters.  Takes every kernel's arguments; pc and
- * spill go unused.
+ * caller mirrors the counters.  pc and spill go unused.
  * cfg: slots 0-8 as hier_init.  out: 0 l1_hits, 1 l2_hits, 2 l2_misses,
  * per-cache stats at 24 (L1) and 34 (L2).  col: as hier_init (every L1
- * miss is a baseline miss). */
-typedef struct {
-    jmp_buf fail;
-    Cache l1, l2;
-} Baseline;
+ * miss is a baseline miss).  The pair is the Hier's main L1 and own L2.
+ * A co-run lane cannot mirror (other cores' prefetches reach its shared
+ * main L2): its "null" kind steps both hierarchies without a predictor
+ * and dumps as hier_dump. */
+static void baseline_init(Lane *s, const OpenArgs *a) {
+    Hier *h = &s->h;
+    cache_init(&s->fail, &h->main_l1, a->cfg, a->cfg[8]);
+    cache_init(&s->fail, &h->own_l2[0], a->cfg + 4, a->cfg[8]);
+    h->col = a->col;
+}
 
-int repro_replay_baseline(int64_t n, const int64_t *pc, const int64_t *addr,
-                          const int8_t *is_write, const int64_t *cfg,
-                          int64_t *out, int8_t *col, int64_t *spill) {
-    memset(out, 0, 96 * sizeof(int64_t));
-    if (!addresses_in_range(n, addr)) return 2;
-    Baseline *b = (Baseline *)calloc(1, sizeof(Baseline));
-    if (!b) return 1;
-    volatile int rc = 1; /* set after setjmp */
-    if (setjmp(b->fail) == 0) {
-        cache_init(&b->fail, &b->l1, cfg, cfg[8]);
-        cache_init(&b->fail, &b->l2, cfg + 4, cfg[8]);
-        int64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
-        int64_t dump;
-        int dummy_h, dummy_u;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t address = addr[i];
-            int outcome = 0;
-            if (cache_access(&b->l1, address, is_write[i], &dump, &dummy_h, &dummy_u)) {
-                l1_hits++;
-            } else if (cache_access(&b->l2, address, 0, &dump, &dummy_h, &dummy_u)) {
-                l2_hits++;
-                outcome = 1 | 4;
-            } else {
-                l2_misses++;
-                outcome = 2 | 4;
-            }
-            if (col) col[i] = (int8_t)outcome;
+static int baseline_run(Lane *s, int64_t start, int64_t stop) {
+    Hier *h = &s->h;
+    const int64_t *addr = s->addr;
+    int64_t dump;
+    int dummy_h, dummy_u;
+    for (int64_t i = start; i < stop; i++) {
+        int64_t address = addr[i];
+        int outcome = 0;
+        if (cache_access(&h->main_l1, address, s->is_write[i], &dump, &dummy_h, &dummy_u)) {
+            h->main_l1_hits++;
+        } else if (cache_access(&h->own_l2[0], address, 0, &dump, &dummy_h, &dummy_u)) {
+            h->main_l2_hits++;
+            outcome = 1 | 4;
+        } else {
+            h->main_l2_misses++;
+            outcome = 2 | 4;
         }
-        out[0] = l1_hits;
-        out[1] = l2_hits;
-        out[2] = l2_misses;
-        cache_dump_stats(&b->l1, out + 24);
-        cache_dump_stats(&b->l2, out + 34);
-        rc = 0;
+        if (h->col) h->col[i] = (int8_t)outcome;
     }
-    cache_free(&b->l1);
-    cache_free(&b->l2);
-    free(b);
+    return 0;
+}
+
+static void baseline_dump(Lane *s, int64_t *out) {
+    Hier *h = &s->h;
+    out[0] = h->main_l1_hits;
+    out[1] = h->main_l2_hits;
+    out[2] = h->main_l2_misses;
+    cache_dump_stats(&h->main_l1, out + 24);
+    cache_dump_stats(&h->own_l2[0], out + 34);
+}
+
+static int null_run(Lane *s, int64_t start, int64_t stop) {
+    int64_t block;
+    for (int64_t i = start; i < stop; i++) hier_step(&s->h, s->addr[i], s->is_write[i], &block);
+    return 0;
+}
+
+/* ------------------------------------------------------- entry points */
+
+/* By the kind number repro_open takes: repro.cache.vector.KERNELS. */
+static const Kind KINDS[] = {
+    {sizeof(Lane), baseline_init, baseline_run, baseline_dump, nothing_to_release},
+    {sizeof(Dbcp), dbcp_init, dbcp_run, dbcp_dump, dbcp_release},
+    {sizeof(Ltc), ltc_init, ltc_run, ltc_dump, ltc_release},
+    {sizeof(Ghb), ghb_init, ghb_run, ghb_dump, ghb_release},
+    {sizeof(Stride), stride_init, stride_run, stride_dump, stride_release},
+    {sizeof(Lane), hier_only_init, null_run, hier_only_dump, nothing_to_release},
+};
+
+/* A kind's state over n accesses (cfg, col and spill as the kind's
+ * comments say); NULL when even the state cannot be allocated.  A state
+ * whose addresses leave the kernel range or whose set-up ran out of
+ * memory is dead from the start: repro_run reports its rc. */
+void *repro_open(int64_t kind, int64_t n, const int64_t *pc, const int64_t *addr,
+                 const int8_t *is_write, const int64_t *cfg, int8_t *col,
+                 int64_t *spill, void *shared_main, void *shared_base,
+                 int64_t core) {
+    const Kind *k = &KINDS[kind];
+    Lane *s = (Lane *)calloc(1, k->size);
+    if (!s) return NULL;
+    live_add(1);
+    s->kind = k;
+    s->n = n;
+    s->pc = pc;
+    s->addr = addr;
+    s->is_write = is_write;
+    OpenArgs a = {cfg, col, spill, (SharedL2 *)shared_main, (SharedL2 *)shared_base, core};
+    if (!addresses_in_range(n, addr))
+        s->dead = 2;
+    else if (setjmp(s->fail) == 0)
+        k->init(s, &a);
+    else
+        s->dead = 1;
+    return s;
+}
+
+/* Replay accesses [start, stop): 0, 1 (out of memory), 2 (an address or
+ * prediction outside the kernel range) or 3 (not the next chunk).  Each
+ * call re-arms the state's jmp_buf; after rc 1 or 2 the state is dead
+ * and every later call returns that rc. */
+int repro_run(void *state, int64_t start, int64_t stop) {
+    Lane *s = (Lane *)state;
+    if (s->dead) return s->dead;
+    if (start != s->pos || stop < start || stop > s->n) return 3;
+    if (s->h.shared) s->h.shared->owners.fail = &s->fail;
+    if (setjmp(s->fail)) {
+        s->dead = 1;
+        return 1;
+    }
+    int rc = s->kind->run(s, start, stop);
+    s->pos = stop;
+    s->dead = rc;
     return rc;
+}
+
+/* Dump the counters into out (NULL: discard them; a dead state dumps
+ * nothing) and free the state. */
+void repro_close(void *state, int64_t *out) {
+    Lane *s = (Lane *)state;
+    if (out) {
+        memset(out, 0, 96 * sizeof(int64_t));
+        if (!s->dead) s->kind->dump(s, out);
+    }
+    hier_free(&s->h);
+    s->kind->release(s);
+    free(s);
+    live_add(-1);
+}
+
+static void shared_free(SharedL2 *s) {
+    cache_free(&s->cache);
+    map_free(&s->owners);
+    free(s->prefetch_cross);
+    free(s);
+}
+
+static int shared_init(SharedL2 *s, const int64_t *cfg, int64_t ncores) {
+    jmp_buf fail;
+    if (setjmp(fail)) return 1;
+    cache_init(&fail, &s->cache, cfg + 4, cfg[8]);
+    map_init(&s->owners, &fail);
+    s->owners.fail = NULL; /* each repro_run points it at the lane's */
+    s->prefetch_cross = (int64_t *)xzalloc(&fail, (size_t)ncores * sizeof(int64_t));
+    s->ncores = ncores;
+    return 0;
+}
+
+/* One shared L2 (cfg: slots 0-8 as hier_init) for ncores lanes; NULL
+ * when out of memory. */
+void *repro_shared_open(const int64_t *cfg, int64_t ncores) {
+    SharedL2 *s = (SharedL2 *)calloc(1, sizeof(SharedL2));
+    if (!s) return NULL;
+    if (shared_init(s, cfg, ncores)) {
+        shared_free(s);
+        return NULL;
+    }
+    live_add(1);
+    return s;
+}
+
+/* The number of blocks in the ownership map. */
+int64_t repro_shared_owners(void *shared) {
+    return ((SharedL2 *)shared)->owners.count;
+}
+
+/* Dump and free: out 0-9 the cache's stats block, 10 cross-core
+ * evictions, 11.. the per-core prefetch cross-core evictions; keys and
+ * cores (NULL, or repro_shared_owners entries each) the ownership map.
+ * out NULL discards everything. */
+void repro_shared_close(void *shared, int64_t *out, int64_t *keys, int64_t *cores) {
+    SharedL2 *s = (SharedL2 *)shared;
+    if (out) {
+        cache_dump_stats(&s->cache, out);
+        out[10] = s->cross;
+        for (int64_t c = 0; c < s->ncores; c++) out[11 + c] = s->prefetch_cross[c];
+        int64_t j = 0;
+        for (uint64_t i = 0; keys && i <= s->owners.mask; i++) {
+            if (!s->owners.used[i]) continue;
+            keys[j] = s->owners.keys[i];
+            cores[j++] = s->owners.v1[i];
+        }
+    }
+    shared_free(s);
+    live_add(-1);
 }
 """
 
 
-#: The kernel entry points, ``repro_replay_<kind>``.
-KERNELS = ("baseline", "dbcp", "ltcords", "ghb", "stride")
+#: The lane kinds, numbered as ``repro_open`` takes them.  A kind is the
+#: ``kernel-<kind>`` tier, except ``null``: the no-prefetcher co-run
+#: lane, on the ``kernel-baseline`` tier.
+KERNELS = ("baseline", "dbcp", "ltcords", "ghb", "stride", "null")
 
 
 class VectorKernel:
-    """ctypes handle over the compiled replay kernels.
+    """ctypes handle over the compiled kernel's entry points.
 
-    Every entry point takes ``(n, pc, addr, is_write, cfg, out, col,
-    spill)`` and is exposed as ``replay_<kind>``.
+    A lane is ``open(kind, n, pc, addr, is_write, cfg, col, spill,
+    shared_main, shared_base, core)`` → handle, ``run(handle, start,
+    stop)`` → rc per chunk, then ``close(handle, out)``; a co-run's
+    shared L2s are ``shared_open(cfg, ncores)`` → handle,
+    ``shared_owners(handle)`` and ``shared_close(handle, out, keys,
+    cores)``.  ``live_states()`` counts the open handles of both.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self.library = library
         i64p = ctypes.POINTER(ctypes.c_int64)
         i8p = ctypes.POINTER(ctypes.c_int8)
-        for kind in KERNELS:
-            entry = getattr(library, f"repro_replay_{kind}")
-            entry.argtypes = [ctypes.c_int64, i64p, i64p, i8p, i64p, i64p, i8p, i64p]
-            entry.restype = ctypes.c_int
-            setattr(self, f"replay_{kind}", entry)
+        handle, i64 = ctypes.c_void_p, ctypes.c_int64
+        signatures = {
+            "open": ([i64, i64, i64p, i64p, i8p, i64p, i8p, i64p, handle, handle, i64], handle),
+            "run": ([handle, i64, i64], ctypes.c_int),
+            "close": ([handle, i64p], None),
+            "shared_open": ([i64p, i64], handle),
+            "shared_owners": ([handle], i64),
+            "shared_close": ([handle, i64p, i64p, i64p], None),
+            "live_states": ([], i64),
+        }
+        for name, (argtypes, restype) in signatures.items():
+            entry = getattr(library, f"repro_{name}")
+            entry.argtypes = argtypes
+            entry.restype = restype
+            setattr(self, name, entry)
 
 
 def kernel_cache_dir() -> str:
@@ -1755,6 +1994,17 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+#: Extra compiler flags under ``REPRO_KERNEL_SANITIZE=1``.  The process
+#: must then load ``libasan`` first (``LD_PRELOAD``).
+SANITIZE_FLAGS = (
+    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-g",
+)
+
+
+def _sanitize() -> bool:
+    return bool(os.environ.get("REPRO_KERNEL_SANITIZE"))
+
+
 def _compile_kernel(so_path: str) -> bool:
     """Compile the embedded source to ``so_path``; ``False`` on any failure."""
     compiler = _find_compiler()
@@ -1771,7 +2021,8 @@ def _compile_kernel(so_path: str) -> bool:
             # -O1: the kernel is as fast as at -O2 and compiles in about
             # two thirds of the time, which every cold set-up pays.
             proc = subprocess.run(
-                [compiler, "-O1", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                [compiler, "-O1", "-shared", "-fPIC", *(SANITIZE_FLAGS if _sanitize() else ()),
+                 "-o", tmp_so, c_path],
                 capture_output=True,
                 timeout=120,
             )
@@ -1812,7 +2063,8 @@ def load_kernel() -> Optional[VectorKernel]:
         _KERNEL_FAILED = "kill-switch"
         return None
     digest = hashlib.sha256(KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
-    so_path = os.path.join(kernel_cache_dir(), f"repro_vector_{digest}.so")
+    suffix = "_sanitized" if _sanitize() else ""
+    so_path = os.path.join(kernel_cache_dir(), f"repro_vector_{digest}{suffix}.so")
     if not os.path.exists(so_path) and not _compile_kernel(so_path):
         _KERNEL_FAILED = "no-compiler"
         return None

@@ -27,18 +27,25 @@ Engines
 -------
 Every core is a :class:`~repro.sim.trace_driven.TraceDrivenSimulator`
 *lane* whose main and baseline hierarchies take their L2 from the two
-shared L2s.  :meth:`TraceDrivenSimulator.replay_chunks` turns the
-simulator's own replay loop — the interpreted tier for
-``engine="fast"``, the object-per-access loop for ``engine="legacy"`` —
-into a resumable ``(run_chunk, settle)`` pair, and the co-run calls
-each core's ``run_chunk`` in schedule order.  The compiled kernel never runs a
-co-run core (the shared L2 lives outside it).  So a core replays
-through exactly the code of a single-core run, and each core's
-:class:`~repro.sim.trace_driven.SimulationResult` is its lane's
-``build_result``: a one-core co-run is the single-core run, and the
-fast and legacy engines produce bit-identical
+shared L2s.  :meth:`TraceDrivenSimulator.replay_chunks` turns one of the
+simulator's tiers into a resumable ``(run_chunk, settle)`` pair, and
+the co-run calls each core's ``run_chunk`` in schedule order.  With
+``engine="fast"`` every lane runs on the compiled kernel when every
+lane qualifies for it (each lane a kernel state, one native call per
+chunk, over C copies of the two shared L2s that
+:func:`~repro.sim.vector_replay.open_co_run` settles into the
+:class:`SharedL2` objects once the lanes have settled).  Otherwise — a
+plugin predictor on any core, no compiler, or a GHB/stride prediction
+leaving the kernel's address range mid-co-run — the whole co-run
+replays on the interpreted tier, from the start, each kernel-eligible
+lane noting its fallback reason (``co-runner`` when another core kept
+it off the kernel).  ``engine="legacy"`` runs the object-per-access
+loop.  So a core replays through exactly the code of a single-core
+run, and each core's :class:`~repro.sim.trace_driven.SimulationResult`
+is its lane's ``build_result``: a one-core co-run is the single-core
+run, and every engine and tier produces bit-identical
 ``MulticoreResult.to_dict`` output (the collapse suite, the co-run
-differential suite and the 28-benchmark matrix assert both).
+differential suite and the 28-benchmark matrix assert it).
 
 Cross-core interference
 -----------------------
@@ -61,6 +68,7 @@ from repro.memory.bus import BusModel
 from repro.multicore.result import MulticoreResult
 from repro.multicore.spec import DEFAULT_QUANTUM_ACCESSES, MulticoreSpec, validate_schedule
 from repro.sim.trace_driven import TraceDrivenSimulator
+from repro.sim.vector_replay import KernelRangeError, open_co_run, replay_event_fields
 from repro.trace.stream import TraceStream, shift_addresses
 
 
@@ -133,7 +141,8 @@ class MulticoreSimulator:
         self.num_cores = len(prefetchers)
         self.hierarchy_config = config = hierarchy_config or HierarchyConfig()
         self.shared_l2 = SharedL2(config.l2, engine, self.num_cores)
-        baseline_l2 = SharedL2(config.l2, engine, self.num_cores)
+        #: The baselines' shared L2 (no prefetches, no ownership recorded).
+        self.baseline_l2 = baseline_l2 = SharedL2(config.l2, engine, self.num_cores)
         #: One single-core simulator per core, over the shared L2s.
         self.lanes: List[TraceDrivenSimulator] = []
         for core, prefetcher in enumerate(prefetchers):
@@ -164,9 +173,25 @@ class MulticoreSimulator:
         chunks = schedule_chunks(
             [trace.as_arrays().icount for trace in traces], self.interleave, self.quantum_accesses
         )
-        run_chunks, settles = zip(
-            *(lane.replay_chunks(trace) for lane, trace in zip(self.lanes, traces))
-        )
+        if self.engine == "fast":
+            co_run = open_co_run(self.lanes, traces, (self.shared_l2, self.baseline_l2))
+            if co_run is not None:
+                try:
+                    self._replay_schedule(traces, chunks, co_run.lanes)
+                    co_run.settle()
+                    return
+                except KernelRangeError as error:
+                    co_run.fall_back(error)
+                finally:
+                    co_run.close()
+        self._replay_schedule(traces, chunks, [None] * self.num_cores)
+
+    def _replay_schedule(self, traces, chunks, kernel_lanes) -> None:
+        """Run ``chunks`` over one ``replay_chunks`` pair per lane, then settle every lane."""
+        run_chunks, settles = zip(*(
+            lane.replay_chunks(trace, kernel)
+            for lane, trace, kernel in zip(self.lanes, traces, kernel_lanes)
+        ))
         for core, start, stop in chunks:
             run_chunks[core](start, stop)
         for settle in settles:
@@ -236,8 +261,9 @@ def simulate_multicore(spec: MulticoreSpec, trace_store=None, observer=None) -> 
         interleave=spec.interleave,
         quantum_accesses=spec.quantum_accesses,
     )
-    with obs_phase(PHASE_REPLAY, observer=observer):
+    with obs_phase(PHASE_REPLAY, observer=observer) as event:
         simulator.replay(traces)
+        event.update(replay_event_fields(simulator.lanes, lanes=True))
     with obs_phase(PHASE_SETTLE, observer=observer):
         result = simulator.build_result(traces, benchmarks=spec.benchmarks)
     REGISTRY.counter("replay.accesses").inc(sum(len(trace) for trace in traces))

@@ -20,7 +20,12 @@ Event types
     ``jobs``) began.
 ``phase``
     One phase of a run finished: ``name`` (``trace_acquire`` /
-    ``replay`` / ``settle``) and ``duration_s``.
+    ``replay`` / ``settle``) and ``duration_s``.  A ``replay`` phase
+    also carries ``tier`` (the engine tier that ran, ``"mixed"`` when a
+    run's simulators differ) and, when a kernel-eligible replay fell
+    back, ``fallback``; a multicore co-run adds the per-core
+    ``lane_tiers`` and, when any lane fell back, ``lane_fallbacks``
+    (``null`` for a lane that did not).
 ``cache_hit``
     The result cache served a point: ``key`` (plus ``index`` inside a
     campaign).
@@ -152,6 +157,21 @@ def read_events_tolerant(
     return events, problems
 
 
+def _tier_problems(event: Dict[str, Any]) -> List[str]:
+    """What is wrong with a ``phase`` event's tier fields (absent fields are fine)."""
+    problems = []
+    for field in ("tier", "fallback"):
+        if field in event and not isinstance(event[field], str):
+            problems.append(f"phase {field!r} is not a string")
+    for field, optional in (("lane_tiers", False), ("lane_fallbacks", True)):
+        values = event.get(field, [])
+        if not isinstance(values, list) or not all(
+            isinstance(value, str) or (optional and value is None) for value in values
+        ):
+            problems.append(f"phase {field!r} is not a list of lane {field[5:]}")
+    return problems
+
+
 def check_events(
     events: Iterable[Dict[str, Any]],
     require_types: Iterable[str] = ("run_start", "run_end"),
@@ -181,8 +201,10 @@ def check_events(
             for field in ("duration_s", "cache_hit", "key"):
                 if field not in event:
                     problems.append(f"event {index}: point_done missing {field!r}")
-        if event_type == "phase" and "name" not in event:
-            problems.append(f"event {index}: phase missing 'name'")
+        if event_type == "phase":
+            if "name" not in event:
+                problems.append(f"event {index}: phase missing 'name'")
+            problems.extend(f"event {index}: {problem}" for problem in _tier_problems(event))
     for required in require_types:
         if required not in seen_types:
             problems.append(f"no {required!r} event in log")

@@ -11,8 +11,12 @@ aggregates.
 
 Usage::
 
-    with phase("replay", observer=observer):
+    with phase("replay", observer=observer) as event:
         simulator.replay(trace)
+        event["tier"] = simulator.last_tier
+
+The yielded dict holds extra fields for the ``phase`` event (the replay
+phase reports the engine tier that ran).
 
 The overhead is two ``perf_counter`` calls and one list append per
 phase — phases are per *run*, never per access, so this is invisible
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs.events import make_event
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -40,20 +44,22 @@ def phase(
     name: str,
     observer: Optional[RunObserver] = None,
     registry: Optional[MetricsRegistry] = None,
-) -> Iterator[None]:
+) -> Iterator[Dict[str, Any]]:
     """Time the enclosed block as phase ``name``.
 
     The duration always lands in the ``phase.<name>`` histogram of
     ``registry`` (default: the process-local :data:`REGISTRY`); with an
-    ``observer`` it is also emitted as a ``phase`` event.  The duration
-    is recorded even when the block raises, so a failing run still
+    ``observer`` it is also emitted as a ``phase`` event, carrying the
+    fields the block put into the yielded dict.  The duration is
+    recorded even when the block raises, so a failing run still
     accounts the time it burned.
     """
+    fields: Dict[str, Any] = {}
     started = time.perf_counter()
     try:
-        yield
+        yield fields
     finally:
         duration = time.perf_counter() - started
         (registry if registry is not None else REGISTRY).histogram(f"phase.{name}").record(duration)
         if observer is not None:
-            observer.emit(make_event("phase", name=name, duration_s=duration))
+            observer.emit(make_event("phase", name=name, duration_s=duration, **fields))

@@ -26,6 +26,7 @@ from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPref
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
 from repro.obs.timers import phase as obs_phase
 from repro.sim.trace_driven import OUTCOME_BASE_MISS, OUTCOME_LEVEL_MASK, TraceDrivenSimulator
+from repro.sim.vector_replay import replay_event_fields
 from repro.trace.stream import interleave_quantum, shift_addresses
 from repro.workloads.base import WorkloadConfig
 from repro.workloads.registry import benchmark_metadata
@@ -169,10 +170,11 @@ def _simulate_pair(
         for column in (outcomes, None, None)
     )
     traces = (primary_trace, secondary_trace)
-    with obs_phase(PHASE_REPLAY, observer=observer):
+    with obs_phase(PHASE_REPLAY, observer=observer) as event:
         paired.replay(interleaved)
         for simulator, trace in zip(standalone, traces):
             simulator.replay(trace)
+        event.update(replay_event_fields([paired, *standalone]))
     with obs_phase(PHASE_SETTLE, observer=observer):
         primary_cov, secondary_cov = _coverage_by_app(
             outcomes, interleaved.as_arrays().address, DEFAULT_ADDRESS_SHIFT

@@ -28,6 +28,7 @@ from repro.sim.trace_driven import (
     OUTCOME_FILL_SPILL,
     TraceDrivenSimulator,
 )
+from repro.sim.vector_replay import replay_event_fields
 from repro.timing.config import SystemConfig
 from repro.timing.model import OutOfOrderTimingModel, TimingBreakdown
 from repro.trace.stream import TraceStream
@@ -201,8 +202,9 @@ def _simulate_speedup(
         perfect_l1=perfect_l1,
         engine=engine,
     )
-    with obs_phase(PHASE_REPLAY, observer=observer):
+    with obs_phase(PHASE_REPLAY, observer=observer) as event:
         simulator.replay(trace)
+        event.update(replay_event_fields([simulator.simulator]))
     with obs_phase(PHASE_SETTLE, observer=observer):
         return simulator.build_result(trace)
 

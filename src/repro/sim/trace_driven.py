@@ -18,8 +18,8 @@ bus-traffic categories of Figure 12.
 Engines
 -------
 ``engine="fast"`` (the default) replays through the compiled kernel of
-:mod:`repro.cache.vector` when the run qualifies (the no-prefetcher
-baseline, DBCP and LT-cords on a fresh simulator, see
+:mod:`repro.cache.vector` when the run qualifies (every built-in
+predictor on a fresh simulator, see
 :func:`repro.sim.vector_replay.replay_kernel`) and through this
 module's interpreted loop otherwise.  The interpreted loop
 iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
@@ -39,10 +39,12 @@ and tier can also record a per-access outcome column
 (:attr:`TraceDrivenSimulator.outcomes`), through which the timing and
 pairwise multiprogram simulators consume the replay.
 
-Both loops are resumable: :meth:`TraceDrivenSimulator.replay_chunks` hands one
-out as a ``(run_chunk(start, stop), settle())`` pair.  A whole-trace
-replay calls it once; a :mod:`repro.multicore` co-run drives one lane
-per core, chunk by chunk, over L2 caches shared between the cores.
+Every tier is resumable: :meth:`TraceDrivenSimulator.replay_chunks` hands
+one out as a ``(run_chunk(start, stop), settle())`` pair — an open
+kernel state (:class:`~repro.sim.vector_replay.KernelLane`), the
+interpreted loop or the legacy loop.  A whole-trace replay runs one
+chunk; a :mod:`repro.multicore` co-run drives one lane per core, chunk
+by chunk, over L2 caches shared between the cores.
 
 Because the fast engine mutates the shared outcome object in place,
 custom predictors must read the fields they need during ``on_access``
@@ -66,7 +68,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
 from repro.obs.timers import phase as obs_phase
 from repro.prefetchers.null import NullPrefetcher
-from repro.sim.vector_replay import replay_kernel
+from repro.sim.vector_replay import KernelLane, replay_kernel, replay_event_fields
 from repro.trace.record import AccessType, MemoryAccess
 from repro.trace.store import load_or_generate_trace
 from repro.trace.stream import TraceStream
@@ -384,17 +386,22 @@ class TraceDrivenSimulator:
             settle()
         _ACCESSES_REPLAYED.inc(len(trace))
 
-    def replay_chunks(self, trace: TraceStream) -> ChunkedReplay:
+    def replay_chunks(
+        self, trace: TraceStream, kernel: Optional[KernelLane] = None
+    ) -> ChunkedReplay:
         """Resumable replay of ``trace``: ``(run_chunk(start, stop), settle())``.
 
         ``run_chunk`` replays accesses ``start:stop`` (chunks must follow
         each other in order) and ``settle`` folds the loop's counters into
         the simulator's statistics once the trace is done.  The lane runs
-        the legacy loop or the interpreted tier, never the compiled
-        kernel: :meth:`replay` takes it over the whole trace when the
-        kernel does not apply, and a multicore co-run interleaves one lane
-        per core over a shared L2.
+        on ``kernel`` — this simulator's open kernel state over ``trace``,
+        one native call per chunk — when given, else on the legacy loop or
+        the interpreted tier.  :meth:`replay` takes the interpreted pair
+        over the whole trace when the kernel does not apply, and a
+        multicore co-run interleaves one lane per core over a shared L2.
         """
+        if kernel is not None:
+            return kernel.run_chunk, kernel.settle
         if self.engine == "legacy":
             self.last_tier = "legacy"
             return _resumable(self._legacy_loop(iter(trace)), len(trace))
@@ -777,7 +784,8 @@ def simulate_benchmark(
     simulator = TraceDrivenSimulator(
         prefetcher=prefetcher, hierarchy_config=hierarchy_config, engine=engine
     )
-    with obs_phase(PHASE_REPLAY, observer=observer):
+    with obs_phase(PHASE_REPLAY, observer=observer) as event:
         simulator.replay(trace)
+        event.update(replay_event_fields([simulator]))
     with obs_phase(PHASE_SETTLE, observer=observer):
         return simulator.build_result(trace)

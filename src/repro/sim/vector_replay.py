@@ -1,10 +1,16 @@
 """The fast engine's first tier: the compiled replay kernel, and when a run may take it.
 
-:func:`replay_kernel` replays a whole trace in one native call when the
-run qualifies; otherwise ``TraceDrivenSimulator.replay`` replays it on
-the simulator's interpreted loop.  Both tiers are bit-identical (the
-equivalence suites assert ``SimulationResult.to_dict`` equality with
-the kernel on and off):
+Every replay on the kernel is a :class:`KernelLane`: one kernel state
+opened over the simulator's whole trace, run chunk by chunk (one native
+call each), then settled into the simulator's Python objects and
+closed.  :func:`replay_kernel` replays a single-core trace as one chunk
+when the run qualifies; otherwise ``TraceDrivenSimulator.replay``
+replays it on the simulator's interpreted loop.  A
+:mod:`repro.multicore` co-run opens one lane per core over C copies of
+its two shared L2s (:func:`open_co_run`) and runs them in schedule
+order.  Both tiers are bit-identical (the equivalence suites assert
+``SimulationResult.to_dict`` and ``MulticoreResult.to_dict`` equality
+with the kernel on and off):
 
 1. **Compiled kernel** (``kernel-baseline`` / ``kernel-dbcp`` /
    ``kernel-ltcords`` / ``kernel-ghb`` / ``kernel-stride``) — the C
@@ -18,15 +24,16 @@ the kernel on and off):
    :class:`~repro.prefetchers.ghb.FastGHBPrefetcher` or the
    :class:`~repro.prefetchers.stride.FastStridePrefetcher` — on a fresh
    simulator, over addresses below 2^54 whose GHB/stride predictions
-   stay below 2^54 too.
+   stay below 2^54 too.  A co-run qualifies when every lane does.
 2. **Interpreted** — the simulator's own columnar loop
    (``TraceDrivenSimulator.replay_chunks``): plugin predictors, every
    kernel-eligible run that cannot take the kernel, and every core of a
-   :mod:`repro.multicore` co-run.
+   co-run that cannot run all its cores on the kernel.
 
 Both tiers serve every replaying simulation kind: trace-driven runs,
-the timing runs of :mod:`repro.sim.timing` (Table 3) and the pairwise
-runs of :mod:`repro.sim.multiprogram` (Figure 11).  The latter two ask
+the timing runs of :mod:`repro.sim.timing` (Table 3), the pairwise
+runs of :mod:`repro.sim.multiprogram` (Figure 11) and the multicore
+co-runs (Figure 11's shared-L2 mode).  Timing and pairwise runs ask
 for the per-access outcome column (``TraceDrivenSimulator.outcomes``),
 which each tier fills alongside its counters.
 
@@ -34,27 +41,31 @@ The tier taken is recorded as ``sim.last_tier`` and counted in the
 ``replay.tier.<tier>`` counters of :data:`repro.obs.metrics.REGISTRY`.
 When a kernel-eligible run falls to the interpreted tier, the reason —
 ``no-compiler``, ``kill-switch`` (``REPRO_NO_VECTOR_KERNEL``),
-``address-range``, ``not-fresh`` or ``open-fold`` — is recorded as
+``address-range``, ``not-fresh``, ``open-fold`` or ``co-runner``
+(another core of its co-run kept it off the kernel) — is recorded as
 ``sim.last_fallback`` and counted in ``replay.fallback.<reason>``, and
 the first such fallback in a process emits a :class:`RuntimeWarning`:
-the interpreted tier is 10-70x slower.
+the interpreted tier is 10-70x slower.  A lane that leaves the kernel's
+address range mid-replay (rc 2) has settled nothing, so the replay (the
+whole co-run, for a co-run lane) starts over on the interpreted tier.
 
 Settling: the kernel reports every counter the interpreted loops
 accumulate — loop-local demand/opportunity counters, hierarchy prefetch
 sourcing, predictor, storage, signature-cache and history statistics,
 and a full per-cache ``CacheStats`` mirror (plus each cache's LRU
-serial) — and this module folds them into the simulator's Python
-objects.  A kernel run never builds the Python cache contents (they are
-materialised on first use), so a simulator that took the kernel cannot
-replay further; results are built purely from the settled statistics.
-"""
+serial; a shared L2's once per co-run, with its ownership map and
+cross-core counts) — and this module folds them into the simulator's
+Python objects.  A kernel run never builds the Python cache contents
+(they are materialised on first use), so a simulator that took the
+kernel cannot replay further; results are built purely from the
+settled statistics."""
 
 from __future__ import annotations
 
 import ctypes
 import warnings
 from array import array
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache import vector
 from repro.core.ltcords import FastLTCordsPrefetcher
@@ -80,7 +91,9 @@ TIERS = (
     "kernel-baseline", "kernel-dbcp", "kernel-ltcords", "kernel-ghb", "kernel-stride",
     "interpreted",
 )
-FALLBACK_REASONS = ("no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold")
+FALLBACK_REASONS = (
+    "no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold", "co-runner",
+)
 
 _TIER_COUNTERS = {tier: REGISTRY.counter(f"replay.tier.{tier}") for tier in TIERS}
 _FALLBACK_COUNTERS = {
@@ -89,31 +102,227 @@ _FALLBACK_COUNTERS = {
 _warned_fallback = False
 
 
+class KernelRangeError(Exception):
+    """A lane met an address or prediction outside the kernel range (rc 2).
+
+    ``sim`` is the lane's simulator.  Nothing was settled: the replay
+    starts over on the interpreted tier.
+    """
+
+    def __init__(self, sim) -> None:
+        super().__init__("the replay left the compiled kernel's address range")
+        self.sim = sim
+
+
+class KernelLane:
+    """One simulator's open kernel state over its whole trace.
+
+    :meth:`run_chunk` replays the next chunk of accesses in one native
+    call, :meth:`settle` closes the state and folds its counters into the
+    simulator, and :meth:`close` frees an unsettled state (a no-op after
+    :meth:`settle`).  The lane keeps the ctypes views of its trace
+    columns alive until the state is closed.
+    """
+
+    def __init__(self, kernel, handle, sim, route: "_Route", kind: str, buffers, col, spill):
+        self._kernel = kernel
+        self._handle = handle
+        self.sim = sim
+        self.tier = f"kernel-{route.kind}"
+        # The co-run "null" lane steps both hierarchies: it settles like a predictor lane.
+        self._settle = _settle_prefetching if kind == "null" else route.settle
+        self._buffers = buffers  # what the C state reads: pc, address, is_write, cfg
+        self._col = col
+        self._spill = spill
+        self.length = len(buffers[1])
+
+    def run_chunk(self, start: int, stop: int) -> None:
+        """Replay accesses ``start:stop``, which must continue the replay."""
+        rc = self._kernel.run(self._handle, start, stop)
+        if rc == 2:
+            raise KernelRangeError(self.sim)
+        if rc == 1:
+            raise MemoryError("the compiled replay kernel ran out of memory")
+        if rc:
+            raise ValueError(
+                f"chunk {start}:{stop} does not continue the replay of {self.length} accesses"
+            )
+
+    def settle(self) -> None:
+        """Close the state and fold its counters into the simulator."""
+        out = (ctypes.c_int64 * vector.OUT_SLOTS)()
+        self._close(out)
+        counters = list(out)  # plain python ints: stats stay JSON-safe
+        sim = self.sim
+        self._settle(sim, self.length, counters)
+        if self._col is not None:
+            sim.outcomes.frombytes(self._col)
+        if self._spill is not None:
+            sim.fill_spill.extend(self._spill[: counters[23]])
+        sim._kernel_ran = True
+        sim.last_tier = self.tier
+        _TIER_COUNTERS[self.tier].inc()
+
+    def close(self) -> None:
+        """Free the state without settling (nothing to do once settled)."""
+        if self._handle is not None:
+            self._close(None)
+
+    def _close(self, out) -> None:
+        handle, self._handle = self._handle, None
+        self._kernel.close(handle, out)
+
+
 def replay_kernel(sim, trace: TraceStream) -> bool:
     """Replay ``trace`` on ``sim`` through the kernel; ``False`` if it must run interpreted.
 
     ``sim`` is a fast-engine ``TraceDrivenSimulator``; a kernel-eligible
-    predictor that cannot take the kernel has its fallback noted.
+    predictor that cannot take the kernel has its fallback noted.  The
+    lane opens, runs the whole trace as one chunk and settles.
     """
+    _check_not_settled(sim)
+    sim.last_fallback = None
+    route, reason = _gate(sim)
+    if route is None:
+        return False
+    if reason is None:
+        lane = None
+        try:
+            lane = _open(sim, trace, route)
+            lane.run_chunk(0, len(trace))
+            lane.settle()
+            return True
+        except KernelRangeError:
+            reason = "address-range"
+        finally:
+            if lane is not None:
+                lane.close()
+    _note_fallback(sim, reason)
+    return False
+
+
+class CoRunKernel:
+    """The kernel lanes of one co-run, over C copies of its two shared L2s.
+
+    ``lanes[core]`` is core ``core``'s :class:`KernelLane`.  After every
+    lane settled, :meth:`settle` folds each shared L2's statistics,
+    ownership map and cross-core counts into its
+    :class:`~repro.cache.hierarchy.SharedL2` once; :meth:`close` frees
+    whatever is still open.
+    """
+
+    def __init__(self, kernel, shared_l2s: Sequence[Any], sims: Sequence[Any]) -> None:
+        self._kernel = kernel
+        self._shared_l2s = shared_l2s
+        self._num_cores = len(sims)
+        self.lanes: List[KernelLane] = []
+        cfg = _geometry_cfg(sims[0])
+        cfg = (ctypes.c_int64 * len(cfg))(*cfg)
+        self._shared: List[Any] = []
+        for _ in shared_l2s:
+            handle = kernel.shared_open(cfg, self._num_cores)
+            if handle is None:
+                self.close()
+                raise MemoryError("the compiled replay kernel ran out of memory")
+            self._shared.append(handle)
+
+    def open_lanes(self, sims: Sequence[Any], traces: Sequence[TraceStream], routes) -> None:
+        shared = tuple(self._shared)
+        for core, (sim, trace, route) in enumerate(zip(sims, traces, routes)):
+            self.lanes.append(_open(sim, trace, route, shared, core))
+
+    def settle(self) -> None:
+        """Fold each shared L2 once; every lane has settled."""
+        kernel = self._kernel
+        for shared_l2, handle in zip(self._shared_l2s, self._shared):
+            out = (ctypes.c_int64 * (11 + self._num_cores))()
+            count = kernel.shared_owners(handle)
+            keys, cores = (ctypes.c_int64 * count)(), (ctypes.c_int64 * count)()
+            kernel.shared_close(handle, out, keys, cores)
+            counters = list(out)
+            _settle_cache(shared_l2.cache, counters[:10])
+            shared_l2.cross_core_evictions += counters[10]
+            for core, evictions in enumerate(counters[11:]):
+                shared_l2.prefetch_cross_core_evictions[core] += evictions
+            shared_l2.owners.update(zip(keys, cores))
+        self._shared = []
+
+    def fall_back(self, error: KernelRangeError) -> None:
+        """Close everything and note why each lane replays interpreted."""
+        self.close()
+        for lane in self.lanes:
+            _note_fallback(lane.sim, "address-range" if lane.sim is error.sim else "co-runner")
+
+    def close(self) -> None:
+        """Free every lane and shared-L2 state still open."""
+        for lane in self.lanes:
+            lane.close()
+        shared, self._shared = self._shared, []
+        for handle in shared:
+            self._kernel.shared_close(handle, None, None, None)
+
+
+def open_co_run(
+    sims: Sequence[Any], traces: Sequence[TraceStream], shared_l2s
+) -> Optional[CoRunKernel]:
+    """Every lane's kernel state over the co-run's shared L2s, or ``None``.
+
+    ``shared_l2s`` are the main and baseline
+    :class:`~repro.cache.hierarchy.SharedL2`.  The co-run takes the
+    kernel only when every lane can; otherwise it returns ``None`` and
+    the whole co-run replays interpreted, each kernel-eligible lane
+    noting its own fallback reason or ``co-runner`` (another core keeps
+    the co-run off the kernel).
+    """
+    for sim in sims:
+        _check_not_settled(sim)
+        sim.last_fallback = None
+    gates = [_gate(sim) for sim in sims]
+    reasons = [reason for _, reason in gates]
+    if all(route is not None for route, _ in gates) and not any(reasons):
+        co_run = CoRunKernel(vector.load_kernel(), shared_l2s, sims)
+        try:
+            co_run.open_lanes(sims, traces, [route for route, _ in gates])
+            return co_run
+        except KernelRangeError as error:
+            co_run.close()
+            reasons = ["address-range" if sim is error.sim else None for sim in sims]
+        except BaseException:
+            co_run.close()
+            raise
+    for sim, (route, _), reason in zip(sims, gates, reasons):
+        if route is not None:
+            _note_fallback(sim, reason or "co-runner")
+    return None
+
+
+def replay_event_fields(sims: Sequence[Any], lanes: bool = False) -> Dict[str, Any]:
+    """The tier fields of a run's ``replay`` phase event.
+
+    ``tier`` is the tier every simulator of the run took (``"mixed"``
+    when they differ) and ``fallback`` the first fallback reason noted;
+    a co-run (``lanes``) adds the per-core ``lane_tiers`` and, when any
+    lane fell back, ``lane_fallbacks``.
+    """
+    tiers = [sim.last_tier for sim in sims]
+    fallbacks = [sim.last_fallback for sim in sims]
+    fields: Dict[str, Any] = {"tier": tiers[0] if len(set(tiers)) == 1 else "mixed"}
+    noted = [reason for reason in fallbacks if reason]
+    if noted:
+        fields["fallback"] = noted[0]
+    if lanes:
+        fields["lane_tiers"] = tiers
+        if noted:
+            fields["lane_fallbacks"] = fallbacks
+    return fields
+
+
+def _check_not_settled(sim) -> None:
     if sim._kernel_ran:
         raise RuntimeError(
             "cannot continue replaying on a simulator after a compiled kernel "
             "run; use a fresh TraceDrivenSimulator per trace"
         )
-    route = _ROUTES.get(type(sim.prefetcher))
-    sim.last_fallback = None
-    if route is not None:
-        reason = route.unfit(sim.prefetcher)
-        if reason is None and not _sim_is_fresh(sim):
-            reason = "not-fresh"
-        if reason is None:
-            reason = _run_kernel(sim, trace, route)
-        if reason is None:
-            sim.last_tier = f"kernel-{route.kind}"
-            _TIER_COUNTERS[sim.last_tier].inc()
-            return True
-        _note_fallback(sim, reason)
-    return False
 
 
 def _note_fallback(sim, reason: str) -> None:
@@ -132,6 +341,19 @@ def _note_fallback(sim, reason: str) -> None:
 
 
 # ---------------------------------------------------------------------- gates
+def _gate(sim) -> Tuple[Optional["_Route"], Optional[str]]:
+    """``sim``'s kernel route (``None`` for a plugin) and why it cannot take it, if so."""
+    route = _ROUTES.get(type(sim.prefetcher))
+    if route is None:
+        return None, None
+    reason = route.unfit(sim.prefetcher)
+    if reason is None and not _sim_is_fresh(sim):
+        reason = "not-fresh"
+    if reason is None and vector.load_kernel() is None:
+        reason = vector.unavailable_reason()
+    return route, reason
+
+
 def _sim_is_fresh(sim) -> bool:
     """True iff the simulator has accumulated no replay state.
 
@@ -282,51 +504,40 @@ def _stride_cfg(sim) -> list:
     ]
 
 
-def _run_kernel(sim, trace: TraceStream, route: "_Route") -> Optional[str]:
-    """Replay through the compiled kernel; the fallback reason if it cannot."""
+def _open(
+    sim, trace: TraceStream, route: "_Route", shared=(None, None), core: int = 0
+) -> KernelLane:
+    """Open ``sim``'s kernel lane over ``trace``; ``shared`` are a co-run's shared-L2 handles."""
     from repro.sim.trace_driven import OUTCOME_FILL_SPILL
 
-    kernel = vector.load_kernel()
-    if kernel is None:
-        return vector.unavailable_reason()
     num_accesses = len(trace)
     if num_accesses >= _MAX_KERNEL_ACCESSES:
-        return "address-range"
+        raise KernelRangeError(sim)
     columns = trace.as_arrays()
     address = _c_column(columns.address, ctypes.c_int64, "q")
     is_write = _c_column(columns.is_write, ctypes.c_int8, "b")
-    if address is None or is_write is None:
-        return "address-range"
-    pc = None
-    if route.kind != "baseline":  # the no-prefetcher kernel never reads the PCs
-        pc = _c_column(columns.pc, ctypes.c_int64, "q")
-        if pc is None:
-            return "address-range"
-    out = (ctypes.c_int64 * vector.OUT_SLOTS)()
-    outcomes = sim.outcomes
+    kind = "null" if route.kind == "baseline" and shared[0] is not None else route.kind
+    needs_pc = kind not in ("baseline", "null")  # the no-prefetcher lanes never read the PCs
+    pc = _c_column(columns.pc, ctypes.c_int64, "q") if needs_pc else None
+    if address is None or is_write is None or (needs_pc and pc is None):
+        raise KernelRangeError(sim)
     col = spill = None
-    if outcomes is not None:
+    if sim.outcomes is not None:
         col = (ctypes.c_int8 * num_accesses)()
         # Only a degree this deep can fill more blocks after one access
         # than an outcome byte holds.
         if getattr(sim.prefetcher, "_degree", 0) >= OUTCOME_FILL_SPILL:
             spill = (ctypes.c_int64 * num_accesses)()
     cfg = _geometry_cfg(sim) + route.cfg(sim)
-    rc = getattr(kernel, f"replay_{route.kind}")(
-        num_accesses, pc, address, is_write, (ctypes.c_int64 * len(cfg))(*cfg), out, col, spill
+    cfg = (ctypes.c_int64 * len(cfg))(*cfg)
+    kernel = vector.load_kernel()
+    handle = kernel.open(
+        vector.KERNELS.index(kind), num_accesses, pc, address, is_write, cfg, col, spill,
+        shared[0], shared[1], core,
     )
-    if rc == 2:
-        return "address-range"
-    if rc != 0:
+    if handle is None:
         raise MemoryError("the compiled replay kernel ran out of memory")
-    counters = list(out)  # plain python ints: stats stay JSON-safe
-    route.settle(sim, num_accesses, counters)
-    if col is not None:
-        outcomes.frombytes(col)
-    if spill is not None:
-        sim.fill_spill.extend(spill[: counters[23]])
-    sim._kernel_ran = True
-    return None
+    return KernelLane(kernel, handle, sim, route, kind, (pc, address, is_write, cfg), col, spill)
 
 
 # ------------------------------------------------------------------ settling
@@ -452,7 +663,7 @@ def _settle_baseline(sim, num_accesses: int, counters) -> None:
 class _Route(NamedTuple):
     """How one predictor class replays on the kernel."""
 
-    #: The tier is ``kernel-<kind>``; the entry point ``repro_replay_<kind>``.
+    #: The tier is ``kernel-<kind>``; the kernel's lane kind (``vector.KERNELS``).
     kind: str
     #: Why the predictor's configuration or state keeps it off the kernel.
     unfit: Callable[[Any], Optional[str]]

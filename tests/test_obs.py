@@ -201,6 +201,14 @@ class TestEvents:
         # point_done must carry its payload.
         bare = {"schema": OBS_SCHEMA_VERSION, "type": "point_done", "ts": 0.0}
         assert any("point_done" in p for p in check_events([*ok, bare]))
+        # A replay phase's tier fields are strings (lane fallbacks may be null).
+        replay = make_event("phase", name="replay", tier="mixed", fallback="co-runner",
+                            lane_tiers=["interpreted", "kernel-dbcp"],
+                            lane_fallbacks=[None, "co-runner"])
+        assert check_events([*ok, replay]) == []
+        for bad in ({"tier": 3}, {"lane_tiers": "kernel-dbcp"}, {"lane_tiers": [None]}):
+            problems = check_events([*ok, dict(replay, **bad)])
+            assert any(next(iter(bad)) in p for p in problems), bad
 
     def test_event_types_are_closed(self):
         assert set(EVENT_TYPES) == {
@@ -317,20 +325,66 @@ class TestSessionEvents:
 
     @pytest.mark.parametrize("engine", ["fast", "legacy"])
     def test_multicore_lanes_count_in_replay_tiers(self, engine):
-        """Every fast-engine co-run core counts as one interpreted replay, not a fallback."""
+        """Every fast-engine co-run core counts as one replay on its tier.
+
+        Without a kernel each core also counts as one fallback, for the
+        reason the kernel is unavailable.
+        """
+        from repro.cache.vector import load_kernel, unavailable_reason
         from repro.multicore import MulticoreSpec
         from repro.sim.vector_replay import FALLBACK_REASONS
 
-        tier = REGISTRY.counter("replay.tier.interpreted")
+        name = "kernel-dbcp" if load_kernel() is not None else "interpreted"
+        tier = REGISTRY.counter(f"replay.tier.{name}")
         fallbacks = [REGISTRY.counter(f"replay.fallback.{reason}") for reason in FALLBACK_REASONS]
         before = (tier.value, [counter.value for counter in fallbacks])
         spec = MulticoreSpec(benchmarks=("mcf", "art", "gzip"), predictors=("dbcp",),
                              num_accesses=1000, engine=engine)
         Session(use_cache=False).run(spec)
         cores = 3 if engine == "fast" else 0
+        missing = unavailable_reason()
         assert (tier.value, [counter.value for counter in fallbacks]) == (
-            before[0] + cores, before[1]
+            before[0] + cores,
+            [value + (cores if reason == missing else 0)
+             for reason, value in zip(FALLBACK_REASONS, before[1])],
         )
+
+    def test_co_run_replay_event_carries_the_lane_tiers(self):
+        from repro.cache.vector import load_kernel
+        from repro.multicore import MulticoreSpec
+
+        observer = ListObserver()
+        spec = MulticoreSpec(benchmarks=("mcf", "art"), predictors=("ltcords", "none"),
+                             num_accesses=2000)
+        Session(observer=observer, use_cache=False).run(spec)
+        (replay,) = [e for e in observer.events if e["type"] == "phase" and e["name"] == "replay"]
+        if load_kernel() is not None:
+            assert replay["tier"] == "mixed"
+            assert replay["lane_tiers"] == ["kernel-ltcords", "kernel-baseline"]
+            assert "fallback" not in replay and "lane_fallbacks" not in replay
+        else:
+            assert replay["tier"] == "interpreted"
+            assert replay["lane_tiers"] == ["interpreted", "interpreted"]
+            assert replay["lane_fallbacks"] == [replay["fallback"]] * 2
+        assert check_events(observer.events, require_types=("phase",)) == []
+
+    @pytest.mark.parametrize("kind", [
+        {"predictor": "ghb"},
+        {"sim": "timing", "predictor": "stride"},
+        {"sim": "multiprogram", "secondary": "swim", "max_switches": 6},
+    ])
+    def test_replay_event_carries_the_tier(self, kind):
+        from repro.cache.vector import load_kernel
+
+        observer = ListObserver()
+        Session(observer=observer, use_cache=False).run("mcf", num_accesses=2000, **kind)
+        (replay,) = [e for e in observer.events if e["type"] == "phase" and e["name"] == "replay"]
+        predictor = kind.get("predictor", "ltcords")
+        if load_kernel() is not None:
+            assert replay["tier"] == f"kernel-{predictor}" and "fallback" not in replay
+        else:
+            assert replay["tier"] == "interpreted"
+            assert replay["fallback"] in ("kill-switch", "no-compiler")
 
     @pytest.mark.parametrize("kind", [
         {"sim": "timing", "predictor": "ltcords"},
