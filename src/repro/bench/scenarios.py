@@ -570,6 +570,48 @@ _register(Scenario(
 ))
 
 
+def _build_timing(benchmark: str, predictor: str, accesses: int, kill_switch: bool = False):
+    def build(scale: float):
+        count = _scaled(accesses, scale)
+
+        def make_task():
+            # A Table 3 point end to end: the replay, then the timing
+            # model's walk over its outcome column (both on the kernel,
+            # or both interpreted under the kill switch).
+            def task():
+                from repro.api import build_predictor
+                from repro.sim.timing import simulate_speedup
+
+                with _kill_switch() if kill_switch else nullcontext():
+                    return simulate_speedup(
+                        benchmark,
+                        prefetcher=build_predictor(predictor),
+                        num_accesses=count,
+                        seed=42,
+                    )
+
+            return task
+
+        return make_task, count
+
+    return build
+
+
+_register(Scenario(
+    name="sim.timing.mcf",
+    description="simulate_speedup('mcf', ltcords, 100k accesses): replay + timing model",
+    build=_build_timing("mcf", "ltcords", 100_000),
+    repeats=3,
+))
+_register(Scenario(
+    name="sim.timing.mcf.interpreted",
+    description="simulate_speedup('mcf', ltcords, 100k accesses) under REPRO_NO_VECTOR_KERNEL",
+    build=_build_timing("mcf", "ltcords", 100_000, kill_switch=True),
+    repeats=3,
+    speedup_of="sim.timing.mcf",
+))
+
+
 def _build_dbcp_replay(scale: float):
     from repro.workloads.base import WorkloadConfig
     from repro.workloads.registry import get_workload

@@ -66,6 +66,16 @@ service level, the baseline-miss bit and the memory-sourced prefetch
 fills), which the timing model and the pairwise multiprogram runs
 consume.
 
+One more entry, ``repro_timing``, is stateless: it walks a timing run's
+``icount`` column, outcome column and fill spill through a line-for-line
+port of :class:`repro.timing.model.OutOfOrderTimingModel` (front end,
+ROB scan, MSHR limit, serialised misses, bus occupancy, one bus charge
+per prefetch fill, the signature traffic, the final drain) and returns
+the :class:`~repro.timing.model.TimingBreakdown` counters.  Latencies
+and transfer cycles arrive as doubles computed in Python.  The kernel
+is compiled with ``-ffp-contract=off`` so that no multiply-add is fused
+and every double matches CPython's bit for bit.
+
 Availability is best-effort by design: no compiler, a failed compile, a
 read-only filesystem, or ``REPRO_NO_VECTOR_KERNEL=1`` all make
 :func:`load_kernel` return ``None`` (with :func:`unavailable_reason`
@@ -1934,6 +1944,156 @@ void repro_shared_close(void *shared, int64_t *out, int64_t *keys, int64_t *core
     shared_free(s);
     live_add(-1);
 }
+
+/* ------------------------------------------------------ timing model walk
+ * repro.timing.model.OutOfOrderTimingModel driven as
+ * repro.sim.timing.settle_timing drives it: observe(icount[i], level of
+ * col[i]), then one add_bus_traffic of a block per prefetch fill of the
+ * access, the signature traffic once at the end, then finalize.  Every
+ * double operation is the model's, in its order (compiled without FMA
+ * contraction), so the breakdown matches CPython bit for bit.  The
+ * outstanding-miss deque is a ring of effective_mlp slots (fewer when
+ * the column is shorter): a miss is appended only after the MSHR limit
+ * retired the oldest of a full one.
+ * p: 0 core_ipc, 1 L2 hit latency, 2 memory block latency, 3 the demand
+ * block's bus cycles, 4 one prefetch fill's bus cycles, 5 the signature
+ * traffic's bus cycles (0.0 for an add_bus_traffic the model skips:
+ * adding +0.0 to the non-negative bus sums is exact).  q: 0 rob_entries,
+ * 1 effective_mlp, 2 serialize misses, 3 perfect L1.
+ * iout: instructions, memory_references, l1_hits, l2_hits,
+ * memory_accesses.  fout: total_cycles, bus_busy_cycles,
+ * rob_stall_cycles, mshr_stall_cycles.
+ * rc: 0, 1 out of memory, 2 an int64 overflow (the caller walks in
+ * Python), 3 ncol != n, 4 the spill list ran out, 5 spill entries left
+ * over, 6 an outcome byte with level code 3. */
+typedef struct {
+    int64_t icount;
+    double complete;
+} Miss;
+
+/* The ring slot after k. */
+static inline int64_t ring_next(int64_t k, int64_t cap) {
+    return ++k == cap ? 0 : k;
+}
+
+/* _retire_completed: drop the oldest misses complete by `before`. */
+static inline void retire_completed(const Miss *ring, int64_t cap, int64_t *head, int64_t *count,
+                                    double before) {
+    while (*count && ring[*head].complete <= before) {
+        *head = ring_next(*head, cap);
+        --*count;
+    }
+}
+
+int repro_timing(int64_t n, const int64_t *icount, int64_t ncol, const int8_t *col,
+                 int64_t nspill, const int64_t *spill, const double *p, const int64_t *q,
+                 int64_t *iout, double *fout) {
+    if (ncol != n) return 3;
+    const double core_ipc = p[0], l2_latency = p[1], memory_latency = p[2];
+    const double block_cycles = p[3], fill_cycles = p[4];
+    const int64_t rob = q[0], mlp = q[1];
+    const int serialize = q[2] != 0, perfect = q[3] != 0;
+    const int64_t cap = mlp < n ? mlp : (n ? n : 1);
+    Miss *ring = (Miss *)malloc((size_t)cap * sizeof(Miss));
+    if (!ring) return 1;
+    int64_t head = 0, count = 0, used = 0, last_icount = 0;
+    int64_t instructions = 0, refs = 0, l1_hits = 0, l2_hits = 0, memory = 0;
+    double dispatch_cycle = 0.0, last_miss_complete = 0.0, bus_free = 0.0;
+    double bus_busy = 0.0, rob_stall = 0.0, mshr_stall = 0.0;
+    int rc = 0;
+    for (int64_t i = 0; i < n; i++) {
+        /* observe */
+        int64_t ic = icount[i], delta = 0;
+        if (ic > last_icount && __builtin_sub_overflow(ic, last_icount, &delta)) { rc = 2; break; }
+        last_icount = ic;
+        if (__builtin_add_overflow(instructions, delta, &instructions)) { rc = 2; break; }
+        refs++;
+        double dispatch = dispatch_cycle + (double)delta / core_ipc;
+
+        int64_t limit;
+        double rob_limit = 0.0;
+        if (!__builtin_sub_overflow(ic, rob, &limit)) {
+            for (int64_t k = 0, slot = head; k < count; k++, slot = ring_next(slot, cap)) {
+                const Miss *m = &ring[slot];
+                if (m->icount <= limit && m->complete > rob_limit) rob_limit = m->complete;
+            }
+        }
+        if (rob_limit > dispatch) {
+            rob_stall += rob_limit - dispatch;
+            dispatch = rob_limit;
+        }
+        retire_completed(ring, cap, &head, &count, dispatch);
+
+        int outcome = col[i], level = outcome & 3;
+        if (level == 3) { rc = 6; break; }
+        if (perfect) level = 0;
+        if (level == 0) {
+            l1_hits++;
+            dispatch_cycle = dispatch;
+        } else {
+            double mshr_limit = count < mlp ? 0.0 : ring[head].complete;
+            if (mshr_limit > dispatch) {
+                mshr_stall += mshr_limit - dispatch;
+                dispatch = mshr_limit;
+                retire_completed(ring, cap, &head, &count, dispatch);
+            }
+            double start = dispatch, complete;
+            if (serialize && last_miss_complete > start) start = last_miss_complete;
+            if (level == 1) {
+                l2_hits++;
+                complete = start + l2_latency;
+            } else {
+                memory++;
+                if (bus_free > start) start = bus_free;
+                bus_free = start + block_cycles;
+                bus_busy += block_cycles;
+                complete = start + memory_latency;
+            }
+            /* Unreachable with ordered doubles; a NaN could keep the ring full. */
+            if (count == cap) { rc = 2; break; }
+            ring[head + count < cap ? head + count : head + count - cap] = (Miss){ic, complete};
+            count++;
+            last_miss_complete = complete;
+            dispatch_cycle = dispatch;
+        }
+
+        /* the access's prefetch fills, one bus charge each */
+        int64_t fills = outcome >> 3;
+        if (fills == FILL_SPILL) {
+            if (used == nspill) { rc = 4; break; }
+            fills = spill[used++];
+        }
+        for (int64_t k = 0; k < fills; k++) {
+            bus_free += fill_cycles;
+            bus_busy += fill_cycles;
+        }
+    }
+    if (!rc && used != nspill) rc = 5;
+    if (!rc) {
+        bus_free += p[5];
+        bus_busy += p[5];
+        /* finalize */
+        double final_cycle = dispatch_cycle;
+        if (count) {
+            double latest = ring[head].complete;
+            for (int64_t k = 1, slot = ring_next(head, cap); k < count; k++, slot = ring_next(slot, cap))
+                if (ring[slot].complete > latest) latest = ring[slot].complete;
+            if (latest > final_cycle) final_cycle = latest;
+        }
+        if (last_miss_complete > final_cycle) final_cycle = last_miss_complete;
+        iout[0] = instructions ? instructions : refs;
+        iout[1] = refs;
+        iout[2] = l1_hits;
+        iout[3] = l2_hits;
+        iout[4] = memory;
+        fout[0] = 1.0 > final_cycle ? 1.0 : final_cycle;
+        fout[1] = bus_busy;
+        fout[2] = rob_stall;
+        fout[3] = mshr_stall;
+    }
+    free(ring);
+    return rc;
+}
 """
 
 
@@ -1952,12 +2112,15 @@ class VectorKernel:
     shared L2s are ``shared_open(cfg, ncores)`` → handle,
     ``shared_owners(handle)`` and ``shared_close(handle, out, keys,
     cores)``.  ``live_states()`` counts the open handles of both.
+    ``timing(n, icount, ncol, col, nspill, spill, p, q, iout, fout)`` → rc
+    is the stateless timing-model walk.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self.library = library
         i64p = ctypes.POINTER(ctypes.c_int64)
         i8p = ctypes.POINTER(ctypes.c_int8)
+        f64p = ctypes.POINTER(ctypes.c_double)
         handle, i64 = ctypes.c_void_p, ctypes.c_int64
         signatures = {
             "open": ([i64, i64, i64p, i64p, i8p, i64p, i8p, i64p, handle, handle, i64], handle),
@@ -1967,6 +2130,7 @@ class VectorKernel:
             "shared_owners": ([handle], i64),
             "shared_close": ([handle, i64p, i64p, i64p], None),
             "live_states": ([], i64),
+            "timing": ([i64, i64p, i64, i8p, i64, i64p, f64p, i64p, i64p, f64p], ctypes.c_int),
         }
         for name, (argtypes, restype) in signatures.items():
             entry = getattr(library, f"repro_{name}")
@@ -1994,6 +2158,13 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+#: The kernel's compiler flags.  -O1: the kernel is as fast as at -O2
+#: and compiles in about two thirds of the time, which every cold set-up
+#: pays.  -ffp-contract=off: no ``a*b+c`` may become a fused multiply-add
+#: (GCC's default on aarch64), so the timing walk rounds every double
+#: operation as CPython does.
+COMPILE_FLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC")
+
 #: Extra compiler flags under ``REPRO_KERNEL_SANITIZE=1``.  The process
 #: must then load ``libasan`` first (``LD_PRELOAD``).
 SANITIZE_FLAGS = (
@@ -2018,10 +2189,8 @@ def _compile_kernel(so_path: str) -> bool:
             handle.write(KERNEL_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         try:
-            # -O1: the kernel is as fast as at -O2 and compiles in about
-            # two thirds of the time, which every cold set-up pays.
             proc = subprocess.run(
-                [compiler, "-O1", "-shared", "-fPIC", *(SANITIZE_FLAGS if _sanitize() else ()),
+                [compiler, *COMPILE_FLAGS, *(SANITIZE_FLAGS if _sanitize() else ()),
                  "-o", tmp_so, c_path],
                 capture_output=True,
                 timeout=120,
@@ -2062,7 +2231,9 @@ def load_kernel() -> Optional[VectorKernel]:
     if os.environ.get("REPRO_NO_VECTOR_KERNEL"):
         _KERNEL_FAILED = "kill-switch"
         return None
-    digest = hashlib.sha256(KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
+    digest = hashlib.sha256(
+        " ".join((KERNEL_SOURCE, *COMPILE_FLAGS)).encode("utf-8")
+    ).hexdigest()[:16]
     suffix = "_sanitized" if _sanitize() else ""
     so_path = os.path.join(kernel_cache_dir(), f"repro_vector_{digest}{suffix}.so")
     if not os.path.exists(so_path) and not _compile_kernel(so_path):

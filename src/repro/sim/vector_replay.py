@@ -406,12 +406,13 @@ def _ltcords_unfit(prefetcher: FastLTCordsPrefetcher) -> Optional[str]:
 
 
 # --------------------------------------------------------------- kernel calls
-def _c_column(column, ctype, typecode: str):
+def c_column(column, ctype, typecode: str):
     """A ctypes array over ``column``'s buffer, or ``None`` if out of range.
 
     Writable buffers (``array`` columns) are viewed zero-copy; read-only
-    ones (the trace store's mmap views) are copied once.  Plain-list
-    columns hold values that do not fit 64 bits.
+    ones (the trace store's mmap views) are copied once; lists are
+    copied through an ``array``, and hold no value outside the type's
+    range (trace columns are lists only for values beyond 64 bits).
     """
     kind = ctype * len(column)
     try:
@@ -514,11 +515,11 @@ def _open(
     if num_accesses >= _MAX_KERNEL_ACCESSES:
         raise KernelRangeError(sim)
     columns = trace.as_arrays()
-    address = _c_column(columns.address, ctypes.c_int64, "q")
-    is_write = _c_column(columns.is_write, ctypes.c_int8, "b")
+    address = c_column(columns.address, ctypes.c_int64, "q")
+    is_write = c_column(columns.is_write, ctypes.c_int8, "b")
     kind = "null" if route.kind == "baseline" and shared[0] is not None else route.kind
     needs_pc = kind not in ("baseline", "null")  # the no-prefetcher lanes never read the PCs
-    pc = _c_column(columns.pc, ctypes.c_int64, "q") if needs_pc else None
+    pc = c_column(columns.pc, ctypes.c_int64, "q") if needs_pc else None
     if address is None or is_write is None or (needs_pc and pc is None):
         raise KernelRangeError(sim)
     col = spill = None

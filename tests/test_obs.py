@@ -386,6 +386,27 @@ class TestSessionEvents:
             assert replay["tier"] == "interpreted"
             assert replay["fallback"] in ("kill-switch", "no-compiler")
 
+    @staticmethod
+    def _timing_settle_event():
+        observer = ListObserver()
+        Session(observer=observer, use_cache=False).run("mcf", num_accesses=2000, sim="timing")
+        (settle,) = [e for e in observer.events if e["type"] == "phase" and e["name"] == "settle"]
+        assert check_events(observer.events, require_types=("phase",)) == []
+        return settle
+
+    def test_timing_settle_event_reports_the_kernel_walk(self):
+        from repro.cache.vector import load_kernel
+
+        if load_kernel() is None:
+            pytest.skip("needs a C compiler")
+        assert self._timing_settle_event()["tier"] == "kernel-timing"
+
+    def test_timing_settle_event_reports_the_interpreted_walk(self):
+        from conftest import kernel_disabled
+
+        with kernel_disabled():
+            assert self._timing_settle_event()["tier"] == "interpreted"
+
     @pytest.mark.parametrize("kind", [
         {"sim": "timing", "predictor": "ltcords"},
         {"sim": "multiprogram", "secondary": "swim", "max_switches": 6},

@@ -11,6 +11,7 @@ for timing runs, the same outcome column):
   L1D on and off, the default and the 4 MB L2, and traces of length 0,
   1 and n that loop over blocks crowded into four L1 sets (so the L1
   thrashes, the L2 serves small loops and memory serves large ones);
+  the kernel run's timing model walks in C, the other two in Python;
 * pairwise: drawn pairings, per-application lengths and quanta.
 """
 
@@ -83,10 +84,13 @@ def test_timing_kernel_interpreted_and_legacy_agree(predictor, perfect_l1, hiera
     sim, kernel = _timing(predictor, trace, perfect_l1, hierarchy)
     if load_kernel() is not None:
         assert sim.simulator.last_tier == KERNEL_TIERS[predictor]
+        assert sim.timing_tier == "kernel-timing"
     with kernel_disabled():
         interpreted_sim, interpreted = _timing(predictor, trace, perfect_l1, hierarchy)
     assert interpreted_sim.simulator.last_tier == "interpreted"
-    _, legacy = _timing(predictor, trace, perfect_l1, hierarchy, engine="legacy")
+    assert interpreted_sim.timing_tier == "interpreted"
+    legacy_sim, legacy = _timing(predictor, trace, perfect_l1, hierarchy, engine="legacy")
+    assert legacy_sim.timing_tier == "interpreted"
     assert kernel == interpreted
     assert kernel == legacy
 
