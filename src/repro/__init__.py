@@ -26,7 +26,7 @@ one serializable :class:`RunSpec` type::
 
 and ``python -m repro`` exposes the same machinery on the command line
 (``run`` / ``sweep`` / ``figures`` / ``bench`` / ``trace`` / ``obs`` /
-``serve`` / ``worker`` / ``service`` / ``doctor`` / ``info``).
+``doctor`` / ``info``).
 """
 
 from repro.api import (
@@ -41,7 +41,6 @@ from repro.multicore import MulticoreResult, MulticoreSpec
 from repro.registry import register_config_class, register_predictor, register_workload
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.run import RunSpec, Session
-from repro.service.client import ServiceClient
 from repro.version import __version__
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "MulticoreSpec",
     "RetryPolicy",
     "RunSpec",
-    "ServiceClient",
     "Session",
     "available_benchmarks",
     "available_predictors",

@@ -538,17 +538,20 @@ def _build_multicore(
     return build
 
 
+# The co-runs are in the quick set: BENCH_baseline.json gates them.
 _register(Scenario(
     name="sim.multicore.2x",
     description="2-core shared-L2 co-run (mcf+art, dbcp, 60k accesses/core), fast engine",
     build=_build_multicore(("mcf", "art"), "dbcp", 60_000, "fast"),
     repeats=3,
+    quick=True,
 ))
 _register(Scenario(
     name="sim.multicore.2x.legacy",
     description="2-core shared-L2 co-run (mcf+art, dbcp, 60k accesses/core), legacy engine",
     build=_build_multicore(("mcf", "art"), "dbcp", 60_000, "legacy"),
     repeats=3,
+    quick=True,
     speedup_of="sim.multicore.2x",
 ))
 _register(Scenario(
@@ -556,6 +559,7 @@ _register(Scenario(
     description="4-core shared-L2 co-run (mcf+art+swim+gzip, ltcords, 40k accesses/core)",
     build=_build_multicore(("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast"),
     repeats=3,
+    quick=True,
 ))
 # The co-run's kernel lanes against the same co-run under the kill switch.
 _register(Scenario(
@@ -566,6 +570,7 @@ _register(Scenario(
         ("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast", kill_switch=True
     ),
     repeats=3,
+    quick=True,
     speedup_of="sim.multicore.4x",
 ))
 

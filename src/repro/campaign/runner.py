@@ -152,21 +152,26 @@ def _plugin_modules(point: PointSpec) -> List[str]:
 
 
 class _PhaseCollector(RunObserver):
-    """Folds the ``phase`` events of one point into a name → seconds dict.
+    """Folds the ``phase`` events of one point into name → seconds and name → tier dicts.
 
     Passed into :func:`repro.run.execute_spec` wherever a point actually
     runs (the serial loop in the parent, or inside a pool worker), so the
-    phase split always travels *inside* the ``point_done`` event — both
-    execution paths produce the identical event shape.
+    phase split and the tier each phase ran on (e.g. ``{"replay":
+    "kernel-ltcords", "settle": "kernel-timing"}``) always travel
+    *inside* the ``point_done`` event — both execution paths produce the
+    identical event shape.
     """
 
     def __init__(self) -> None:
         self.phases: Dict[str, float] = {}
+        self.tiers: Dict[str, str] = {}
 
     def emit(self, event: Dict[str, Any]) -> None:
         if event.get("type") == "phase":
             name = str(event.get("name", "?"))
             self.phases[name] = self.phases.get(name, 0.0) + float(event.get("duration_s", 0.0))
+            if "tier" in event:
+                self.tiers[name] = event["tier"]
 
 
 def _safe_key(point: Any) -> Optional[str]:
@@ -196,10 +201,10 @@ def _point_fields(point: Any) -> Dict[str, Any]:
 def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool worker: decode a point, run it, return the encoded result.
 
-    The return leg piggybacks the point's wall time and phase split on
-    the same JSON-dict transport as the result itself, so the parent can
-    stream a fully-populated ``point_done`` event per completion without
-    any extra IPC.  The payload optionally carries the campaign's
+    The return leg piggybacks the point's wall time, phase split and
+    phase tiers on the same JSON-dict transport as the result itself, so
+    the parent can stream a fully-populated ``point_done`` event per
+    completion without any extra IPC.  The payload optionally carries the campaign's
     resilience context: ``timeout_s`` (enforced here with ``SIGALRM`` —
     workers run their task on their main thread), and the fault plan
     plus this point's ``index``/``attempt`` so injected chaos fires
@@ -247,7 +252,6 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                 return {
                     "result": result_to_dict(point.sim, waited),
                     "duration_s": time.perf_counter() - started,
-                    "phases": {},
                     "from_cache": True,
                 }
     collector = _PhaseCollector()
@@ -267,6 +271,7 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "result": result_to_dict(point.sim, result),
         "duration_s": time.perf_counter() - started,
         "phases": collector.phases,
+        "tiers": collector.tiers,
         "published": published,
     }
 
@@ -343,58 +348,6 @@ class CampaignResult:
         return len(self.points)
 
 
-class ExecutorBackend:
-    """Strategy deciding *where* the uncached points of a campaign run.
-
-    ``CampaignRunner.run`` owns everything around point execution — the
-    cache-first pass, journaling/resume, per-point event streaming, and
-    result assembly — and delegates the actual execution of the pending
-    (cache-missed) points to its executor backend.  The default
-    :class:`LocalExecutor` keeps the historical in-process serial loop /
-    ``ProcessPoolExecutor`` behaviour; :mod:`repro.service` plugs in a
-    queue-backed executor that feeds the same points to a fleet of
-    remote pull-protocol workers instead, without touching any of the
-    surrounding campaign semantics.
-
-    A backend receives the live runner (for its cache, retry policy,
-    fault plan, and the ``_finish``/``_handle_failure`` bookkeeping
-    helpers), the run's :class:`_RunState`, the pending point indices,
-    and the ``emit_point_done`` callback it must invoke exactly once per
-    point as that point reaches a terminal status.
-    """
-
-    #: Human-readable backend name (surfaced in service/job metadata).
-    name = "?"
-
-    def execute(
-        self,
-        runner: "CampaignRunner",
-        state: "_RunState",
-        pending: List[int],
-        emit_point_done,
-    ) -> None:
-        raise NotImplementedError
-
-
-class LocalExecutor(ExecutorBackend):
-    """The in-process backend: serial loop or ``ProcessPoolExecutor``."""
-
-    name = "local"
-
-    def execute(
-        self,
-        runner: "CampaignRunner",
-        state: "_RunState",
-        pending: List[int],
-        emit_point_done,
-    ) -> None:
-        workers = min(runner.jobs, len(pending))
-        if workers <= 1:
-            runner._run_serial(state, pending, emit_point_done)
-        else:
-            runner._run_pooled(state, pending, workers, emit_point_done)
-
-
 class _RunState:
     """Mutable bookkeeping for one ``CampaignRunner.run`` invocation."""
 
@@ -429,7 +382,6 @@ class CampaignRunner:
         faults: Optional[FaultPlan] = None,
         journal: bool = True,
         journal_fsync: bool = False,
-        executor: Optional[ExecutorBackend] = None,
     ) -> None:
         self.jobs = jobs if jobs is not None else default_jobs()
         if self.jobs < 1:
@@ -449,10 +401,6 @@ class CampaignRunner:
         #: Whether named campaigns journal completed points for resume.
         self.journal_enabled = journal
         self.journal_fsync = journal_fsync
-        #: Where uncached points execute: the default :class:`LocalExecutor`
-        #: (serial loop / process pool) or a pluggable backend such as the
-        #: campaign service's worker-fleet queue.
-        self.executor = executor if executor is not None else LocalExecutor()
 
     # ------------------------------------------------------------------ run
     def run(
@@ -468,9 +416,10 @@ class CampaignRunner:
         point lists default to ``"adhoc"``).  With an ``observer``, the
         campaign streams: ``run_start``, one ``cache_hit`` per point
         served from the cache, one ``point_done`` per point (carrying
-        its content key, wall seconds, cache-hit flag, status, and phase
-        split) the moment it completes — from the serial loop and from
-        the pool's completion order alike — and a closing ``run_end``.
+        its content key, wall seconds, cache-hit flag, status, phase
+        split and phase tiers) the moment it completes — from the serial
+        loop and from the pool's completion order alike — and a closing
+        ``run_end``.
         Observation never changes execution: results land in sweep order
         either way, bit-identical to an unobserved run.
 
@@ -525,7 +474,12 @@ class CampaignRunner:
                 )
                 journal = None
 
-        def emit_point_done(index: int, cache_hit: bool, phases: Optional[Dict[str, float]] = None) -> None:
+        def emit_point_done(
+            index: int,
+            cache_hit: bool,
+            phases: Optional[Dict[str, float]] = None,
+            tiers: Optional[Dict[str, str]] = None,
+        ) -> None:
             if journal is not None:
                 journal.record_point(
                     index,
@@ -545,6 +499,7 @@ class CampaignRunner:
                     status=state.statuses[index],
                     duration_s=state.durations[index],
                     phases=phases or {},
+                    tiers=tiers or {},
                     **_point_fields(points[index]),
                 )
             )
@@ -569,7 +524,11 @@ class CampaignRunner:
                     pending.append(index)
 
             if pending:
-                self.executor.execute(self, state, pending, emit_point_done)
+                workers = min(self.jobs, len(pending))
+                if workers <= 1:
+                    self._run_serial(state, pending, emit_point_done)
+                else:
+                    self._run_pooled(state, pending, workers, emit_point_done)
         except BaseException:
             # Interrupted (Ctrl-C) or aborted (PointFailed): leave the
             # journal behind as the partial record --resume reads (every
@@ -758,7 +717,7 @@ class CampaignRunner:
                     continue
                 state.durations[index] = time.perf_counter() - point_started
                 self._finish(state, index, result)
-                emit_point_done(index, False, collector.phases)
+                emit_point_done(index, False, collector.phases, collector.tiers)
             finally:
                 if lease is not None:
                     lease.release()
@@ -877,7 +836,9 @@ class CampaignRunner:
                                     state, index, result,
                                     published=bool(payload.get("published")),
                                 )
-                                emit_point_done(index, False, payload.get("phases"))
+                                emit_point_done(
+                                    index, False, payload.get("phases"), payload.get("tiers")
+                                )
                     if broken:
                         queue.extend(futures.values())
                         futures.clear()

@@ -3,7 +3,7 @@
 One front door for the whole reproduction, with subcommands sharing flag
 parsing and output formatting::
 
-    python -m repro info                       # registries, cache, trace store
+    python -m repro info                       # registries, cache, trace store, kernel
     python -m repro run mcf --predictor dbcp --accesses 20000
     python -m repro run mcf --sim timing --perfect-l1
     python -m repro sweep --benchmarks mcf swim --predictors ltcords ghb
@@ -610,8 +610,7 @@ def run_doctor_cli(args: argparse.Namespace) -> int:
         scanned = report["scanned"]
         print(f"doctor: scanned {scanned['trace_entries']} trace entries "
               f"({report['trace_root']}), {scanned['cache_entries']} cache entries "
-              f"({report['cache_root']}), {scanned['journals']} journals, "
-              f"{scanned.get('service_jobs', 0)} service jobs")
+              f"({report['cache_root']}), {scanned['journals']} journals")
         for finding in report["findings"]:
             action = f" -> {finding['action']}" if finding["action"] else ""
             print(f"  [{finding['severity']}] {finding['store']}: "
@@ -619,8 +618,7 @@ def run_doctor_cli(args: argparse.Namespace) -> int:
                   f"({finding['detail']}){action}")
         summary = (f"{report['errors']} error(s), {report['warnings']} warning(s), "
                    f"{report['repaired']} quarantined, {report['trimmed']} trimmed, "
-                   f"{report['removed']} removed, "
-                   f"{report.get('requeued', 0)} job(s) requeued")
+                   f"{report['removed']} removed")
         print(f"doctor: {summary}")
         print("doctor: ok" if report["ok"]
               else f"doctor: {report['unresolved']} unresolved problem(s) "
@@ -653,7 +651,7 @@ def _print_obs_info(obs: Dict[str, Any]) -> None:
 
 
 def run_info_cli(args: argparse.Namespace) -> int:
-    """Print the environment snapshot: registries, cache, and trace store."""
+    """Print the environment snapshot: registries, cache, trace store and kernel."""
     session = Session()
     info = session.info()
     print(f"repro {info['version']} — Ferdman & Falsafi, ISPASS 2007 reproduction")
@@ -682,239 +680,13 @@ def run_info_cli(args: argparse.Namespace) -> int:
           f"{cache['bytes']} bytes){cache_state}")
     print(f"Trace store : {store['root']} ({store['entries']} traces, "
           f"{store['bytes']} bytes, format v{store['format_version']}){store_state}")
-    service = info.get("service") or {}
-    if service.get("server"):
-        reach = "reachable" if service.get("reachable") else "unreachable"
-        queue = service.get("queue_depth") or {}
-        print(f"Service     : {service['server']} ({reach}, "
-              f"{service.get('workers_active', 0)}/{service.get('workers', 0)} "
-              f"workers alive, queue: {queue.get('jobs', 0)} jobs"
-              + (f", {queue['points']} points" if queue.get("points") is not None else "")
-              + ")")
-    elif service.get("jobs") or service.get("workers"):
-        counts = ", ".join(f"{count} {status}"
-                           for status, count in sorted(service["jobs"].items()))
-        print(f"Service     : not configured (REPRO_SERVER unset); on disk: "
-              f"{counts or 'no jobs'}, "
-              f"{service.get('workers_active', 0)}/{service.get('workers', 0)} "
-              f"worker leases alive")
+    kernel = info["kernel"]
+    tier = "compiled" if kernel["loaded"] else f"unavailable ({kernel['reason']}): runs interpreted"
+    print(f"Kernel      : {tier}, cache {kernel['cache_dir']}")
     if getattr(args, "show_obs", False):
         print()
         _print_obs_info(info["obs"])
     return 0
-
-
-# ---------------------------------------------------------------------------
-# serve / worker / service (repro.service)
-# ---------------------------------------------------------------------------
-
-def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
-    """Flags for the campaign service (``python -m repro serve``)."""
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default 127.0.0.1; the server is "
-                             "trusted-network-only — do not expose it publicly)")
-    parser.add_argument("--port", type=int, default=8723,
-                        help="bind port (default 8723; 0 picks an ephemeral port)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="pool width for local-mode jobs "
-                             "(default: REPRO_JOBS or CPU count)")
-    parser.add_argument("--worker-ttl", type=float, default=None, dest="worker_ttl",
-                        metavar="SECONDS",
-                        help="worker heartbeat lease TTL; a worker silent this "
-                             "long is presumed dead and its points requeued")
-    add_resilience_flags(parser)
-
-
-def run_serve_cli(args: argparse.Namespace) -> int:
-    """``python -m repro serve``: run the campaign service until interrupted."""
-    from repro.service import CampaignService, ServiceHTTPServer
-    from repro.service.server import DEFAULT_WORKER_TTL_S
-
-    service = CampaignService(
-        jobs=args.jobs,
-        retry=retry_policy_from_args(args),
-        worker_ttl_s=args.worker_ttl if args.worker_ttl else DEFAULT_WORKER_TTL_S,
-    )
-    server = ServiceHTTPServer((args.host, args.port), service)
-    service.start()
-    host, port = server.server_address[0], server.server_address[1]
-    # Parseable by the examples/CI scripts that spawn the server.
-    print(f"serving on http://{host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-        server.server_close()
-    return 0
-
-
-def configure_worker_parser(parser: argparse.ArgumentParser) -> None:
-    """Flags for a fleet worker (``python -m repro worker``)."""
-    parser.add_argument("--server", required=True, metavar="URL",
-                        help="campaign server to pull points from")
-    parser.add_argument("--id", default=None, dest="worker_id",
-                        help="worker id (default: worker-<host>-<pid>)")
-    parser.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                        help="idle sleep between empty lease polls (default 0.2)")
-    parser.add_argument("--max-points", type=int, default=None,
-                        help="exit after executing this many points")
-    parser.add_argument("--max-idle", type=float, default=None, metavar="SECONDS",
-                        help="exit after this long without work")
-    parser.add_argument("--max-unreachable", type=float, default=None,
-                        metavar="SECONDS",
-                        help="exit after the server has been unreachable this "
-                             "long (default: one fleet lease TTL)")
-
-
-def run_worker_cli(args: argparse.Namespace) -> int:
-    """``python -m repro worker --server URL``: lease-execute-report loop."""
-    from repro.service import ServiceWorker
-
-    worker = ServiceWorker(
-        args.server,
-        worker_id=args.worker_id,
-        poll_s=args.poll,
-        max_points=args.max_points,
-        max_idle_s=args.max_idle,
-        max_unreachable_s=args.max_unreachable,
-    )
-    print(f"worker {worker.id} polling {args.server}", flush=True)
-    try:
-        executed = worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-        executed = worker.executed
-    print(f"worker {worker.id} executed {executed} point(s)")
-    return 0
-
-
-def configure_service_parser(parser: argparse.ArgumentParser) -> None:
-    """Client verbs against a running campaign server."""
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="campaign server URL (default: REPRO_SERVER)")
-    sub = parser.add_subparsers(dest="service_command", required=True)
-    submit = sub.add_parser(
-        "submit", help="submit a sweep as a service job",
-        description="Submit a benchmark x predictor grid to the campaign server.")
-    submit.add_argument("--benchmarks", nargs="+",
-                        help="benchmarks to sweep (default: representative subset)")
-    submit.add_argument("--predictors", nargs="+", default=["ltcords"],
-                        help="predictors to cross with (default: ltcords)")
-    submit.add_argument("--num-accesses", nargs="+", type=int, default=None,
-                        help="trace lengths to sweep")
-    submit.add_argument("--seeds", nargs="+", type=int, default=None,
-                        help="workload seeds to sweep")
-    submit.add_argument("--name", default=None, help="job/campaign name")
-    submit.add_argument("--mode", choices=["local", "workers"], default="local",
-                        help="execute on the server's pool (local) or the "
-                             "worker fleet (workers)")
-    submit.add_argument("--watch", action="store_true",
-                        help="stream the job's progress events after submitting")
-    status = sub.add_parser(
-        "status", help="show one job (or list all jobs)",
-        description="Show a job's lifecycle status, or list every job.")
-    status.add_argument("job", nargs="?", default=None, help="job id (omit to list)")
-    watch = sub.add_parser(
-        "watch", help="stream a job's progress events (NDJSON)",
-        description="Stream a job's obs events as JSON lines until it finishes.")
-    watch.add_argument("job", help="job id")
-    watch.add_argument("--since", type=int, default=0,
-                       help="replay from this event index (default 0)")
-    watch.add_argument("--no-follow", action="store_true",
-                       help="dump buffered events and exit instead of following")
-    results = sub.add_parser(
-        "results", help="fetch a finished job's results",
-        description="Fetch and summarise a finished job's per-point results.")
-    results.add_argument("job", help="job id")
-    results.add_argument("--json", action="store_true", dest="as_json",
-                         help="print the raw results record as JSON")
-
-
-def _service_client(args: argparse.Namespace):
-    import os
-
-    from repro.service import ServiceClient
-
-    url = args.server or os.environ.get("REPRO_SERVER", "").strip()
-    if not url:
-        raise ValueError(
-            "no campaign server configured: pass --server URL or set REPRO_SERVER"
-        )
-    return ServiceClient(url)
-
-
-def run_service_cli(args: argparse.Namespace) -> int:
-    """``python -m repro service submit|status|watch|results``."""
-    from repro.obs.events import encode_event
-    from repro.service import ServiceError
-
-    client = _service_client(args)
-    try:
-        if args.service_command == "submit":
-            from repro.experiments.common import selected_benchmarks
-
-            for predictor in args.predictors:
-                predictor_entry(predictor)  # fail fast client-side
-            spec = SweepSpec(
-                name=args.name or ("adhoc-" + "-".join(args.predictors)),
-                benchmarks=selected_benchmarks(args.benchmarks),
-                variants=[PredictorVariant(p) for p in args.predictors],
-                num_accesses=(args.num_accesses if args.num_accesses is not None
-                              else [DEFAULT_NUM_ACCESSES]),
-                seeds=args.seeds if args.seeds is not None else [42],
-            )
-            job_id = client.submit(spec, name=args.name, mode=args.mode)
-            print(job_id)
-            if args.watch:
-                for event in client.watch(job_id):
-                    print(encode_event(event), flush=True)
-            return 0
-        if args.service_command == "status":
-            if args.job:
-                status = client.status(args.job)
-                for key in ("id", "name", "mode", "status", "num_points",
-                            "resume", "error"):
-                    print(f"{key:<11}: {status.get(key)}")
-                progress = status.get("progress")
-                if progress is not None:
-                    print(f"{'progress':<11}: {progress.get('completed')}"
-                          f"/{progress.get('total')} points")
-                if status.get("summary"):
-                    print(f"{'summary':<11}: {json.dumps(status['summary'])}")
-                return 0
-            jobs = client.jobs()
-            print(format_table(
-                ["id", "name", "mode", "status", "points"],
-                [(job["id"], job["name"], job["mode"], job["status"],
-                  job["num_points"]) for job in jobs],
-            ))
-            return 0
-        if args.service_command == "watch":
-            for event in client.watch(args.job, since=args.since,
-                                      follow=not args.no_follow):
-                print(encode_event(event), flush=True)
-            return 0
-        if args.service_command == "results":
-            record = client.results(args.job)
-            if args.as_json:
-                print(json.dumps(record, indent=2, sort_keys=True))
-                return 0
-            rows = [
-                (entry["index"], (entry.get("key") or "?")[:12], entry["status"],
-                 "yes" if entry.get("cached") else "no",
-                 f"{entry.get('duration_s', 0.0):.3f}s")
-                for entry in record.get("results") or []
-            ]
-            print(format_table(["#", "key", "status", "cached", "duration"], rows))
-            if record.get("summary"):
-                print(json.dumps(record["summary"]))
-            return 0
-        raise ValueError(f"unknown service command {args.service_command!r}")
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
 # ---------------------------------------------------------------------------
@@ -959,26 +731,15 @@ def build_parser() -> argparse.ArgumentParser:
     configure_obs_parser(sub.add_parser(
         "obs", help="inspect structured event logs (repro.obs)",
         description="Summarise or validate the JSONL event logs --log-json writes."))
-    configure_serve_parser(sub.add_parser(
-        "serve", help="run the campaign service (repro.service)",
-        description="Serve campaign jobs over HTTP/JSON to clients and a "
-                    "worker fleet (trusted networks only)."))
-    configure_worker_parser(sub.add_parser(
-        "worker", help="run a fleet worker against a campaign server",
-        description="Pull points from a campaign server, execute them through "
-                    "the shared cache, and report results."))
-    configure_service_parser(sub.add_parser(
-        "service", help="submit/inspect jobs on a campaign server",
-        description="Client verbs against a running campaign server: "
-                    "submit, status, watch, results."))
     configure_doctor_parser(sub.add_parser(
         "doctor", help="scan/verify/repair the stores (repro.integrity)",
         description="Verify every trace-store entry, result-cache entry and "
                     "campaign journal; quarantine damage with --repair, reclaim "
                     "debris with --gc."))
     info = sub.add_parser(
-        "info", help="show registries, cache and trace-store state",
-        description="Show predictors, benchmarks, named figures, cache and trace-store state.")
+        "info", help="show registries, cache, trace-store and kernel state",
+        description="Show predictors, benchmarks, named figures, cache, trace-store "
+                    "and replay-kernel state.")
     info.add_argument("--obs", action="store_true", dest="show_obs",
                       help="also print this process's live metric registry")
     return parser
@@ -1026,9 +787,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": bench_cli.run_cli,
         "trace": trace_cli.run_cli,
         "obs": run_obs_cli,
-        "serve": run_serve_cli,
-        "worker": run_worker_cli,
-        "service": run_service_cli,
         "doctor": run_doctor_cli,
         "info": run_info_cli,
     }

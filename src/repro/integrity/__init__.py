@@ -3,9 +3,8 @@
 The content-addressed stores (:mod:`repro.trace.store`,
 :mod:`repro.campaign.cache`) and the campaign journal
 (:mod:`repro.resilience.journal`) are shared mutable state: campaign
-pools, concurrent campaign *processes*, and eventually remote workers
-all read and write the same directories.  This package supplies the
-pieces that make that safe:
+pools and concurrent campaign *processes* all read and write the same
+directories.  This package supplies the pieces that make that safe:
 
 * :mod:`~repro.integrity.checksum` — CRC32 helpers over raw payloads
   and canonical JSON, the entry-level integrity check both stores fold

@@ -282,83 +282,6 @@ def _scan_journals(
     return scanned
 
 
-def _scan_service(
-    cache_root: Path, findings: List[Finding], repair: bool, gc: bool
-) -> int:
-    """Scan the campaign service's job-state records and worker leases.
-
-    A job stuck ``running`` while neither the server's own liveness lease
-    nor any worker heartbeat lease is live is an orphan — the residue of
-    a server that died mid-job.  ``repair`` requeues it (status back to
-    ``queued`` with ``resume=True``), which is byte-for-byte the recovery
-    a restarting server performs itself: the journal/cache resume path
-    then re-serves completed points without re-execution.  Stale worker
-    leases (dead PID or expired heartbeat — the PR 8 classification) are
-    warned and reclaimed by ``gc``.
-    """
-    from repro.integrity.locks import Lease
-    from repro.service.jobs import JobStore
-    from repro.service.server import DEFAULT_WORKER_TTL_S
-
-    service_root = cache_root / "service"
-    scanned = 0
-    if not service_root.is_dir():
-        return scanned
-    store = JobStore(service_root)
-
-    server_lease = Lease(service_root / "server.lease", ttl_s=DEFAULT_WORKER_TTL_S)
-    server_alive = server_lease.age_s() is not None and not server_lease.is_stale()
-
-    workers_dir = service_root / "workers"
-    live_worker = False
-    if workers_dir.is_dir():
-        for path in sorted(workers_dir.glob("*.lease")):
-            lease = Lease(path, ttl_s=DEFAULT_WORKER_TTL_S)
-            if not lease.is_stale():
-                live_worker = True
-                continue
-            finding = Finding(
-                store="service",
-                path=str(path),
-                problem="stale-lease",
-                detail=f"worker {lease.holder() or '?'} presumed dead",
-                severity="warning",
-            )
-            if gc:
-                try:
-                    path.unlink()
-                    finding.action = "removed"
-                except OSError:
-                    pass
-            findings.append(finding)
-
-    for job in store.list_jobs():
-        scanned += 1
-        if job.status != "running":
-            continue
-        if server_alive or live_worker:
-            continue
-        finding = Finding(
-            store="service",
-            path=str(store.path_for(job.id)),
-            problem="stuck-job",
-            detail=(
-                f"job {job.id} is 'running' but no live server or worker "
-                f"lease exists"
-            ),
-        )
-        if repair:
-            job.status = "queued"
-            job.resume = True
-            try:
-                store.save(job)
-                finding.action = "requeued"
-            except OSError:
-                pass
-        findings.append(finding)
-    return scanned
-
-
 def _gc_quarantine(roots: List[Path], findings: List[Finding]) -> None:
     """Reclaim previously quarantined entries (the only deleting the doctor does)."""
     from repro.integrity.quarantine import quarantine_root
@@ -419,7 +342,6 @@ def run_doctor(
         "trace_entries": _scan_trace_store(trace_root, findings, repair, gc, tmp_age_s),
         "cache_entries": _scan_result_cache(cache_root, findings, repair, gc, tmp_age_s),
         "journals": _scan_journals(cache_root, findings, repair),
-        "service_jobs": _scan_service(cache_root, findings, repair, gc),
     }
     if gc:
         _gc_quarantine([trace_root, cache_root], findings)
@@ -438,7 +360,6 @@ def run_doctor(
         "repaired": sum(1 for f in findings if f.action == "quarantined"),
         "trimmed": sum(1 for f in findings if f.action == "trimmed"),
         "removed": sum(1 for f in findings if f.action == "removed"),
-        "requeued": sum(1 for f in findings if f.action == "requeued"),
         "unresolved": len(unresolved),
         "ok": not unresolved,
     }

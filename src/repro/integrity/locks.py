@@ -18,7 +18,7 @@ Two complementary primitives:
     *work-length* claims like "I am generating this store entry".
     Because a crashed holder leaves its lease behind, every acquisition
     checks staleness: a lease is reaped when its holder's PID is dead
-    (same host) or its heartbeat (file mtime) is older than the TTL.
+    (same host) or its file mtime is older than the TTL.
 
 The single-flight pattern both stores use is
 :meth:`Lease.acquire_or_wait`: one process acquires and generates while
@@ -157,16 +157,10 @@ class Lease:
         self,
         path: Union[str, Path],
         ttl_s: float = DEFAULT_LEASE_TTL_S,
-        data: Optional[Dict[str, Any]] = None,
     ) -> None:
         #: The lease file itself (usually ``lease_path_for(entry)``).
         self.path = Path(path)
         self.ttl_s = ttl_s
-        #: Extra JSON-safe fields recorded alongside the PID/host stamp —
-        #: e.g. the campaign service's worker heartbeat leases record the
-        #: worker id and server URL so ``doctor`` findings name the
-        #: holder, not just its PID.  Staleness ignores these fields.
-        self.data = dict(data) if data else None
         self._owned = False
 
     # ------------------------------------------------------------------ claim
@@ -196,8 +190,6 @@ class Lease:
                 "host": socket.gethostname(),
                 "created": time.time(),
             }
-            if self.data:
-                stamp.update(self.data)
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(stamp, handle)
             self._owned = True
@@ -214,14 +206,6 @@ class Lease:
         except OSError:
             pass
 
-    def refresh(self) -> None:
-        """Heartbeat: push the lease's mtime forward to extend the TTL."""
-        if self._owned:
-            try:
-                os.utime(self.path, None)
-            except OSError:
-                pass
-
     # ------------------------------------------------------------------ inspection
     def holder(self) -> Optional[Dict[str, Any]]:
         """The recorded holder info, or ``None`` when absent/unreadable."""
@@ -233,7 +217,7 @@ class Lease:
         return info if isinstance(info, dict) else None
 
     def age_s(self) -> Optional[float]:
-        """Seconds since the lease's last heartbeat (mtime)."""
+        """Seconds since the lease file was written (its mtime)."""
         try:
             return max(0.0, time.time() - self.path.stat().st_mtime)
         except OSError:

@@ -17,9 +17,9 @@ The observability layer the rest of the package records into:
 
 Everything is dependency-free within the package (obs imports nothing
 from the simulators), so any layer can record into it without cycles.
-This is the substrate the ROADMAP's campaign service streams to clients:
-a service worker attaches a ``RunObserver`` and every point completion,
-phase split, and cache hit is already on the wire format.
+Campaigns stream into the same format: the serial loop and the pool
+workers both attach a ``RunObserver``, so every point completion, its
+phase split and replay tiers, and every cache hit land in one log.
 """
 
 from repro.obs.events import (
@@ -41,7 +41,6 @@ from repro.obs.metrics import (
     quantile,
 )
 from repro.obs.observer import (
-    BufferObserver,
     JsonlObserver,
     NullObserver,
     RunObserver,
@@ -57,7 +56,6 @@ from repro.obs.summary import format_summary, summarize_events
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE, phase
 
 __all__ = [
-    "BufferObserver",
     "EVENT_TYPES",
     "OBS_SCHEMA_VERSION",
     "REGISTRY",

@@ -32,9 +32,11 @@ Event types
 ``point_done``
     One campaign point completed: ``index``, ``key`` (the point's
     content hash), ``benchmark``, ``predictor``, ``sim``,
-    ``duration_s``, ``cache_hit``, and the per-phase ``phases`` split
+    ``duration_s``, ``cache_hit``, the per-phase ``phases`` split
     measured where the point actually ran (in-process or in a pool
-    worker).
+    worker), and ``tiers``, the tier each phase that reports one ran on
+    (phase name → tier, e.g. ``{"replay": "kernel-ltcords", "settle":
+    "kernel-timing"}``; ``{}`` for a cache hit).
 ``warning``
     Something recoverable went wrong (e.g. a corrupt cache entry):
     ``message`` plus free-form context fields.
@@ -181,7 +183,8 @@ def check_events(
     Checks every record's schema version and type, that each required
     event type occurs at least once, and that every ``point_done`` event
     carries the fields the campaign contract promises (``duration_s``,
-    ``cache_hit``, ``key``).  This is the CI smoke checker behind
+    ``cache_hit``, ``key``; ``tiers``, when present, maps phase names to
+    tier strings).  This is the CI smoke checker behind
     ``python -m repro obs check``.
     """
     problems: List[str] = []
@@ -201,6 +204,11 @@ def check_events(
             for field in ("duration_s", "cache_hit", "key"):
                 if field not in event:
                     problems.append(f"event {index}: point_done missing {field!r}")
+            tiers = event.get("tiers", {})
+            if not isinstance(tiers, dict) or not all(
+                isinstance(tier, str) for tier in tiers.values()
+            ):
+                problems.append(f"event {index}: point_done 'tiers' is not a phase → tier dict")
         if event_type == "phase":
             if "name" not in event:
                 problems.append(f"event {index}: phase missing 'name'")

@@ -141,42 +141,6 @@ class StderrProgressObserver(RunObserver):
                 self._line(f"done in {event.get('duration_s', 0.0):.3f}s{cached}")
 
 
-class BufferObserver(RunObserver):
-    """Thread-safe in-memory event buffer with incremental reads.
-
-    The campaign service attaches one per job: the runner (and any pool
-    worker piggybacking through it) emits into the buffer from the
-    scheduler thread while HTTP handler threads drain it incrementally
-    with :meth:`since` to stream NDJSON progress to watching clients.
-    Events are never removed — a late watcher replays the whole stream
-    from index 0 — so buffers are bounded by a job's point count, not
-    its lifetime.
-    """
-
-    def __init__(self) -> None:
-        import threading
-
-        self._events: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        with self._lock:
-            self._events.append(dict(event))
-
-    def since(self, index: int) -> List[Dict[str, Any]]:
-        """Events appended at positions ``>= index`` (copies, in order)."""
-        with self._lock:
-            return [dict(event) for event in self._events[index:]]
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        """Every buffered event so far (copies, in order)."""
-        return self.since(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-
 class TeeObserver(RunObserver):
     """Delivers every event to each of several observers, in order."""
 

@@ -5,7 +5,8 @@ folded into one JSON-safe summary dict — event counts by type, per-phase
 duration statistics (count / total / p50 / p95 / p99, from both
 standalone ``phase`` events and the per-point ``phases`` splits inside
 ``point_done`` events), point-level latency percentiles with cache-hit
-accounting, and any warnings — plus a human-readable rendering.
+accounting, computed points counted by the tier their replay ran on, and
+any warnings — plus a human-readable rendering.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     cached_durations: List[float] = []
     computed_durations: List[float] = []
     cache_hits = 0
+    replay_tiers: Dict[str, int] = {}
     warnings: List[str] = []
     runs = 0
     total_duration = 0.0
@@ -51,6 +53,9 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 cached_durations.append(duration)
             else:
                 computed_durations.append(duration)
+                tier = (event.get("tiers") or {}).get("replay")
+                if tier is not None:
+                    replay_tiers[tier] = replay_tiers.get(tier, 0) + 1
             for name, phase_duration in (event.get("phases") or {}).items():
                 phase_histogram(name).record(float(phase_duration))
         elif event_type == "warning":
@@ -78,6 +83,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             "duration": percentiles(point_durations),
             "computed_duration": percentiles(computed_durations),
             "cached_duration": percentiles(cached_durations),
+            "replay_tiers": dict(sorted(replay_tiers.items())),
         },
         "warnings": warnings,
     }
@@ -112,6 +118,9 @@ def format_summary(summary: Dict[str, Any]) -> str:
             f"  latency p50={_fmt_seconds(duration['p50'])} "
             f"p95={_fmt_seconds(duration['p95'])} p99={_fmt_seconds(duration['p99'])}"
         )
+        if points["replay_tiers"]:
+            tiers = ", ".join(f"{tier}={count}" for tier, count in points["replay_tiers"].items())
+            lines.append(f"  computed by replay tier: {tiers}")
 
     if summary["phases"]:
         lines.append(f"{'phase':<16} {'count':>6} {'total':>10} {'p50':>10} {'p95':>10} {'p99':>10}")

@@ -119,41 +119,6 @@ class CampaignJournal:
                 keys.add(str(event["key"]))
         return keys
 
-    def progress(self) -> Dict[str, Any]:
-        """Tolerant progress snapshot: ``{"completed", "total", "finished"}``.
-
-        ``completed`` counts distinct journaled keys with a completed
-        status, ``total`` is the point count from the most recent header
-        (``None`` when the journal is missing or headerless), and
-        ``finished`` reports whether a clean ``run_end`` closed the most
-        recent run.  Consumed by the campaign service's job status
-        endpoint and its restart recovery — both need "how far did this
-        campaign get" without taking the writer lock.
-        """
-        completed: Set[str] = set()
-        total: Optional[int] = None
-        finished = False
-        if self.path.is_file():
-            events, _problems = read_events_tolerant(self.path)
-            for event in events:
-                event_type = event.get("type")
-                if event_type == "run_start" and event.get("kind") == "journal":
-                    total = event.get("num_points")
-                    finished = False
-                elif (
-                    event_type == "point_done"
-                    and event.get("status") in COMPLETED_STATUSES
-                    and event.get("key")
-                ):
-                    completed.add(str(event["key"]))
-                elif event_type == "run_end" and event.get("kind") == "journal":
-                    finished = True
-        return {
-            "completed": len(completed),
-            "total": total if isinstance(total, int) else None,
-            "finished": finished,
-        }
-
     # ------------------------------------------------------------------ writing
     def begin(self, num_points: int, resume: bool, jobs: int = 1) -> None:
         """Open the journal for a run: truncate on a fresh start, append on resume.

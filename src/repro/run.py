@@ -376,7 +376,14 @@ class Session:
 
     # ------------------------------------------------------------------ introspection
     def info(self) -> Dict[str, Any]:
-        """Environment snapshot: version, registries, cache and trace-store state."""
+        """Environment snapshot: version, registries, cache, trace-store and kernel state.
+
+        The ``kernel`` block loads (building on first use) the compiled
+        kernel and says whether replays here take it: ``reason`` is why
+        they fall to the interpreted tier (``no-compiler`` or
+        ``kill-switch``), ``None`` when the kernel loaded.
+        """
+        from repro.cache.vector import kernel_cache_dir, load_kernel, unavailable_reason
         from repro.registry import predictor_entry, predictor_names, workload_entry, workload_names
         from repro.trace.store import TRACE_FORMAT_VERSION, TraceStore, store_disabled
         from repro.version import __version__
@@ -385,6 +392,7 @@ class Session:
         for name in workload_names():
             suites.setdefault(workload_entry(name).metadata.suite, []).append(name)
         store = self.trace_store if self.trace_store is not None else TraceStore()
+        kernel_loaded = load_kernel() is not None
         return {
             "version": __version__,
             "predictors": {
@@ -405,64 +413,12 @@ class Session:
                 "bytes": store.size_bytes(),
             },
             "obs": self.obs_info(),
-            "service": self.service_info(),
+            "kernel": {
+                "loaded": kernel_loaded,
+                "reason": None if kernel_loaded else unavailable_reason(),
+                "cache_dir": kernel_cache_dir(),
+            },
         }
-
-    def service_info(self) -> Dict[str, Any]:
-        """The campaign-service view for ``repro info``.
-
-        With ``REPRO_SERVER`` set, asks the server (short timeout) for
-        its live queue depth and worker fleet; otherwise (or when the
-        server is unreachable) falls back to the on-disk job records and
-        worker heartbeat leases under ``<cache root>/service``.
-        """
-        import os
-        from pathlib import Path
-
-        server_url = os.environ.get("REPRO_SERVER", "").strip() or None
-        info: Dict[str, Any] = {
-            "server": server_url,
-            "reachable": False,
-            "jobs": {},
-            "queue_depth": {"jobs": 0, "points": None},
-            "workers": 0,
-            "workers_active": 0,
-        }
-        if server_url is not None:
-            try:
-                from repro.service.client import ServiceClient
-
-                remote = ServiceClient(server_url, timeout_s=2.0).info()
-                info.update(
-                    reachable=True,
-                    jobs=remote.get("jobs", {}),
-                    queue_depth=remote.get("queue_depth", info["queue_depth"]),
-                    workers=len(remote.get("workers", {})),
-                    workers_active=remote.get("workers_active", 0),
-                )
-                return info
-            except Exception:
-                pass  # fall through to the on-disk snapshot
-        from repro.integrity.locks import Lease
-        from repro.service.jobs import JobStore
-        from repro.service.server import DEFAULT_WORKER_TTL_S
-
-        service_root = Path(self.cache.root) / "service"
-        if not service_root.is_dir():
-            return info
-        for job in JobStore(service_root).list_jobs():
-            info["jobs"][job.status] = info["jobs"].get(job.status, 0) + 1
-        info["queue_depth"]["jobs"] = info["jobs"].get("queued", 0)
-        workers_dir = service_root / "workers"
-        if workers_dir.is_dir():
-            leases = sorted(workers_dir.glob("*.lease"))
-            info["workers"] = len(leases)
-            info["workers_active"] = sum(
-                1
-                for path in leases
-                if not Lease(path, ttl_s=DEFAULT_WORKER_TTL_S).is_stale()
-            )
-        return info
 
     @staticmethod
     def obs_info() -> Dict[str, Any]:

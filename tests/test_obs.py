@@ -44,6 +44,8 @@ from repro.obs import (
 from repro.obs.summary import format_summary
 from repro.run import Session
 
+from conftest import kernel_disabled
+
 
 class ListObserver(RunObserver):
     """Collects every event in memory (test helper)."""
@@ -53,6 +55,13 @@ class ListObserver(RunObserver):
 
     def emit(self, event: Dict[str, Any]) -> None:
         self.events.append(event)
+
+
+def _tier(kernel_tier: str) -> str:
+    """The tier a fast-engine replay or settle takes in this process."""
+    from repro.cache.vector import load_kernel
+
+    return kernel_tier if load_kernel() is not None else "interpreted"
 
 
 def _points(n: int = 4, accesses: int = 2000) -> List[PointSpec]:
@@ -209,6 +218,13 @@ class TestEvents:
         for bad in ({"tier": 3}, {"lane_tiers": "kernel-dbcp"}, {"lane_tiers": [None]}):
             problems = check_events([*ok, dict(replay, **bad)])
             assert any(next(iter(bad)) in p for p in problems), bad
+        # A point_done's tiers map phase names to tier strings.
+        done = make_event("point_done", duration_s=0.1, cache_hit=False, key="k",
+                          tiers={"replay": "kernel-ltcords", "settle": "kernel-timing"})
+        assert check_events([*ok, done]) == []
+        for bad in (["kernel-ltcords"], {"replay": None}, {"replay": 3}):
+            problems = check_events([*ok, dict(done, tiers=bad)])
+            assert any("tiers" in p for p in problems), bad
 
     def test_event_types_are_closed(self):
         assert set(EVENT_TYPES) == {
@@ -311,6 +327,24 @@ class TestSessionEvents:
         obs = info["obs"]
         assert set(obs) >= {"points_executed", "accesses_replayed",
                             "cache_hit_rate", "trace_store_hit_rate", "phases"}
+
+    def test_info_reports_the_kernel(self, capsys):
+        from repro.cache.vector import kernel_cache_dir, load_kernel
+        from repro.cli import main
+
+        kernel = Session().info()["kernel"]
+        assert kernel["cache_dir"] == kernel_cache_dir()
+        if load_kernel() is not None:
+            assert kernel["loaded"] is True and kernel["reason"] is None
+        else:
+            assert kernel["loaded"] is False
+            assert kernel["reason"] in ("no-compiler", "kill-switch")
+        with kernel_disabled():
+            assert Session().info()["kernel"] == {
+                "loaded": False, "reason": "kill-switch", "cache_dir": kernel_cache_dir(),
+            }
+            assert main(["info"]) == 0
+            assert "Kernel      : unavailable (kill-switch)" in capsys.readouterr().out
 
     def test_multicore_run_reports_three_phases(self):
         from repro.multicore import MulticoreSpec
@@ -464,6 +498,26 @@ class TestCampaignStreaming:
             assert event["cache_hit"] is False
             assert event["duration_s"] > 0.0
             assert set(event["phases"]) == {"trace_acquire", "replay", "settle"}
+            assert event["tiers"] == {"replay": _tier("kernel-stride")}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_point_done_names_the_tier_of_each_phase(self, tmp_path, jobs):
+        observer = ListObserver()
+        points = [PointSpec(benchmark=benchmark, predictor="ltcords", sim="timing",
+                            num_accesses=2000, seed=42) for benchmark in ("mcf", "art")]
+        runner = CampaignRunner(jobs=jobs, cache=ResultCache(tmp_path / "cache"))
+        runner.run(points, name="tiers", observer=observer)
+        done = [event for event in observer.events if event["type"] == "point_done"]
+        assert [event["tiers"] for event in done] == [
+            {"replay": _tier("kernel-ltcords"), "settle": _tier("kernel-timing")}
+        ] * len(points)
+        with kernel_disabled():
+            observer.events.clear()
+            CampaignRunner(jobs=1, cache=ResultCache(tmp_path / "cache-interpreted")).run(
+                points[:1], name="tiers", observer=observer
+            )
+        done = [event for event in observer.events if event["type"] == "point_done"]
+        assert done[0]["tiers"] == {"replay": "interpreted", "settle": "interpreted"}
 
     def test_cached_points_stream_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path / "cache-warm")
@@ -475,7 +529,7 @@ class TestCampaignStreaming:
         types = Multiset(event["type"] for event in observer.events)
         assert types["cache_hit"] == len(campaign.points)
         assert types["point_done"] == len(campaign.points)
-        assert all(event["cache_hit"] for event in observer.events
+        assert all(event["cache_hit"] and event["tiers"] == {} for event in observer.events
                    if event["type"] == "point_done")
         assert campaign.point_cached == [True] * len(campaign.points)
 
@@ -514,8 +568,10 @@ class TestCampaignStreaming:
             assert stats["count"] == 4
             assert stats["p50"] is not None
             assert stats["p50"] <= stats["p95"] <= stats["p99"]
+        assert summary["points"]["replay_tiers"] == {_tier("kernel-stride"): 4}
         rendered = format_summary(summary)
         assert "trace_acquire" in rendered and "p95" in rendered
+        assert f"computed by replay tier: {_tier('kernel-stride')}=4" in rendered
 
 
 # ---------------------------------------------------------------------------
