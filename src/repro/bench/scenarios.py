@@ -438,8 +438,8 @@ def _build_simulation(
             # like theirs, loads the trace from the store when warm (the
             # first repeat warms it; min-of-N then measures the warm
             # path; sweep.trace_cold covers per-point regeneration).
-            # The engine selects the full stack — simulator loop, cache
-            # model *and* predictor implementation family.
+            # The engine selects the simulator loop and cache model;
+            # both engines build the same predictor.
             def task():
                 from repro.api import build_predictor
                 from repro.sim.trace_driven import simulate_benchmark
@@ -447,7 +447,7 @@ def _build_simulation(
                 with _kill_switch() if kill_switch else nullcontext():
                     return simulate_benchmark(
                         benchmark,
-                        prefetcher=build_predictor(predictor, engine=engine),
+                        prefetcher=build_predictor(predictor),
                         num_accesses=count,
                         seed=42,
                         engine=engine,

@@ -13,23 +13,22 @@ The kernel is a bit-exact port of the fast engine's replay protocol
 (``TraceDrivenSimulator._fast_loop``) for five predictors, each a lane
 *kind* (:data:`KERNELS`):
 
-* ``dbcp`` — fused with ``FastDBCPPrefetcher`` and
-  ``FastHistoryTable``: an open-addressed history map and an
-  order-preserving (LRU) correlation table.  Dict semantics are
-  reproduced exactly — linear probing with backward-shift deletion, and
-  a doubly-linked node pool for the insertion-ordered table.
-* ``ltcords`` — fused with ``FastLTCordsPrefetcher``: the
-  same history fold, ``FastSequenceStorage`` frames (fixed
-  direct-mapped frames or ``unlimited_frames``), the head-lookahead
-  window, the FIFO set-associative ``SignatureCache``, sliding-window
-  streaming with the ``fetch_delay_accesses`` pending queue, and
-  confidence feedback to both the signature cache and storage.
-* ``ghb`` — fused with ``FastGHBPrefetcher``: the flat
-  slot ring with serial validity, the PC index table as the same LRU
-  node pool, the per-PC chain walk and a line-for-line port of
-  ``_delta_correlate``.
-* ``stride`` — fused with ``FastStridePrefetcher``: the
-  insertion-ordered reference prediction table.
+* ``dbcp`` — fused with ``DBCPPrefetcher`` and its ``HistoryTable``:
+  an open-addressed block-keyed history map and an order-preserving
+  (LRU) correlation table.  Dict semantics are reproduced exactly —
+  linear probing with backward-shift deletion, and a doubly-linked node
+  pool for the insertion-ordered table.
+* ``ltcords`` — fused with ``LTCordsPrefetcher``: the same history
+  fold, ``SequenceStorage`` frames (fixed direct-mapped frames or
+  ``unlimited_frames``), the head-lookahead window, the FIFO
+  set-associative ``SignatureCache``, sliding-window streaming with the
+  ``fetch_delay_accesses`` pending queue, and confidence feedback to
+  both the signature cache and storage.
+* ``ghb`` — fused with ``GHBPrefetcher``: the slot ring with serial
+  validity, the PC index table as the same LRU node pool, the per-PC
+  chain walk and a line-for-line port of ``_delta_correlate``.
+* ``stride`` — fused with ``StridePrefetcher``: the insertion-ordered
+  reference prediction table.
 * ``baseline`` — the no-prefetcher loop (one simulated L1/L2 pair; the
   caller mirrors the counters onto both hierarchies, which are
   identical when nothing is ever prefetched), and ``null``, the
@@ -451,7 +450,7 @@ static void map_del(Map *m, uint64_t i) {
 }
 
 /* ------------------------------------------------------ history table
- * FastHistoryTable with the closed-form fold (32-63 bit keys):
+ * HistoryTable with the closed-form fold (32-63 bit keys):
  * block -> (pc_trace_hash, previous_block). */
 
 typedef struct {
@@ -911,7 +910,7 @@ typedef struct {
         predictions_issued;
 } Dbcp;
 
-/* FastDBCPPrefetcher._record */
+/* DBCPPrefetcher._record */
 static void dbcp_record(Dbcp *d, uint64_t key, int64_t predicted) {
     Lru *t = &d->table;
     int64_t slot = lru_hfind(t, key);
@@ -988,7 +987,7 @@ static int dbcp_run(Lane *s, int64_t start, int64_t stop) {
                                &ev_unused);
         int64_t block_address = address & h->block_mask;
 
-        /* Feedback for prefetched blocks, then on_access_fast's eviction. */
+        /* Feedback for prefetched blocks, then on_access's eviction. */
         if (code) {
             if (code == 2 && hier_used(h, block_address, &tag_key, &tag_word, &tag_offset))
                 dbcp_feedback(d, block_address, tag_key, 1);
@@ -1108,7 +1107,7 @@ static int64_t ltc_frame(const Ltc *L, int64_t index) {
     return s < 0 ? -1 : L->frame_slots.v1[s];
 }
 
-/* FastSequenceStorage._allocate_frame */
+/* SequenceStorage._allocate_frame */
 static int64_t ltc_allocate_frame(Ltc *L, int64_t head) {
     int64_t index = L->unlimited ? L->next_unlimited++
                                  : (int64_t)((uint64_t)head % (uint64_t)L->num_frames);
@@ -1136,7 +1135,7 @@ static int64_t ltc_allocate_frame(Ltc *L, int64_t head) {
     return slot;
 }
 
-/* FastSequenceStorage.record */
+/* SequenceStorage.record_signature */
 static void ltc_record(Ltc *L, int64_t key, int64_t predicted) {
     if (L->recording < 0 || L->frames[L->recording].len >= L->fragment) {
         int64_t head = L->recent_len ? L->recent[L->recent_start] : key;
@@ -1383,7 +1382,7 @@ static int ltc_run(Lane *s, int64_t start, int64_t stop) {
             ltc_feedback(L, evicted, tag_key, tag_word, tag_offset, -1);
         }
 
-        /* on_access_fast */
+        /* LTCordsPrefetcher.on_access */
         L->now++;
         if (L->pend_len) ltc_drain(L);
         if (!code && has_evicted) ltc_evict_record(L, evicted, block_address);

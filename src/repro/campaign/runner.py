@@ -124,8 +124,7 @@ def _plugin_modules(point: PointSpec) -> List[str]:
             entry = predictor_entry(name)
         except KeyError:
             continue
-        for cls in set(entry.engines.values()):
-            modules.add(cls.__module__)
+        modules.add(entry.cls.__module__)
         if entry.config_class is not None:
             modules.add(entry.config_class.__module__)
     benchmarks = list(getattr(point, "benchmarks", ()) or ())
@@ -152,12 +151,13 @@ def _plugin_modules(point: PointSpec) -> List[str]:
 
 
 class _PhaseCollector(RunObserver):
-    """Folds the ``phase`` events of one point into name → seconds and name → tier dicts.
+    """Folds the ``phase`` events of one point into per-phase seconds, tiers and fallbacks.
 
     Passed into :func:`repro.run.execute_spec` wherever a point actually
     runs (the serial loop in the parent, or inside a pool worker), so the
-    phase split and the tier each phase ran on (e.g. ``{"replay":
-    "kernel-ltcords", "settle": "kernel-timing"}``) always travel
+    phase split, the tier each phase ran on (e.g. ``{"replay":
+    "kernel-ltcords", "settle": "kernel-timing"}``) and why a phase fell
+    from the kernel (e.g. ``{"replay": "kill-switch"}``) always travel
     *inside* the ``point_done`` event — both execution paths produce the
     identical event shape.
     """
@@ -165,6 +165,7 @@ class _PhaseCollector(RunObserver):
     def __init__(self) -> None:
         self.phases: Dict[str, float] = {}
         self.tiers: Dict[str, str] = {}
+        self.fallbacks: Dict[str, str] = {}
 
     def emit(self, event: Dict[str, Any]) -> None:
         if event.get("type") == "phase":
@@ -172,6 +173,8 @@ class _PhaseCollector(RunObserver):
             self.phases[name] = self.phases.get(name, 0.0) + float(event.get("duration_s", 0.0))
             if "tier" in event:
                 self.tiers[name] = event["tier"]
+            if "fallback" in event:
+                self.fallbacks[name] = event["fallback"]
 
 
 def _safe_key(point: Any) -> Optional[str]:
@@ -201,9 +204,9 @@ def _point_fields(point: Any) -> Dict[str, Any]:
 def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool worker: decode a point, run it, return the encoded result.
 
-    The return leg piggybacks the point's wall time, phase split and
-    phase tiers on the same JSON-dict transport as the result itself, so
-    the parent can stream a fully-populated ``point_done`` event per
+    The return leg piggybacks the point's wall time, phase split, phase
+    tiers and fallbacks on the same JSON-dict transport as the result
+    itself, so the parent can stream a fully-populated ``point_done`` event per
     completion without any extra IPC.  The payload optionally carries the campaign's
     resilience context: ``timeout_s`` (enforced here with ``SIGALRM`` —
     workers run their task on their main thread), and the fault plan
@@ -272,6 +275,7 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "duration_s": time.perf_counter() - started,
         "phases": collector.phases,
         "tiers": collector.tiers,
+        "fallbacks": collector.fallbacks,
         "published": published,
     }
 
@@ -479,6 +483,7 @@ class CampaignRunner:
             cache_hit: bool,
             phases: Optional[Dict[str, float]] = None,
             tiers: Optional[Dict[str, str]] = None,
+            fallbacks: Optional[Dict[str, str]] = None,
         ) -> None:
             if journal is not None:
                 journal.record_point(
@@ -500,6 +505,7 @@ class CampaignRunner:
                     duration_s=state.durations[index],
                     phases=phases or {},
                     tiers=tiers or {},
+                    fallbacks=fallbacks or {},
                     **_point_fields(points[index]),
                 )
             )
@@ -717,7 +723,9 @@ class CampaignRunner:
                     continue
                 state.durations[index] = time.perf_counter() - point_started
                 self._finish(state, index, result)
-                emit_point_done(index, False, collector.phases, collector.tiers)
+                emit_point_done(
+                    index, False, collector.phases, collector.tiers, collector.fallbacks
+                )
             finally:
                 if lease is not None:
                     lease.release()
@@ -837,7 +845,8 @@ class CampaignRunner:
                                     published=bool(payload.get("published")),
                                 )
                                 emit_point_done(
-                                    index, False, payload.get("phases"), payload.get("tiers")
+                                    index, False, payload.get("phases"), payload.get("tiers"),
+                                    payload.get("fallbacks"),
                                 )
                     if broken:
                         queue.extend(futures.values())

@@ -19,23 +19,18 @@ Sub-modules:
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher, PrefetcherStats
 from repro.core.signatures import LastTouchSignature, SignatureConfig, fold_hash, hash_combine
 from repro.core.confidence import SaturatingCounter
-from repro.core.history import BlockHistory, FastHistoryTable, HistoryTable
+from repro.core.history import HistoryTable
 from repro.core.signature_cache import SignatureCache, SignatureCacheConfig, SignatureCacheEntry
 from repro.core.sequence_storage import (
-    FastSequenceStorage,
     SequenceFrame,
     SequenceStorage,
     SequenceStorageConfig,
     SequenceTagArray,
 )
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
+from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 
 __all__ = [
     "AccessOutcome",
-    "BlockHistory",
-    "FastHistoryTable",
-    "FastLTCordsPrefetcher",
-    "FastSequenceStorage",
     "HistoryTable",
     "LTCordsConfig",
     "LTCordsPrefetcher",

@@ -21,41 +21,10 @@ up to decide whether this access is a last touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.config import CacheConfig
 from repro.core.signatures import _HASH_INCREMENT, _HASH_MULTIPLIER, _MASK_64, SignatureConfig
-
-
-class BlockHistory:
-    """Per-resident-block last-touch history state.
-
-    ``previous_block`` is the (block-aligned) address of the block this
-    block replaced — the address-history component {A1} of the signature
-    in Figure 1 of the paper.
-    """
-
-    __slots__ = ("pc_trace_hash", "trace_length", "previous_block")
-
-    def __init__(self, pc_trace_hash: int = 0, trace_length: int = 0, previous_block: int = 0) -> None:
-        self.pc_trace_hash = pc_trace_hash
-        self.trace_length = trace_length
-        self.previous_block = previous_block
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockHistory):
-            return NotImplemented
-        return (
-            self.pc_trace_hash == other.pc_trace_hash
-            and self.trace_length == other.trace_length
-            and self.previous_block == other.previous_block
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockHistory(pc_trace_hash={self.pc_trace_hash}, "
-            f"trace_length={self.trace_length}, previous_block={self.previous_block})"
-        )
 
 
 @dataclass
@@ -68,153 +37,15 @@ class HistoryTableStats:
 
 
 class HistoryTable:
-    """Builds last-touch signature keys from the committed reference stream."""
+    """Builds last-touch signature keys from the committed reference stream.
 
-    def __init__(
-        self,
-        cache_config: CacheConfig,
-        signature_config: Optional[SignatureConfig] = None,
-    ) -> None:
-        self.cache_config = cache_config
-        self.signature_config = signature_config or SignatureConfig()
-        # Per set: resident block tag -> its accumulated history.
-        self._sets: List[Dict[int, BlockHistory]] = [dict() for _ in range(cache_config.num_sets)]
-        self.stats = HistoryTableStats()
-        # The table is consulted on every committed reference, so the cache
-        # geometry and signature folding parameters are cached as plain ints
-        # and the key math is inlined in the hot methods below (equivalent
-        # to hash_combine()/fold_hash() from repro.core.signatures).
-        self._offset_bits = cache_config.offset_bits
-        self._set_mask = cache_config.num_sets - 1
-        self._tag_shift = cache_config.offset_bits + cache_config.index_bits
-        self._block_mask = ~(cache_config.block_size - 1)
-        self._key_bits = self.signature_config.trace_hash_bits
-        self._key_mask = (1 << self._key_bits) - 1
-
-    # ------------------------------------------------------------------ geometry
-    @property
-    def num_sets(self) -> int:
-        """Number of sets tracked (equals the number of L1D sets)."""
-        return len(self._sets)
-
-    def tracked_blocks(self) -> int:
-        """Number of blocks with live history entries (for tests/inspection)."""
-        return sum(len(s) for s in self._sets)
-
-    def storage_bits(self, trace_hash_bits: Optional[int] = None, tag_bits: int = 15) -> int:
-        """Nominal on-chip storage of the history table, in bits.
-
-        One entry per L1D block: the running trace hash plus the
-        previous-block tag.  This is part of the "214KB of on-chip
-        storage" the paper quotes alongside the signature cache and
-        sequence tag array.
-        """
-        hash_bits = trace_hash_bits if trace_hash_bits is not None else self.signature_config.trace_hash_bits
-        per_entry = hash_bits + tag_bits
-        return per_entry * self.cache_config.num_blocks
-
-    # ------------------------------------------------------------------ key construction
-    def _make_key(self, history: BlockHistory, block_address: int) -> int:
-        # Inlined hash_combine(hash_combine(trace, previous), block) + fold.
-        raw = ((history.pc_trace_hash ^ history.previous_block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        raw = ((raw ^ block_address) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        key = 0
-        bits = self._key_bits
-        mask = self._key_mask
-        while raw:
-            key ^= raw & mask
-            raw >>= bits
-        return key
-
-    def observe_access(self, pc: int, address: int) -> int:
-        """Fold a committed access into the block's trace; return the candidate key.
-
-        The candidate key is the signature that *will* be recorded if this
-        access turns out to be the block's last touch; the predictors look
-        it up to identify last touches.
-        """
-        self.stats.accesses += 1
-        bucket = self._sets[(address >> self._offset_bits) & self._set_mask]
-        tag = address >> self._tag_shift
-        history = bucket.get(tag)
-        if history is None:
-            history = BlockHistory()
-            bucket[tag] = history
-        trace_hash = ((history.pc_trace_hash ^ pc) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        history.pc_trace_hash = trace_hash
-        history.trace_length += 1
-        # _make_key, inlined (this is the per-reference hot path).
-        raw = ((trace_hash ^ history.previous_block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        raw = ((raw ^ (address & self._block_mask)) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        key = 0
-        bits = self._key_bits
-        mask = self._key_mask
-        while raw:
-            key ^= raw & mask
-            raw >>= bits
-        return key
-
-    def peek_key(self, address: int) -> int:
-        """Candidate key for the block holding ``address`` without updating its trace."""
-        set_index = (address >> self._offset_bits) & self._set_mask
-        tag = address >> self._tag_shift
-        history = self._sets[set_index].get(tag)
-        if history is None:
-            history = BlockHistory()
-        return self._make_key(history, address & self._block_mask)
-
-    def observe_eviction(self, evicted_address: int, replacement_address: int) -> Tuple[int, int]:
-        """Record an eviction; return ``(signature_key, predicted_block_address)``.
-
-        The evicted block's accumulated history (which last changed at its
-        last touch) forms the key; the replacing block's address is the
-        prediction target.  The evicted block's entry is retired and a
-        fresh entry is opened for the replacement with the evicted block's
-        address as its address history.
-        """
-        self.stats.evictions += 1
-        evicted_block = evicted_address & self._block_mask
-        history = self._sets[(evicted_address >> self._offset_bits) & self._set_mask].pop(
-            evicted_address >> self._tag_shift, None
-        )
-        if history is None:
-            history = BlockHistory()
-            self.stats.cold_evictions += 1
-        key = self._make_key(history, evicted_block)
-        predicted = replacement_address & self._block_mask
-
-        # Recycle the retired entry as the replacement's fresh entry (one
-        # eviction opens exactly one entry; this runs once per miss).
-        history.pc_trace_hash = 0
-        history.trace_length = 0
-        history.previous_block = evicted_block
-        replacement_set = (replacement_address >> self._offset_bits) & self._set_mask
-        replacement_tag = replacement_address >> self._tag_shift
-        self._sets[replacement_set][replacement_tag] = history
-        return key, predicted
-
-    def reset(self) -> None:
-        """Clear all per-block state (used between independent simulations)."""
-        for bucket in self._sets:
-            bucket.clear()
-
-
-class FastHistoryTable:
-    """Flat-state history table used by the fast predictor engines.
-
-    Produces exactly the same signature keys as :class:`HistoryTable`
-    but keeps one flat ``[pc_trace_hash, previous_block]`` record per
-    tracked block in a single open-addressed map keyed by block address
-    (the (set, tag) pair of the legacy table is a bijection of the block
-    address, so the keying is equivalent).  The xor-fold of the 64-bit
-    raw hash down to the key width is closed-form for keys of 32 bits or
-    wider (at most two fold terms), removing the per-access fold loop.
-
-    Differences from the legacy table, none of which affect keys:
-
-    * ``stats.accesses`` is not counted (the fast engines settle
-      observation counts in bulk); eviction counters are maintained.
-    * per-block trace lengths are not tracked (nothing consumes them).
+    One flat ``[pc_trace_hash, previous_block]`` record per tracked block,
+    in a single map keyed by block address (the L1D's (set, tag) pair is a
+    bijection of the block address, so this is the per-set table of
+    Figure 1 without the per-set split).  The xor-fold of the 64-bit raw
+    hash down to the key width is closed-form for keys of 32 bits or more
+    (at most two fold terms); the compiled replay kernel mirrors exactly
+    this layout and fold.
     """
 
     def __init__(
@@ -231,7 +62,33 @@ class FastHistoryTable:
         self._key_bits = self.signature_config.trace_hash_bits
         self._key_mask = (1 << self._key_bits) - 1
 
-    def _fold(self, raw: int) -> int:
+    # ------------------------------------------------------------------ geometry
+    @property
+    def num_sets(self) -> int:
+        """Number of sets tracked (equals the number of L1D sets)."""
+        return self.cache_config.num_sets
+
+    def tracked_blocks(self) -> int:
+        """Number of blocks with live history entries (for tests/inspection)."""
+        return len(self._blocks)
+
+    def storage_bits(self, trace_hash_bits: Optional[int] = None, tag_bits: int = 15) -> int:
+        """Nominal on-chip storage of the history table, in bits.
+
+        One entry per L1D block: the running trace hash plus the
+        previous-block tag.  This is part of the "214KB of on-chip
+        storage" the paper quotes alongside the signature cache and
+        sequence tag array.
+        """
+        hash_bits = trace_hash_bits if trace_hash_bits is not None else self.signature_config.trace_hash_bits
+        per_entry = hash_bits + tag_bits
+        return per_entry * self.cache_config.num_blocks
+
+    # ------------------------------------------------------------------ key construction
+    def _key(self, trace_hash: int, previous_block: int, block: int) -> int:
+        """fold_hash(hash_combine(hash_combine(trace, previous), block)), inlined."""
+        raw = ((trace_hash ^ previous_block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
+        raw = ((raw ^ block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
         bits = self._key_bits
         if bits >= 32:
             # raw < 2**64, so raw >> bits < 2**bits: exactly two fold terms.
@@ -243,53 +100,60 @@ class FastHistoryTable:
             raw >>= bits
         return key
 
-    def tracked_blocks(self) -> int:
-        """Number of blocks with live history entries (for tests/inspection)."""
-        return len(self._blocks)
-
     def observe_access(self, pc: int, address: int) -> int:
-        """Fold a committed access into the block's trace; return the candidate key."""
+        """Fold a committed access into the block's trace; return the candidate key.
+
+        The candidate key is the signature that *will* be recorded if this
+        access turns out to be the block's last touch; the predictors look
+        it up to identify last touches.
+        """
+        self.stats.accesses += 1
         block = address & self._block_mask
         entry = self._blocks.get(block)
         if entry is None:
-            entry = [0, 0]
-            self._blocks[block] = entry
-        trace_hash = ((entry[0] ^ pc) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        entry[0] = trace_hash
+            entry = self._blocks[block] = [0, 0]
+        trace_hash = entry[0] = ((entry[0] ^ pc) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
+        # _key, inlined (this is the per-reference hot path).
         raw = ((trace_hash ^ entry[1]) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
         raw = ((raw ^ block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        return self._fold(raw)
+        bits = self._key_bits
+        if bits >= 32:
+            return (raw & self._key_mask) ^ (raw >> bits)
+        key = 0
+        mask = self._key_mask
+        while raw:
+            key ^= raw & mask
+            raw >>= bits
+        return key
 
     def peek_key(self, address: int) -> int:
         """Candidate key for the block holding ``address`` without updating its trace."""
         block = address & self._block_mask
-        entry = self._blocks.get(block)
-        trace_hash, previous = entry if entry is not None else (0, 0)
-        raw = ((trace_hash ^ previous) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        raw = ((raw ^ block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        return self._fold(raw)
+        trace_hash, previous = self._blocks.get(block, (0, 0))
+        return self._key(trace_hash, previous, block)
 
     def observe_eviction(self, evicted_address: int, replacement_address: int) -> Tuple[int, int]:
-        """Record an eviction; return ``(signature_key, predicted_block_address)``."""
-        stats = self.stats
-        stats.evictions += 1
-        blocks = self._blocks
+        """Record an eviction; return ``(signature_key, predicted_block_address)``.
+
+        The evicted block's accumulated history (which last changed at its
+        last touch) forms the key; the replacing block's address is the
+        prediction target.  The evicted block's entry is retired and a
+        fresh entry is opened for the replacement with the evicted block's
+        address as its address history.
+        """
+        self.stats.evictions += 1
         evicted_block = evicted_address & self._block_mask
-        entry = blocks.pop(evicted_block, None)
+        entry = self._blocks.pop(evicted_block, None)
         if entry is None:
-            trace_hash = previous = 0
-            stats.cold_evictions += 1
-            entry = [0, evicted_block]
-        else:
-            trace_hash = entry[0]
-            previous = entry[1]
-            entry[0] = 0
-            entry[1] = evicted_block
-        raw = ((trace_hash ^ previous) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        raw = ((raw ^ evicted_block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
+            self.stats.cold_evictions += 1
+            entry = [0, 0]
+        key = self._key(entry[0], entry[1], evicted_block)
         # Recycle the retired record as the replacement's fresh entry.
-        blocks[replacement_address & self._block_mask] = entry
-        return self._fold(raw), replacement_address & self._block_mask
+        entry[0] = 0
+        entry[1] = evicted_block
+        predicted = replacement_address & self._block_mask
+        self._blocks[predicted] = entry
+        return key, predicted
 
     def reset(self) -> None:
         """Clear all per-block state (used between independent simulations)."""

@@ -110,25 +110,16 @@ class PrefetcherStats:
 class Prefetcher(ABC):
     """Abstract base class for all predictors.
 
-    Predictors may additionally expose the *fast per-access protocol*: an
-    ``on_access_fast(pc, address, block_address, l1_hit, evicted_address)``
-    method returning a (possibly reused) sequence of
-    :class:`PrefetchCommand` objects.  When present, the fast simulation
-    engine calls it directly with plain integers — no
-    :class:`AccessOutcome` is built — reads the returned commands before
-    the next call, and settles ``stats.accesses_observed`` /
-    ``stats.misses_observed`` in bulk after the replay loop, so
-    ``on_access_fast`` must *not* maintain those two counters itself.
-    ``on_access`` remains the general entry point (the legacy engines,
-    and predictors without the fast protocol) and on fast predictors is
-    a thin wrapper that does count observations per call.
+    Every engine drives a predictor through the same calls:
+    :meth:`on_access` once per access (it counts
+    ``stats.accesses_observed`` and ``stats.misses_observed`` itself)
+    and the prefetch feedback callbacks below.  The fast engine's interpreted loop passes one
+    reused :class:`AccessOutcome`; the built-in predictors also replay
+    on the compiled kernel (:mod:`repro.sim.vector_replay`), which
+    settles their statistics objects at the end of the run.
     """
 
     name: str = "prefetcher"
-
-    #: Set to a bound method by predictors implementing the fast
-    #: per-access protocol; ``None`` means "drive me through on_access".
-    on_access_fast = None
 
     def __init__(self) -> None:
         self.stats = PrefetcherStats()

@@ -28,20 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.config import CacheConfig, L1D_CONFIG
-from repro.core.history import FastHistoryTable, HistoryTable
+from repro.core.history import HistoryTable
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher
-from repro.core.sequence_storage import FastSequenceStorage, SequenceStorage, SequenceStorageConfig
+from repro.core.sequence_storage import SequenceStorage, SequenceStorageConfig
 from repro.core.signature_cache import SignatureCache, SignatureCacheConfig, SignatureCacheEntry
-from repro.core.signatures import (
-    _HASH_INCREMENT,
-    _HASH_MULTIPLIER,
-    _MASK_64,
-    LastTouchSignature,
-    SignatureConfig,
-)
-
-#: Shared immutable "no prefetches" result of the fast per-access path.
-_NO_COMMANDS = ()
+from repro.core.signatures import LastTouchSignature, SignatureConfig
 
 
 @dataclass(frozen=True)
@@ -253,222 +244,6 @@ class LTCordsPrefetcher(Prefetcher):
             if stored is not None:
                 if new_confidence is None:
                     new_confidence = max(0, min(self.config.max_confidence, stored.confidence + delta))
-                self.storage.update_confidence(pointer, new_confidence)
-        if delta > 0:
-            self.ltstats.confidence_increments += 1
-        else:
-            self.ltstats.confidence_decrements += 1
-
-    def on_prefetch_used(self, block_address: int, tag: Optional[object]) -> None:
-        super().on_prefetch_used(block_address, tag)
-        self._update_confidence(block_address, tag, +1)
-
-    def on_prefetch_evicted_unused(self, block_address: int, tag: Optional[object]) -> None:
-        super().on_prefetch_evicted_unused(block_address, tag)
-        self._update_confidence(block_address, tag, -1)
-
-    # ------------------------------------------------------------------ reporting
-    def signature_traffic_bytes(self) -> int:
-        """Bytes of off-chip signature traffic (sequence creation + fetch)."""
-        return self.storage.stats.bytes_read + self.storage.stats.bytes_written
-
-    def sequence_creation_bytes(self) -> int:
-        """Bytes written off chip (signature recording and confidence updates)."""
-        return self.storage.stats.bytes_written
-
-    def sequence_fetch_bytes(self) -> int:
-        """Bytes read from off-chip sequence storage (signature streaming)."""
-        return self.storage.stats.bytes_read
-
-    def on_chip_storage_bytes(self) -> int:
-        """On-chip storage footprint of this configuration."""
-        return self.config.on_chip_storage_bytes()
-
-
-class FastLTCordsPrefetcher(Prefetcher):
-    """Flat-state LT-cords used by the fast engine (bit-identical).
-
-    Same algorithm and structure interplay as :class:`LTCordsPrefetcher`,
-    built on the flat fast structures: :class:`FastHistoryTable` (fused
-    inline on the per-access path) and :class:`FastSequenceStorage`
-    (columnar frames, no per-signature objects on the recording path).
-    The on-chip :class:`SignatureCache` is shared with the legacy model —
-    its per-entry state is mutated by confidence feedback, so entry
-    objects are the natural representation for both engines.  Implements
-    the fast per-access protocol (see :class:`Prefetcher`): the command
-    buffer is reused and observation counters are settled by the
-    simulator in bulk.
-    """
-
-    name = "ltcords"
-
-    def __init__(self, config: Optional[LTCordsConfig] = None) -> None:
-        super().__init__()
-        self.config = config or LTCordsConfig()
-        self.history = FastHistoryTable(self.config.cache_config, self.config.signature_config)
-        self.signature_cache = SignatureCache(self.config.signature_cache_config)
-        self.storage = FastSequenceStorage(self.config.storage_config)
-        self.ltstats = LTCordsStats()
-        # Prefetched-block feedback: block address -> (key, off-chip pointer).
-        self._outstanding: Dict[int, Tuple[int, Optional[Tuple[int, int]]]] = {}
-        # Streamed signatures not yet visible (models off-chip fetch latency).
-        self._pending: List[Tuple[int, SignatureCacheEntry]] = []
-        self._access_counter = 0
-        # Hot-path constants and fused history internals.
-        self._confidence_threshold = self.config.confidence_threshold
-        self._initial_confidence = self.config.initial_confidence
-        self._max_confidence = self.config.max_confidence
-        self._stream_window = self.config.stream_window
-        self._fetch_delay = self.config.fetch_delay_accesses
-        self._blocks = self.history._blocks
-        self._block_mask = self.history._block_mask
-        self._key_bits = self.history._key_bits
-        self._key_mask = self.history._key_mask
-        self._closed_fold = self._key_bits >= 32
-        self._command = PrefetchCommand(0)
-        self._commands = [self._command]
-
-    # ------------------------------------------------------------------ streaming helpers
-    def _install_values(self, key: int, predicted: int, confidence: int, pointer: Tuple[int, int]) -> None:
-        entry = SignatureCacheEntry(
-            key=key, predicted_address=predicted, confidence=confidence, pointer=pointer
-        )
-        if self._fetch_delay:
-            self._pending.append((self._access_counter + self._fetch_delay, entry))
-        else:
-            self.signature_cache.insert(entry)
-        self.ltstats.signatures_streamed += 1
-
-    def _drain_pending(self) -> None:
-        ready = [e for t, e in self._pending if t <= self._access_counter]
-        if ready:
-            self._pending = [(t, e) for t, e in self._pending if t > self._access_counter]
-            for entry in ready:
-                self.signature_cache.insert(entry)
-
-    def _stream_from(self, frame_index: int, start: int, count: int) -> None:
-        chunk = self.storage.read_window(frame_index, start, count)
-        for key, predicted, confidence, pointer in chunk:
-            self._install_values(key, predicted, confidence, pointer)
-        if chunk:
-            self.storage.advance_window(frame_index, start + len(chunk))
-
-    def _begin_sequence(self, frame_index: int) -> None:
-        """Start (or restart) streaming a fragment whose head signature recurred."""
-        self.ltstats.head_matches += 1
-        self._stream_from(frame_index, 0, self._stream_window)
-
-    def _advance_sequence(self, pointer: Tuple[int, int]) -> None:
-        """Advance the sliding window of the fragment a used signature belongs to."""
-        frame_index, offset = pointer
-        window_end = self.storage.window_position(frame_index)
-        desired_end = offset + 1 + self._stream_window
-        if desired_end > window_end:
-            self._stream_from(frame_index, window_end, desired_end - window_end)
-
-    # ------------------------------------------------------------------ fast protocol
-    def on_access_fast(self, pc, address, block_address, l1_hit, evicted_address):
-        self._access_counter += 1
-        if self._pending:
-            self._drain_pending()
-
-        # Record a new last-touch signature on every L1D eviction, in
-        # eviction order (Section 4.1), before folding this access's PC.
-        if not l1_hit and evicted_address is not None:
-            key, predicted = self.history.observe_eviction(evicted_address, block_address)
-            self.storage.record(key, predicted, self._initial_confidence)
-            self.ltstats.signatures_created += 1
-
-        # FastHistoryTable.observe_access, fused inline (hot path).
-        block = address & self._block_mask
-        blocks = self._blocks
-        history_entry = blocks.get(block)
-        if history_entry is None:
-            history_entry = [0, 0]
-            blocks[block] = history_entry
-        trace_hash = ((history_entry[0] ^ pc) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        history_entry[0] = trace_hash
-        raw = ((trace_hash ^ history_entry[1]) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        raw = ((raw ^ block) * _HASH_MULTIPLIER + _HASH_INCREMENT) & _MASK_64
-        if self._closed_fold:
-            candidate_key = (raw & self._key_mask) ^ (raw >> self._key_bits)
-        else:
-            candidate_key = self.history._fold(raw)
-
-        commands = _NO_COMMANDS
-
-        # Last-touch prediction: the candidate signature hits in the
-        # signature cache (Section 4.3).
-        entry = self.signature_cache.lookup(candidate_key)
-        if entry is not None:
-            ltstats = self.ltstats
-            if entry.confidence >= self._confidence_threshold:
-                ltstats.signature_cache_predictions += 1
-                self.stats.predictions_issued += 1
-                predicted_address = entry.predicted_address
-                pointer = entry.pointer
-                command = self._command
-                command.address = predicted_address
-                command.victim_address = block_address
-                command.tag = (candidate_key, pointer)
-                commands = self._commands
-                self._outstanding[predicted_address] = (candidate_key, pointer)
-            else:
-                ltstats.low_confidence_suppressions += 1
-            if entry.pointer is not None:
-                self._advance_sequence(entry.pointer)
-
-        # Head-signature match: begin streaming the corresponding fragment
-        # (Section 4.2).
-        frame_index = self.storage.lookup_head(candidate_key)
-        if frame_index is not None:
-            self._begin_sequence(frame_index)
-
-        return commands
-
-    # ------------------------------------------------------------------ protocol
-    def on_access(self, outcome: AccessOutcome) -> List[PrefetchCommand]:
-        self.stats.accesses_observed += 1
-        if outcome.l1_miss:
-            self.stats.misses_observed += 1
-        access = outcome.access
-        commands = self.on_access_fast(
-            access.pc, access.address, outcome.block_address, outcome.l1_hit, outcome.evicted_address
-        )
-        # Detach from the reused buffer: generic callers may retain the list.
-        return [PrefetchCommand(c.address, c.victim_address, c.tag) for c in commands]
-
-    def on_prefetch_installed(
-        self,
-        address: int,
-        evicted_address: Optional[int],
-        tag: Optional[object] = None,
-    ) -> None:
-        """See :meth:`LTCordsPrefetcher.on_prefetch_installed`."""
-        if evicted_address is None:
-            return
-        key, predicted = self.history.observe_eviction(evicted_address, address)
-        self.storage.record(key, predicted, self._initial_confidence)
-        self.ltstats.signatures_created += 1
-
-    # ------------------------------------------------------------------ feedback
-    def _update_confidence(self, block_address: int, tag: Optional[object], delta: int) -> None:
-        info = self._outstanding.pop(block_address, None)
-        if info is None and isinstance(tag, tuple) and len(tag) == 2:
-            info = tag  # fall back to the command tag carried by the simulator
-        if info is None:
-            return
-        key, pointer = info
-        resident = self.signature_cache.peek(key)
-        new_confidence = None
-        if resident is not None:
-            resident.confidence = max(0, min(self._max_confidence, resident.confidence + delta))
-            new_confidence = resident.confidence
-        if pointer is not None:
-            stored_confidence = self.storage.confidence_at(pointer)
-            if stored_confidence is not None:
-                if new_confidence is None:
-                    new_confidence = max(0, min(self._max_confidence, stored_confidence + delta))
                 self.storage.update_confidence(pointer, new_confidence)
         if delta > 0:
             self.ltstats.confidence_increments += 1

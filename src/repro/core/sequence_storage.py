@@ -290,176 +290,6 @@ class SequenceStorage:
         return frame.signatures[offset]
 
 
-class _FastFrame:
-    """One frame of the fast storage: three parallel signature columns."""
-
-    __slots__ = ("frame_index", "head_key", "keys", "predicted", "confidence", "generation")
-
-    def __init__(self, frame_index: int, head_key: Optional[int], generation: int) -> None:
-        self.frame_index = frame_index
-        self.head_key = head_key
-        self.keys: List[int] = []
-        self.predicted: List[int] = []
-        self.confidence: List[int] = []
-        self.generation = generation
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-class FastSequenceStorage:
-    """Columnar off-chip sequence storage used by the fast predictor engine.
-
-    Frame-for-frame and byte-for-byte equivalent to
-    :class:`SequenceStorage`, but each frame stores its fragment as three
-    flat parallel columns (key / predicted address / confidence) instead
-    of a list of :class:`LastTouchSignature` objects, so recording a
-    signature on the eviction hot path appends three integers and
-    allocates nothing.  Streaming reads return plain ``(key, predicted,
-    confidence, pointer)`` tuples.
-    """
-
-    def __init__(self, config: Optional[SequenceStorageConfig] = None) -> None:
-        self.config = config or SequenceStorageConfig()
-        self._frames: Dict[int, _FastFrame] = {}
-        self._head_to_frame: Dict[int, int] = {}
-        self.tag_array = SequenceTagArray(max(1, self.config.num_frames))
-        self.stats = SequenceStorageStats()
-        self._recording: Optional[_FastFrame] = None
-        self._recent_keys: Deque[int] = deque(maxlen=max(1, self.config.head_lookahead))
-        self._generation = 0
-        self._next_unlimited_index = 0
-        self._sig_bytes = self.config.signature_config.stored_bytes
-        self._fragment_size = self.config.fragment_size
-        self._unlimited = self.config.unlimited_frames
-        self._num_frames = self.config.num_frames
-
-    # ------------------------------------------------------------------ frame management
-    def frame(self, frame_index: int) -> Optional[_FastFrame]:
-        """Return the frame at ``frame_index`` if it exists."""
-        return self._frames.get(frame_index)
-
-    @property
-    def num_allocated_frames(self) -> int:
-        """Number of frames that currently hold a fragment."""
-        return len(self._frames)
-
-    def total_signatures_stored(self) -> int:
-        """Signatures currently resident across all frames."""
-        return sum(len(f) for f in self._frames.values())
-
-    def _allocate_frame(self, head_key: Optional[int]) -> _FastFrame:
-        if self._unlimited:
-            frame_index = self._next_unlimited_index
-            self._next_unlimited_index += 1
-        elif head_key is None:
-            frame_index = 0
-        else:
-            frame_index = head_key % self._num_frames
-        self._generation += 1
-        existing = self._frames.get(frame_index)
-        if existing is not None:
-            self.stats.frames_overwritten += 1
-            if existing.head_key is not None:
-                self._head_to_frame.pop(existing.head_key, None)
-        frame = _FastFrame(frame_index, head_key, self._generation)
-        self._frames[frame_index] = frame
-        if head_key is not None:
-            self._head_to_frame[head_key] = frame_index
-        self.tag_array.set_head(frame_index, head_key, self._generation)
-        self.stats.frames_allocated += 1
-        return frame
-
-    # ------------------------------------------------------------------ recording
-    def record(self, key: int, predicted_address: int, confidence: int) -> Tuple[int, int]:
-        """Append one signature (three flat values); return its ``(frame, offset)``."""
-        frame = self._recording
-        if frame is None or len(frame.keys) >= self._fragment_size:
-            recent = self._recent_keys
-            head_key = recent[0] if recent else key
-            frame = self._allocate_frame(head_key)
-            self._recording = frame
-        offset = len(frame.keys)
-        frame.keys.append(key)
-        frame.predicted.append(predicted_address)
-        frame.confidence.append(confidence)
-        stats = self.stats
-        stats.signatures_recorded += 1
-        stats.bytes_written += self._sig_bytes
-        self._recent_keys.append(key)
-        return frame.frame_index, offset
-
-    # ------------------------------------------------------------------ streaming
-    def lookup_head(self, key: int) -> Optional[int]:
-        """Frame index whose fragment is headed by signature ``key``, if any."""
-        frame_index = self._head_to_frame.get(key)
-        if frame_index is None:
-            return None
-        frame = self._frames.get(frame_index)
-        if frame is None or frame.head_key != key:
-            return None
-        return frame_index
-
-    def read_window(self, frame_index: int, start: int, count: int) -> List[Tuple[int, int, int, Tuple[int, int]]]:
-        """Stream ``count`` signatures as ``(key, predicted, confidence, pointer)`` tuples."""
-        if count <= 0:
-            return []
-        frame = self._frames.get(frame_index)
-        if frame is None or start >= len(frame.keys):
-            return []
-        keys = frame.keys[start:start + count]
-        predicted = frame.predicted
-        confidence = frame.confidence
-        self.stats.signatures_fetched += len(keys)
-        self.stats.bytes_read += len(keys) * self._sig_bytes
-        return [
-            (key, predicted[start + i], confidence[start + i], (frame_index, start + i))
-            for i, key in enumerate(keys)
-        ]
-
-    def advance_window(self, frame_index: int, position: int) -> None:
-        """Record that the sliding window of ``frame_index`` has reached ``position``."""
-        entry = self.tag_array.entry(frame_index)
-        if position > entry.window_position:
-            entry.window_position = position
-
-    def window_position(self, frame_index: int) -> int:
-        """Current sliding-window position for ``frame_index``."""
-        return self.tag_array.entry(frame_index).window_position
-
-    # ------------------------------------------------------------------ confidence
-    def confidence_at(self, pointer: Tuple[int, int]) -> Optional[int]:
-        """Stored confidence at ``pointer``, or ``None`` if it was overwritten."""
-        frame_index, offset = pointer
-        frame = self._frames.get(frame_index)
-        if frame is None or offset >= len(frame.keys):
-            return None
-        return frame.confidence[offset]
-
-    def update_confidence(self, pointer: Tuple[int, int], confidence: int) -> bool:
-        """Write an updated confidence value back (same accounting as legacy)."""
-        frame_index, offset = pointer
-        frame = self._frames.get(frame_index)
-        self.stats.confidence_updates += 1
-        self.stats.bytes_written += 1
-        if frame is None or offset >= len(frame.keys):
-            return False
-        frame.confidence[offset] = confidence
-        return True
-
-    def signature_at(self, pointer: Tuple[int, int]) -> Optional[LastTouchSignature]:
-        """Materialise the stored signature at ``pointer`` (tests/inspection only)."""
-        frame_index, offset = pointer
-        frame = self._frames.get(frame_index)
-        if frame is None or offset >= len(frame.keys):
-            return None
-        return LastTouchSignature(
-            key=frame.keys[offset],
-            predicted_address=frame.predicted[offset],
-            confidence=frame.confidence[offset],
-        )
-
-
 #: The hardware configuration evaluated in Section 5.6 of the paper:
 #: 4K frames of 8K signatures (32M signatures, ~160MB at 5 bytes each).
 PAPER_STORAGE_CONFIG = SequenceStorageConfig(num_frames=4096, fragment_size=8192, head_lookahead=256)

@@ -98,6 +98,9 @@ class SignatureCache:
         self._ways = DeferredSets(self, "_ways")
         self._policy = FIFOReplacement(self.config.num_sets, self.config.associativity)
         self.stats = SignatureCacheStats()
+        # Consulted on every lookup: the config derives both per call.
+        self._set_mask = self.config.num_sets - 1
+        self._index_bits = self.config.index_bits
 
     def _build_sets(self) -> None:
         num_sets = self.config.num_sets
@@ -106,10 +109,10 @@ class SignatureCache:
 
     # ------------------------------------------------------------------ indexing
     def _index(self, key: int) -> int:
-        return key & (self.config.num_sets - 1)
+        return key & self._set_mask
 
     def _tag(self, key: int) -> int:
-        return key >> self.config.index_bits
+        return key >> self._index_bits
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
@@ -120,10 +123,11 @@ class SignatureCache:
     # ------------------------------------------------------------------ operations
     def lookup(self, key: int) -> Optional[SignatureCacheEntry]:
         """Return the entry for ``key`` if resident (counts as a lookup)."""
-        self.stats.lookups += 1
-        entry = self._sets[self._index(key)].get(self._tag(key))
+        stats = self.stats
+        stats.lookups += 1
+        entry = self._sets[key & self._set_mask].get(key >> self._index_bits)
         if entry is not None:
-            self.stats.hits += 1
+            stats.hits += 1
         return entry
 
     def peek(self, key: int) -> Optional[SignatureCacheEntry]:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from typing import Tuple
 
-#: Every simulation engine, in documentation order:
+#: Every simulation engine, in documentation order.  Both drive the same
+#: predictor object; an engine selects the cache model and replay loop:
 #:
 #: * ``"fast"``   — the compiled replay kernel where the run qualifies,
-#:   else flat-array caches + the fast per-access predictor protocol
-#:   (the default; see :mod:`repro.sim.vector_replay`);
-#: * ``"legacy"`` — the original object-per-access reference models, kept
-#:   for equivalence testing and benchmarking.
+#:   else flat-array caches and a columnar loop (the default; see
+#:   :mod:`repro.sim.vector_replay`);
+#: * ``"legacy"`` — the original object-per-access cache model and loop,
+#:   kept for equivalence testing and benchmarking.
 ENGINES: Tuple[str, ...] = ("fast", "legacy")
 
 #: The engine applied when a spec or simulator does not choose one.  Specs

@@ -251,7 +251,7 @@ def simulate_multicore(spec: MulticoreSpec, trace_store=None, observer=None) -> 
                 trace = shift_addresses(trace, index * spec.address_shift)
             traces.append(trace)
     prefetchers = [
-        build_predictor(name, predictor_config, engine=spec.engine)
+        build_predictor(name, predictor_config)
         for name, predictor_config in zip(spec.core_predictors, spec.core_predictor_configs)
     ]
     simulator = MulticoreSimulator(

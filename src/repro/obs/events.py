@@ -34,9 +34,11 @@ Event types
     content hash), ``benchmark``, ``predictor``, ``sim``,
     ``duration_s``, ``cache_hit``, the per-phase ``phases`` split
     measured where the point actually ran (in-process or in a pool
-    worker), and ``tiers``, the tier each phase that reports one ran on
+    worker), ``tiers``, the tier each phase that reports one ran on
     (phase name → tier, e.g. ``{"replay": "kernel-ltcords", "settle":
-    "kernel-timing"}``; ``{}`` for a cache hit).
+    "kernel-timing"}``; ``{}`` for a cache hit), and ``fallbacks``, why
+    a phase fell from the kernel to the interpreted tier (phase name →
+    reason, e.g. ``{"replay": "kill-switch"}``; ``{}`` when none did).
 ``warning``
     Something recoverable went wrong (e.g. a corrupt cache entry):
     ``message`` plus free-form context fields.
@@ -183,9 +185,9 @@ def check_events(
     Checks every record's schema version and type, that each required
     event type occurs at least once, and that every ``point_done`` event
     carries the fields the campaign contract promises (``duration_s``,
-    ``cache_hit``, ``key``; ``tiers``, when present, maps phase names to
-    tier strings).  This is the CI smoke checker behind
-    ``python -m repro obs check``.
+    ``cache_hit``, ``key``; ``tiers`` and ``fallbacks``, when present, map
+    phase names to tier and fallback-reason strings).  This is the CI
+    smoke checker behind ``python -m repro obs check``.
     """
     problems: List[str] = []
     seen_types: Dict[str, int] = {}
@@ -204,11 +206,14 @@ def check_events(
             for field in ("duration_s", "cache_hit", "key"):
                 if field not in event:
                     problems.append(f"event {index}: point_done missing {field!r}")
-            tiers = event.get("tiers", {})
-            if not isinstance(tiers, dict) or not all(
-                isinstance(tier, str) for tier in tiers.values()
-            ):
-                problems.append(f"event {index}: point_done 'tiers' is not a phase → tier dict")
+            for field, what in (("tiers", "tier"), ("fallbacks", "reason")):
+                values = event.get(field, {})
+                if not isinstance(values, dict) or not all(
+                    isinstance(value, str) for value in values.values()
+                ):
+                    problems.append(
+                        f"event {index}: point_done {field!r} is not a phase → {what} dict"
+                    )
         if event_type == "phase":
             if "name" not in event:
                 problems.append(f"event {index}: phase missing 'name'")

@@ -5,8 +5,9 @@ folded into one JSON-safe summary dict — event counts by type, per-phase
 duration statistics (count / total / p50 / p95 / p99, from both
 standalone ``phase`` events and the per-point ``phases`` splits inside
 ``point_done`` events), point-level latency percentiles with cache-hit
-accounting, computed points counted by the tier their replay ran on, and
-any warnings — plus a human-readable rendering.
+accounting, computed points counted by the tier their replay ran on and
+by the reason any phase fell back from the kernel, and any warnings —
+plus a human-readable rendering.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     computed_durations: List[float] = []
     cache_hits = 0
     replay_tiers: Dict[str, int] = {}
+    fallbacks: Dict[str, int] = {}
     warnings: List[str] = []
     runs = 0
     total_duration = 0.0
@@ -56,6 +58,8 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
                 tier = (event.get("tiers") or {}).get("replay")
                 if tier is not None:
                     replay_tiers[tier] = replay_tiers.get(tier, 0) + 1
+                for reason in set((event.get("fallbacks") or {}).values()):
+                    fallbacks[reason] = fallbacks.get(reason, 0) + 1
             for name, phase_duration in (event.get("phases") or {}).items():
                 phase_histogram(name).record(float(phase_duration))
         elif event_type == "warning":
@@ -84,6 +88,7 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             "computed_duration": percentiles(computed_durations),
             "cached_duration": percentiles(cached_durations),
             "replay_tiers": dict(sorted(replay_tiers.items())),
+            "fallbacks": dict(sorted(fallbacks.items())),
         },
         "warnings": warnings,
     }
@@ -121,6 +126,11 @@ def format_summary(summary: Dict[str, Any]) -> str:
         if points["replay_tiers"]:
             tiers = ", ".join(f"{tier}={count}" for tier, count in points["replay_tiers"].items())
             lines.append(f"  computed by replay tier: {tiers}")
+        if points["fallbacks"]:
+            reasons = ", ".join(
+                f"{reason}={count}" for reason, count in points["fallbacks"].items()
+            )
+            lines.append(f"  fell back from the kernel: {reasons}")
 
     if summary["phases"]:
         lines.append(f"{'phase':<16} {'count':>6} {'total':>10} {'p50':>10} {'p95':>10} {'p99':>10}")

@@ -14,17 +14,14 @@
 
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher, PrefetcherStats
 from repro.prefetchers.null import NullPrefetcher
-from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher, FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StrideConfig, StridePrefetcher
+from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher
+from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
+from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 
 __all__ = [
     "AccessOutcome",
     "DBCPConfig",
     "DBCPPrefetcher",
-    "FastDBCPPrefetcher",
-    "FastGHBPrefetcher",
-    "FastStridePrefetcher",
     "GHBConfig",
     "GHBPrefetcher",
     "NullPrefetcher",

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cache.config import CacheConfig, L1D_CONFIG
-from repro.core.history import FastHistoryTable, HistoryTable
+from repro.core.history import HistoryTable
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher
-from repro.core.signatures import _HASH_INCREMENT, _HASH_MULTIPLIER, _MASK_64, SignatureConfig
-
-#: Shared immutable "no prefetches" result of the fast per-access paths.
-_NO_COMMANDS = ()
+from repro.core.signatures import SignatureConfig
 
 
 @dataclass(frozen=True)
@@ -45,6 +42,9 @@ class DBCPConfig:
             raise ValueError("table_entries must be positive or None for unlimited")
         if not 0 <= self.initial_confidence <= self.max_confidence:
             raise ValueError("initial_confidence must lie within the counter range")
+        if self.max_confidence >= 256:
+            # The compiled kernel packs a table entry as (predicted << 8) | confidence.
+            raise ValueError("max_confidence must fit an 8-bit confidence counter")
 
     @property
     def is_unlimited(self) -> bool:
@@ -194,274 +194,6 @@ class DBCPPrefetcher(Prefetcher):
     def on_prefetch_evicted_unused(self, block_address: int, tag: Optional[object]) -> None:
         super().on_prefetch_evicted_unused(block_address, tag)
         self._update_confidence(block_address, tag, -1)
-
-    def table_utilization_bytes(self) -> int:
-        """Bytes of correlation data currently resident in the table."""
-        return len(self._table) * self.config.signature_config.stored_bytes
-
-
-class FastDBCPPrefetcher(Prefetcher):
-    """Flat-state DBCP used by the fast engine (bit-identical to the original).
-
-    The correlation table is one insertion-ordered map from signature key
-    to a packed ``(predicted_address << 8) | confidence`` integer — no
-    per-entry objects, and LRU refresh/eviction become ``pop``/reinsert
-    and ``next(iter(...))`` on the same map, exactly reproducing the
-    legacy ``OrderedDict`` semantics.  The per-access path implements the
-    fast protocol (:attr:`Prefetcher.on_access_fast`): the history-table
-    update is fused inline, the returned command buffer is reused, and
-    observation counters are settled by the simulator in bulk.
-    """
-
-    name = "dbcp"
-
-    def __init__(self, config: Optional[DBCPConfig] = None) -> None:
-        super().__init__()
-        self.config = config or DBCPConfig()
-        if self.config.max_confidence >= 256:
-            raise ValueError("max_confidence must fit the 8-bit packed confidence field")
-        self.history = FastHistoryTable(self.config.cache_config, self.config.signature_config)
-        # Insertion order is LRU order: most recently used last.
-        self._table: Dict[int, int] = {}
-        self.dbcp_stats = DBCPStats()
-        self._outstanding: Dict[int, int] = {}  # prefetched block address -> signature key
-        self._confidence_threshold = self.config.confidence_threshold
-        self._table_entries = self.config.table_entries
-        self._initial_confidence = self.config.initial_confidence
-        self._max_confidence = self.config.max_confidence
-        # History internals hoisted for the fused per-access hot path.
-        self._blocks = self.history._blocks
-        self._block_mask = self.history._block_mask
-        self._key_bits = self.history._key_bits
-        self._key_mask = self.history._key_mask
-        self._closed_fold = self._key_bits >= 32
-        # One reusable command (and its wrapper list): the simulator reads
-        # the fields before the next on_access_fast call.
-        self._command = PrefetchCommand(0)
-        self._commands = [self._command]
-        # The per-access and per-install entry points are closures over the
-        # hot state: every map, counter and constant is a cell variable
-        # instead of a chain of attribute loads, and the history-table
-        # eviction fold plus the table-record step are fused inline (these
-        # run once per committed reference / once per installed prefetch).
-        self.on_access_fast = self._make_on_access_fast()
-        self.on_prefetch_installed = self._make_on_prefetch_installed()
-
-    def _make_on_access_fast(self):
-        history = self.history
-        observe_eviction = history.observe_eviction
-        record = self._record
-        fold = history._fold
-        blocks = self._blocks
-        history_stats = history.stats
-        table = self._table
-        outstanding = self._outstanding
-        stats = self.stats
-        dbcp_stats = self.dbcp_stats
-        command = self._command
-        commands = self._commands
-        block_mask = self._block_mask
-        key_bits = self._key_bits
-        key_mask = self._key_mask
-        closed_fold = self._closed_fold
-        confidence_threshold = self._confidence_threshold
-        initial_confidence = self._initial_confidence
-        table_entries = self._table_entries
-        multiplier = _HASH_MULTIPLIER
-        increment = _HASH_INCREMENT
-        mask64 = _MASK_64
-
-        def on_access_fast(pc, address, block_address, l1_hit, evicted_address):
-            if not l1_hit and evicted_address is not None:
-                if closed_fold:
-                    # FastHistoryTable.observe_eviction + _record, fused.
-                    history_stats.evictions += 1
-                    evicted_block = evicted_address & block_mask
-                    history_entry = blocks.pop(evicted_block, None)
-                    if history_entry is None:
-                        evicted_hash = evicted_previous = 0
-                        history_stats.cold_evictions += 1
-                        history_entry = [0, evicted_block]
-                    else:
-                        evicted_hash = history_entry[0]
-                        evicted_previous = history_entry[1]
-                        history_entry[0] = 0
-                        history_entry[1] = evicted_block
-                    raw = ((evicted_hash ^ evicted_previous) * multiplier + increment) & mask64
-                    raw = ((raw ^ evicted_block) * multiplier + increment) & mask64
-                    key = (raw & key_mask) ^ (raw >> key_bits)
-                    predicted = block_address & block_mask
-                    blocks[predicted] = history_entry
-                    packed = table.pop(key, -1)
-                    if packed >= 0:
-                        table[key] = (predicted << 8) | (packed & 255)
-                    else:
-                        if table_entries is not None and len(table) >= table_entries:
-                            del table[next(iter(table))]
-                            dbcp_stats.table_evictions += 1
-                        table[key] = (predicted << 8) | initial_confidence
-                        dbcp_stats.signatures_recorded += 1
-                else:
-                    key, predicted = observe_eviction(evicted_address, block_address)
-                    record(key, predicted)
-
-            # FastHistoryTable.observe_access, fused inline (the hot path:
-            # one map probe plus five multiply-xor folds).
-            block = address & block_mask
-            entry = blocks.get(block)
-            if entry is None:
-                entry = [0, 0]
-                blocks[block] = entry
-            trace_hash = ((entry[0] ^ pc) * multiplier + increment) & mask64
-            entry[0] = trace_hash
-            raw = ((trace_hash ^ entry[1]) * multiplier + increment) & mask64
-            raw = ((raw ^ block) * multiplier + increment) & mask64
-            if closed_fold:
-                candidate_key = (raw & key_mask) ^ (raw >> key_bits)
-            else:
-                candidate_key = fold(raw)
-
-            packed = table.pop(candidate_key, -1)
-            if packed < 0:
-                return _NO_COMMANDS
-            table[candidate_key] = packed  # a table hit refreshes the LRU position
-            dbcp_stats.table_hits += 1
-            if (packed & 255) < confidence_threshold:
-                dbcp_stats.low_confidence_suppressions += 1
-                return _NO_COMMANDS
-            stats.predictions_issued += 1
-            predicted_address = packed >> 8
-            outstanding[predicted_address] = candidate_key
-            command.address = predicted_address
-            command.victim_address = block_address
-            command.tag = candidate_key
-            return commands
-
-        return on_access_fast
-
-    def _make_on_prefetch_installed(self):
-        observe_eviction = self.history.observe_eviction
-        record = self._record
-        blocks = self._blocks
-        history_stats = self.history.stats
-        table = self._table
-        dbcp_stats = self.dbcp_stats
-        block_mask = self._block_mask
-        key_bits = self._key_bits
-        key_mask = self._key_mask
-        closed_fold = self._closed_fold
-        initial_confidence = self._initial_confidence
-        table_entries = self._table_entries
-        multiplier = _HASH_MULTIPLIER
-        increment = _HASH_INCREMENT
-        mask64 = _MASK_64
-
-        def on_prefetch_installed(address, evicted_address, tag=None):
-            """See :meth:`DBCPPrefetcher.on_prefetch_installed` (fused hot path)."""
-            if evicted_address is None:
-                return
-            if not closed_fold:
-                key, predicted = observe_eviction(evicted_address, address)
-                record(key, predicted)
-                return
-            # FastHistoryTable.observe_eviction + _record, fused.
-            history_stats.evictions += 1
-            evicted_block = evicted_address & block_mask
-            history_entry = blocks.pop(evicted_block, None)
-            if history_entry is None:
-                evicted_hash = evicted_previous = 0
-                history_stats.cold_evictions += 1
-                history_entry = [0, evicted_block]
-            else:
-                evicted_hash = history_entry[0]
-                evicted_previous = history_entry[1]
-                history_entry[0] = 0
-                history_entry[1] = evicted_block
-            raw = ((evicted_hash ^ evicted_previous) * multiplier + increment) & mask64
-            raw = ((raw ^ evicted_block) * multiplier + increment) & mask64
-            key = (raw & key_mask) ^ (raw >> key_bits)
-            predicted = address & block_mask
-            blocks[predicted] = history_entry
-            packed = table.pop(key, -1)
-            if packed >= 0:
-                table[key] = (predicted << 8) | (packed & 255)
-            else:
-                if table_entries is not None and len(table) >= table_entries:
-                    del table[next(iter(table))]
-                    dbcp_stats.table_evictions += 1
-                table[key] = (predicted << 8) | initial_confidence
-                dbcp_stats.signatures_recorded += 1
-
-        return on_prefetch_installed
-
-    # ------------------------------------------------------------------ table
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def _record(self, key: int, predicted_address: int) -> None:
-        table = self._table
-        packed = table.pop(key, -1)
-        if packed >= 0:
-            table[key] = (predicted_address << 8) | (packed & 255)
-            return
-        if self._table_entries is not None and len(table) >= self._table_entries:
-            del table[next(iter(table))]
-            self.dbcp_stats.table_evictions += 1
-        table[key] = (predicted_address << 8) | self._initial_confidence
-        self.dbcp_stats.signatures_recorded += 1
-
-    # ------------------------------------------------------------------ protocol
-    def on_access(self, outcome: AccessOutcome) -> List[PrefetchCommand]:
-        stats = self.stats
-        stats.accesses_observed += 1
-        if not outcome.l1_hit:
-            stats.misses_observed += 1
-        access = outcome.access
-        commands = self.on_access_fast(
-            access.pc, access.address, outcome.block_address, outcome.l1_hit, outcome.evicted_address
-        )
-        # Detach from the reused buffer: generic callers may retain the list.
-        return [PrefetchCommand(c.address, c.victim_address, c.tag) for c in commands]
-
-    # on_prefetch_installed is bound per instance in __init__ (see
-    # _make_on_prefetch_installed): the history-eviction fold and the
-    # table-record step are fused into one closure.
-
-    # ------------------------------------------------------------------ feedback
-    # Both callbacks are flattened (no super()/helper dispatch): they run
-    # once per consumed or wasted prefetch, a hot path on
-    # prefetch-friendly benchmarks.  Stored confidences always sit inside
-    # [0, max_confidence], so each direction needs only its own clamp.
-
-    def on_prefetch_used(self, block_address: int, tag: Optional[object]) -> None:
-        self.stats.prefetches_used += 1
-        key = self._outstanding.pop(block_address, None)
-        if key is None and isinstance(tag, int):
-            key = tag
-        if key is None:
-            return
-        table = self._table
-        packed = table.get(key)
-        if packed is not None:
-            confidence = (packed & 255) + 1
-            if confidence > self._max_confidence:
-                confidence = self._max_confidence
-            table[key] = (packed & ~255) | confidence
-
-    def on_prefetch_evicted_unused(self, block_address: int, tag: Optional[object]) -> None:
-        self.stats.prefetches_evicted_unused += 1
-        key = self._outstanding.pop(block_address, None)
-        if key is None and isinstance(tag, int):
-            key = tag
-        if key is None:
-            return
-        table = self._table
-        packed = table.get(key)
-        if packed is not None:
-            confidence = (packed & 255) - 1
-            if confidence < 0:
-                confidence = 0
-            table[key] = (packed & ~255) | confidence
 
     def table_utilization_bytes(self) -> int:
         """Bytes of correlation data currently resident in the table."""

@@ -21,9 +21,6 @@ from typing import List, Optional
 
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher
 
-#: Shared immutable "no prefetches" result of the fast per-access path.
-_NO_COMMANDS = ()
-
 
 @dataclass(frozen=True)
 class GHBConfig:
@@ -69,11 +66,10 @@ class GHBStats:
 def _delta_correlate(history: List[int], degree: int, stats: "GHBStats") -> List[int]:
     """PC/DC prediction from a most-recent-first miss history.
 
-    Shared by both engine implementations so the correlation search can
-    never drift between them: delta-correlate on the history, fall back
-    to a stable repeating last delta (stride behaviour), and replay the
-    predicted deltas from the newest address, stopping at ``degree``
-    predictions or a negative address.
+    Delta-correlate on the history, fall back to a stable repeating last
+    delta (stride behaviour), and replay the predicted deltas from the
+    newest address, stopping at ``degree`` predictions or a negative
+    address.
     """
     if len(history) < 3:
         stats.chains_too_short += 1
@@ -192,116 +188,3 @@ class GHBPrefetcher(Prefetcher):
             self.stats.predictions_issued += 1
             commands.append(PrefetchCommand(address=aligned, victim_address=None, tag=outcome.access.pc))
         return commands
-
-
-class FastGHBPrefetcher(Prefetcher):
-    """Flat-buffer GHB PC/DC used by the fast engine (bit-identical).
-
-    The global history buffer is four flat preallocated slot arrays
-    (address, PC, link serial, stored serial) instead of per-slot
-    ``_GHBEntry`` objects; link walking is plain index arithmetic with a
-    serial validity floor, exactly as the legacy ``_entry_by_serial``
-    computes it.  The index table is one insertion-ordered map from PC to
-    newest serial (LRU via ``pop``/reinsert and ``next(iter(...))``).
-    Implements the fast per-access protocol (see :class:`Prefetcher`):
-    L1 hits return immediately and observation counters are settled by
-    the simulator in bulk.
-    """
-
-    name = "ghb"
-
-    def __init__(self, config: Optional[GHBConfig] = None) -> None:
-        super().__init__()
-        self.config = config or GHBConfig()
-        entries = self.config.ghb_entries
-        self._entries = entries
-        # Flat slot storage; a slot is live when its stored serial matches
-        # the serial that wrote it (serials start at 1, 0 means "none").
-        self._slot_address = [0] * entries
-        self._slot_pc = [0] * entries
-        self._slot_link = [0] * entries
-        self._slot_serial = [0] * entries
-        self._head = 0  # next slot to fill
-        self._serial = 0  # monotonically increasing entry id
-        #: pc -> newest serial for that PC; insertion order is LRU order.
-        self._index_table: dict = {}
-        self._index_entries = self.config.index_table_entries
-        self._history_depth = self.config.history_depth
-        self._degree = self.config.degree
-        self._block_mask = ~(self.config.block_size - 1)
-        self.ghb_stats = GHBStats()
-
-    # ------------------------------------------------------------------ delta correlation
-    def _predict(self, history: List[int]) -> List[int]:
-        """Delta-correlate on the per-PC history (shared implementation)."""
-        return _delta_correlate(history, self._degree, self.ghb_stats)
-
-    # ------------------------------------------------------------------ fast protocol
-    def on_access_fast(self, pc, address, block_address, l1_hit, evicted_address):
-        if l1_hit:
-            return _NO_COMMANDS
-
-        # Insert the miss into the ring (legacy _insert_miss, flattened).
-        serial = self._serial + 1
-        self._serial = serial
-        index_table = self._index_table
-        previous = index_table.pop(pc, 0)
-        if previous == 0 and len(index_table) >= self._index_entries:
-            del index_table[next(iter(index_table))]
-        index_table[pc] = serial
-        head = self._head
-        slot_address = self._slot_address
-        slot_pc = self._slot_pc
-        slot_link = self._slot_link
-        slot_serial = self._slot_serial
-        slot_address[head] = block_address
-        slot_pc[head] = pc
-        slot_link[head] = previous
-        slot_serial[head] = serial
-        head += 1
-        self._head = head if head < self._entries else 0
-        self.ghb_stats.misses_inserted += 1
-
-        # Walk the per-PC chain (legacy _pc_history): serials at or below
-        # the floor have been overwritten; a stale slot ends the chain.
-        history = [block_address]
-        entries = self._entries
-        serial_floor = serial - entries
-        depth = self._history_depth
-        current = previous
-        while current > serial_floor and current > 0 and len(history) < depth:
-            slot = (current - 1) % entries
-            if slot_serial[slot] != current or slot_pc[slot] != pc:
-                break
-            history.append(slot_address[slot])
-            current = slot_link[slot]
-
-        predictions = self._predict(history)
-        if not predictions:
-            return _NO_COMMANDS
-        commands: List[PrefetchCommand] = []
-        seen = set()
-        mask = self._block_mask
-        for predicted in predictions:
-            aligned = predicted & mask
-            if aligned == block_address or aligned in seen:
-                continue
-            seen.add(aligned)
-            self.stats.predictions_issued += 1
-            commands.append(PrefetchCommand(address=aligned, victim_address=None, tag=pc))
-        return commands
-
-    # ------------------------------------------------------------------ protocol
-    def on_access(self, outcome: AccessOutcome) -> List[PrefetchCommand]:
-        self.stats.accesses_observed += 1
-        if not outcome.l1_hit:
-            self.stats.misses_observed += 1
-        return list(
-            self.on_access_fast(
-                outcome.access.pc,
-                outcome.access.address,
-                outcome.block_address,
-                outcome.l1_hit,
-                outcome.evicted_address,
-            )
-        )

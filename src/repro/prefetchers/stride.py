@@ -15,9 +15,6 @@ from typing import List, Optional
 
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher
 
-#: Shared immutable "no prefetches" result of the fast per-access path.
-_NO_COMMANDS = ()
-
 
 @dataclass(frozen=True)
 class StrideConfig:
@@ -106,81 +103,3 @@ class StridePrefetcher(Prefetcher):
             self.stats.predictions_issued += 1
             commands.append(PrefetchCommand(address=aligned, victim_address=None, tag=pc))
         return commands
-
-
-class FastStridePrefetcher(Prefetcher):
-    """Flat-state stride predictor used by the fast engine (bit-identical).
-
-    The reference prediction table is one insertion-ordered map from PC
-    to a flat ``[last_address, stride, confidence]`` record; LRU refresh
-    and eviction are ``pop``/reinsert and ``next(iter(...))`` on that
-    map, reproducing the legacy ``OrderedDict`` exactly.  Implements the
-    fast per-access protocol (see :class:`Prefetcher`), so observation
-    counters are settled by the simulator in bulk.
-    """
-
-    name = "stride"
-
-    def __init__(self, config: Optional[StrideConfig] = None) -> None:
-        super().__init__()
-        self.config = config or StrideConfig()
-        #: pc -> [last_address, stride, confidence]; insertion order is LRU order.
-        self._table: dict = {}
-        self._table_entries = self.config.table_entries
-        self._train_threshold = self.config.train_threshold
-        self._degree = self.config.degree
-        self._block_mask = ~(self.config.block_size - 1)
-
-    # ------------------------------------------------------------------ fast protocol
-    def on_access_fast(self, pc, address, block_address, l1_hit, evicted_address):
-        table = self._table
-        entry = table.pop(pc, None)
-        if entry is None:
-            if len(table) >= self._table_entries:
-                del table[next(iter(table))]
-            table[pc] = [address, 0, 0]
-            return _NO_COMMANDS
-        table[pc] = entry  # every probe refreshes the LRU position
-
-        stride = address - entry[0]
-        if stride == entry[1] and stride != 0:
-            confidence = entry[2] + 1
-            if confidence > 3:
-                confidence = 3
-            entry[2] = confidence
-        else:
-            confidence = 0
-            entry[2] = 0
-            entry[1] = stride
-        entry[0] = address
-
-        if l1_hit or confidence < self._train_threshold:
-            return _NO_COMMANDS
-
-        commands = []
-        mask = self._block_mask
-        seen = set()
-        stride = entry[1]
-        for k in range(1, self._degree + 1):
-            target = address + stride * k
-            if target < 0:
-                break
-            aligned = target & mask
-            if aligned == block_address or aligned in seen:
-                continue
-            seen.add(aligned)
-            self.stats.predictions_issued += 1
-            commands.append(PrefetchCommand(address=aligned, victim_address=None, tag=pc))
-        return commands
-
-    # ------------------------------------------------------------------ protocol
-    def on_access(self, outcome: AccessOutcome) -> List[PrefetchCommand]:
-        self.stats.accesses_observed += 1
-        if outcome.l1_miss:
-            self.stats.misses_observed += 1
-        access = outcome.access
-        return list(
-            self.on_access_fast(
-                access.pc, access.address, outcome.block_address, outcome.l1_hit, outcome.evicted_address
-            )
-        )

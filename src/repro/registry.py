@@ -1,8 +1,8 @@
 """Public plugin registries: predictors, workloads, and config classes.
 
 This module is the single source of truth for *what exists* in the
-reproduction: which predictors can be built (and from which class per
-engine), which synthetic benchmarks can generate traces, and which
+reproduction: which predictors can be built (one class each, whatever
+the engine), which synthetic benchmarks can generate traces, and which
 configuration dataclasses are allowed to travel through campaign
 serialisation (process-pool transport and the on-disk result cache).
 
@@ -40,20 +40,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.core.interface import Prefetcher
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
-from repro.engines import ENGINES, validate_engine
+from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 from repro.core.sequence_storage import SequenceStorageConfig
 from repro.core.signature_cache import SignatureCacheConfig
 from repro.core.signatures import SignatureConfig
-from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher, FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
+from repro.engines import ENGINES
+from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher
+from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StrideConfig, StridePrefetcher
+from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 
-#: Implementation families a predictor entry may provide, re-exported
-#: from :mod:`repro.engines` (the single source of truth).  Entries
-#: without a dedicated class for an engine fall back to their ``fast``
-#: class — see :meth:`PredictorEntry.build`.
+#: The engine names, re-exported from :mod:`repro.engines` (the single
+#: source of truth) for the CLI's choice lists.
 ENGINE_NAMES: Tuple[str, ...] = ENGINES
 
 # ---------------------------------------------------------------------------
@@ -91,28 +89,28 @@ def register_config_class(cls: Type[Any]) -> Type[Any]:
 
 @dataclass(frozen=True)
 class PredictorEntry:
-    """One registered predictor: per-engine classes, config, and metadata."""
+    """One registered predictor: its class, config, and metadata.
+
+    Every engine builds the same class; the engine selects only the cache
+    model and replay loop the predictor runs under.
+    """
 
     name: str
-    engines: Mapping[str, Type[Prefetcher]]
+    cls: Type[Prefetcher]
     config_class: Optional[Type[Any]] = None
     default_config: Optional[Callable[[], Any]] = None
     description: str = ""
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
-    def build(self, config: Optional[object] = None, engine: str = "fast") -> Prefetcher:
-        """Instantiate the predictor for ``engine`` with ``config`` (or the default).
-
-        Engines without a dedicated class fall back to the ``fast`` class.
-        """
-        cls = self.engines.get(engine) or self.engines["fast"]
+    def build(self, config: Optional[object] = None) -> Prefetcher:
+        """Instantiate the predictor with ``config`` (or the default)."""
         if self.config_class is None:
             # Config-free predictors (e.g. "none") ignore a passed config,
             # matching the historical build_predictor behaviour.
-            return cls()
+            return self.cls()
         if config is None:
             config = self.default_config() if self.default_config is not None else None
-        return cls(config) if config is not None else cls()
+        return self.cls(config) if config is not None else self.cls()
 
 
 _PREDICTORS: Dict[str, PredictorEntry] = {}
@@ -120,9 +118,8 @@ _PREDICTORS: Dict[str, PredictorEntry] = {}
 
 def register_predictor(
     name: str,
-    fast: Optional[Type[Prefetcher]] = None,
+    cls: Optional[Type[Prefetcher]] = None,
     *,
-    legacy: Optional[Type[Prefetcher]] = None,
     config_class: Optional[Type[Any]] = None,
     default_config: Optional[Callable[[], Any]] = None,
     description: str = "",
@@ -130,16 +127,12 @@ def register_predictor(
 ):
     """Register a predictor under ``name``.
 
-    Called with classes (``register_predictor("dbcp", fast=..., legacy=...)``)
+    Called with a class (``register_predictor("dbcp", DBCPPrefetcher)``)
     it registers immediately and returns the :class:`PredictorEntry`.
-    Called with only keyword metadata it returns a class decorator that
-    registers the decorated class for every engine::
+    Called with only keyword metadata it returns a class decorator::
 
         @register_predictor("markov", config_class=MarkovConfig)
         class MarkovPrefetcher(Prefetcher): ...
-
-    Per-engine classes are optional beyond ``fast``: ``legacy`` defaults
-    to the fast class.
 
     ``config_class`` is also added to :data:`CONFIG_CLASSES` so specs
     carrying the predictor's configuration serialise through campaigns;
@@ -147,15 +140,14 @@ def register_predictor(
     arguments).
     """
 
-    def _register(fast_cls: Type[Prefetcher], legacy_cls: Optional[Type[Prefetcher]]) -> PredictorEntry:
+    def _register(predictor_cls: Type[Prefetcher]) -> PredictorEntry:
         if name in _PREDICTORS:
             raise ValueError(f"predictor {name!r} is already registered")
         if config_class is not None:
             register_config_class(config_class)
-        engines = {"fast": fast_cls, "legacy": legacy_cls if legacy_cls is not None else fast_cls}
         entry = PredictorEntry(
             name=name,
-            engines=engines,
+            cls=predictor_cls,
             config_class=config_class,
             default_config=default_config if default_config is not None else config_class,
             description=description,
@@ -164,13 +156,13 @@ def register_predictor(
         _PREDICTORS[name] = entry
         return entry
 
-    if fast is None and legacy is None:
-        def decorator(cls: Type[Prefetcher]) -> Type[Prefetcher]:
-            _register(cls, None)
-            return cls
+    if cls is None:
+        def decorator(predictor_cls: Type[Prefetcher]) -> Type[Prefetcher]:
+            _register(predictor_cls)
+            return predictor_cls
 
         return decorator
-    return _register(fast if fast is not None else legacy, legacy)
+    return _register(cls)
 
 
 def unregister_predictor(name: str) -> None:
@@ -203,16 +195,9 @@ def predictor_entry(name: str) -> PredictorEntry:
         ) from None
 
 
-def build_predictor(name: str, config: Optional[object] = None, engine: str = "fast") -> Prefetcher:
-    """Construct a registered predictor by name.
-
-    ``engine`` selects the implementation family: ``"fast"`` (flat-state
-    predictors implementing the allocation-free per-access protocol, the
-    default) or ``"legacy"`` (the original object-based models).  Both
-    produce bit-identical simulation results.
-    """
-    validate_engine(engine)
-    return predictor_entry(name).build(config, engine)
+def build_predictor(name: str, config: Optional[object] = None) -> Prefetcher:
+    """Construct a registered predictor by name (the same object for every engine)."""
+    return predictor_entry(name).build(config)
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +283,31 @@ for _cls in (SignatureConfig, SignatureCacheConfig, SequenceStorageConfig):
     register_config_class(_cls)
 
 register_predictor(
-    "ltcords", fast=FastLTCordsPrefetcher, legacy=LTCordsPrefetcher,
+    "ltcords", LTCordsPrefetcher,
     config_class=LTCordsConfig,
     description="last-touch correlated data streaming (the paper's predictor)",
 )
 register_predictor(
-    "dbcp", fast=FastDBCPPrefetcher, legacy=DBCPPrefetcher,
+    "dbcp", DBCPPrefetcher,
     config_class=DBCPConfig,
     description="dead-block correlating prefetcher (Lai et al.)",
 )
 register_predictor(
-    "dbcp-unlimited", fast=FastDBCPPrefetcher, legacy=DBCPPrefetcher,
+    "dbcp-unlimited", DBCPPrefetcher,
     config_class=DBCPConfig, default_config=DBCPConfig.unlimited,
     description="DBCP with unbounded correlation-table storage (oracle)",
 )
 register_predictor(
-    "ghb", fast=FastGHBPrefetcher, legacy=GHBPrefetcher,
+    "ghb", GHBPrefetcher,
     config_class=GHBConfig,
     description="global history buffer PC/DC delta-correlation prefetcher",
 )
 register_predictor(
-    "stride", fast=FastStridePrefetcher, legacy=StridePrefetcher,
+    "stride", StridePrefetcher,
     config_class=StrideConfig,
     description="per-PC reference-prediction-table stride prefetcher",
 )
 register_predictor(
-    "none", fast=NullPrefetcher,
+    "none", NullPrefetcher,
     description="no prefetching (baseline)",
 )

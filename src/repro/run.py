@@ -83,7 +83,7 @@ def execute_spec(
             spec.benchmark,
             prefetcher=prefetcher
             if prefetcher is not None
-            else build_predictor(spec.predictor, spec.predictor_config, engine=spec.engine),
+            else build_predictor(spec.predictor, spec.predictor_config),
             num_accesses=spec.num_accesses,
             seed=spec.seed,
             hierarchy_config=spec.hierarchy_config,
@@ -95,7 +95,7 @@ def execute_spec(
         from repro.sim.timing import _simulate_speedup
 
         if prefetcher is None and spec.predictor != "none":
-            prefetcher = build_predictor(spec.predictor, spec.predictor_config, engine=spec.engine)
+            prefetcher = build_predictor(spec.predictor, spec.predictor_config)
         return _simulate_speedup(
             spec.benchmark,
             prefetcher=prefetcher,

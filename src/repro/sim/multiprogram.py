@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
+from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 from repro.obs.timers import PHASE_REPLAY, PHASE_SETTLE, PHASE_TRACE_ACQUIRE
 from repro.obs.timers import phase as obs_phase
 from repro.sim.trace_driven import OUTCOME_BASE_MISS, OUTCOME_LEVEL_MASK, TraceDrivenSimulator
@@ -158,11 +158,10 @@ def _simulate_pair(
             name=f"{primary}+{secondary}",
         )
 
-    predictor_class = LTCordsPrefetcher if engine == "legacy" else FastLTCordsPrefetcher
     outcomes = array("b")
     paired, *standalone = (
         TraceDrivenSimulator(
-            prefetcher=predictor_class(ltcords_config),
+            prefetcher=LTCordsPrefetcher(ltcords_config),
             hierarchy_config=hierarchy_config,
             engine=engine,
             outcomes=column,

@@ -24,10 +24,10 @@ predictor on a fresh simulator, see
 module's interpreted loop otherwise.  The interpreted loop
 iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
 locals-hoisted method references, drives the hierarchies through their
-allocation-free ``access_fast`` entry points, and calls predictors
-through ``on_access_fast`` with plain integers, or through ``on_access``
-with one reused :class:`MemoryAccess`/:class:`AccessOutcome` pair for
-predictors without the fast protocol.  The tier a replay took is
+allocation-free ``access_fast`` entry points, and calls the predictor's
+``on_access`` with one reused :class:`MemoryAccess`/:class:`AccessOutcome`
+pair.  Both engines drive the same predictor object; the engine selects
+only the cache model and the loop.  The tier a replay took is
 recorded as :attr:`TraceDrivenSimulator.last_tier` (and, for a
 kernel-eligible run that fell back, the reason as ``last_fallback``).
 ``engine="legacy"`` replays through the original object-per-access loop
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
@@ -408,10 +408,7 @@ class TraceDrivenSimulator:
         self.last_tier = "interpreted"
         _INTERPRETED_REPLAYS.inc()
         columns = trace.as_arrays()
-        # Only the on_access protocol reads icounts; a constant spares the
-        # fast protocol an int object per access.
-        icounts = columns.icount if self.prefetcher.on_access_fast is None else repeat(0)
-        rows = zip(columns.pc, columns.address, columns.is_write, icounts)
+        rows = zip(columns.pc, columns.address, columns.is_write, columns.icount)
         return _resumable(self._fast_loop(rows), len(columns))
 
     def _settle_hierarchy_stats(
@@ -469,15 +466,12 @@ class TraceDrivenSimulator:
         settles the counters.  The hierarchy walk is flattened into this
         loop — the four caches
         are driven through ``access_fast`` directly and the per-hierarchy
-        demand counters are settled in bulk afterwards — so a reference
-        allocates nothing.  Predictors implementing the fast per-access
-        protocol get ``on_access_fast`` with plain integers (their
-        ``accesses_observed`` / ``misses_observed`` counters are settled
-        after the loop); any other predictor gets ``on_access`` with one
-        reused :class:`MemoryAccess`/:class:`AccessOutcome` view.  Command
-        buffers returned by the predictor may be reused — each one is
-        consumed before the next call.  The main hierarchy's demand
-        allocations into a shared L2 are reported to it here.
+        demand counters are settled in bulk afterwards — so the cache walk
+        allocates nothing.  The predictor gets ``on_access`` with one
+        reused :class:`MemoryAccess`/:class:`AccessOutcome` view; its
+        returned commands are consumed before the next call.  The main
+        hierarchy's demand allocations into a shared L2 are reported to
+        it here.
         """
         baseline = self.baseline
         hierarchy = self.hierarchy
@@ -496,7 +490,6 @@ class TraceDrivenSimulator:
         core = hierarchy.core
 
         prefetcher = self.prefetcher
-        on_access_fast = prefetcher.on_access_fast
         on_access = prefetcher.on_access
         on_prefetch_used = prefetcher.on_prefetch_used
         on_prefetch_installed = prefetcher.on_prefetch_installed
@@ -579,21 +572,18 @@ class TraceDrivenSimulator:
                     if evicted_unused:
                         notify_unused(evicted_address)
 
-                if on_access_fast is not None:
-                    commands = on_access_fast(pc, address, block_address, code, evicted_address)
-                else:
-                    access_view.pc = pc
-                    access_view.address = address
-                    access_view.access_type = store if is_write else load
-                    access_view.icount = icount
-                    outcome.block_address = block_address
-                    outcome.set_index = (address >> set_shift) & set_mask
-                    outcome.l1_hit = code != 0
-                    outcome.l2_hit = level & OUTCOME_LEVEL_MASK == 1
-                    outcome.prefetch_hit = code == 2
-                    outcome.evicted_address = evicted_address
-                    outcome.evicted_was_unused_prefetch = evicted_unused
-                    commands = on_access(outcome)
+                access_view.pc = pc
+                access_view.address = address
+                access_view.access_type = store if is_write else load
+                access_view.icount = icount
+                outcome.block_address = block_address
+                outcome.set_index = (address >> set_shift) & set_mask
+                outcome.l1_hit = code != 0
+                outcome.l2_hit = level & OUTCOME_LEVEL_MASK == 1
+                outcome.prefetch_hit = code == 2
+                outcome.evicted_address = evicted_address
+                outcome.evicted_was_unused_prefetch = evicted_unused
+                commands = on_access(outcome)
                 if commands:
                     if len(commands) == 1 and not queue_pending:
                         # Common case: one command into an empty queue, drained
@@ -626,10 +616,6 @@ class TraceDrivenSimulator:
             num_accesses, base_misses, correct, early,
             base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
         )
-        if on_access_fast is not None:
-            stats = prefetcher.stats
-            stats.accesses_observed += num_accesses
-            stats.misses_observed += num_accesses - main_l1_hits
 
     def _legacy_loop(self, accesses: Iterator[MemoryAccess]) -> ReplayLoop:
         """The original object-per-access loop (reference engine).

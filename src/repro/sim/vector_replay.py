@@ -16,15 +16,17 @@ with the kernel on and off):
    ``kernel-ltcords`` / ``kernel-ghb`` / ``kernel-stride``) — the C
    replay loops of :mod:`repro.cache.vector`, driven through
    :mod:`ctypes` over the trace's own column buffers (no NumPy).  A run
-   qualifies when its predictor is exactly one of the built-in fast
+   qualifies when its predictor is exactly one of the built-in
    predictors — the :class:`~repro.prefetchers.null.NullPrefetcher`, the
-   :class:`~repro.prefetchers.dbcp.FastDBCPPrefetcher` or the
-   :class:`~repro.core.ltcords.FastLTCordsPrefetcher` with closed-fold
+   :class:`~repro.prefetchers.dbcp.DBCPPrefetcher` or the
+   :class:`~repro.core.ltcords.LTCordsPrefetcher` with closed-fold
    signatures of 32–63 bits (the library defaults), the
-   :class:`~repro.prefetchers.ghb.FastGHBPrefetcher` or the
-   :class:`~repro.prefetchers.stride.FastStridePrefetcher` — on a fresh
+   :class:`~repro.prefetchers.ghb.GHBPrefetcher` or the
+   :class:`~repro.prefetchers.stride.StridePrefetcher` — on a fresh
    simulator, over addresses below 2^54 whose GHB/stride predictions
-   stay below 2^54 too.  A co-run qualifies when every lane does.
+   stay below 2^54 too.  A co-run qualifies when every lane does.  The
+   kernel reads the predictor's configuration from its ``config`` and
+   settles into the same statistics objects the interpreted tier fills.
 2. **Interpreted** — the simulator's own columnar loop
    (``TraceDrivenSimulator.replay_chunks``): plugin predictors, every
    kernel-eligible run that cannot take the kernel, and every core of a
@@ -68,13 +70,13 @@ from array import array
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache import vector
-from repro.core.ltcords import FastLTCordsPrefetcher
+from repro.core.ltcords import LTCordsPrefetcher
 from repro.memory.bus import TrafficCategory
 from repro.obs.metrics import REGISTRY
-from repro.prefetchers.dbcp import FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher
+from repro.prefetchers.dbcp import DBCPPrefetcher
+from repro.prefetchers.ghb import GHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher
+from repro.prefetchers.stride import StridePrefetcher
 from repro.trace.stream import TraceStream
 
 #: Kernel node pools are indexed with int32.
@@ -384,23 +386,23 @@ def _fresh(is_fresh: bool) -> Optional[str]:
 
 
 def _history_unfit(prefetcher, is_fresh: bool) -> Optional[str]:
-    """The DBCP/LT-cords gate: the kernel folds closed history keys of under 64 bits."""
-    if not (prefetcher._closed_fold and prefetcher._key_bits < 64):
+    """The DBCP/LT-cords gate: the kernel folds history keys of 32-63 bits in two terms."""
+    if not 32 <= prefetcher.config.signature_config.trace_hash_bits < 64:
         return "open-fold"
-    return _fresh(is_fresh and not prefetcher.history.stats.evictions)
+    history = prefetcher.history
+    return _fresh(is_fresh and not (history.tracked_blocks() or history.stats.evictions))
 
 
-def _dbcp_unfit(prefetcher: FastDBCPPrefetcher) -> Optional[str]:
+def _dbcp_unfit(prefetcher: DBCPPrefetcher) -> Optional[str]:
     return _history_unfit(prefetcher, not (
-        prefetcher._blocks or prefetcher._table or prefetcher._outstanding
-        or prefetcher.dbcp_stats.signatures_recorded
+        prefetcher._table or prefetcher._outstanding or prefetcher.dbcp_stats.signatures_recorded
     ))
 
 
-def _ltcords_unfit(prefetcher: FastLTCordsPrefetcher) -> Optional[str]:
+def _ltcords_unfit(prefetcher: LTCordsPrefetcher) -> Optional[str]:
     return _history_unfit(prefetcher, not (
-        prefetcher._blocks or prefetcher._outstanding or prefetcher._pending
-        or prefetcher._access_counter or prefetcher.storage.stats.signatures_recorded
+        prefetcher._outstanding or prefetcher._pending or prefetcher._access_counter
+        or prefetcher.storage.stats.signatures_recorded
         or prefetcher.signature_cache.stats.inserts
     ))
 
@@ -446,31 +448,32 @@ def _geometry_cfg(sim) -> list:
     ]
 
 
-def _history_cfg(prefetcher) -> list:
+def _history_cfg(config) -> list:
     """DBCP/LT-cords cfg slots 9-14: the history fold and confidence counter."""
+    key_bits = config.signature_config.trace_hash_bits
     return [
-        prefetcher._block_mask,
-        prefetcher._key_bits,
-        prefetcher._key_mask,
-        prefetcher._confidence_threshold,
-        prefetcher._initial_confidence,
-        prefetcher._max_confidence,
+        ~(config.cache_config.block_size - 1),
+        key_bits,
+        (1 << key_bits) - 1,
+        config.confidence_threshold,
+        config.initial_confidence,
+        config.max_confidence,
     ]
 
 
 def _dbcp_cfg(sim) -> list:
-    prefetcher = sim.prefetcher
-    table_entries = prefetcher._table_entries
-    return _history_cfg(prefetcher) + [-1 if table_entries is None else table_entries]
+    config = sim.prefetcher.config
+    table_entries = config.table_entries
+    return _history_cfg(config) + [-1 if table_entries is None else table_entries]
 
 
 def _ltcords_cfg(sim) -> list:
-    prefetcher = sim.prefetcher
-    storage = prefetcher.config.storage_config
-    signature_cache = prefetcher.config.signature_cache_config
-    return _history_cfg(prefetcher) + [
-        prefetcher._stream_window,
-        prefetcher._fetch_delay,
+    config = sim.prefetcher.config
+    storage = config.storage_config
+    signature_cache = config.signature_cache_config
+    return _history_cfg(config) + [
+        config.stream_window,
+        config.fetch_delay_accesses,
         storage.num_frames,
         int(storage.unlimited_frames),
         storage.fragment_size,
@@ -483,25 +486,25 @@ def _ltcords_cfg(sim) -> list:
 
 
 def _ghb_cfg(sim) -> list:
-    prefetcher = sim.prefetcher
+    config = sim.prefetcher.config
     return [
         sim.request_queue.capacity,
-        prefetcher._block_mask,
-        prefetcher._index_entries,
-        prefetcher._entries,
-        prefetcher._degree,
-        prefetcher._history_depth,
+        ~(config.block_size - 1),
+        config.index_table_entries,
+        config.ghb_entries,
+        config.degree,
+        config.history_depth,
     ]
 
 
 def _stride_cfg(sim) -> list:
-    prefetcher = sim.prefetcher
+    config = sim.prefetcher.config
     return [
         sim.request_queue.capacity,
-        prefetcher._block_mask,
-        prefetcher._table_entries,
-        prefetcher._degree,
-        prefetcher._train_threshold,
+        ~(config.block_size - 1),
+        config.table_entries,
+        config.degree,
+        config.train_threshold,
     ]
 
 
@@ -525,9 +528,9 @@ def _open(
     col = spill = None
     if sim.outcomes is not None:
         col = (ctypes.c_int8 * num_accesses)()
-        # Only a degree this deep can fill more blocks after one access
-        # than an outcome byte holds.
-        if getattr(sim.prefetcher, "_degree", 0) >= OUTCOME_FILL_SPILL:
+        # Only a GHB/stride degree this deep can fill more blocks after
+        # one access than an outcome byte holds.
+        if kind in ("ghb", "stride") and sim.prefetcher.config.degree >= OUTCOME_FILL_SPILL:
             spill = (ctypes.c_int64 * num_accesses)()
     cfg = _geometry_cfg(sim) + route.cfg(sim)
     cfg = (ctypes.c_int64 * len(cfg))(*cfg)
@@ -600,9 +603,11 @@ def _settle_fields(stats, fields, values) -> None:
 
 
 def _settle_with_history(sim, num_accesses: int, counters) -> None:
-    """What DBCP and LT-cords share: the above plus their history table's evictions."""
+    """What DBCP and LT-cords share: the above plus their history table's counters."""
     _settle_prefetching(sim, num_accesses, counters)
-    _settle_fields(sim.prefetcher.history.stats, ("evictions", "cold_evictions"), counters[20:22])
+    history_stats = sim.prefetcher.history.stats
+    history_stats.accesses += num_accesses  # every access folds into the history
+    _settle_fields(history_stats, ("evictions", "cold_evictions"), counters[20:22])
 
 
 def _settle_dbcp(sim, num_accesses: int, counters) -> None:
@@ -676,15 +681,15 @@ class _Route(NamedTuple):
 
 _ROUTES = {
     NullPrefetcher: _Route("baseline", lambda prefetcher: None, lambda sim: [], _settle_baseline),
-    FastDBCPPrefetcher: _Route("dbcp", _dbcp_unfit, _dbcp_cfg, _settle_dbcp),
-    FastLTCordsPrefetcher: _Route("ltcords", _ltcords_unfit, _ltcords_cfg, _settle_ltcords),
-    FastGHBPrefetcher: _Route(
+    DBCPPrefetcher: _Route("dbcp", _dbcp_unfit, _dbcp_cfg, _settle_dbcp),
+    LTCordsPrefetcher: _Route("ltcords", _ltcords_unfit, _ltcords_cfg, _settle_ltcords),
+    GHBPrefetcher: _Route(
         "ghb",
         lambda prefetcher: _fresh(prefetcher._serial == 0 and not prefetcher._index_table),
         _ghb_cfg,
         _settle_ghb,
     ),
-    FastStridePrefetcher: _Route(
+    StridePrefetcher: _Route(
         "stride", lambda prefetcher: _fresh(not prefetcher._table), _stride_cfg,
         _settle_prefetching,
     ),

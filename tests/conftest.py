@@ -8,6 +8,7 @@ from typing import Iterable, List
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.core.signatures import SignatureConfig, fold_hash, hash_combine
 
 
 def pytest_addoption(parser):
@@ -95,3 +96,54 @@ def kernel_disabled():
         yield
     finally:
         vector._KERNEL, vector._KERNEL_FAILED = saved
+
+
+class PerSetHistoryModel:
+    """Reference model of the history table as Figure 1 draws it.
+
+    Per L1D set, resident tag -> ``[pc trace hash, previous block]``, with
+    every key built by :func:`~repro.core.signatures.hash_combine` and the
+    loop :func:`~repro.core.signatures.fold_hash`.
+    :class:`~repro.core.history.HistoryTable` keys one flat map by block
+    address and folds 32-63-bit keys in two terms; both must produce the
+    same keys and counts.
+    """
+
+    def __init__(self, cache_config, signature_config=None) -> None:
+        self.cache_config = cache_config
+        self.bits = (signature_config or SignatureConfig()).trace_hash_bits
+        self.sets = [dict() for _ in range(cache_config.num_sets)]
+        self.evictions = 0
+        self.cold_evictions = 0
+
+    def _bucket(self, address: int):
+        return self.sets[self.cache_config.set_index(address)]
+
+    def _key(self, trace_hash: int, previous: int, address: int) -> int:
+        block = self.cache_config.block_address(address)
+        return fold_hash(hash_combine(hash_combine(trace_hash, previous), block), self.bits)
+
+    def observe_access(self, pc: int, address: int) -> int:
+        entry = self._bucket(address).setdefault(self.cache_config.tag(address), [0, 0])
+        entry[0] = hash_combine(entry[0], pc)
+        return self._key(entry[0], entry[1], address)
+
+    def peek_key(self, address: int) -> int:
+        trace_hash, previous = self._bucket(address).get(self.cache_config.tag(address), (0, 0))
+        return self._key(trace_hash, previous, address)
+
+    def observe_eviction(self, evicted_address: int, replacement_address: int):
+        self.evictions += 1
+        entry = self._bucket(evicted_address).pop(self.cache_config.tag(evicted_address), None)
+        if entry is None:
+            self.cold_evictions += 1
+            entry = (0, 0)
+        key = self._key(entry[0], entry[1], evicted_address)
+        evicted_block = self.cache_config.block_address(evicted_address)
+        self._bucket(replacement_address)[self.cache_config.tag(replacement_address)] = [
+            0, evicted_block,
+        ]
+        return key, self.cache_config.block_address(replacement_address)
+
+    def tracked_blocks(self) -> int:
+        return sum(len(bucket) for bucket in self.sets)

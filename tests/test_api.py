@@ -3,11 +3,12 @@
 import pytest
 
 import repro
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsPrefetcher
-from repro.prefetchers.dbcp import DBCPPrefetcher, FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBPrefetcher
+from repro.core.ltcords import LTCordsPrefetcher
+from repro.prefetchers.dbcp import DBCPPrefetcher
+from repro.prefetchers.ghb import GHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StridePrefetcher
+from repro.prefetchers.stride import StridePrefetcher
+from repro.sim.trace_driven import TraceDrivenSimulator
 
 
 class TestRegistries:
@@ -26,17 +27,17 @@ class TestBuilders:
     @pytest.mark.parametrize(
         "name,cls",
         [
-            ("ltcords", FastLTCordsPrefetcher),
-            ("dbcp", FastDBCPPrefetcher),
-            ("dbcp-unlimited", FastDBCPPrefetcher),
-            ("ghb", FastGHBPrefetcher),
-            ("stride", FastStridePrefetcher),
+            ("ltcords", LTCordsPrefetcher),
+            ("dbcp", DBCPPrefetcher),
+            ("dbcp-unlimited", DBCPPrefetcher),
+            ("ghb", GHBPrefetcher),
+            ("stride", StridePrefetcher),
             ("none", NullPrefetcher),
         ],
     )
     def test_build_predictor(self, name, cls):
-        """The default engine builds the flat fast predictor implementations."""
-        assert isinstance(repro.build_predictor(name), cls)
+        """Each name builds its one predictor class."""
+        assert type(repro.build_predictor(name)) is cls
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -50,8 +51,14 @@ class TestBuilders:
         ],
     )
     def test_build_predictor_legacy(self, name, cls):
-        """engine="legacy" builds the original object-based implementations."""
-        assert isinstance(repro.build_predictor(name, engine="legacy"), cls)
+        """The legacy engine runs the same class: the engine picks only the loop and caches."""
+        trace = repro.build_workload("gzip", num_accesses=500).generate()
+        results = []
+        for engine in ("legacy", "fast"):
+            sim = TraceDrivenSimulator(prefetcher=repro.build_predictor(name), engine=engine)
+            assert type(sim.prefetcher) is cls
+            results.append(sim.run(trace).to_dict())
+        assert results[0] == results[1]
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(KeyError):
@@ -59,7 +66,7 @@ class TestBuilders:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            repro.build_predictor("dbcp", engine="warp")
+            repro.quick_simulation("gzip", "dbcp", max_accesses=100, engine="warp")
 
     def test_build_workload(self):
         workload = repro.build_workload("swim", num_accesses=1000)

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import load_kernel
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StrideConfig, StridePrefetcher
+from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
+from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.stream import TraceColumns, TraceStream
 
@@ -39,10 +39,7 @@ BUDGET = settings(
     max_examples=60, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-PREDICTORS = {
-    "ghb": (FastGHBPrefetcher, GHBPrefetcher),
-    "stride": (FastStridePrefetcher, StridePrefetcher),
-}
+PREDICTORS = {"ghb": GHBPrefetcher, "stride": StridePrefetcher}
 
 ghb_configs = st.builds(
     GHBConfig,
@@ -127,14 +124,14 @@ def _replay(prefetcher, trace, queue_size, engine="fast"):
 
 
 def _agree(predictor, config, trace, queue_size):
-    fast, legacy = PREDICTORS[predictor]
-    sim, kernel = _replay(fast(config), trace, queue_size)
+    cls = PREDICTORS[predictor]
+    sim, kernel = _replay(cls(config), trace, queue_size)
     if load_kernel() is not None:
         assert sim.last_tier == f"kernel-{predictor}"
     with kernel_disabled():
-        interpreted_sim, interpreted = _replay(fast(config), trace, queue_size)
+        interpreted_sim, interpreted = _replay(cls(config), trace, queue_size)
     assert interpreted_sim.last_tier == "interpreted"
-    _, reference = _replay(legacy(config), trace, queue_size, engine="legacy")
+    _, reference = _replay(cls(config), trace, queue_size, engine="legacy")
     assert kernel == interpreted
     assert kernel == reference
     return kernel
@@ -202,10 +199,10 @@ def test_predictions_past_the_kernel_range_fall_back_bit_identically():
     """Addresses just below 2^54 whose predictions cross it replay interpreted."""
     trace = _strided((1 << 54) - 64 * 400, 64, 400)
     for predictor, config in (("ghb", GHBConfig()), ("stride", StrideConfig(degree=8))):
-        fast, legacy = PREDICTORS[predictor]
-        sim, kernel = _replay(fast(config), trace, 128)
+        cls = PREDICTORS[predictor]
+        sim, kernel = _replay(cls(config), trace, 128)
         if load_kernel() is not None:
             assert sim.last_fallback == "address-range"
         assert sim.last_tier == "interpreted"
-        _, reference = _replay(legacy(config), trace, 128, engine="legacy")
+        _, reference = _replay(cls(config), trace, 128, engine="legacy")
         assert kernel == reference

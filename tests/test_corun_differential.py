@@ -79,7 +79,7 @@ def co_runs(draw):
 
 def _co_run(run, hierarchy, interleave, quantum, engine):
     simulator = MulticoreSimulator(
-        [build_predictor(predictor, engine=engine) for _, predictor in run],
+        [build_predictor(predictor) for _, predictor in run],
         hierarchy_config=HIERARCHIES[hierarchy],
         engine=engine, interleave=interleave, quantum_accesses=quantum,
     )
@@ -140,7 +140,7 @@ def test_shared_blocks_change_owners_across_cores():
     trace = _workload_trace("mcf")
     for engine in ("fast", "legacy"):
         simulator = MulticoreSimulator(
-            [build_predictor("ghb", engine=engine), build_predictor("dbcp", engine=engine)],
+            [build_predictor("ghb"), build_predictor("dbcp")],
             hierarchy_config=HIERARCHIES["small"], engine=engine, quantum_accesses=500,
         )
         result = simulator.run([trace, trace])
@@ -160,7 +160,7 @@ def _strided(start, step, n):
 
 def _corun_result(predictors, traces, engine, quantum=100):
     simulator = MulticoreSimulator(
-        [build_predictor(predictor, engine=engine) if isinstance(predictor, str) else predictor
+        [build_predictor(predictor) if isinstance(predictor, str) else predictor
          for predictor in predictors],
         hierarchy_config=HIERARCHIES["small"], engine=engine, quantum_accesses=quantum,
     )

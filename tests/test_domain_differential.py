@@ -16,9 +16,14 @@ The per-predictor suites (``test_baseline_kernel.py``,
 
 For every draw the compiled kernel tier, the interpreted tier (the kill
 switch) and the legacy engine must agree on the result payload, the
-per-access outcome column and the fill spill.
+per-access outcome column, the fill spill and every statistics object of
+the predictor (``stats``, the history table's, ``dbcp_stats``,
+``ltstats``, the sequence storage's, the signature cache's and
+``ghb_stats``): the kernel settles into the same objects the interpreted
+loop fills call by call.
 """
 
+import dataclasses
 from array import array
 
 import pytest
@@ -29,14 +34,14 @@ from hypothesis import strategies as st
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import load_kernel
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
+from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 from repro.core.sequence_storage import SequenceStorageConfig
 from repro.core.signature_cache import SignatureCacheConfig
 from repro.core.signatures import SignatureConfig
-from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher, FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
+from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher
+from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StrideConfig, StridePrefetcher
+from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.stream import TraceColumns, TraceStream
 
@@ -142,14 +147,19 @@ stride_configs = st.builds(
     train_threshold=st.integers(1, 3),
 )
 
-#: predictor name -> (kernel tier, fast class, legacy class, config strategy).
+#: predictor name -> (kernel tier, class, config strategy).
 PREDICTORS = {
-    "none": ("kernel-baseline", NullPrefetcher, NullPrefetcher, st.none()),
-    "dbcp": ("kernel-dbcp", FastDBCPPrefetcher, DBCPPrefetcher, dbcp_configs()),
-    "ltcords": ("kernel-ltcords", FastLTCordsPrefetcher, LTCordsPrefetcher, ltcords_configs()),
-    "ghb": ("kernel-ghb", FastGHBPrefetcher, GHBPrefetcher, ghb_configs),
-    "stride": ("kernel-stride", FastStridePrefetcher, StridePrefetcher, stride_configs),
+    "none": ("kernel-baseline", NullPrefetcher, st.none()),
+    "dbcp": ("kernel-dbcp", DBCPPrefetcher, dbcp_configs()),
+    "ltcords": ("kernel-ltcords", LTCordsPrefetcher, ltcords_configs()),
+    "ghb": ("kernel-ghb", GHBPrefetcher, ghb_configs),
+    "stride": ("kernel-stride", StridePrefetcher, stride_configs),
 }
+#: Every statistics object a built-in predictor may carry, by attribute path.
+STATS = (
+    "stats", "history.stats", "dbcp_stats", "ltstats", "storage.stats",
+    "signature_cache.stats", "ghb_stats",
+)
 
 
 @st.composite
@@ -213,7 +223,19 @@ def _replay(cls, config, trace, hierarchy, queue_size, engine="fast"):
         engine=engine, outcomes=array("b"),
     )
     result = sim.run(trace)
-    return sim, (result.to_dict(), sim.outcomes, sim.fill_spill)
+    return sim, (result.to_dict(), sim.outcomes, sim.fill_spill, _predictor_stats(prefetcher))
+
+
+def _predictor_stats(prefetcher):
+    """Each statistics object the predictor has, as ``{path: fields}``."""
+    found = {}
+    for path in STATS:
+        value = prefetcher
+        for name in path.split("."):
+            value = getattr(value, name, None)
+        if value is not None:
+            found[path] = dataclasses.asdict(value)
+    return found
 
 
 def _check_tier(sim, predictor, config, trace):
@@ -232,15 +254,16 @@ def _check_tier(sim, predictor, config, trace):
 
 
 def _agree(predictor, config, trace, hierarchy, queue_size):
-    _, fast, legacy, _ = PREDICTORS[predictor]
-    sim, kernel = _replay(fast, config, trace, hierarchy, queue_size)
+    _, cls, _ = PREDICTORS[predictor]
+    sim, kernel = _replay(cls, config, trace, hierarchy, queue_size)
     _check_tier(sim, predictor, config, trace)
     with kernel_disabled():
-        interpreted_sim, interpreted = _replay(fast, config, trace, hierarchy, queue_size)
+        interpreted_sim, interpreted = _replay(cls, config, trace, hierarchy, queue_size)
     assert interpreted_sim.last_tier == "interpreted"
-    _, reference = _replay(legacy, config, trace, hierarchy, queue_size, engine="legacy")
+    _, reference = _replay(cls, config, trace, hierarchy, queue_size, engine="legacy")
     assert kernel == interpreted
     assert kernel == reference
+    return sim, kernel
 
 
 @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
@@ -248,7 +271,7 @@ def _agree(predictor, config, trace, hierarchy, queue_size):
 @given(data=st.data(), hierarchy=hierarchies(), trace=domain_traces(),
        queue_size=st.integers(1, 128))
 def test_every_tier_agrees_over_the_domain(predictor, data, hierarchy, trace, queue_size):
-    config = data.draw(PREDICTORS[predictor][3], label="config")
+    config = data.draw(PREDICTORS[predictor][2], label="config")
     _agree(predictor, config, trace, hierarchy, queue_size)
 
 
@@ -283,3 +306,33 @@ def test_domain_edges_agree(predictor, address):
             array("b", bytes(length)), array("q", range(length)),
         ), name="edge")
         _agree(predictor, config, trace, hierarchy, 1)
+
+
+def test_dbcp_confidence_must_fit_eight_bits():
+    """The kernel packs a DBCP entry as (predicted << 8) | confidence."""
+    with pytest.raises(ValueError, match="8-bit"):
+        DBCPConfig(max_confidence=256)
+
+
+def test_dbcp_eight_bit_confidence_agrees():
+    """The widest legal counter (255) saturates identically on every tier."""
+    hierarchy = HierarchyConfig(
+        l1=CacheConfig(name="L1", size_bytes=1024, block_size=64, associativity=2),
+        l2=CacheConfig(name="L2", size_bytes=4096, block_size=64, associativity=4),
+    )
+    config = DBCPConfig(
+        cache_config=hierarchy.l1, table_entries=64,
+        confidence_threshold=2, initial_confidence=253, max_confidence=255,
+    )
+    n = 3000
+    blocks = [(37 * k + 5) % 4096 for k in range(40)]
+    trace = TraceStream.from_columns(TraceColumns(
+        array("q", [0x400000 + 4 * (i % 40 % 13) for i in range(n)]),
+        array("q", [blocks[i % 40] * 64 for i in range(n)]),
+        array("b", bytes(n)), array("q", range(0, 3 * n, 3)),
+    ), name="loop")
+    sim, (result, _, _, stats) = _agree("dbcp", config, trace, hierarchy, 128)
+    if load_kernel() is not None:
+        assert sim.last_tier == "kernel-dbcp"
+    assert stats["stats"]["prefetches_used"] > 2  # the counter reached 255 and stayed
+    assert result["breakdown"]["correct"] > 0

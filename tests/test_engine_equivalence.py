@@ -43,13 +43,13 @@ def _pairs():
 def test_engines_bit_identical(workload, predictor):
     fast = simulate_benchmark(
         workload,
-        build_predictor(predictor, engine="fast"),
+        build_predictor(predictor),
         num_accesses=NUM_ACCESSES,
         engine="fast",
     )
     legacy = simulate_benchmark(
         workload,
-        build_predictor(predictor, engine="legacy"),
+        build_predictor(predictor),
         num_accesses=NUM_ACCESSES,
         engine="legacy",
     )
@@ -78,10 +78,10 @@ def test_engines_agree_on_longer_shared_trace(predictor):
     """One deeper run per heavyweight predictor, replaying one shared trace."""
     trace = get_workload("mcf", WorkloadConfig(num_accesses=20_000, seed=7)).generate()
     fast = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, engine="fast"), engine="fast"
+        prefetcher=build_predictor(predictor), engine="fast"
     ).run(trace)
     legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, engine="legacy"), engine="legacy"
+        prefetcher=build_predictor(predictor), engine="legacy"
     ).run(trace)
     with kernel_disabled():
         interpreted = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
@@ -91,15 +91,19 @@ def test_engines_agree_on_longer_shared_trace(predictor):
 
 @pytest.mark.parametrize("predictor", ["dbcp", "ghb", "ltcords", "stride"])
 def test_fast_predictor_on_legacy_engine_matches(predictor):
-    """Mixed stacks agree too: fast predictors driven through AccessOutcome."""
+    """The one predictor class agrees under both loops and cache models.
+
+    The legacy engine builds an ``AccessOutcome`` per access over the
+    object-per-block caches; the fast engine's interpreted tier reuses
+    one over the flat-array caches.
+    """
     trace = get_workload("gcc", WorkloadConfig(num_accesses=4000, seed=3)).generate()
-    mixed = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, engine="fast"), engine="legacy"
-    ).run(trace)
     legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, engine="legacy"), engine="legacy"
+        prefetcher=build_predictor(predictor), engine="legacy"
     ).run(trace)
-    assert mixed.to_dict() == legacy.to_dict()
+    with kernel_disabled():
+        interpreted = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
+    assert interpreted.to_dict() == legacy.to_dict()
 
 
 def test_engine_argument_is_validated():

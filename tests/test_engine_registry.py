@@ -73,13 +73,11 @@ def test_validate_engine():
 def test_every_engine_is_accepted_by_every_consumer(engine):
     from repro.campaign.spec import PointSpec
     from repro.multicore import MulticoreSpec
-    from repro.registry import build_predictor
     from repro.sim.trace_driven import TraceDrivenSimulator
 
     assert TraceDrivenSimulator(engine=engine).engine == engine
     assert PointSpec(benchmark="mcf", engine=engine).engine == engine
     assert MulticoreSpec(benchmarks=("mcf",), engine=engine).engine == engine
-    build_predictor("dbcp", engine=engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -88,35 +86,41 @@ def test_unknown_engine_is_rejected_by_every_consumer(engine):
     # consumer: nobody carries a private copy of the choice list.
     from repro.campaign.spec import PointSpec
     from repro.multicore import MulticoreSpec
-    from repro.registry import build_predictor
     from repro.sim.trace_driven import TraceDrivenSimulator
 
     for make in (
         lambda: TraceDrivenSimulator(engine="warp"),
         lambda: PointSpec(benchmark="mcf", engine="warp"),
         lambda: MulticoreSpec(benchmarks=("mcf",), engine="warp"),
-        lambda: build_predictor("dbcp", engine="warp"),
     ):
         with pytest.raises(ValueError, match=re.escape(repr(ENGINES))):
             make()
 
 
 # ---------------------------------------------------------------------------
-# build_predictor: engines without a dedicated class fall back to fast.
+# build_predictor: one class per entry, whatever the engine.
 # ---------------------------------------------------------------------------
 
 
 def test_build_predictor_falls_back_to_fast_class():
+    """A registered class is the one class every engine replays."""
     from repro.prefetchers.null import NullPrefetcher
     from repro.registry import build_predictor, register_predictor, unregister_predictor
+    from repro.run import RunSpec, execute_spec
 
     class FastOnly(NullPrefetcher):
         pass
 
-    register_predictor("_test_fast_only", FastOnly)
+    entry = register_predictor("_test_fast_only", FastOnly)
     try:
-        for engine in ENGINES:
-            assert type(build_predictor("_test_fast_only", engine=engine)) is FastOnly
+        assert entry.cls is FastOnly
+        assert type(build_predictor("_test_fast_only")) is FastOnly
+        results = [
+            execute_spec(RunSpec(benchmark="gzip", predictor="_test_fast_only",
+                                 num_accesses=300, engine=engine)).to_dict()
+            for engine in ENGINES
+        ]
+        assert all(result == results[0] for result in results)
     finally:
         unregister_predictor("_test_fast_only")
 

@@ -1,9 +1,12 @@
 """Unit tests for the last-touch history table (repro.core.history)."""
 
 import pytest
+from conftest import PerSetHistoryModel
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig
 from repro.core.history import HistoryTable
+from repro.core.signatures import SignatureConfig
 
 
 @pytest.fixture
@@ -104,3 +107,34 @@ class TestEvictionBookkeeping:
         table.observe_eviction(0x1000, 0x2000)
         assert table.stats.accesses == 1
         assert table.stats.evictions == 1
+
+
+class TestKeyFold:
+    """Keys of 32-63 bits fold in two closed-form terms; the loop fold must agree."""
+
+    @given(
+        bits=st.integers(32, 63),
+        events=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, (1 << 32) - 1),
+                st.integers(0, (1 << 63) - 1),
+                st.integers(0, (1 << 63) - 1),
+            ),
+            min_size=1, max_size=60,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_term_fold_matches_loop_fold(self, bits, events):
+        config = CacheConfig("L1", 4096, 64, 2)
+        signatures = SignatureConfig(trace_hash_bits=bits)
+        table = HistoryTable(config, signatures)
+        model = PerSetHistoryModel(config, signatures)
+        for is_eviction, pc, address, replacement in events:
+            if is_eviction:
+                assert table.observe_eviction(address, replacement) == model.observe_eviction(
+                    address, replacement
+                )
+            else:
+                assert table.observe_access(pc, address) == model.observe_access(pc, address)
+            assert table.peek_key(replacement) == model.peek_key(replacement)

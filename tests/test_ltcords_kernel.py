@@ -7,8 +7,8 @@ delays of 0-8 references — and traces of length 0, 1 and n over a small
 hierarchy that evicts constantly.  The traces loop over a handful of
 blocks, so heads recur, fragments stream and prefetches are used and
 evicted unused within a few hundred references.  The compiled kernel,
-the interpreted fast loops and the legacy object model must agree on the
-result payload, the LT-cords statistics and the storage statistics.
+the interpreted fast loop and the legacy engine must agree on the result
+payload and on every statistics object of the predictor.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import load_kernel
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
+from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 from repro.core.sequence_storage import SequenceStorageConfig
 from repro.core.signature_cache import SignatureCacheConfig
 from repro.sim.trace_driven import TraceDrivenSimulator
@@ -86,6 +86,7 @@ def _replay(prefetcher, trace, engine="fast"):
         dataclasses.asdict(prefetcher.storage.stats),
         dataclasses.asdict(prefetcher.signature_cache.stats),
         dataclasses.asdict(prefetcher.stats),
+        dataclasses.asdict(prefetcher.history.stats),
     )
 
 
@@ -95,17 +96,15 @@ def _replay(prefetcher, trace, engine="fast"):
 )
 @given(config=ltcords_configs(), trace=looping_traces())
 def test_kernel_interpreted_and_legacy_agree(config, trace):
-    sim, kernel = _replay(FastLTCordsPrefetcher(config), trace)
+    sim, kernel = _replay(LTCordsPrefetcher(config), trace)
     if load_kernel() is not None:
         assert sim.last_tier == "kernel-ltcords"
     with kernel_disabled():
-        interpreted_sim, interpreted = _replay(FastLTCordsPrefetcher(config), trace)
+        interpreted_sim, interpreted = _replay(LTCordsPrefetcher(config), trace)
     assert interpreted_sim.last_tier == "interpreted"
     _, legacy = _replay(LTCordsPrefetcher(config), trace, engine="legacy")
     assert kernel == interpreted
     assert kernel == legacy
-    # The history tables differ only in legacy counting every access.
-    assert sim.prefetcher.history.stats == interpreted_sim.prefetcher.history.stats
 
 
 def test_looping_trace_exercises_every_kernel_path():
@@ -127,12 +126,12 @@ def test_looping_trace_exercises_every_kernel_path():
         array("q", range(0, 3 * n, 3)),
     )
     trace = TraceStream.from_columns(columns, name="loop")
-    _, kernel = _replay(FastLTCordsPrefetcher(config), trace)
+    _, kernel = _replay(LTCordsPrefetcher(config), trace)
     with kernel_disabled():
-        _, interpreted = _replay(FastLTCordsPrefetcher(config), trace)
+        _, interpreted = _replay(LTCordsPrefetcher(config), trace)
     _, legacy = _replay(LTCordsPrefetcher(config), trace, engine="legacy")
     assert kernel == interpreted == legacy
-    result, ltstats, storage, signature_cache, stats = kernel
+    result, ltstats, storage, signature_cache, stats, _ = kernel
     for name in ("head_matches", "signature_cache_predictions", "signatures_streamed",
                  "confidence_increments"):
         assert ltstats[name] > 0, name
@@ -145,7 +144,7 @@ def test_kernel_heap_grows_with_accesses_not_storage_capacity(tmp_path):
     """The paper's 160MB storage and a 1M-entry signature cache cost nothing up front."""
     script = (
         "import resource\n"
-        "from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig\n"
+        "from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher\n"
         "from repro.core.sequence_storage import PAPER_STORAGE_CONFIG\n"
         "from repro.core.signature_cache import SignatureCacheConfig\n"
         "from repro.sim.trace_driven import TraceDrivenSimulator\n"
@@ -154,7 +153,7 @@ def test_kernel_heap_grows_with_accesses_not_storage_capacity(tmp_path):
         "trace = get_workload('mcf', WorkloadConfig(num_accesses=3000)).generate()\n"
         "config = LTCordsConfig(storage_config=PAPER_STORAGE_CONFIG,\n"
         "    signature_cache_config=SignatureCacheConfig(num_entries=1 << 20, associativity=2))\n"
-        "sim = TraceDrivenSimulator(prefetcher=FastLTCordsPrefetcher(config))\n"
+        "sim = TraceDrivenSimulator(prefetcher=LTCordsPrefetcher(config))\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "sim.run(trace)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"

@@ -44,7 +44,7 @@ def test_one_core_collapses_to_trace_driven(predictor, mode):
     with kernel_disabled() if mode == "fast" else nullcontext():
         single = simulate_benchmark(
             "mcf",
-            prefetcher=build_predictor(predictor, engine=engine),
+            prefetcher=build_predictor(predictor),
             num_accesses=NUM_ACCESSES,
             engine=engine,
         )
@@ -65,7 +65,7 @@ def test_one_core_collapse_holds_for_null_predictor(mode):
     multi = simulate_multicore(spec)
     with kernel_disabled() if mode == "fast" else nullcontext():
         single = simulate_benchmark(
-            "swim", prefetcher=build_predictor("none", engine=engine),
+            "swim", prefetcher=build_predictor("none"),
             num_accesses=NUM_ACCESSES, engine=engine,
         )
     assert multi.per_core[0].to_dict() == single.to_dict()

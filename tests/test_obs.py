@@ -225,6 +225,11 @@ class TestEvents:
         for bad in (["kernel-ltcords"], {"replay": None}, {"replay": 3}):
             problems = check_events([*ok, dict(done, tiers=bad)])
             assert any("tiers" in p for p in problems), bad
+        # ... and its fallbacks map phase names to reason strings.
+        assert check_events([*ok, dict(done, fallbacks={"replay": "kill-switch"})]) == []
+        for bad in (["kill-switch"], {"replay": None}):
+            problems = check_events([*ok, dict(done, fallbacks=bad)])
+            assert any("fallbacks" in p for p in problems), bad
 
     def test_event_types_are_closed(self):
         assert set(EVENT_TYPES) == {
@@ -518,6 +523,38 @@ class TestCampaignStreaming:
             )
         done = [event for event in observer.events if event["type"] == "point_done"]
         assert done[0]["tiers"] == {"replay": "interpreted", "settle": "interpreted"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_point_done_says_why_a_point_ran_interpreted(self, tmp_path, monkeypatch, jobs):
+        """The kill switch shows as each computed point's replay fallback."""
+        # The environment reaches pool workers however they start.
+        monkeypatch.setenv("REPRO_NO_VECTOR_KERNEL", "1")
+        points = [PointSpec(benchmark=benchmark, predictor="dbcp", num_accesses=1500, seed=42)
+                  for benchmark in ("mcf", "art")]
+        log = tmp_path / "events.jsonl"
+        with kernel_disabled(), JsonlObserver(log) as observer:
+            CampaignRunner(jobs=jobs, cache=ResultCache(tmp_path / "cache")).run(
+                points, name="fallbacks", observer=observer
+            )
+        events = read_events(log)
+        assert check_events(events) == []
+        done = [event for event in events if event["type"] == "point_done"]
+        assert [event["fallbacks"] for event in done] == [{"replay": "kill-switch"}] * 2
+        summary = summarize_events(events)
+        assert summary["points"]["fallbacks"] == {"kill-switch": 2}
+        assert "fell back from the kernel: kill-switch=2" in format_summary(summary)
+
+    def test_kernel_points_carry_no_fallback(self, tmp_path):
+        observer = ListObserver()
+        point = PointSpec(benchmark="mcf", predictor="dbcp", num_accesses=1500, seed=42)
+        CampaignRunner(jobs=1, cache=ResultCache(tmp_path / "cache")).run(
+            [point], name="no-fallbacks", observer=observer
+        )
+        done = [event for event in observer.events if event["type"] == "point_done"]
+        from repro.cache.vector import load_kernel, unavailable_reason
+
+        expected = {} if load_kernel() is not None else {"replay": unavailable_reason()}
+        assert done[0]["fallbacks"] == expected
 
     def test_cached_points_stream_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path / "cache-warm")

@@ -26,7 +26,7 @@ from repro.cache.config import L2_4MB_CONFIG
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import load_kernel
 from repro.obs.metrics import REGISTRY
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
+from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
 from repro.registry import build_predictor
 from repro.run import RunSpec, Session
 from repro.sim.timing import TimingSimulator
@@ -65,7 +65,7 @@ def crowded_loops(draw):
 
 def _timing(predictor, trace, perfect_l1, hierarchy, engine="fast"):
     """A timing run's simulator and its result payload plus outcome column."""
-    prefetcher = None if predictor == "none" else build_predictor(predictor, engine=engine)
+    prefetcher = None if predictor == "none" else build_predictor(predictor)
     sim = TimingSimulator(
         prefetcher=prefetcher, hierarchy_config=HIERARCHIES[hierarchy],
         perfect_l1=perfect_l1, engine=engine,
@@ -129,7 +129,7 @@ def test_deep_prefetch_degree_spills_exact_fill_counts():
         array("q", range(0, 9000, 3)),
     ))
     config = GHBConfig(degree=40)
-    sim = TimingSimulator(prefetcher=FastGHBPrefetcher(config))
+    sim = TimingSimulator(prefetcher=GHBPrefetcher(config))
     result = sim.run(trace).to_dict()
     spill = iter(sim.simulator.fill_spill)
     fills = [outcome >> OUTCOME_FILL_SHIFT for outcome in sim.outcomes]
@@ -175,8 +175,8 @@ def test_second_interpreted_timing_run_times_its_own_trace():
         array("b", bytes(600)),
         array("q", range(0, 1800, 3)),
     ))
-    for prefetcher, engine in ((FastGHBPrefetcher(), "fast"), (GHBPrefetcher(), "legacy")):
-        sim = TimingSimulator(prefetcher=prefetcher, engine=engine)
+    for engine in ("fast", "legacy"):
+        sim = TimingSimulator(prefetcher=GHBPrefetcher(), engine=engine)
         # A kernel run cannot be continued: the fast reuse is the interpreted tier's.
         with kernel_disabled():
             first = sim.run(trace)

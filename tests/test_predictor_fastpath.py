@@ -1,18 +1,20 @@
-"""Fast-vs-legacy equivalence for the flat predictor rewrites.
+"""Fast-vs-legacy engine equivalence for the predictor structures under pressure.
 
 The engine-equivalence suite already asserts end-to-end result identity
 for every benchmark × predictor pair at default configurations; this
-module targets the rewritten structures directly — the packed DBCP
-correlation table, the flat GHB ring buffer, the stride RPT, the flat
-history table and the columnar sequence storage — under *small*
-configurations where LRU eviction, ring wrap-around and frame overwrite
-actually occur, which the default sizes rarely reach in short traces.
+module drives each predictor's structures — the LRU DBCP correlation
+table, the GHB ring buffer, the stride RPT, the block-keyed history
+table and the sequence storage — under *small* configurations where LRU
+eviction, ring wrap-around and frame overwrite actually occur, which the
+default sizes rarely reach in short traces.  Both engines build the same
+predictor class; the fast engine replays it on the compiled kernel (or
+its interpreted loop), the legacy engine on the object-per-access loop.
 """
 
 from contextlib import nullcontext
 
 import pytest
-from conftest import kernel_disabled
+from conftest import PerSetHistoryModel, kernel_disabled
 from hypothesis import given, settings, strategies as st
 
 from repro.api import available_benchmarks, build_predictor
@@ -20,17 +22,13 @@ from repro.api import available_benchmarks, build_predictor
 # One of the two slowest suites; skippable via `-m "not slow"` (pytest.ini).
 pytestmark = pytest.mark.slow
 from repro.cache.config import L1D_CONFIG
-from repro.core.history import FastHistoryTable, HistoryTable
-from repro.core.ltcords import FastLTCordsPrefetcher, LTCordsConfig, LTCordsPrefetcher
-from repro.core.sequence_storage import (
-    FastSequenceStorage,
-    SequenceStorage,
-    SequenceStorageConfig,
-)
-from repro.core.signatures import REALISTIC_SIGNATURES, LastTouchSignature
-from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher, FastDBCPPrefetcher
-from repro.prefetchers.ghb import FastGHBPrefetcher, GHBConfig, GHBPrefetcher
-from repro.prefetchers.stride import FastStridePrefetcher, StrideConfig, StridePrefetcher
+from repro.core.history import HistoryTable
+from repro.core.ltcords import LTCordsConfig
+from repro.core.sequence_storage import SequenceStorageConfig
+from repro.core.signatures import REALISTIC_SIGNATURES
+from repro.prefetchers.dbcp import DBCPConfig
+from repro.prefetchers.ghb import GHBConfig
+from repro.prefetchers.stride import StrideConfig
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.workloads.base import WorkloadConfig
 from repro.workloads.registry import get_workload
@@ -58,10 +56,10 @@ def _run_pair(benchmark, predictor, config, num_accesses=4000, seed=42, interpre
     """
     trace = get_workload(benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
     fast = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config, engine="fast"), engine="fast"
+        prefetcher=build_predictor(predictor, config), engine="fast"
     )
     legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config, engine="legacy"), engine="legacy"
+        prefetcher=build_predictor(predictor, config), engine="legacy"
     )
     with kernel_disabled() if interpreted else nullcontext():
         fast_result = fast.run(trace)
@@ -131,10 +129,9 @@ class TestEveryBenchmarkSmallTables:
 
 
 class TestNarrowKeyEquivalence:
-    """23-bit keys (REALISTIC_SIGNATURES) exercise the non-closed-fold
-    fallback paths of the fast rewrites, which the 32-bit defaults never
-    reach: FastHistoryTable's fold loop and the non-fused
-    eviction/record branches of the fast DBCP and LT-cords closures."""
+    """23-bit keys (REALISTIC_SIGNATURES) take the history table's fold
+    loop, which the 32-bit defaults never reach, and keep DBCP and
+    LT-cords off the kernel (an ``open-fold`` fallback)."""
 
     @pytest.mark.parametrize("workload", ["mcf", "swim", "em3d"])
     def test_dbcp_realistic_signatures(self, workload):
@@ -157,18 +154,20 @@ class TestNarrowKeyEquivalence:
     @given(st.lists(st.tuples(_pcs, _addresses), min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)
     def test_history_fold_loop_matches_legacy(self, stream):
-        legacy = HistoryTable(L1D_CONFIG, REALISTIC_SIGNATURES)
-        fast = FastHistoryTable(L1D_CONFIG, REALISTIC_SIGNATURES)
+        legacy = PerSetHistoryModel(L1D_CONFIG, REALISTIC_SIGNATURES)
+        fast = HistoryTable(L1D_CONFIG, REALISTIC_SIGNATURES)
         for pc, address in stream:
             assert fast.observe_access(pc, address) == legacy.observe_access(pc, address)
 
 
 class TestFastHistoryTable:
+    """The flat block-keyed :class:`HistoryTable` against the per-set model."""
+
     @given(st.lists(st.tuples(_pcs, _addresses), min_size=1, max_size=400))
     @settings(max_examples=40, deadline=None)
     def test_access_keys_match_legacy(self, stream):
-        legacy = HistoryTable(L1D_CONFIG)
-        fast = FastHistoryTable(L1D_CONFIG)
+        legacy = PerSetHistoryModel(L1D_CONFIG)
+        fast = HistoryTable(L1D_CONFIG)
         for pc, address in stream:
             assert fast.observe_access(pc, address) == legacy.observe_access(pc, address)
             assert fast.peek_key(address) == legacy.peek_key(address)
@@ -181,8 +180,8 @@ class TestFastHistoryTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_mixed_access_eviction_streams_match(self, events):
-        legacy = HistoryTable(L1D_CONFIG)
-        fast = FastHistoryTable(L1D_CONFIG)
+        legacy = PerSetHistoryModel(L1D_CONFIG)
+        fast = HistoryTable(L1D_CONFIG)
         for is_eviction, pc, address, replacement in events:
             if is_eviction:
                 assert fast.observe_eviction(address, replacement) == legacy.observe_eviction(
@@ -190,55 +189,22 @@ class TestFastHistoryTable:
                 )
             else:
                 assert fast.observe_access(pc, address) == legacy.observe_access(pc, address)
-        assert fast.stats.evictions == legacy.stats.evictions
-        assert fast.stats.cold_evictions == legacy.stats.cold_evictions
-
-
-class TestFastSequenceStorage:
-    def test_recording_and_streaming_match_legacy(self):
-        config = SequenceStorageConfig(num_frames=8, fragment_size=16, head_lookahead=4)
-        legacy = SequenceStorage(config)
-        fast = FastSequenceStorage(config)
-        pointers = []
-        for i in range(200):
-            key = (i * 2654435761) & 0xFFFFFFFF
-            predicted = (i * 64) & ~63
-            lp = legacy.record_signature(LastTouchSignature(key=key, predicted_address=predicted))
-            fp = fast.record(key, predicted, 2)
-            assert lp == fp
-            pointers.append(fp)
-            assert fast.lookup_head(key) == legacy.lookup_head(key)
-        assert fast.num_allocated_frames == legacy.num_allocated_frames
-        assert fast.total_signatures_stored() == legacy.total_signatures_stored()
-        # Streaming reads return the same signature values and pointers.
-        for frame_index in range(8):
-            legacy_window = legacy.read_window(frame_index, 0, 16)
-            fast_window = fast.read_window(frame_index, 0, 16)
-            assert [
-                (s.key, s.predicted_address, s.confidence, p) for s, p in legacy_window
-            ] == list(fast_window)
-        # Confidence write-back behaves identically, including stale pointers.
-        for pointer in pointers[::7]:
-            assert fast.update_confidence(pointer, 3) == legacy.update_confidence(pointer, 3)
-            fast_sig = fast.signature_at(pointer)
-            legacy_sig = legacy.signature_at(pointer)
-            assert (fast_sig is None) == (legacy_sig is None)
-            if fast_sig is not None:
-                assert fast_sig == legacy_sig
-        assert fast.stats == legacy.stats
+        assert fast.stats.evictions == legacy.evictions
+        assert fast.stats.cold_evictions == legacy.cold_evictions
+        assert fast.tracked_blocks() == legacy.tracked_blocks()
 
 
 class TestObservationSettlement:
-    """The fast engine settles observation counters to the per-call totals."""
+    """The kernel settles observation counters to the legacy per-call totals."""
 
     @pytest.mark.parametrize("predictor", ["dbcp", "ghb", "ltcords", "stride"])
     def test_observation_counters_equal_legacy(self, predictor):
         trace = get_workload("mcf", WorkloadConfig(num_accesses=3000, seed=11)).generate()
         fast = TraceDrivenSimulator(
-            prefetcher=build_predictor(predictor, engine="fast"), engine="fast"
+            prefetcher=build_predictor(predictor), engine="fast"
         )
         legacy = TraceDrivenSimulator(
-            prefetcher=build_predictor(predictor, engine="legacy"), engine="legacy"
+            prefetcher=build_predictor(predictor), engine="legacy"
         )
         fast.run(trace)
         legacy.run(trace)

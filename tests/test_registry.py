@@ -57,7 +57,7 @@ def next_block_registered():
     """Register the test predictor (and clean up, keeping the suite hermetic)."""
     entry = register_predictor(
         "next-block",
-        fast=NextBlockPrefetcher,
+        NextBlockPrefetcher,
         config_class=NextBlockConfig,
         description="test-only next-block prefetcher",
     )
@@ -75,7 +75,7 @@ class TestPredictorRegistry:
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_predictor("ltcords", fast=NextBlockPrefetcher)
+            register_predictor("ltcords", NextBlockPrefetcher)
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError) as excinfo:
@@ -92,10 +92,8 @@ class TestPredictorRegistry:
 
         try:
             entry = predictor_entry("decorated-next-block")
-            assert entry.engines["fast"] is Decorated
-            assert entry.engines["legacy"] is Decorated
+            assert entry.cls is Decorated
             assert isinstance(build_predictor("decorated-next-block"), Decorated)
-            assert isinstance(build_predictor("decorated-next-block", engine="legacy"), Decorated)
         finally:
             unregister_predictor("decorated-next-block")
 
@@ -118,7 +116,7 @@ class TestPredictorRegistry:
             register_config_class(object)
 
     def test_unregister_also_drops_the_config_class(self):
-        register_predictor("throwaway", fast=NextBlockPrefetcher, config_class=NextBlockConfig)
+        register_predictor("throwaway", NextBlockPrefetcher, config_class=NextBlockConfig)
         assert CONFIG_CLASSES["NextBlockConfig"] is NextBlockConfig
         unregister_predictor("throwaway")
         assert "NextBlockConfig" not in CONFIG_CLASSES

@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.campaign.spec import DEFAULT_NUM_ACCESSES, PointSpec, PredictorVariant, SweepSpec
-from repro.prefetchers.ghb import FastGHBPrefetcher
+from repro.prefetchers.ghb import GHBPrefetcher
 from repro.run import RunSpec, Session, execute_spec
 from repro.sim.multiprogram import simulate_pair
 from repro.sim.timing import simulate_speedup
@@ -80,7 +80,7 @@ class TestSessionRun:
     def test_prefetcher_override_bypasses_cache(self):
         session = Session()
         result = session.run(
-            "swim", predictor="ghb", num_accesses=ACCESSES, prefetcher=FastGHBPrefetcher()
+            "swim", predictor="ghb", num_accesses=ACCESSES, prefetcher=GHBPrefetcher()
         )
         assert result.predictor == "ghb"
         assert session.cache.entry_count() == 0

@@ -55,7 +55,7 @@ class TestColumnsFromRecords:
         shifted = array("q", [a + (1 << 40) for a in addresses])
         trace = TraceStream.from_columns(TraceColumns(pcs, shifted, writes, icounts))
         results = [
-            TraceDrivenSimulator(prefetcher=build_predictor("none", engine=engine), engine=engine).run(trace)
+            TraceDrivenSimulator(prefetcher=build_predictor("none"), engine=engine).run(trace)
             for engine in ("fast", "legacy")
         ]
         assert results[0].to_dict() == results[1].to_dict()

@@ -28,7 +28,7 @@ from repro.cache.vector import kernel_cache_dir, load_kernel
 from repro.core.signatures import SignatureConfig
 from repro.obs.metrics import REGISTRY
 from repro.prefetchers.dbcp import DBCPConfig
-from repro.prefetchers.stride import FastStridePrefetcher
+from repro.prefetchers.stride import StridePrefetcher
 from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.stream import TraceColumns, TraceStream
 from repro.workloads.base import WorkloadConfig
@@ -43,7 +43,7 @@ def _trace(benchmark="mcf", num_accesses=NUM_ACCESSES, seed=11):
 
 def _run(predictor="dbcp", config=None, trace=None, hierarchy_config=None, engine="fast"):
     sim = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config, engine=engine),
+        prefetcher=build_predictor(predictor, config),
         hierarchy_config=hierarchy_config,
         engine=engine,
     )
@@ -98,7 +98,7 @@ def test_ltcords_takes_the_kernel_tier_and_matches_fast():
     assert kernel.to_dict() == interpreted.to_dict()
 
 
-class _PluginPrefetcher(FastStridePrefetcher):
+class _PluginPrefetcher(StridePrefetcher):
     """A plugin predictor: the kernel ports exact built-in classes only."""
 
     name = "plugin-stride"
@@ -327,7 +327,7 @@ def test_python_tier_supports_continued_replay(no_kernel):
     first, second = _trace(seed=11), _trace("gcc", seed=12)
     fast_sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"))
     legacy_sim = TraceDrivenSimulator(
-        prefetcher=build_predictor("dbcp", engine="legacy"), engine="legacy"
+        prefetcher=build_predictor("dbcp"), engine="legacy"
     )
     for sim in (fast_sim, legacy_sim):
         sim.replay(first)
