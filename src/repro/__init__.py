@@ -4,10 +4,11 @@ This package implements, in pure Python, the full system described by
 Ferdman & Falsafi: the LT-cords address-correlating prefetcher, the
 dead-block/last-touch machinery it builds on, the baseline prefetchers the
 paper compares against (DBCP, GHB PC/DC, stride), the memory-system
-substrate (set-associative caches, MSHRs, DRAM and bus models), a
-first-order out-of-order timing model, synthetic workload generators that
-stand in for the SPEC CPU2000 / Olden benchmarks, and the analysis code
-that regenerates every figure and table of the paper's evaluation.
+substrate (LRU set-associative caches, the DRAM parameters and a bus
+model), a first-order out-of-order timing model, synthetic workload
+generators that stand in for the SPEC CPU2000 / Olden benchmarks, and the
+analysis code that regenerates every figure and table of the paper's
+evaluation.
 
 Quickstart
 ----------

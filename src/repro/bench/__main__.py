@@ -47,7 +47,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="scale factor applied to scenario sizes (default 1.0)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="override per-scenario repeat count")
+                        help="exact per-scenario repeat count (default: each "
+                             "scenario's own, short ones topped up)")
     parser.add_argument("--output", type=Path, default=None,
                         help="report path (default BENCH_<quick|full|custom>.json)")
     parser.add_argument("--baseline", type=Path, default=None,

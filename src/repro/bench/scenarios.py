@@ -75,6 +75,20 @@ def run_scenario(name: str, scale: float = 1.0, repeats: Optional[int] = None) -
     return run_scenarios([name], scale=scale, repeats=repeats)[name]
 
 
+#: A scenario whose default-repeat samples sum to less than this keeps
+#: drawing interleaved samples (at most :data:`_MAX_SAMPLES`): the
+#: minimum of three ~8 ms samples is too noisy for a 25% gate.
+_MIN_SAMPLED_SECONDS = 0.2
+_MAX_SAMPLES = 50
+
+
+def _due(samples: List[float], rounds: int, top_up: bool) -> bool:
+    """Whether a scenario with ``samples`` so far needs another one."""
+    if len(samples) < rounds:
+        return True
+    return top_up and len(samples) < _MAX_SAMPLES and sum(samples) < _MIN_SAMPLED_SECONDS
+
+
 def run_scenarios(
     names: List[str], scale: float = 1.0, repeats: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -85,7 +99,11 @@ def run_scenarios(
     then every scenario's second, ...) rather than back to back, so a
     transient load burst on the machine degrades at most one sample per
     scenario instead of every sample of whichever scenario it landed on;
-    the per-scenario minimum then discards it.
+    the per-scenario minimum then discards it.  With the scenarios' own
+    repeat counts (``repeats=None``), a scenario whose samples sum to
+    less than :data:`_MIN_SAMPLED_SECONDS` stays in the rounds until they
+    do (or it has :data:`_MAX_SAMPLES`); an explicit ``repeats`` is the
+    exact sample count.
     """
     if repeats is not None and repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -97,17 +115,19 @@ def run_scenarios(
         rounds = repeats if repeats is not None else scenario.repeats
         plan.append((scenario, make_task, ops, rounds))
 
+    top_up = repeats is None
     walls: Dict[str, List[float]] = {scenario.name: [] for scenario, _, _, _ in plan}
     rss_after: Dict[str, int] = {}
-    max_rounds = max((rounds for _, _, _, rounds in plan), default=0)
-    for current_round in range(max_rounds):
-        for scenario, make_task, _, rounds in plan:
-            if current_round >= rounds:
-                continue
+    while True:
+        due = [entry for entry in plan if _due(walls[entry[0].name], entry[3], top_up)]
+        if not due:
+            break
+        for scenario, make_task, _, rounds in due:
+            samples = walls[scenario.name]
             if progress is not None:
-                progress(f"{scenario.name} [{current_round + 1}/{rounds}]")
-            walls[scenario.name].append(sample_once(make_task))
-            if current_round == 0:
+                progress(f"{scenario.name} [{len(samples) + 1}/{max(rounds, len(samples) + 1)}]")
+            samples.append(sample_once(make_task))
+            if len(samples) == 1:
                 # Snapshot the (monotonic, process-wide) high-water mark
                 # right after the scenario's first execution: the increase
                 # over the previous scenario's snapshot is what this
@@ -116,13 +136,13 @@ def run_scenarios(
                 rss_after[scenario.name] = peak_rss_kb()
 
     results: Dict[str, BenchResult] = {}
-    for scenario, _, ops, rounds in plan:
+    for scenario, _, ops, _ in plan:
         scenario_walls = walls[scenario.name]
         results[scenario.name] = BenchResult(
             name=scenario.name,
             wall_seconds=min(scenario_walls),
             ops=ops,
-            repeats=rounds,
+            repeats=len(scenario_walls),
             all_wall_seconds=scenario_walls,
             peak_rss_kb=rss_after[scenario.name],
             meta={"description": scenario.description, "scale": scale},

@@ -18,14 +18,17 @@ per-set arrays rather than per-block objects:
 * ``_blocks[set][way]`` — the block-aligned address,
 * ``_flags[set][way]`` — packed state bits (dirty/prefetched/referenced),
 * ``_stamps[set][way]`` — last-touch serial, which *is* the LRU state
-  (victim = occupied way with the smallest stamp), replacing the
-  list-shuffling replacement policy object for the LRU case,
-* ``_fills[set][way]`` — fill serial (reported via :meth:`evict_block`).
+  (victim = occupied way with the smallest stamp), so no replacement
+  policy object is kept,
+* ``_counts[set]`` — occupied ways per set.
+
+These are exactly the per-set fields of the compiled kernel's cache
+(:mod:`repro.cache.vector`).
 
 The arrays are materialised on first use, so a cache that is only ever
 replayed by the compiled kernel (:mod:`repro.cache.vector`) never
 allocates them: until then each attribute holds a :class:`DeferredSets`
-stand-in whose first read builds all six.  The hot ``access_fast``
+stand-in whose first read builds all five.  The hot ``access_fast``
 bodies are unchanged and, once built, read plain instance attributes
 (no ``__getattr__`` and no class swap, either of which would keep the
 interpreter from specialising those reads and halve their speed).
@@ -41,8 +44,9 @@ implementation is kept verbatim as
 suite drives both on identical sequences and asserts identical results,
 victim choices and statistics.
 
-Non-LRU policies (FIFO for the signature cache, random for ablations)
-still delegate victim selection to :mod:`repro.cache.replacement`.
+Every cache of the paper's hierarchy (Table 1) is LRU, and so is this
+model.  The two-way L1D shape takes a branch-free specialisation of
+:meth:`access_fast`, bound per instance.
 """
 
 from __future__ import annotations
@@ -51,10 +55,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.config import CacheConfig
-from repro.cache.replacement import LRUReplacement, ReplacementPolicy, make_replacement_policy
 
 #: The per-set arrays built on first use, in attribute order.
-_SET_ARRAYS = ("_tags", "_blocks", "_flags", "_stamps", "_fills", "_counts")
+_SET_ARRAYS = ("_tags", "_blocks", "_flags", "_stamps", "_counts")
 
 # Packed per-way state bits.
 _DIRTY = 1
@@ -235,7 +238,7 @@ class SetAssociativeCache:
     predicted-dead victim as DBCP and LT-cords do.
     """
 
-    def __init__(self, config: CacheConfig, replacement: str = "lru") -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         num_sets = config.num_sets
         assoc = config.associativity
@@ -246,26 +249,13 @@ class SetAssociativeCache:
         self._block_mask = ~(config.block_size - 1)
         for name in _SET_ARRAYS:
             setattr(self, name, DeferredSets(self, name))
-        # LRU victim choice is served directly from the stamp arrays; only
-        # the other policies keep a ReplacementPolicy object.
-        policy = make_replacement_policy(replacement, num_sets, assoc)
-        self._policy: Optional[ReplacementPolicy] = (
-            None if isinstance(policy, LRUReplacement) else policy
-        )
-        self._all_ways = list(range(assoc))
         self.stats = CacheStats()
         self._serial = 0
         self.last = FastAccessState()
-        if self._policy is None:
-            # LRU caches (every data cache in the paper's hierarchy) take a
-            # policy-free specialisation, bound per instance (caches are
-            # never pickled): a branch-free two-way variant for the L1D
-            # shape, and a generic-associativity one (no policy-dispatch
-            # branches) for the L2 shape.
-            if assoc == 2:
-                self.access_fast = self._access_fast_lru2  # type: ignore[method-assign]
-            else:
-                self.access_fast = self._access_fast_lru  # type: ignore[method-assign]
+        if assoc == 2:
+            # The L1D shape takes a branch-free two-way body, bound per
+            # instance (caches are never pickled).
+            self.access_fast = self._access_fast_lru2  # type: ignore[method-assign]
 
     def _build_sets(self) -> None:
         """Allocate the per-set arrays (all ways invalid), replacing the stand-ins."""
@@ -275,7 +265,6 @@ class SetAssociativeCache:
         self._blocks: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
         self._flags: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
         self._stamps: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
-        self._fills: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
         self._counts: List[int] = [0] * num_sets
 
     # ------------------------------------------------------------------ helpers
@@ -294,66 +283,14 @@ class SetAssociativeCache:
                     out.append(blocks[way])
         return out
 
-    def _victim_way(self, set_index: int) -> int:
-        """Choose the victim way of a full set."""
-        if self._policy is None:
-            stamps = self._stamps[set_index]
-            return stamps.index(min(stamps))
-        return self._policy.victim_way(set_index, self._all_ways)
-
-    def _account_eviction(self, set_index: int, way: int, by_prefetch: bool) -> int:
-        """Account the eviction of ``way`` in the stats; return its flag bits.
-
-        Deliberately does NOT touch :attr:`last` — callers that report
-        through the reusable struct fill it themselves, while
-        :meth:`evict_block`/:meth:`flush` must leave the last fast-path
-        result intact.
-        """
-        flags = self._flags[set_index][way]
-        stats = self.stats
-        stats.evictions += 1
-        if by_prefetch:
-            stats.prefetch_caused_evictions += 1
-        if flags & _DIRTY:
-            stats.writebacks += 1
-        if flags & _PREFETCHED and not flags & _REFERENCED:
-            stats.prefetch_unused_evictions += 1
-        return flags
-
-    def evict_block(self, address: int) -> Optional[CacheBlock]:
-        """Forcibly evict the block holding ``address`` if resident.
-
-        Used by predictors that replace a specific predicted-dead block.
-        Returns the evicted block, or ``None`` if it was not resident.
-        """
-        set_index = (address >> self._offset_bits) & self._set_mask
-        tag = address >> self._tag_shift
-        tags = self._tags[set_index]
-        if tag not in tags:
-            return None
-        way = tags.index(tag)
-        flags = self._flags[set_index][way]
-        block = CacheBlock(
-            tag=tag,
-            block_address=self._blocks[set_index][way],
-            dirty=bool(flags & _DIRTY),
-            prefetched=bool(flags & _PREFETCHED),
-            referenced=bool(flags & _REFERENCED),
-            fill_serial=self._fills[set_index][way],
-            last_access_serial=self._stamps[set_index][way],
-        )
-        self._account_eviction(set_index, way, by_prefetch=False)
-        tags[way] = -1
-        self._counts[set_index] -= 1
-        return block
-
     # ------------------------------------------------------------------ fast path
     def access_fast(self, address: int, is_write: bool) -> int:
         """Demand access without allocating a result object.
 
         Returns ``1`` on a hit, ``2`` on a hit that consumed an unused
-        prefetched block, and ``0`` on a miss (the block is allocated and
-        miss/eviction details are written into :attr:`last`).
+        prefetched block, and ``0`` on a miss (the block is allocated,
+        evicting the LRU way of a full set, and miss/eviction details are
+        written into :attr:`last`).
         """
         serial = self._serial + 1
         self._serial = serial
@@ -373,86 +310,13 @@ class SetAssociativeCache:
             state = flags[way]
             flags[way] = (state | _REFERENCED | _DIRTY) if is_write else (state | _REFERENCED)
             self._stamps[set_index][way] = serial
-            if self._policy is not None:
-                self._policy.on_access(set_index, way)
             if state & _PREFETCHED and not state & _REFERENCED:
                 stats.prefetch_hits += 1
                 return 2
             return 1
 
-        # Miss: allocate, evicting if necessary.  The victim choice and
-        # eviction accounting are inlined (rather than going through
-        # _victim_way/_remove_way) because missy benchmarks take this path
-        # for a third of all accesses.
-        stats.misses += 1
-        last = self.last
-        flags = self._flags[set_index]
-        if self._counts[set_index] == self._assoc:
-            if self._policy is None:
-                stamps = self._stamps[set_index]
-                way = stamps.index(min(stamps))
-            else:
-                way = self._policy.victim_way(set_index, self._all_ways)
-            state = flags[way]
-            stats.evictions += 1
-            if state & _DIRTY:
-                stats.writebacks += 1
-                last.evicted_dirty = True
-            else:
-                last.evicted_dirty = False
-            if state & _PREFETCHED and not state & _REFERENCED:
-                stats.prefetch_unused_evictions += 1
-                last.evicted_unused_prefetch = True
-            else:
-                last.evicted_unused_prefetch = False
-            last.evicted_address = self._blocks[set_index][way]
-        else:
-            way = tags.index(-1)
-            self._counts[set_index] += 1
-            last.evicted_address = None
-            last.evicted_dirty = False
-            last.evicted_unused_prefetch = False
-        block_address = address & self._block_mask
-        tags[way] = tag
-        self._blocks[set_index][way] = block_address
-        flags[way] = (_REFERENCED | _DIRTY) if is_write else _REFERENCED
-        self._stamps[set_index][way] = serial
-        self._fills[set_index][way] = serial
-        if self._policy is not None:
-            self._policy.on_fill(set_index, way)
-        last.hit = False
-        last.block_address = block_address
-        last.set_index = set_index
-        last.evicted_by_prefetch = False
-        last.prefetch_hit = False
-        return 0
-
-    def _access_fast_lru(self, address: int, is_write: bool) -> int:
-        """LRU specialisation of :meth:`access_fast` (same contract).
-
-        Identical to the generic body with the policy-dispatch branches
-        removed: stamps are the complete replacement state.
-        """
-        serial = self._serial + 1
-        self._serial = serial
-        stats = self.stats
-        stats.accesses += 1
-        set_index = (address >> self._offset_bits) & self._set_mask
-        tag = address >> self._tag_shift
-        tags = self._tags[set_index]
-
-        if tag in tags:
-            way = tags.index(tag)
-            stats.hits += 1
-            flags = self._flags[set_index]
-            state = flags[way]
-            flags[way] = (state | _REFERENCED | _DIRTY) if is_write else (state | _REFERENCED)
-            self._stamps[set_index][way] = serial
-            if state & _PREFETCHED and not state & _REFERENCED:
-                stats.prefetch_hits += 1
-                return 2
-            return 1
-
+        # Miss: allocate, evicting the least-recently-stamped way if the
+        # set is full.
         stats.misses += 1
         last = self.last
         flags = self._flags[set_index]
@@ -483,7 +347,6 @@ class SetAssociativeCache:
         self._blocks[set_index][way] = block_address
         flags[way] = (_REFERENCED | _DIRTY) if is_write else _REFERENCED
         stamps[way] = serial
-        self._fills[set_index][way] = serial
         last.hit = False
         last.block_address = block_address
         last.set_index = set_index
@@ -537,7 +400,6 @@ class SetAssociativeCache:
             self._blocks[set_index][way] = block_address
             flags[way] = (_REFERENCED | _DIRTY) if is_write else _REFERENCED
             stamps[way] = serial
-            self._fills[set_index][way] = serial
             last.hit = False
             last.block_address = block_address
             last.set_index = set_index
@@ -583,6 +445,7 @@ class SetAssociativeCache:
         stats = self.stats
         stats.prefetch_insertions += 1
         last = self.last
+        stamps = self._stamps[set_index]
         if self._counts[set_index] == self._assoc:
             way = -1
             if victim_address is not None:
@@ -591,11 +454,18 @@ class SetAssociativeCache:
                     if victim_tag in tags:
                         way = tags.index(victim_tag)
             if way < 0:
-                way = self._victim_way(set_index)
-            state = self._account_eviction(set_index, way, by_prefetch=True)
+                way = stamps.index(min(stamps))
+            state = self._flags[set_index][way]
+            stats.evictions += 1
+            stats.prefetch_caused_evictions += 1
+            if state & _DIRTY:
+                stats.writebacks += 1
+            unused = bool(state & _PREFETCHED) and not state & _REFERENCED
+            if unused:
+                stats.prefetch_unused_evictions += 1
             last.evicted_address = self._blocks[set_index][way]
             last.evicted_dirty = bool(state & _DIRTY)
-            last.evicted_unused_prefetch = bool(state & _PREFETCHED) and not state & _REFERENCED
+            last.evicted_unused_prefetch = unused
             last.evicted_by_prefetch = True
         else:
             way = tags.index(-1)
@@ -608,10 +478,7 @@ class SetAssociativeCache:
         tags[way] = tag
         self._blocks[set_index][way] = block_address
         self._flags[set_index][way] = _PREFETCHED
-        self._stamps[set_index][way] = serial
-        self._fills[set_index][way] = serial
-        if self._policy is not None:
-            self._policy.on_fill(set_index, way)
+        stamps[way] = serial
         last.hit = False
         last.block_address = block_address
         last.set_index = set_index
@@ -621,10 +488,9 @@ class SetAssociativeCache:
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Perform a demand access to ``address``.
 
-        On a miss the block is allocated (write-allocate); the LRU (or
-        policy-chosen) victim is evicted if the set is full.  This wrapper
-        allocates a fresh :class:`AccessResult`; hot loops use
-        :meth:`access_fast` instead.
+        On a miss the block is allocated (write-allocate); the LRU victim
+        is evicted if the set is full.  This wrapper allocates a fresh
+        :class:`AccessResult`; hot loops use :meth:`access_fast` instead.
         """
         code = self.access_fast(address, is_write)
         if code:
@@ -648,9 +514,9 @@ class SetAssociativeCache:
         """Insert a prefetched block directly into the cache.
 
         If ``victim_address`` is given and resident in the same set, that
-        block is displaced (the predicted-dead block); otherwise the
-        replacement policy chooses a victim if the set is full.  If the
-        block is already resident the insertion is a no-op.
+        block is displaced (the predicted-dead block); otherwise the LRU
+        way is the victim if the set is full.  If the block is already
+        resident the insertion is a no-op.
         ``evicted_by_prefetch`` is reported only when the insertion
         actually displaced a block.
         """
@@ -671,19 +537,6 @@ class SetAssociativeCache:
             evicted_was_prefetched_unused=last.evicted_unused_prefetch,
             evicted_by_prefetch=last.evicted_by_prefetch,
         )
-
-    def flush(self) -> int:
-        """Invalidate every block; return the number of blocks flushed."""
-        count = 0
-        for set_index, tags in enumerate(self._tags):
-            for way, tag in enumerate(tags):
-                if tag < 0:
-                    continue
-                self._account_eviction(set_index, way, by_prefetch=False)
-                tags[way] = -1
-                self._counts[set_index] -= 1
-                count += 1
-        return count
 
     def __repr__(self) -> str:
         return (

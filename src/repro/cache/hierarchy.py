@@ -137,7 +137,7 @@ class SharedL2:
 
     def __init__(self, config: CacheConfig, engine: str, num_cores: int) -> None:
         cache_cls = LegacySetAssociativeCache if engine == "legacy" else SetAssociativeCache
-        self.cache = cache_cls(config, replacement="lru")
+        self.cache = cache_cls(config)
         self._block_mask = ~(config.block_size - 1)
         #: Block address -> core that last allocated it.
         self.owners: Dict[int, int] = {}
@@ -161,11 +161,11 @@ class CacheHierarchy:
     ``engine`` selects the cache model: ``"legacy"`` uses the original
     object-per-block reference implementation (kept for equivalence
     testing and benchmarking); ``"fast"`` (the default) uses the
-    array-backed caches.  The array-backed caches additionally expose the
-    allocation-free :meth:`access_fast` / :meth:`prefetch_into_l1_fast`
-    entry points used by the trace-driven simulator's hot loop; miss
-    details are reported through the per-cache reusable ``last`` structs
-    and the hierarchy's :attr:`last_level` (0 = L1, 1 = L2, 2 = memory).
+    array-backed caches.  The trace-driven simulator's interpreted loop
+    walks :attr:`l1` and :attr:`l2` through their allocation-free
+    ``access_fast`` entry points itself and prefetches through
+    :meth:`prefetch_into_l1_fast`; miss details are reported through the
+    per-cache reusable ``last`` structs.
 
     ``shared_l2`` (internal to :mod:`repro.multicore`) replaces the
     private L2 with a :class:`SharedL2`'s cache, and each memory-sourced
@@ -184,46 +184,19 @@ class CacheHierarchy:
         self.config = config or HierarchyConfig()
         self.engine = engine
         cache_cls = LegacySetAssociativeCache if engine == "legacy" else SetAssociativeCache
-        self.l1 = cache_cls(self.config.l1, replacement="lru")
+        self.l1 = cache_cls(self.config.l1)
         if shared_l2 is None:
-            self.l2 = cache_cls(self.config.l2, replacement="lru")
+            self.l2 = cache_cls(self.config.l2)
         else:
             self.l2 = shared_l2.cache
         self.shared_l2 = shared_l2
         self.core = core
         self.stats = HierarchyStats()
-        self.last_level = 0
 
     @property
     def block_size(self) -> int:
         """Cache block size shared by both levels."""
         return self.config.l1.block_size
-
-    def access_fast(self, address: int, is_write) -> int:
-        """Demand access without allocating result objects (fast engine only).
-
-        Returns ``1`` on an L1 hit, ``2`` on an L1 hit that consumed an
-        unused prefetched block, and ``0`` on an L1 miss.  On a miss,
-        :attr:`last_level` says which level serviced the request (1 = L2,
-        2 = memory) and eviction details are in ``self.l1.last``.
-        """
-        stats = self.stats
-        stats.accesses += 1
-        code = self.l1.access_fast(address, is_write)
-        if code:
-            stats.l1_hits += 1
-            self.last_level = 0
-            return code
-        stats.l1_misses += 1
-        # L1 victim writeback is absorbed by the L2 (not explicitly modelled
-        # beyond the dirty-writeback counters in each cache's stats).
-        if self.l2.access_fast(address, False):
-            stats.l2_hits += 1
-            self.last_level = 1
-        else:
-            stats.l2_misses += 1
-            self.last_level = 2
-        return 0
 
     def access(self, address: int, is_write: bool = False) -> HierarchyAccessResult:
         """Perform a demand access, walking L1D, then L2, then memory."""
@@ -306,8 +279,3 @@ class CacheHierarchy:
                 )
         insert_result = self.l1.insert_prefetch(address, victim_address=victim_address)
         return PrefetchOutcome(source=source, l1_result=insert_result)
-
-    def flush(self) -> None:
-        """Invalidate both cache levels."""
-        self.l1.flush()
-        self.l2.flush()

@@ -9,11 +9,13 @@ access sequences and asserts identical hits, victim choices, statistics
 and end-to-end :meth:`SimulationResult.to_dict` output, and
 ``repro.bench`` times the two against each other.
 
-The only intentional change relative to the seed implementation is the
+Two changes relative to the seed implementation are intentional.  The
 ``by_prefetch`` wiring (shared with the fast path): prefetch-caused
 evictions are counted in ``CacheStats.prefetch_caused_evictions`` and
 ``AccessResult.evicted_by_prefetch`` is reported only when an insertion
-actually displaced a block.
+actually displaced a block.  And the model is LRU only, like every cache
+of the paper's hierarchy: it builds its :class:`LRUReplacement`
+directly.
 """
 
 from __future__ import annotations
@@ -22,19 +24,17 @@ from typing import Dict, List, Optional
 
 from repro.cache.cache import AccessResult, CacheBlock, CacheStats
 from repro.cache.config import CacheConfig
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+from repro.cache.replacement import LRUReplacement
 
 
 class LegacySetAssociativeCache:
     """Object-per-block write-back, write-allocate set-associative cache."""
 
-    def __init__(self, config: CacheConfig, replacement: str = "lru") -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._sets: List[Dict[int, CacheBlock]] = [dict() for _ in range(config.num_sets)]
         self._ways: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]  # tag -> way
-        self._policy: ReplacementPolicy = make_replacement_policy(
-            replacement, config.num_sets, config.associativity
-        )
+        self._policy = LRUReplacement(config.num_sets, config.associativity)
         self.stats = CacheStats()
         self._serial = 0
 
@@ -89,24 +89,12 @@ class LegacySetAssociativeCache:
         self._ways[set_index][tag] = way
         self._policy.on_fill(set_index, way)
 
-    def evict_block(self, address: int) -> Optional[CacheBlock]:
-        """Forcibly evict the block holding ``address`` if resident.
-
-        Used by predictors that replace a specific predicted-dead block.
-        Returns the evicted block, or ``None`` if it was not resident.
-        """
-        set_index = self.config.set_index(address)
-        tag = self.config.tag(address)
-        if tag not in self._sets[set_index]:
-            return None
-        return self._remove(set_index, tag)
-
     # ------------------------------------------------------------------ accesses
     def access(self, address: int, is_write: bool = False) -> AccessResult:
         """Perform a demand access to ``address``.
 
-        On a miss the block is allocated (write-allocate); the LRU (or
-        policy-chosen) victim is evicted if the set is full.
+        On a miss the block is allocated (write-allocate); the LRU victim
+        is evicted if the set is full.
         """
         self._serial += 1
         self.stats.accesses += 1
@@ -166,9 +154,9 @@ class LegacySetAssociativeCache:
         """Insert a prefetched block directly into the cache.
 
         If ``victim_address`` is given and resident in the same set, that
-        block is displaced (the predicted-dead block); otherwise the
-        replacement policy chooses a victim if the set is full.  If the
-        block is already resident the insertion is a no-op.
+        block is displaced (the predicted-dead block); otherwise the LRU
+        way is the victim if the set is full.  If the block is already
+        resident the insertion is a no-op.
         """
         set_index = self.config.set_index(address)
         tag = self.config.tag(address)
@@ -214,16 +202,6 @@ class LegacySetAssociativeCache:
             evicted_was_prefetched_unused=evicted_unused_prefetch,
             evicted_by_prefetch=evicted,
         )
-
-    def flush(self) -> int:
-        """Invalidate every block; return the number of blocks flushed."""
-        count = 0
-        for set_index in range(self.config.num_sets):
-            tags = list(self._sets[set_index].keys())
-            for tag in tags:
-                self._remove(set_index, tag)
-                count += 1
-        return count
 
     def __repr__(self) -> str:
         return (

@@ -1,13 +1,13 @@
 """Replacement policies for set-associative caches.
 
-The baseline caches use LRU.  The LT-cords signature cache uses FIFO
-replacement (Section 4.3), and a random policy is provided for ablation
-studies.
+The baseline data caches use LRU (the legacy reference cache keeps an
+:class:`LRUReplacement`; the array-backed cache keeps the same order in
+its stamp arrays).  The LT-cords signature cache uses FIFO replacement
+(Section 4.3).
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from typing import Dict, List
 
@@ -96,35 +96,3 @@ class FIFOReplacement(ReplacementPolicy):
             if way in occupied_ways:
                 return way
         return occupied_ways[0]
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Seeded random replacement, for ablation studies."""
-
-    def __init__(self, num_sets: int, associativity: int, seed: int = 0) -> None:
-        super().__init__(num_sets, associativity)
-        self._rng = random.Random(seed)
-
-    def on_access(self, set_index: int, way: int) -> None:
-        return None
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        return None
-
-    def victim_way(self, set_index: int, occupied_ways: List[int]) -> int:
-        return self._rng.choice(occupied_ways)
-
-
-_POLICIES = {
-    "lru": LRUReplacement,
-    "fifo": FIFOReplacement,
-    "random": RandomReplacement,
-}
-
-
-def make_replacement_policy(name: str, num_sets: int, associativity: int, **kwargs) -> ReplacementPolicy:
-    """Construct a replacement policy by name (``lru``, ``fifo`` or ``random``)."""
-    key = name.lower()
-    if key not in _POLICIES:
-        raise ValueError(f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}")
-    return _POLICIES[key](num_sets, associativity, **kwargs)

@@ -564,6 +564,7 @@ class CampaignRunner:
                     resumed_count=state.resumed_count,
                     respawns=state.respawn_count,
                     duration_s=elapsed,
+                    metrics=REGISTRY.snapshot(),
                 )
             )
 

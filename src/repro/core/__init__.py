@@ -7,8 +7,6 @@ Sub-modules:
 * :mod:`repro.core.signatures` — last-touch signature encoding and hashing.
 * :mod:`repro.core.history` — the DBCP/LT-cords history table (per-set PC
   trace and previously-evicted tags, Section 4.1).
-* :mod:`repro.core.confidence` — 2-bit saturating confidence counters
-  (Section 4.4).
 * :mod:`repro.core.signature_cache` — the set-associative, FIFO-replaced
   on-chip signature cache (Sections 3.2 and 4.3).
 * :mod:`repro.core.sequence_storage` — off-chip sequence storage: frames,
@@ -18,7 +16,6 @@ Sub-modules:
 
 from repro.core.interface import AccessOutcome, PrefetchCommand, Prefetcher, PrefetcherStats
 from repro.core.signatures import LastTouchSignature, SignatureConfig, fold_hash, hash_combine
-from repro.core.confidence import SaturatingCounter
 from repro.core.history import HistoryTable
 from repro.core.signature_cache import SignatureCache, SignatureCacheConfig, SignatureCacheEntry
 from repro.core.sequence_storage import (
@@ -38,7 +35,6 @@ __all__ = [
     "PrefetchCommand",
     "Prefetcher",
     "PrefetcherStats",
-    "SaturatingCounter",
     "SequenceFrame",
     "SequenceStorage",
     "SequenceStorageConfig",

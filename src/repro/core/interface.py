@@ -151,14 +151,6 @@ class Prefetcher(ABC):
         """Called when a prefetched block is evicted without ever being referenced."""
         self.stats.prefetches_evicted_unused += 1
 
-    def on_context_switch(self) -> None:
-        """Called at a context switch (multi-programmed runs).
-
-        Predictor state is architecturally persistent in the paper
-        (Section 4), so the default is a no-op; subclasses that keep
-        speculative per-core state may override.
-        """
-
     def signature_traffic_bytes(self) -> int:
         """Off-chip predictor-metadata traffic generated so far, in bytes.
 

@@ -1,11 +1,11 @@
-"""DRAM latency model.
+"""DRAM parameters.
 
 Table 1 of the paper specifies off-chip memory with a 200-cycle latency
 for the first 32 bytes of a transfer and 3 additional cycles for each
-subsequent 32-byte chunk, over a 1GB (30-bit) physical space.  The model
-here reproduces that latency formula and tracks total bytes transferred,
-split by traffic category, so the bandwidth study (Figure 12) can be
-regenerated.
+subsequent 32-byte chunk, over a 1GB (30-bit) physical space.  The
+latency formula over these parameters is
+:meth:`repro.timing.config.SystemConfig.memory_block_latency`; bus
+traffic is accounted by :mod:`repro.memory.bus`.
 """
 
 from __future__ import annotations
@@ -29,39 +29,3 @@ class DRAMConfig:
             raise ValueError("latencies must be non-negative")
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-
-
-class DRAMModel:
-    """Latency and traffic accounting for off-chip memory."""
-
-    def __init__(self, config: DRAMConfig | None = None) -> None:
-        self.config = config or DRAMConfig()
-        self.total_bytes_read = 0
-        self.total_bytes_written = 0
-        self.total_requests = 0
-
-    def access_latency(self, num_bytes: int) -> int:
-        """Cycles to transfer ``num_bytes`` from DRAM (critical-word-first)."""
-        if num_bytes <= 0:
-            raise ValueError("num_bytes must be positive")
-        chunks = -(-num_bytes // self.config.chunk_bytes)  # ceil division
-        return self.config.first_chunk_latency + (chunks - 1) * self.config.chunk_latency
-
-    def read(self, num_bytes: int) -> int:
-        """Record a read of ``num_bytes``; return its latency in cycles."""
-        latency = self.access_latency(num_bytes)
-        self.total_bytes_read += num_bytes
-        self.total_requests += 1
-        return latency
-
-    def write(self, num_bytes: int) -> int:
-        """Record a write of ``num_bytes``; return its latency in cycles."""
-        latency = self.access_latency(num_bytes)
-        self.total_bytes_written += num_bytes
-        self.total_requests += 1
-        return latency
-
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes moved in either direction."""
-        return self.total_bytes_read + self.total_bytes_written

@@ -23,7 +23,7 @@ predictor on a fresh simulator, see
 :func:`repro.sim.vector_replay.replay_kernel`) and through this
 module's interpreted loop otherwise.  The interpreted loop
 iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
-locals-hoisted method references, drives the hierarchies through their
+locals-hoisted method references, drives the four caches through their
 allocation-free ``access_fast`` entry points, and calls the predictor's
 ``on_access`` with one reused :class:`MemoryAccess`/:class:`AccessOutcome`
 pair.  Both engines drive the same predictor object; the engine selects

@@ -187,6 +187,19 @@ class TestReports:
         for result in results.values():
             assert result.peak_rss_kb > 0
 
+    def test_short_scenarios_are_topped_up_to_the_sampled_time_floor(self):
+        from repro.bench.scenarios import _MAX_SAMPLES, _MIN_SAMPLED_SECONDS
+
+        labels = []
+        result = run_scenarios(["cache.l1_hits"], scale=0.005, progress=labels.append)["cache.l1_hits"]
+        assert result.repeats == len(result.all_wall_seconds) == len(labels)
+        assert result.repeats > get_scenario("cache.l1_hits").repeats
+        assert (sum(result.all_wall_seconds) >= _MIN_SAMPLED_SECONDS
+                or result.repeats == _MAX_SAMPLES)
+        assert result.wall_seconds == min(result.all_wall_seconds)
+        # An explicit repeat count is exact.
+        assert run_scenario("cache.l1_hits", scale=0.005, repeats=2).repeats == 2
+
     def test_format_results_table_mentions_speedups(self):
         results = {"sim.demo": BenchResult("sim.demo", 2.0, 100, 1, [2.0])}
         text = format_results_table(results, {"sim.demo": 3.4})

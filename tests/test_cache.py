@@ -61,12 +61,6 @@ class TestBasicBehaviour:
         assert tiny.contains(addr(0, 5, 32))
         assert addr(0, 5) in tiny.resident_blocks()
 
-    def test_flush(self, tiny):
-        tiny.access(addr(0, 1))
-        tiny.access(addr(1, 2))
-        assert tiny.flush() == 2
-        assert not tiny.contains(addr(0, 1))
-
 
 class TestPrefetchInsertion:
     def test_prefetch_then_demand_hit_is_prefetch_hit(self, tiny):
@@ -107,12 +101,6 @@ class TestPrefetchInsertion:
         # The unused prefetched block (tag 1) is LRU and gets evicted.
         assert result.evicted_was_prefetched_unused
         assert tiny.stats.prefetch_unused_evictions == 1
-
-    def test_evict_block_forcibly(self, tiny):
-        tiny.access(addr(0, 1))
-        evicted = tiny.evict_block(addr(0, 1))
-        assert evicted is not None and evicted.block_address == addr(0, 1)
-        assert tiny.evict_block(addr(0, 1)) is None
 
 
 class TestInvariants:

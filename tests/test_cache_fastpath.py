@@ -1,10 +1,11 @@
 """Equivalence suite: array-backed fast cache vs the legacy reference model.
 
 Drives both implementations through identical access/prefetch sequences
-— for every replacement policy — and asserts identical per-operation
-results (including victim choices, which show up as evicted addresses)
-and identical final statistics.  This is the gate that lets the fast
-engine replace the legacy one.
+— through both LRU bodies of the fast cache, the branch-free two-way one
+and the n-way one — and asserts identical per-operation results
+(including victim choices, which show up as evicted addresses) and
+identical final statistics.  This is the gate that lets the fast engine
+replace the legacy one.
 """
 
 import random
@@ -14,8 +15,6 @@ import pytest
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.legacy import LegacySetAssociativeCache
-
-POLICIES = ("lru", "fifo", "random")
 
 
 def _result_fields(result: AccessResult) -> tuple:
@@ -32,7 +31,7 @@ def _result_fields(result: AccessResult) -> tuple:
 
 
 def _random_ops(seed: int, count: int, block_span: int):
-    """A reproducible mixed access/prefetch/evict/contains operation list."""
+    """A reproducible mixed access/prefetch/contains operation list."""
     rng = random.Random(seed)
     ops = []
     for _ in range(count):
@@ -40,11 +39,9 @@ def _random_ops(seed: int, count: int, block_span: int):
         kind = rng.random()
         if kind < 0.70:
             ops.append(("access", address, rng.random() < 0.3))
-        elif kind < 0.90:
+        elif kind < 0.95:
             victim = rng.randrange(block_span) * 64 if rng.random() < 0.5 else None
             ops.append(("prefetch", address, victim))
-        elif kind < 0.95:
-            ops.append(("evict", address, None))
         else:
             ops.append(("contains", address, None))
     return ops
@@ -56,18 +53,14 @@ def _apply(cache, op):
         return _result_fields(cache.access(address, is_write=extra))
     if kind == "prefetch":
         return _result_fields(cache.insert_prefetch(address, victim_address=extra))
-    if kind == "evict":
-        block = cache.evict_block(address)
-        return None if block is None else (block.block_address, block.dirty, block.prefetched)
     return cache.contains(address)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("seed", [1, 7, 99])
-def test_fast_and_legacy_agree_on_random_sequences(policy, seed):
-    config = CacheConfig("equiv", 4096, 64, 2)
-    fast = SetAssociativeCache(config, replacement=policy)
-    legacy = LegacySetAssociativeCache(config, replacement=policy)
+def test_fast_and_legacy_agree_on_random_sequences(seed):
+    config = CacheConfig("equiv", 4096, 64, 2)  # the two-way body
+    fast = SetAssociativeCache(config)
+    legacy = LegacySetAssociativeCache(config)
     # Span ~4x the cache's block capacity so evictions are constant.
     for step, op in enumerate(_random_ops(seed, 4000, block_span=4 * config.num_blocks)):
         assert _apply(fast, op) == _apply(legacy, op), f"divergence at step {step}: {op}"
@@ -75,27 +68,13 @@ def test_fast_and_legacy_agree_on_random_sequences(policy, seed):
     assert sorted(fast.resident_blocks()) == sorted(legacy.resident_blocks())
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_higher_associativity_agrees(policy):
-    config = CacheConfig("equiv8", 16384, 64, 8)
-    fast = SetAssociativeCache(config, replacement=policy)
-    legacy = LegacySetAssociativeCache(config, replacement=policy)
+def test_higher_associativity_agrees():
+    config = CacheConfig("equiv8", 16384, 64, 8)  # the n-way body
+    fast = SetAssociativeCache(config)
+    legacy = LegacySetAssociativeCache(config)
     for op in _random_ops(17, 5000, block_span=3 * config.num_blocks):
         assert _apply(fast, op) == _apply(legacy, op)
     assert fast.stats == legacy.stats
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_flush_agrees(policy):
-    config = CacheConfig("flush", 2048, 64, 4)
-    fast = SetAssociativeCache(config, replacement=policy)
-    legacy = LegacySetAssociativeCache(config, replacement=policy)
-    for op in _random_ops(3, 500, block_span=256):
-        _apply(fast, op)
-        _apply(legacy, op)
-    assert fast.flush() == legacy.flush()
-    assert fast.stats == legacy.stats
-    assert fast.resident_blocks() == [] == legacy.resident_blocks()
 
 
 class TestPrefetchEvictionAccounting:
@@ -151,32 +130,35 @@ class TestPrefetchEvictionAccounting:
 
 
 class TestHierarchyFastPath:
-    """CacheHierarchy.access_fast mirrors access() walk-for-walk."""
+    """The allocation-free hierarchy walk and prefetch mirror the object API."""
 
     def test_codes_levels_and_stats_match_object_api(self):
+        # The interpreted replay loop's walk: L1 access_fast, then the L2
+        # on a miss; it must match the object-returning access() walk.
         from repro.cache.hierarchy import CacheHierarchy, ServiceLevel
 
         fast = CacheHierarchy()
         mirror = CacheHierarchy()
         rng = random.Random(11)
-        level_by_code = {0: ServiceLevel.L1, 1: ServiceLevel.L2, 2: ServiceLevel.MEMORY}
         for _ in range(3000):
             address = rng.randrange(1 << 22)
             is_write = rng.random() < 0.3
-            code = fast.access_fast(address, is_write)
+            code = fast.l1.access_fast(address, is_write)
             result = mirror.access(address, is_write=is_write)
             assert (code != 0) == result.l1_hit
             assert (code == 2) == result.prefetch_hit
             if not code:
-                assert level_by_code[fast.last_level] is result.level
-        assert fast.stats == mirror.stats
+                level = ServiceLevel.L2 if fast.l2.access_fast(address, False) else ServiceLevel.MEMORY
+                assert level is result.level
+        assert fast.l1.stats == mirror.l1.stats
+        assert fast.l2.stats == mirror.l2.stats
 
     def test_prefetch_hit_code_after_prefetch_into_l1_fast(self):
         from repro.cache.hierarchy import CacheHierarchy
 
         hierarchy = CacheHierarchy()
         assert hierarchy.prefetch_into_l1_fast(0x4000) == 2  # from memory
-        assert hierarchy.access_fast(0x4000, False) == 2  # consumes the prefetch
+        assert hierarchy.access(0x4000).prefetch_hit  # consumes the prefetch
         assert hierarchy.prefetch_into_l1_fast(0x4000) == 0  # already resident
 
 
@@ -191,20 +173,6 @@ class TestFastPathEntryPoints:
         assert cache.insert_prefetch_fast(0x1000) == 0  # installed
         assert cache.access_fast(0x1000, False) == 2  # prefetch hit
         assert cache.access_fast(0x1000, False) == 1  # plain hit afterwards
-
-    def test_evict_block_and_flush_leave_last_intact(self):
-        # The reusable struct holds the last fast-path result until the
-        # next fast-path call; maintenance operations must not clobber it.
-        cache = SetAssociativeCache(CacheConfig("tiny", 256, 64, 2))
-        cache.access_fast(0 << 7, False)
-        cache.access_fast(1 << 7, False)
-        cache.access_fast(2 << 7, False)  # miss: evicts tag 0
-        assert cache.last.evicted_address == 0
-        cache.evict_block(1 << 7)
-        assert cache.last.evicted_address == 0
-        cache.flush()
-        assert cache.last.evicted_address == 0
-        assert cache.stats.evictions == 3  # demand + forced + flush
 
     def test_miss_details_match_wrapper_result(self):
         config = CacheConfig("tiny", 256, 64, 2)

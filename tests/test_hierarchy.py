@@ -88,8 +88,3 @@ class TestPrefetches:
         small_hierarchy.access(base + stride)
         outcome = small_hierarchy.prefetch_into_l1(base + 2 * stride, victim_address=base + stride)
         assert outcome.evicted_address == base + stride
-
-    def test_flush_clears_both_levels(self, small_hierarchy):
-        small_hierarchy.access(0x40000)
-        small_hierarchy.flush()
-        assert small_hierarchy.access(0x40000).level is ServiceLevel.MEMORY

@@ -1,34 +1,18 @@
-"""Unit tests for repro.memory (DRAM, bus, prefetch request queue)."""
+"""Unit tests for repro.memory (DRAM parameters, bus, prefetch request queue)."""
 
 import pytest
 
 from repro.memory.bus import BusConfig, BusModel, TrafficCategory
-from repro.memory.dram import DRAMConfig, DRAMModel
+from repro.memory.dram import DRAMConfig
 from repro.memory.request_queue import PrefetchRequestQueue
 
 
 class TestDRAM:
-    def test_table1_latency_formula(self):
-        dram = DRAMModel()
-        assert dram.access_latency(32) == 200
-        assert dram.access_latency(64) == 203
-        assert dram.access_latency(1) == 200
-        assert dram.access_latency(96) == 206
-
-    def test_read_write_accounting(self):
-        dram = DRAMModel()
-        dram.read(64)
-        dram.write(32)
-        assert dram.total_bytes_read == 64
-        assert dram.total_bytes_written == 32
-        assert dram.total_bytes == 96
-        assert dram.total_requests == 2
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
-            DRAMModel().access_latency(0)
-        with pytest.raises(ValueError):
             DRAMConfig(size_bytes=0)
+        with pytest.raises(ValueError):
+            DRAMConfig(chunk_bytes=0)
 
 
 class TestBus:

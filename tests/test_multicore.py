@@ -107,7 +107,7 @@ class TestSharedL2Hierarchy:
         private = CacheHierarchy(HierarchyConfig())
         addresses = [0x1000 * i for i in range(64)] * 3
         for address in addresses:
-            assert shared.access_fast(address, 0) == private.access_fast(address, 0)
+            assert shared.access(address).level is private.access(address).level
         assert shared.stats == private.stats
 
     def test_cores_share_the_l2(self):

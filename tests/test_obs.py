@@ -544,6 +544,25 @@ class TestCampaignStreaming:
         assert summary["points"]["fallbacks"] == {"kill-switch": 2}
         assert "fell back from the kernel: kill-switch=2" in format_summary(summary)
 
+    def test_campaign_run_end_carries_the_metrics_snapshot(self, tmp_path, monkeypatch):
+        """A serial campaign's run_end shows the replay tier and fallback counters."""
+        monkeypatch.setenv("REPRO_NO_VECTOR_KERNEL", "1")
+        points = [PointSpec(benchmark=benchmark, predictor="dbcp", num_accesses=1500, seed=42)
+                  for benchmark in ("mcf", "art")]
+        fallbacks = REGISTRY.counter("replay.fallback.kill-switch").value
+        interpreted = REGISTRY.counter("replay.tier.interpreted").value
+        log = tmp_path / "events.jsonl"
+        with kernel_disabled(), JsonlObserver(log) as observer:
+            CampaignRunner(jobs=1, cache=ResultCache(tmp_path / "cache")).run(
+                points, name="metrics", observer=observer
+            )
+        events = read_events(log)
+        assert check_events(events) == []
+        (end,) = [event for event in events if event["type"] == "run_end"]
+        counters = end["metrics"]["counters"]
+        assert counters["replay.fallback.kill-switch"] == fallbacks + 2
+        assert counters["replay.tier.interpreted"] == interpreted + 2
+
     def test_kernel_points_carry_no_fallback(self, tmp_path):
         observer = ListObserver()
         point = PointSpec(benchmark="mcf", predictor="dbcp", num_accesses=1500, seed=42)

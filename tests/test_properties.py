@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.core.confidence import SaturatingCounter
 from repro.core.signature_cache import SignatureCache, SignatureCacheConfig, SignatureCacheEntry
 from repro.core.signatures import SignatureConfig, fold_hash, hash_combine
 from repro.memory.request_queue import PrefetchRequestQueue
@@ -65,16 +64,6 @@ class TestHashProperties:
     def test_truncate_key_deterministic(self, raw):
         config = SignatureConfig(trace_hash_bits=23)
         assert config.truncate_key(raw) == config.truncate_key(raw)
-
-
-class TestCounterProperties:
-    @given(st.lists(st.sampled_from(["inc", "dec"]), max_size=100), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=100, deadline=None)
-    def test_counter_always_in_range(self, operations, bits):
-        counter = SaturatingCounter(bits=bits, initial=0)
-        for operation in operations:
-            counter.increment() if operation == "inc" else counter.decrement()
-            assert 0 <= counter.value <= counter.max_value
 
 
 class TestRequestQueueProperties:

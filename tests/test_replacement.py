@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cache.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    make_replacement_policy,
-)
+from repro.cache.replacement import FIFOReplacement, LRUReplacement
 
 
 class TestLRU:
@@ -30,6 +25,10 @@ class TestLRU:
         lru.on_fill(0, 1)
         assert lru.victim_way(0, [0, 1]) == 0
 
+    def test_invalid_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            LRUReplacement(0, 2)
+
 
 class TestFIFO:
     def test_first_filled_evicted_despite_access(self):
@@ -45,34 +44,3 @@ class TestFIFO:
         fifo.on_fill(0, 1)
         fifo.on_fill(0, 0)  # way 0 refilled; way 1 is now oldest
         assert fifo.victim_way(0, [0, 1]) == 1
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomReplacement(1, 4, seed=7)
-        b = RandomReplacement(1, 4, seed=7)
-        choices_a = [a.victim_way(0, [0, 1, 2, 3]) for _ in range(10)]
-        choices_b = [b.victim_way(0, [0, 1, 2, 3]) for _ in range(10)]
-        assert choices_a == choices_b
-
-    def test_victim_always_occupied(self):
-        policy = RandomReplacement(1, 4, seed=1)
-        for _ in range(50):
-            assert policy.victim_way(0, [1, 3]) in (1, 3)
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [("lru", LRUReplacement), ("fifo", FIFOReplacement), ("random", RandomReplacement)])
-    def test_known_policies(self, name, cls):
-        assert isinstance(make_replacement_policy(name, 4, 2), cls)
-
-    def test_case_insensitive(self):
-        assert isinstance(make_replacement_policy("LRU", 4, 2), LRUReplacement)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_replacement_policy("plru", 4, 2)
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            LRUReplacement(0, 2)

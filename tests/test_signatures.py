@@ -1,8 +1,7 @@
-"""Unit tests for repro.core.signatures and repro.core.confidence."""
+"""Unit tests for repro.core.signatures."""
 
 import pytest
 
-from repro.core.confidence import SaturatingCounter
 from repro.core.signatures import (
     LastTouchSignature,
     REALISTIC_SIGNATURES,
@@ -70,28 +69,3 @@ class TestLastTouchSignature:
             LastTouchSignature(key=-1, predicted_address=0)
         with pytest.raises(ValueError):
             LastTouchSignature(key=0, predicted_address=-1)
-
-
-class TestSaturatingCounter:
-    def test_paper_initialisation(self):
-        counter = SaturatingCounter(bits=2, initial=2)
-        assert counter.is_confident(2)
-
-    def test_saturates_high(self):
-        counter = SaturatingCounter(bits=2, initial=3)
-        assert counter.increment() == 3
-
-    def test_saturates_low(self):
-        counter = SaturatingCounter(bits=2, initial=0)
-        assert counter.decrement() == 0
-
-    def test_full_cycle(self):
-        counter = SaturatingCounter(bits=2, initial=2)
-        counter.decrement()
-        assert not counter.is_confident(2)
-        counter.increment()
-        assert counter.is_confident(2)
-
-    def test_out_of_range_initial_rejected(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=2, initial=4)

@@ -20,6 +20,9 @@ class TestSystemConfig:
         assert config.l2_hit_latency == 20
         assert config.memory_latency == 200
         assert config.memory_block_latency(64) == 203
+        # Table 1: 200 cycles for the first 32 bytes, 3 per further 32.
+        assert config.memory_block_latency(32) == 200
+        assert config.memory_block_latency(128) == 209
 
     def test_validation(self):
         with pytest.raises(ValueError):
