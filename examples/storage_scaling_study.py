@@ -22,16 +22,21 @@ Usage::
 from __future__ import annotations
 
 import sys
+from typing import List, Optional
 
 import repro
 from repro.core.ltcords import LTCordsConfig
 from repro.core.signature_cache import SignatureCacheConfig
 from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher
+from repro.sim.trace_driven import TraceDrivenSimulator
+from repro.trace import load_or_generate_trace
+from repro.workloads.base import WorkloadConfig
 
 
-def main() -> int:
-    benchmark = sys.argv[1] if len(sys.argv) > 1 else "mcf"
-    num_accesses = int(sys.argv[2]) if len(sys.argv) > 2 else 120_000
+def main(argv: Optional[List[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    benchmark = args[0] if args else "mcf"
+    num_accesses = int(args[1]) if len(args) > 1 else 120_000
     session = repro.Session()
     signature_bytes = DBCPConfig().signature_config.stored_bytes
 
@@ -67,10 +72,14 @@ def main() -> int:
     print(f"   LT-cords total on-chip state : {ltcords_config.on_chip_storage_bytes() / 1024:.0f} KB "
           f"(+ {ltcords_config.storage_config.storage_bytes / (1 << 20):.0f} MB of ordinary off-chip DRAM)")
     # Replay the oracle with a concrete predictor instance to measure how
-    # much correlation state it accumulated (instance runs bypass the cache).
+    # much correlation state it accumulated.  A compiled-kernel run keeps
+    # the table in C, so this one replay takes the interpreted tier,
+    # which builds the Python-side table.
     unlimited = DBCPPrefetcher(DBCPConfig.unlimited())
-    session.run(benchmark, predictor="dbcp-unlimited", num_accesses=num_accesses,
-                prefetcher=unlimited, engine="legacy")
+    trace = load_or_generate_trace(benchmark, WorkloadConfig(num_accesses=num_accesses))
+    run_chunk, settle = TraceDrivenSimulator(prefetcher=unlimited).replay_chunks(trace)
+    run_chunk(0, len(trace))
+    settle()
     dbcp_bytes = unlimited.table_utilization_bytes()
     print(f"   Equivalent DBCP on-chip table: {dbcp_bytes / 1024:.0f} KB of correlation data for this scaled "
           f"trace alone (grows with footprint; 80-160 MB for the paper's full-size workloads)")

@@ -52,7 +52,6 @@ def quick_simulation(
     seed: int = 42,
     predictor_config: Optional[object] = None,
     hierarchy_config: Optional["HierarchyConfig"] = None,
-    engine: str = "fast",
 ) -> SimulationResult:
     """Run one trace-driven simulation of ``predictor`` on ``benchmark``.
 
@@ -68,7 +67,6 @@ def quick_simulation(
         hierarchy_config=hierarchy_config,
         num_accesses=max_accesses,
         seed=seed,
-        engine=engine,
     )
     return Session(use_cache=False).run(spec)
 

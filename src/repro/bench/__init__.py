@@ -1,10 +1,10 @@
 """``repro.bench`` — the performance harness.
 
 Times micro-benchmarks (cache probe loops, trace generation, columnar
-iteration) and macro-benchmarks (whole ``simulate_benchmark`` runs,
-fast and legacy engines) across named scenarios, writes
-``BENCH_<name>.json`` reports (best wall time, ops/sec, peak RSS,
-fast-vs-legacy speedups), and diffs runs against the committed
+iteration) and macro-benchmarks (whole ``simulate_benchmark`` runs, on
+the compiled kernel and under the kill switch) across named scenarios,
+writes ``BENCH_<name>.json`` reports (best wall time, ops/sec, peak RSS,
+twin-scenario speedups), and diffs runs against the committed
 ``BENCH_baseline.json`` with calibration-normalised tolerance checking.
 
 Command line::

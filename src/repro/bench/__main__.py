@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.bench --list
     python -m repro.bench --quick
-    python -m repro.bench --scenario sim.dbcp.mcf sim.dbcp.mcf.legacy
+    python -m repro.bench --scenario sim.ltcords.mcf sim.ltcords.mcf.interpreted
     python -m repro.bench --quick --update-baseline
 
 A quick/full run writes ``BENCH_<name>.json`` and, when a baseline file

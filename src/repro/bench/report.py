@@ -1,7 +1,7 @@
 """Writing ``BENCH_*.json`` reports and diffing them against a baseline.
 
 A report records every measured scenario (best wall time, ops/sec, peak
-RSS) plus the derived fast-vs-legacy speedups.  The regression check
+RSS) plus the speedups derived from twin scenarios.  The regression check
 compares *calibration-normalised* throughput: each scenario's ops/sec is
 divided by the run's ``calibrate`` scenario ops/sec (a fixed arithmetic
 loop), so a CI runner that is uniformly slower or faster than the
@@ -255,10 +255,10 @@ def format_results_table(results: Dict[str, BenchResult], speedups: Dict[str, fl
         )
     for fast_name, speedup in sorted(speedups.items()):
         # The key is the faster twin; the ratio is measured against the
-        # scenario that declared it: its ".interpreted" (kill-switch)
-        # twin when one ran, else its ".legacy" twin.
+        # scenario that declared it: its ".interpreted" (kill-switch) twin
+        # when one ran, else another slower twin (sweep.trace_cold).
         interpreted = f"{fast_name}.interpreted" in results
-        slower = "its interpreted tier" if interpreted else "the legacy engine"
+        slower = "its interpreted tier" if interpreted else "its slower twin"
         lines.append(f"speedup[{fast_name}]: {speedup:.2f}x faster than {slower}")
     return "\n".join(lines)
 

@@ -3,9 +3,10 @@
 A scenario names one timed operation at one size: a micro-benchmark of a
 hot structure (cache probe loop, trace generation, columnar iteration)
 or a macro-benchmark of a whole simulation (predictor × benchmark ×
-trace length).  Fast-engine macro scenarios have ``.legacy`` twins that
-run the identical simulation through the legacy engine; the report
-derives fast-vs-legacy speedups from those pairs.
+trace length).  Some macro scenarios have ``.interpreted`` twins that
+run the identical simulation under ``REPRO_NO_VECTOR_KERNEL``, and the
+warm-store sweep has a cold-store twin; the report derives speedups from
+those pairs.
 
 Every scenario accepts a ``scale`` factor so the same definitions serve
 the committed baseline (scale 1.0), CI smoke runs and the unit tests
@@ -42,7 +43,7 @@ class Scenario:
     build: Callable[[float], Tuple[Callable[[], Callable[[], Any]], int]]
     quick: bool = False
     repeats: int = 3
-    #: Name of the fast-engine twin this scenario is the legacy half of.
+    #: Name of the faster twin this scenario is the slower half of.
     speedup_of: Optional[str] = None
 
 
@@ -151,13 +152,12 @@ def run_scenarios(
 
 
 def derive_speedups(results: Dict[str, BenchResult]) -> Dict[str, float]:
-    """Engine speedups for every measured twin pair.
+    """Speedups for every measured twin pair.
 
     Each scenario declaring ``speedup_of`` is the slower half of a pair;
-    the derived ratio is keyed by the faster twin's name: ``.legacy``
-    scenarios yield the fast engine's speedup over legacy, and
-    ``.interpreted`` (kill-switch) scenarios the compiled kernel's
-    speedup over the fast engine's interpreted tier.
+    the derived ratio is keyed by the faster twin's name: ``.interpreted``
+    (kill-switch) scenarios yield the compiled kernel's speedup over the
+    interpreted tier, and ``sweep.trace_cold`` the warm trace store's.
     """
     speedups: Dict[str, float] = {}
     for name, result in results.items():
@@ -238,33 +238,6 @@ _register(Scenario(
     description="array-backed L1D fast-path probe loop (all hits)",
     build=_build_cache_l1_hits,
     quick=True,
-))
-
-
-def _build_cache_l1_hits_legacy(scale: float):
-    from repro.cache.config import L1D_CONFIG
-    from repro.cache.legacy import LegacySetAssociativeCache
-
-    addresses = _hit_loop_addresses(_scaled(500_000, scale))
-
-    def make_task():
-        cache = LegacySetAssociativeCache(L1D_CONFIG)
-
-        def task():
-            access = cache.access
-            for address in addresses:
-                access(address)
-
-        return task
-
-    return make_task, len(addresses)
-
-
-_register(Scenario(
-    name="cache.l1_hits.legacy",
-    description="legacy object-per-block L1D probe loop (all hits)",
-    build=_build_cache_l1_hits_legacy,
-    speedup_of="cache.l1_hits",
 ))
 
 
@@ -445,9 +418,7 @@ def _kill_switch():
         vector._KERNEL, vector._KERNEL_FAILED = saved[1], saved[2]
 
 
-def _build_simulation(
-    benchmark: str, predictor: str, accesses: int, engine: str, kill_switch: bool = False
-):
+def _build_simulation(benchmark: str, predictor: str, accesses: int, kill_switch: bool = False):
     def build(scale: float):
         count = _scaled(accesses, scale)
 
@@ -458,8 +429,6 @@ def _build_simulation(
             # like theirs, loads the trace from the store when warm (the
             # first repeat warms it; min-of-N then measures the warm
             # path; sweep.trace_cold covers per-point regeneration).
-            # The engine selects the simulator loop and cache model;
-            # both engines build the same predictor.
             def task():
                 from repro.api import build_predictor
                 from repro.sim.trace_driven import simulate_benchmark
@@ -470,7 +439,6 @@ def _build_simulation(
                         prefetcher=build_predictor(predictor),
                         num_accesses=count,
                         seed=42,
-                        engine=engine,
                     )
 
             return task
@@ -481,47 +449,35 @@ def _build_simulation(
 
 
 def _register_simulation_pair(
-    benchmark: str, predictor: str, accesses: int, quick: bool, legacy: bool = True,
-    kill_switch: bool = False,
+    benchmark: str, predictor: str, accesses: int, quick: bool, kill_switch: bool = False,
 ) -> None:
-    """``sim.<predictor>.<benchmark>`` plus its ``.legacy`` and ``.interpreted`` twins."""
+    """``sim.<predictor>.<benchmark>``, plus its ``.interpreted`` twin with ``kill_switch``."""
     fast_name = f"sim.{predictor}.{benchmark}"
     label = f"simulate_benchmark({benchmark!r}, {predictor}, {accesses // 1000}k accesses)"
     _register(Scenario(
         name=fast_name,
-        description=f"{label}, fast engine",
-        build=_build_simulation(benchmark, predictor, accesses, "fast"),
+        description=label,
+        build=_build_simulation(benchmark, predictor, accesses),
         quick=quick,
         repeats=4,
     ))
-    if legacy:
-        _register(Scenario(
-            name=f"{fast_name}.legacy",
-            description=f"{label}, legacy engine",
-            build=_build_simulation(benchmark, predictor, accesses, "legacy"),
-            quick=quick,
-            repeats=3,
-            speedup_of=fast_name,
-        ))
     if kill_switch:
         _register(Scenario(
             name=f"{fast_name}.interpreted",
-            description=f"{label}, fast engine under REPRO_NO_VECTOR_KERNEL",
-            build=_build_simulation(benchmark, predictor, accesses, "fast", kill_switch=True),
+            description=f"{label} under REPRO_NO_VECTOR_KERNEL",
+            build=_build_simulation(benchmark, predictor, accesses, kill_switch=True),
             quick=quick,
             repeats=3,
             speedup_of=fast_name,
         ))
 
 
-# The headline pairs: the fast engine's >=3x gate over legacy is measured
-# on simulate_benchmark with DBCP over mcf at 200k accesses; both DBCP and
-# the no-prefetcher baseline take the compiled kernel there.  LT-cords on
-# mcf, GHB and stride pair the kernel with the same run under the kill
-# switch.
+# The headline scenarios: DBCP and the no-prefetcher baseline over mcf at
+# 200k accesses, both on the compiled kernel.  LT-cords on mcf, GHB and
+# stride pair the kernel with the same run under the kill switch.
 _register_simulation_pair("mcf", "dbcp", 200_000, quick=True)
 _register_simulation_pair("mcf", "none", 200_000, quick=True)
-_register_simulation_pair("mcf", "ltcords", 100_000, quick=True, legacy=False, kill_switch=True)
+_register_simulation_pair("mcf", "ltcords", 100_000, quick=True, kill_switch=True)
 _register_simulation_pair("em3d", "ltcords", 100_000, quick=False)
 _register_simulation_pair("swim", "ghb", 100_000, quick=False, kill_switch=True)
 # Predictor-focused pairs: GHB on an irregular pointer chase (index-table
@@ -530,9 +486,7 @@ _register_simulation_pair("mcf", "ghb", 100_000, quick=False, kill_switch=True)
 _register_simulation_pair("swim", "stride", 100_000, quick=False, kill_switch=True)
 
 
-def _build_multicore(
-    benchmarks, predictor: str, accesses: int, engine: str, kill_switch: bool = False
-):
+def _build_multicore(benchmarks, predictor: str, accesses: int, kill_switch: bool = False):
     def build(scale: float):
         count = _scaled(accesses, scale)
 
@@ -548,7 +502,6 @@ def _build_multicore(
                         predictors=(predictor,),
                         num_accesses=count,
                         seed=42,
-                        engine=engine,
                     ))
 
             return task
@@ -561,23 +514,15 @@ def _build_multicore(
 # The co-runs are in the quick set: BENCH_baseline.json gates them.
 _register(Scenario(
     name="sim.multicore.2x",
-    description="2-core shared-L2 co-run (mcf+art, dbcp, 60k accesses/core), fast engine",
-    build=_build_multicore(("mcf", "art"), "dbcp", 60_000, "fast"),
+    description="2-core shared-L2 co-run (mcf+art, dbcp, 60k accesses/core)",
+    build=_build_multicore(("mcf", "art"), "dbcp", 60_000),
     repeats=3,
     quick=True,
-))
-_register(Scenario(
-    name="sim.multicore.2x.legacy",
-    description="2-core shared-L2 co-run (mcf+art, dbcp, 60k accesses/core), legacy engine",
-    build=_build_multicore(("mcf", "art"), "dbcp", 60_000, "legacy"),
-    repeats=3,
-    quick=True,
-    speedup_of="sim.multicore.2x",
 ))
 _register(Scenario(
     name="sim.multicore.4x",
     description="4-core shared-L2 co-run (mcf+art+swim+gzip, ltcords, 40k accesses/core)",
-    build=_build_multicore(("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast"),
+    build=_build_multicore(("mcf", "art", "swim", "gzip"), "ltcords", 40_000),
     repeats=3,
     quick=True,
 ))
@@ -585,10 +530,8 @@ _register(Scenario(
 _register(Scenario(
     name="sim.multicore.4x.interpreted",
     description="4-core shared-L2 co-run (mcf+art+swim+gzip, ltcords, 40k accesses/core), "
-    "fast engine under REPRO_NO_VECTOR_KERNEL",
-    build=_build_multicore(
-        ("mcf", "art", "swim", "gzip"), "ltcords", 40_000, "fast", kill_switch=True
-    ),
+    "under REPRO_NO_VECTOR_KERNEL",
+    build=_build_multicore(("mcf", "art", "swim", "gzip"), "ltcords", 40_000, kill_switch=True),
     repeats=3,
     quick=True,
     speedup_of="sim.multicore.4x",

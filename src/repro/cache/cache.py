@@ -37,12 +37,11 @@ The allocation-free entry points :meth:`access_fast` and
 :meth:`insert_prefetch_fast` write miss/eviction details into the
 reusable ``__slots__`` struct :attr:`SetAssociativeCache.last` and
 return a small int code; the object-returning :meth:`access` /
-:meth:`insert_prefetch` wrappers preserve the original API for tests,
-the timing simulator and external callers.  The pre-fast-path
-implementation is kept verbatim as
-:class:`repro.cache.legacy.LegacySetAssociativeCache`; the equivalence
-suite drives both on identical sequences and asserts identical results,
-victim choices and statistics.
+:meth:`insert_prefetch` wrappers preserve the original API for the
+analysis drivers, tests and external callers.  The pre-fast-path
+object-per-block model is the test suite's reference oracle
+(``tests/oracle.py``); the equivalence suite drives both on identical
+sequences and asserts identical results, victim choices and statistics.
 
 Every cache of the paper's hierarchy (Table 1) is LRU, and so is this
 model.  The two-way L1D shape takes a branch-free specialisation of
@@ -63,19 +62,6 @@ _SET_ARRAYS = ("_tags", "_blocks", "_flags", "_stamps", "_counts")
 _DIRTY = 1
 _PREFETCHED = 2
 _REFERENCED = 4
-
-
-@dataclass
-class CacheBlock:
-    """State of one cache block (one way of one set)."""
-
-    tag: int
-    block_address: int
-    dirty: bool = False
-    prefetched: bool = False
-    referenced: bool = True
-    fill_serial: int = 0
-    last_access_serial: int = 0
 
 
 class AccessResult:

@@ -1,8 +1,7 @@
 """Replacement policies for set-associative caches.
 
-The baseline data caches use LRU (the legacy reference cache keeps an
-:class:`LRUReplacement`; the array-backed cache keeps the same order in
-its stamp arrays).  The LT-cords signature cache uses FIFO replacement
+The baseline data caches use LRU, which the array-backed cache keeps in
+its stamp arrays.  The LT-cords signature cache uses FIFO replacement
 (Section 4.3).
 """
 
@@ -36,38 +35,6 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def victim_way(self, set_index: int, occupied_ways: List[int]) -> int:
         """Choose a victim among ``occupied_ways`` of a full set."""
-
-
-class LRUReplacement(ReplacementPolicy):
-    """Least-recently-used replacement (baseline data caches)."""
-
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
-        # Per-set list of ways from most- to least-recently used.
-        self._order: Dict[int, List[int]] = {}
-
-    def _set_order(self, set_index: int) -> List[int]:
-        return self._order.setdefault(set_index, [])
-
-    def on_access(self, set_index: int, way: int) -> None:
-        order = self._set_order(set_index)
-        if way in order:
-            order.remove(way)
-        order.insert(0, way)
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        self.on_access(set_index, way)
-
-    def victim_way(self, set_index: int, occupied_ways: List[int]) -> int:
-        order = self._set_order(set_index)
-        # Least-recently-used occupied way; ways never recorded are oldest.
-        unseen = [w for w in occupied_ways if w not in order]
-        if unseen:
-            return unseen[0]
-        for way in reversed(order):
-            if way in occupied_ways:
-                return way
-        return occupied_ways[0]
 
 
 class FIFOReplacement(ReplacementPolicy):

@@ -9,8 +9,9 @@ point in a content-addressed :class:`ResultCache` under ``.repro_cache/``
 persist per-campaign JSON/CSV summaries through an :class:`ArtifactStore`.
 
 All the figure/table experiment drivers route their sweeps through this
-subsystem, so regenerating any figure is incremental and parallel; the
-``python -m repro.campaign`` CLI exposes the same machinery ad hoc.
+subsystem, so regenerating any figure is incremental and parallel;
+``python -m repro sweep`` and ``python -m repro figures`` expose the
+same machinery from the command line.
 """
 
 from repro.campaign.artifacts import ArtifactStore

@@ -207,8 +207,11 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     The return leg piggybacks the point's wall time, phase split, phase
     tiers and fallbacks on the same JSON-dict transport as the result
     itself, so the parent can stream a fully-populated ``point_done`` event per
-    completion without any extra IPC.  The payload optionally carries the campaign's
-    resilience context: ``timeout_s`` (enforced here with ``SIGALRM`` —
+    completion without any extra IPC.  It also carries ``counters``: how
+    much the point's ``execute_spec`` raised each metrics counter here
+    (deltas, since a forked worker starts from the parent's values), for
+    the parent to add to its own registry.  The payload optionally
+    carries the campaign's resilience context: ``timeout_s`` (enforced here with ``SIGALRM`` —
     workers run their task on their main thread), and the fault plan
     plus this point's ``index``/``attempt`` so injected chaos fires
     inside the real worker path.
@@ -261,7 +264,13 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         with time_limit(payload.get("timeout_s")):
             faults.apply_before_execute(index, attempt, in_worker=True)
+            before = REGISTRY.counter_values()
             result = execute_spec(point, trace_store=trace_store, observer=collector)
+            counters = {
+                name: value - before.get(name, 0)
+                for name, value in REGISTRY.counter_values().items()
+                if value != before.get(name, 0)
+            }
         published = False
         if cache is not None:
             if faults.diskfull_target(index, attempt):
@@ -276,6 +285,7 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "phases": collector.phases,
         "tiers": collector.tiers,
         "fallbacks": collector.fallbacks,
+        "counters": counters,
         "published": published,
     }
 
@@ -841,6 +851,8 @@ class CampaignRunner:
                                 )
                                 emit_point_done(index, True)
                             else:
+                                for name, delta in payload["counters"].items():
+                                    REGISTRY.counter(name).inc(delta)
                                 self._finish(
                                     state, index, result,
                                     published=bool(payload.get("published")),

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.configs import decode_config, encode_config
 from repro.cache.hierarchy import HierarchyConfig
-from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.trace.store import TRACE_FORMAT_VERSION
 from repro.version import __version__
 
@@ -56,12 +55,6 @@ class PointSpec:
     quantum_instructions: int = 20_000
     max_switches: int = 60
     label: Optional[str] = None
-    #: Simulation engine of every sim kind: "fast" (default) or "legacy".
-    #: Both produce bit-identical results (the equivalence suites enforce
-    #: it); the default is excluded from the content key, so existing
-    #: cache keys stay valid, and "legacy" points are keyed separately for
-    #: cross-checking campaigns.
-    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         if self.sim not in SIM_KINDS:
@@ -70,16 +63,11 @@ class PointSpec:
             raise ValueError("multiprogram points need a secondary benchmark")
         if self.num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
-        validate_engine(self.engine)
 
     # ------------------------------------------------------------------ serialisation
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding (excludes ``label``; see class docstring).
-
-        ``engine`` is encoded only when it is not the default, so
-        existing cache keys remain valid.
-        """
-        payload = {
+        """JSON-safe encoding (excludes ``label``; see class docstring)."""
+        return {
             "benchmark": self.benchmark,
             "predictor": self.predictor,
             "predictor_config": encode_config(self.predictor_config),
@@ -92,9 +80,6 @@ class PointSpec:
             "quantum_instructions": self.quantum_instructions,
             "max_switches": self.max_switches,
         }
-        if self.engine != DEFAULT_ENGINE:
-            payload["engine"] = self.engine
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], label: Optional[str] = None) -> "PointSpec":

@@ -13,9 +13,8 @@ parsing and output formatting::
 
 ``run`` and ``sweep`` drive the :class:`repro.run.Session` facade;
 ``figures`` runs the named experiment drivers; ``bench`` and ``trace``
-mount the existing harness CLIs as subcommands.  The per-subsystem entry
-points (``python -m repro.campaign`` etc.) remain and share these
-implementations.
+mount the existing harness CLIs as subcommands (``python -m repro.bench``
+and ``python -m repro.trace`` remain their own entry points too).
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaign.spec import DEFAULT_NUM_ACCESSES, PredictorVariant, SweepSpec
-from repro.registry import ENGINE_NAMES, predictor_entry
+from repro.registry import predictor_entry
 from repro.resilience import RetryPolicy
 from repro.run import RunSpec, Session
 from repro.version import __version__
 
-#: Paper figure/table campaigns runnable by name (``figures`` subcommand
-#: and ``python -m repro.campaign run <name>``).  Each entry is the
-#: experiment-driver module (exposing ``run``/``format_results``) and a
-#: one-line description.
+#: Paper figure/table campaigns runnable by name (``figures`` subcommand).
+#: Each entry is the experiment-driver module (exposing
+#: ``run``/``format_results``) and a one-line description.
 NAMED_CAMPAIGNS = {
     "fig4": ("repro.experiments.fig4_dbcp_sensitivity", "DBCP coverage vs correlation-table size"),
     "fig8": ("repro.experiments.fig8_coverage", "LT-cords coverage vs unlimited DBCP"),
@@ -53,7 +51,7 @@ QUICK_FIGURE_ACCESSES = 20_000
 
 
 # ---------------------------------------------------------------------------
-# Shared formatting (also used by python -m repro.campaign).
+# Shared formatting.
 # ---------------------------------------------------------------------------
 
 def format_table(headers, rows) -> str:
@@ -154,8 +152,6 @@ def configure_run_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--accesses", type=int, default=DEFAULT_NUM_ACCESSES,
                         help=f"trace length (default {DEFAULT_NUM_ACCESSES})")
     parser.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
-    parser.add_argument("--engine", choices=list(ENGINE_NAMES), default="fast",
-                        help="simulation engine (default fast)")
     parser.add_argument("--sim", choices=["trace", "timing", "multiprogram"], default="trace",
                         help="simulator kind (default trace)")
     parser.add_argument("--perfect-l1", action="store_true",
@@ -205,7 +201,6 @@ def _multicore_spec_from_args(args: argparse.Namespace):
         predictors=predictors,
         num_accesses=args.accesses,
         seed=args.seed,
-        engine=args.engine,
         interleave=args.interleave,
     )
 
@@ -222,7 +217,6 @@ def run_point_cli(args: argparse.Namespace) -> int:
             predictor=args.predictor,
             num_accesses=args.accesses,
             seed=args.seed,
-            engine=args.engine,
             sim=args.sim,
             perfect_l1=args.perfect_l1,
             secondary=args.secondary,
@@ -242,7 +236,7 @@ def run_point_cli(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resilience flags (shared by sweep / figures / python -m repro.campaign run)
+# resilience flags (shared by sweep / figures)
 # ---------------------------------------------------------------------------
 
 def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
@@ -286,7 +280,7 @@ def retry_policy_from_args(args: argparse.Namespace) -> Optional[RetryPolicy]:
 # ---------------------------------------------------------------------------
 
 def configure_sweep_parser(parser: argparse.ArgumentParser) -> None:
-    """Flags for an ad-hoc benchmark x predictor grid (shared with repro.campaign)."""
+    """Flags for an ad-hoc benchmark x predictor grid."""
     parser.add_argument("--benchmarks", nargs="+",
                         help="benchmarks to sweep (default: representative subset); "
                              "with --cores, each entry may be a comma-separated "
@@ -302,8 +296,6 @@ def configure_sweep_parser(parser: argparse.ArgumentParser) -> None:
                         help="trace lengths to sweep")
     parser.add_argument("--seeds", nargs="+", type=int, default=None,
                         help="workload seeds to sweep")
-    parser.add_argument("--engine", choices=list(ENGINE_NAMES), default="fast",
-                        help="simulation engine for every point (default fast)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS or CPU count)")
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
@@ -340,7 +332,6 @@ def _multicore_sweep_points(args: argparse.Namespace) -> List[Any]:
                         predictors=(predictor,),
                         num_accesses=accesses,
                         seed=seed,
-                        engine=args.engine,
                         interleave=args.interleave,
                         label=entry,
                     ))
@@ -378,7 +369,6 @@ def run_sweep_cli(args: argparse.Namespace) -> int:
         "," in entry for entry in (args.benchmarks or ())
     )
     session = Session(
-        engine=args.engine,
         jobs=args.jobs,
         use_cache=not args.no_cache,
         observer=getattr(args, "observer", None),
@@ -456,10 +446,10 @@ def configure_figures_parser(parser: argparse.ArgumentParser) -> None:
 
 def run_named_campaign(
     name: str,
+    session: Session,
     benchmarks: Optional[List[str]] = None,
     num_accesses: Optional[int] = None,
     seed: Optional[int] = None,
-    session: Optional[Session] = None,
     quick: bool = False,
 ) -> int:
     """Run one named figure/table driver and print its formatted results.
@@ -472,7 +462,7 @@ def run_named_campaign(
 
     module_name, description = NAMED_CAMPAIGNS[name]
     module = importlib.import_module(module_name)
-    kwargs: Dict[str, Any] = {"session": session if session is not None else Session()}
+    kwargs: Dict[str, Any] = {"session": session}
     if quick:
         if benchmarks is None and name != "fig11":
             benchmarks = list(QUICK_BENCHMARKS)
@@ -507,10 +497,10 @@ def run_figures_cli(args: argparse.Namespace) -> int:
             benchmarks = None  # fig11 has fixed pairings; don't reject an 'all' run
         run_named_campaign(
             name,
+            session,
             benchmarks=benchmarks,
             num_accesses=args.accesses,
             seed=args.seed,
-            session=session,
             quick=args.quick,
         )
     return 0

@@ -28,7 +28,7 @@ from repro.trace.record import MemoryAccess
 class AccessOutcome:
     """What the cache hierarchy did with one committed memory reference.
 
-    A mutable ``__slots__`` record: the fast simulation engine reuses a
+    A mutable ``__slots__`` record: the interpreted replay loop reuses a
     single instance across the whole trace, so predictors must consume
     the fields inside :meth:`Prefetcher.on_access` and never retain the
     outcome (or its ``access``) beyond the call.
@@ -110,10 +110,10 @@ class PrefetcherStats:
 class Prefetcher(ABC):
     """Abstract base class for all predictors.
 
-    Every engine drives a predictor through the same calls:
+    Every replay drives a predictor through the same calls:
     :meth:`on_access` once per access (it counts
     ``stats.accesses_observed`` and ``stats.misses_observed`` itself)
-    and the prefetch feedback callbacks below.  The fast engine's interpreted loop passes one
+    and the prefetch feedback callbacks below.  The interpreted loop passes one
     reused :class:`AccessOutcome`; the built-in predictors also replay
     on the compiled kernel (:mod:`repro.sim.vector_replay`), which
     settles their statistics objects at the end of the run.

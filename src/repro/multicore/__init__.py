@@ -4,8 +4,8 @@ Cores replay independent traces through private L1Ds into one genuinely
 shared L2 and a shared memory bus, with per-core prefetchers from the
 predictor registry (heterogeneous mixes allowed) and deterministic
 round-robin or icount-proportional interleaving.  A one-core run is
-bit-identical to the single-core trace-driven simulator, and the fast
-and legacy engines are bit-identical to each other.
+bit-identical to the single-core trace-driven simulator, on the kernel
+and on the interpreted tier alike.
 
 Quickstart::
 

@@ -13,7 +13,7 @@ single-core :class:`~repro.sim.trace_driven.TraceDrivenSimulator`.
 Interleaving
 ------------
 Cores are scheduled in deterministic chunks computed *once* from the
-traces' instruction-count columns and shared by both engines:
+traces' instruction-count columns and shared by every tier:
 
 * ``"rr"`` — round-robin turns of ``quantum_accesses`` references per
   core, mimicking fine-grained multicore progress;
@@ -23,27 +23,26 @@ traces' instruction-count columns and shared by both engines:
 
 With one core both policies degenerate to sequential replay.
 
-Engines
--------
+Tiers
+-----
 Every core is a :class:`~repro.sim.trace_driven.TraceDrivenSimulator`
 *lane* whose main and baseline hierarchies take their L2 from the two
 shared L2s.  :meth:`TraceDrivenSimulator.replay_chunks` turns one of the
 simulator's tiers into a resumable ``(run_chunk, settle)`` pair, and
-the co-run calls each core's ``run_chunk`` in schedule order.  With
-``engine="fast"`` every lane runs on the compiled kernel when every
-lane qualifies for it (each lane a kernel state, one native call per
-chunk, over C copies of the two shared L2s that
-:func:`~repro.sim.vector_replay.open_co_run` settles into the
-:class:`SharedL2` objects once the lanes have settled).  Otherwise — a
-plugin predictor on any core, no compiler, or a GHB/stride prediction
-leaving the kernel's address range mid-co-run — the whole co-run
-replays on the interpreted tier, from the start, each kernel-eligible
-lane noting its fallback reason (``co-runner`` when another core kept
-it off the kernel).  ``engine="legacy"`` runs the object-per-access
-loop.  So a core replays through exactly the code of a single-core
-run, and each core's :class:`~repro.sim.trace_driven.SimulationResult`
-is its lane's ``build_result``: a one-core co-run is the single-core
-run, and every engine and tier produces bit-identical
+the co-run calls each core's ``run_chunk`` in schedule order.  Every
+lane runs on the compiled kernel when every lane qualifies for it (each
+lane a kernel state, one native call per chunk, over C copies of the
+two shared L2s that :func:`~repro.sim.vector_replay.open_co_run`
+settles into the :class:`SharedL2` objects once the lanes have
+settled).  Otherwise — a plugin predictor on any core, no compiler, or
+a GHB/stride prediction leaving the kernel's address range mid-co-run —
+the whole co-run replays on the interpreted tier, from the start, each
+kernel-eligible lane noting its fallback reason (``co-runner`` when
+another core kept it off the kernel).  So a core replays through
+exactly the code of a single-core run, and each core's
+:class:`~repro.sim.trace_driven.SimulationResult` is its lane's
+``build_result``: a one-core co-run is the single-core run, and both
+tiers and the test suite's reference oracle produce bit-identical
 ``MulticoreResult.to_dict`` output (the collapse suite, the co-run
 differential suite and the 28-benchmark matrix assert it).
 
@@ -63,7 +62,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, SharedL2
 from repro.core.interface import Prefetcher
-from repro.engines import validate_engine
 from repro.memory.bus import BusModel
 from repro.multicore.result import MulticoreResult
 from repro.multicore.spec import DEFAULT_QUANTUM_ACCESSES, MulticoreSpec, validate_schedule
@@ -79,9 +77,9 @@ def schedule_chunks(
 ) -> List[Tuple[int, int, int]]:
     """The deterministic co-run schedule: ``(core, start, stop)`` chunks.
 
-    Depends only on the traces' icount columns (and lengths), so the fast
-    and legacy engines — which share the schedule — can never diverge by
-    scheduling.  Every trace is covered completely, in order, per core.
+    Depends only on the traces' icount columns (and lengths), so the
+    tiers — which share the schedule — can never diverge by scheduling.
+    Every trace is covered completely, in order, per core.
     """
     validate_schedule(interleave, quantum_accesses)
     lengths = [len(column) for column in icount_columns]
@@ -126,29 +124,26 @@ class MulticoreSimulator:
         self,
         prefetchers: Sequence[Prefetcher],
         hierarchy_config: Optional[HierarchyConfig] = None,
-        engine: str = "fast",
         request_queue_size: int = 128,
         interleave: str = "rr",
         quantum_accesses: int = DEFAULT_QUANTUM_ACCESSES,
     ) -> None:
-        validate_engine(engine)
         validate_schedule(interleave, quantum_accesses)
         if not prefetchers:
             raise ValueError("need at least one per-core prefetcher")
-        self.engine = engine
         self.interleave = interleave
         self.quantum_accesses = quantum_accesses
         self.num_cores = len(prefetchers)
         self.hierarchy_config = config = hierarchy_config or HierarchyConfig()
-        self.shared_l2 = SharedL2(config.l2, engine, self.num_cores)
+        self.shared_l2 = SharedL2(config.l2, self.num_cores)
         #: The baselines' shared L2 (no prefetches, no ownership recorded).
-        self.baseline_l2 = baseline_l2 = SharedL2(config.l2, engine, self.num_cores)
+        self.baseline_l2 = baseline_l2 = SharedL2(config.l2, self.num_cores)
         #: One single-core simulator per core, over the shared L2s.
         self.lanes: List[TraceDrivenSimulator] = []
         for core, prefetcher in enumerate(prefetchers):
-            lane = TraceDrivenSimulator(prefetcher, config, request_queue_size, engine)
-            lane.hierarchy = CacheHierarchy(config, engine, shared_l2=self.shared_l2, core=core)
-            lane.baseline = CacheHierarchy(config, engine, shared_l2=baseline_l2, core=core)
+            lane = TraceDrivenSimulator(prefetcher, config, request_queue_size)
+            lane.hierarchy = CacheHierarchy(config, shared_l2=self.shared_l2, core=core)
+            lane.baseline = CacheHierarchy(config, shared_l2=baseline_l2, core=core)
             self.lanes.append(lane)
 
     def run(
@@ -173,17 +168,16 @@ class MulticoreSimulator:
         chunks = schedule_chunks(
             [trace.as_arrays().icount for trace in traces], self.interleave, self.quantum_accesses
         )
-        if self.engine == "fast":
-            co_run = open_co_run(self.lanes, traces, (self.shared_l2, self.baseline_l2))
-            if co_run is not None:
-                try:
-                    self._replay_schedule(traces, chunks, co_run.lanes)
-                    co_run.settle()
-                    return
-                except KernelRangeError as error:
-                    co_run.fall_back(error)
-                finally:
-                    co_run.close()
+        co_run = open_co_run(self.lanes, traces, (self.shared_l2, self.baseline_l2))
+        if co_run is not None:
+            try:
+                self._replay_schedule(traces, chunks, co_run.lanes)
+                co_run.settle()
+                return
+            except KernelRangeError as error:
+                co_run.fall_back(error)
+            finally:
+                co_run.close()
         self._replay_schedule(traces, chunks, [None] * self.num_cores)
 
     def _replay_schedule(self, traces, chunks, kernel_lanes) -> None:
@@ -257,7 +251,6 @@ def simulate_multicore(spec: MulticoreSpec, trace_store=None, observer=None) -> 
     simulator = MulticoreSimulator(
         prefetchers,
         hierarchy_config=spec.hierarchy_config,
-        engine=spec.engine,
         interleave=spec.interleave,
         quantum_accesses=spec.quantum_accesses,
     )

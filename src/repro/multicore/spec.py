@@ -2,8 +2,8 @@
 
 A :class:`MulticoreSpec` pins down one shared-hierarchy co-run
 completely: the per-core benchmarks, per-core predictors (heterogeneous
-mixes allowed), the hierarchy, per-core trace length and seed, the
-interleaving policy, and the engine.  It is the multicore sibling of
+mixes allowed), the hierarchy, per-core trace length and seed, and the
+interleaving policy.  It is the multicore sibling of
 :class:`~repro.campaign.spec.PointSpec` and speaks the same protocol —
 ``sim`` kind, lossless ``to_dict``/``from_dict``, and a stable content
 :meth:`key` folding the package and trace-format versions — so specs
@@ -21,7 +21,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.campaign.configs import decode_config, encode_config
 from repro.campaign.spec import DEFAULT_NUM_ACCESSES
 from repro.cache.hierarchy import HierarchyConfig
-from repro.engines import DEFAULT_ENGINE, validate_engine
 from repro.trace.store import TRACE_FORMAT_VERSION
 from repro.version import __version__
 
@@ -66,7 +65,6 @@ class MulticoreSpec:
     #: co-scheduled working sets occupy disjoint physical ranges.
     address_shift: int = DEFAULT_ADDRESS_SHIFT
     label: Optional[str] = None
-    engine: str = "fast"
 
     #: Simulator kind, dispatched on by ``execute_spec`` and the caches.
     sim: str = field(default="multicore", init=False, repr=False)
@@ -93,7 +91,6 @@ class MulticoreSpec:
         validate_schedule(self.interleave, self.quantum_accesses)
         if self.address_shift < 0:
             raise ValueError("address_shift must be non-negative")
-        validate_engine(self.engine)
 
     # ------------------------------------------------------------------ views
     @property
@@ -119,8 +116,8 @@ class MulticoreSpec:
 
     # ------------------------------------------------------------------ serialisation
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding (excludes ``label``; ``engine`` only when non-default)."""
-        payload: Dict[str, Any] = {
+        """JSON-safe encoding (excludes ``label``)."""
+        return {
             "sim": "multicore",
             "benchmarks": list(self.benchmarks),
             "predictors": list(self.predictors),
@@ -134,9 +131,6 @@ class MulticoreSpec:
             "quantum_accesses": self.quantum_accesses,
             "address_shift": self.address_shift,
         }
-        if self.engine != DEFAULT_ENGINE:
-            payload["engine"] = self.engine
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], label: Optional[str] = None) -> "MulticoreSpec":

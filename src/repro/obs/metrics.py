@@ -180,10 +180,14 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram(name)
         return instrument
 
+    def counter_values(self) -> Dict[str, int]:
+        """Every counter's current value, by name."""
+        return {name: counter.value for name, counter in self._counters.items()}
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe dump of every instrument (counters, gauges, histograms)."""
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
+            "counters": dict(sorted(self.counter_values().items())),
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.summary() for name, h in sorted(self._histograms.items())

@@ -1,8 +1,7 @@
 """Public plugin registries: predictors, workloads, and config classes.
 
 This module is the single source of truth for *what exists* in the
-reproduction: which predictors can be built (one class each, whatever
-the engine), which synthetic benchmarks can generate traces, and which
+reproduction: which predictors can be built (one class each), which synthetic benchmarks can generate traces, and which
 configuration dataclasses are allowed to travel through campaign
 serialisation (process-pool transport and the on-disk result cache).
 
@@ -37,22 +36,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Type
 
 from repro.core.interface import Prefetcher
 from repro.core.ltcords import LTCordsConfig, LTCordsPrefetcher
 from repro.core.sequence_storage import SequenceStorageConfig
 from repro.core.signature_cache import SignatureCacheConfig
 from repro.core.signatures import SignatureConfig
-from repro.engines import ENGINES
 from repro.prefetchers.dbcp import DBCPConfig, DBCPPrefetcher
 from repro.prefetchers.ghb import GHBConfig, GHBPrefetcher
 from repro.prefetchers.null import NullPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
-
-#: The engine names, re-exported from :mod:`repro.engines` (the single
-#: source of truth) for the CLI's choice lists.
-ENGINE_NAMES: Tuple[str, ...] = ENGINES
 
 # ---------------------------------------------------------------------------
 # Config classes (campaign serialisation).
@@ -91,8 +85,7 @@ def register_config_class(cls: Type[Any]) -> Type[Any]:
 class PredictorEntry:
     """One registered predictor: its class, config, and metadata.
 
-    Every engine builds the same class; the engine selects only the cache
-    model and replay loop the predictor runs under.
+    The kernel and the interpreted tier both replay this one class.
     """
 
     name: str
@@ -196,7 +189,7 @@ def predictor_entry(name: str) -> PredictorEntry:
 
 
 def build_predictor(name: str, config: Optional[object] = None) -> Prefetcher:
-    """Construct a registered predictor by name (the same object for every engine)."""
+    """Construct a registered predictor by name."""
     return predictor_entry(name).build(config)
 
 

@@ -3,10 +3,10 @@
 Every simulation entry point in the package routes through this module.
 A :class:`RunSpec` (the campaign layer's :class:`~repro.campaign.spec.PointSpec`
 under its facade name) pins down one simulation completely — benchmark,
-predictor and config, hierarchy, trace length, seed, simulator kind, and
-engine — and round-trips losslessly through JSON.  A :class:`Session`
-owns everything *around* a spec: engine selection, trace-store
-resolution, result caching, and sweep execution::
+predictor and config, hierarchy, trace length, seed and simulator kind —
+and round-trips losslessly through JSON.  A :class:`Session` owns
+everything *around* a spec: trace-store resolution, result caching, and
+sweep execution::
 
     from repro import RunSpec, Session
 
@@ -78,7 +78,7 @@ def execute_spec(
 
         # The trace comes from the shared on-disk trace store (generated
         # at most once per unique spec, then mmap-loaded — also across
-        # pool processes) and replays through the requested engine.
+        # pool processes) and replays on the kernel where it applies.
         return simulate_benchmark(
             spec.benchmark,
             prefetcher=prefetcher
@@ -87,7 +87,6 @@ def execute_spec(
             num_accesses=spec.num_accesses,
             seed=spec.seed,
             hierarchy_config=spec.hierarchy_config,
-            engine=spec.engine,
             trace_store=trace_store,
             observer=observer,
         )
@@ -105,7 +104,6 @@ def execute_spec(
             system_config=system_config,
             perfect_l1=spec.perfect_l1,
             trace_store=trace_store,
-            engine=spec.engine,
             observer=observer,
         )
     if spec.sim == "multicore":
@@ -132,7 +130,6 @@ def execute_spec(
             hierarchy_config=spec.hierarchy_config,
             ltcords_config=spec.predictor_config,
             trace_store=trace_store,
-            engine=spec.engine,
             observer=observer,
         )
     raise ValueError(f"unknown sim kind {spec.sim!r}")
@@ -151,15 +148,10 @@ def _safe_key(spec: Any) -> Optional[str]:
 
 
 class Session:
-    """Facade owning engine selection, caching, and trace-store resolution.
+    """Facade owning caching, trace-store resolution and sweep execution.
 
     Parameters
     ----------
-    engine:
-        Default simulation engine applied to specs built from keyword
-        form (``session.run("mcf", ...)``); explicit :class:`RunSpec`
-        objects keep their own engine.  ``None`` keeps the spec default
-        (``"fast"``).
     jobs:
         Worker processes for :meth:`sweep` (default: ``REPRO_JOBS`` or
         the CPU count; single runs always execute in-process).
@@ -192,7 +184,6 @@ class Session:
     def __init__(
         self,
         *,
-        engine: Optional[str] = None,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
@@ -202,7 +193,6 @@ class Session:
         retry: Optional[RetryPolicy] = None,
         resume: bool = False,
     ) -> None:
-        self.engine = engine
         self.jobs = jobs
         self.trace_store = trace_store
         self.observer = observer
@@ -240,16 +230,12 @@ class Session:
     def spec(self, spec: SpecLike, **overrides: Any) -> PointSpec:
         """Normalise a benchmark name or existing spec into a :class:`RunSpec`.
 
-        Keyword overrides replace fields; the session's default ``engine``
-        applies only when the caller did not choose one.  Existing spec
-        objects of any kind (:class:`RunSpec` or a
-        :class:`~repro.multicore.MulticoreSpec`) pass through with the
-        overrides applied.
+        Keyword overrides replace fields.  Existing spec objects of any
+        kind (:class:`RunSpec` or a :class:`~repro.multicore.MulticoreSpec`)
+        pass through with the overrides applied.
         """
         if not isinstance(spec, str):
             return dataclasses.replace(spec, **overrides) if overrides else spec
-        if self.engine is not None:
-            overrides.setdefault("engine", self.engine)
         return RunSpec(benchmark=spec, **overrides)
 
     # ------------------------------------------------------------------ execution
@@ -339,11 +325,6 @@ class Session:
         """Execute a :class:`SweepSpec` (or a bare list of points) through the
         campaign runner: cache-first, then fanned out across the process pool.
 
-        Mirroring how :meth:`run` treats keyword-form specs, the session's
-        default ``engine`` is applied to every point a :class:`SweepSpec`
-        generates (its grid has no engine axis), while explicit point
-        lists keep each point's own engine — so fast-vs-legacy
-        cross-check lists survive intact.
         ``name`` overrides the campaign name recorded on the result (and
         therefore the artifact directory); bare lists default to
         ``"adhoc"``.  The session's trace store is threaded into both the
@@ -352,18 +333,7 @@ class Session:
         same campaign journaled and whose results verify from the cache.
         """
         resume = self.resume if resume is None else resume
-        if self.engine is None or not isinstance(spec, SweepSpec):
-            return self.runner.run(spec, name=name, observer=self.observer, resume=resume)
-        points = [
-            dataclasses.replace(point, engine=self.engine) if point.engine != self.engine else point
-            for point in spec.points()
-        ]
-        return self.runner.run(
-            points,
-            name=name if name is not None else spec.name,
-            observer=self.observer,
-            resume=resume,
-        )
+        return self.runner.run(spec, name=name, observer=self.observer, resume=resume)
 
     def compare(
         self,

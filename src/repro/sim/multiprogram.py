@@ -10,7 +10,7 @@ addresses are shifted by a large constant, and coverage is reported per
 application, standalone versus paired.
 
 The pair replays like any trace run (:meth:`TraceDrivenSimulator.replay`,
-so on the fast engine's compiled kernel when it is available) with one
+so on the compiled kernel when it is available) with one
 shared LT-cords predictor; per-application coverage is counted from the
 replay's per-access outcome column, attributed by address range.
 """
@@ -130,12 +130,11 @@ def _simulate_pair(
     hierarchy_config: Optional[HierarchyConfig] = None,
     ltcords_config: Optional[LTCordsConfig] = None,
     trace_store: Optional[object] = None,
-    engine: str = "fast",
     observer: Optional[object] = None,
 ) -> MultiProgramResult:
     """Multi-programmed-simulation implementation (``repro.run.execute_spec`` target).
 
-    Three replays on the requested engine — the interleaved pair with
+    Three replays — the interleaved pair with
     one shared LT-cords predictor, then each application standalone on
     its full trace — split into the trace_acquire / replay / settle
     phases of a trace run.
@@ -163,7 +162,6 @@ def _simulate_pair(
         TraceDrivenSimulator(
             prefetcher=LTCordsPrefetcher(ltcords_config),
             hierarchy_config=hierarchy_config,
-            engine=engine,
             outcomes=column,
         )
         for column in (outcomes, None, None)

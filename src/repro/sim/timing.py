@@ -2,9 +2,8 @@
 
 Used for the speedup comparison of Table 3 and the bandwidth study of
 Figure 12.  A timing run is a trace-driven replay
-(:meth:`TraceDrivenSimulator.replay`, so it takes the fast engine's
-compiled kernel or interpreted tier, or the legacy engine, exactly as a
-trace run does) that also records a per-access outcome column.  The
+(:meth:`TraceDrivenSimulator.replay`, so it takes the compiled kernel or
+the interpreted tier exactly as a trace run does) that also records a per-access outcome column.  The
 first-order out-of-order timing model then consumes that column in
 program order (:func:`settle_timing`): each reference's main-hierarchy
 service level, and one block of bus occupancy per memory-sourced
@@ -12,12 +11,11 @@ prefetch fill after it.  Predictor metadata traffic is charged to the
 memory bus at the end.
 
 The walk has two tiers, recorded as :attr:`TimingSimulator.timing_tier`
-and as the ``tier`` field of the run's ``settle`` phase event.  On the
-fast engine with the compiled kernel loaded, whatever tier replayed the
-trace, the column is walked by the kernel's ``repro_timing`` entry
+and as the ``tier`` field of the run's ``settle`` phase event.  With the
+compiled kernel loaded, whatever tier replayed the trace, the column is walked by the kernel's ``repro_timing`` entry
 (``kernel-timing``), a C port of the model that reproduces its
 :class:`~repro.timing.model.TimingBreakdown` in every IEEE-754 bit.
-Otherwise — the legacy engine, ``REPRO_NO_VECTOR_KERNEL``, no compiler,
+Otherwise — ``REPRO_NO_VECTOR_KERNEL``, no compiler,
 or icount values the C walk cannot add in 64 bits — the Python
 :class:`~repro.timing.model.OutOfOrderTimingModel` walks it
 (``interpreted``); it stays the oracle the C walk is tested against.
@@ -227,7 +225,6 @@ class TimingSimulator:
         system_config: Optional[SystemConfig] = None,
         perfect_l1: bool = False,
         request_queue_size: int = 128,
-        engine: str = "fast",
     ) -> None:
         #: Per-access outcome bytes of the replay (see TraceDrivenSimulator.outcomes).
         self.outcomes = array("b")
@@ -235,7 +232,6 @@ class TimingSimulator:
             prefetcher=prefetcher,
             hierarchy_config=hierarchy_config,
             request_queue_size=request_queue_size,
-            engine=engine,
             outcomes=self.outcomes,
         )
         self.prefetcher = self.simulator.prefetcher
@@ -263,8 +259,8 @@ class TimingSimulator:
     def build_result(self, trace: TraceStream) -> TimingResult:
         """Run the timing model over the recorded outcomes and fold the result.
 
-        The walk is the kernel's on the fast engine when the kernel
-        loads, else the Python model's; :attr:`timing_tier` records it.
+        The walk is the kernel's when the kernel loads, else the Python
+        model's; :attr:`timing_tier` records it.
         """
         serialize = bool(trace.metadata.get("serial_misses", False))
         core_ipc = trace.metadata.get("core_ipc")
@@ -282,7 +278,7 @@ class TimingSimulator:
             self.hierarchy.block_size,
             signature_bytes,
             perfect_l1=self.perfect_l1,
-            kernel=vector.load_kernel() if self.simulator.engine == "fast" else None,
+            kernel=vector.load_kernel(),
         )
         stats = self.hierarchy.stats
         return TimingResult(
@@ -306,7 +302,6 @@ def _simulate_speedup(
     system_config: Optional[SystemConfig] = None,
     perfect_l1: bool = False,
     trace_store: Optional[object] = None,
-    engine: str = "fast",
     observer: Optional[object] = None,
 ) -> TimingResult:
     """Timing-simulation implementation (``repro.run.execute_spec`` target).
@@ -325,7 +320,6 @@ def _simulate_speedup(
         hierarchy_config=hierarchy_config,
         system_config=system_config,
         perfect_l1=perfect_l1,
-        engine=engine,
     )
     with obs_phase(PHASE_REPLAY, observer=observer) as event:
         simulator.replay(trace)

@@ -15,38 +15,36 @@ replacement addresses, measured as prefetched blocks evicted unused), and
 reported above 100% of opportunity).  The simulator also accumulates the
 bus-traffic categories of Figure 12.
 
-Engines
--------
-``engine="fast"`` (the default) replays through the compiled kernel of
-:mod:`repro.cache.vector` when the run qualifies (every built-in
-predictor on a fresh simulator, see
-:func:`repro.sim.vector_replay.replay_kernel`) and through this
-module's interpreted loop otherwise.  The interpreted loop
-iterates the trace's columnar view (:meth:`TraceStream.as_arrays`) with
+Tiers
+-----
+A replay runs through the compiled kernel of :mod:`repro.cache.vector`
+when the run qualifies (every built-in predictor on a fresh simulator,
+see :func:`repro.sim.vector_replay.replay_kernel`) and through this
+module's interpreted loop otherwise.  The interpreted loop iterates the
+trace's columnar view (:meth:`TraceStream.as_arrays`) with
 locals-hoisted method references, drives the four caches through their
 allocation-free ``access_fast`` entry points, and calls the predictor's
 ``on_access`` with one reused :class:`MemoryAccess`/:class:`AccessOutcome`
-pair.  Both engines drive the same predictor object; the engine selects
-only the cache model and the loop.  The tier a replay took is
-recorded as :attr:`TraceDrivenSimulator.last_tier` (and, for a
+pair.  Both tiers drive the same predictor object.  The tier a replay
+took is recorded as :attr:`TraceDrivenSimulator.last_tier` (and, for a
 kernel-eligible run that fell back, the reason as ``last_fallback``).
-``engine="legacy"`` replays through the original object-per-access loop
-and the :class:`LegacySetAssociativeCache` model.  Every engine and tier
-produces bit-identical :meth:`SimulationResult.to_dict` output — the
-equivalence suites assert this for every (benchmark × predictor) pair —
-and ``repro.bench`` measures the speedups between them.  Every engine
-and tier can also record a per-access outcome column
-(:attr:`TraceDrivenSimulator.outcomes`), through which the timing and
-pairwise multiprogram simulators consume the replay.
+Both produce bit-identical :meth:`SimulationResult.to_dict` output: the
+equivalence suites assert it for every (benchmark × predictor) pair,
+against each other and against the object-per-access reference oracle
+kept in the test suite (``tests/oracle.py``), and ``repro.bench``
+measures the speedup between them.  Every tier can also record a
+per-access outcome column (:attr:`TraceDrivenSimulator.outcomes`),
+through which the timing and pairwise multiprogram simulators consume
+the replay.
 
 Every tier is resumable: :meth:`TraceDrivenSimulator.replay_chunks` hands
 one out as a ``(run_chunk(start, stop), settle())`` pair — an open
-kernel state (:class:`~repro.sim.vector_replay.KernelLane`), the
-interpreted loop or the legacy loop.  A whole-trace replay runs one
+kernel state (:class:`~repro.sim.vector_replay.KernelLane`) or the
+interpreted loop.  A whole-trace replay runs one
 chunk; a :mod:`repro.multicore` co-run drives one lane per core, chunk
 by chunk, over L2 caches shared between the cores.
 
-Because the fast engine mutates the shared outcome object in place,
+Because the interpreted loop mutates the shared outcome object in place,
 custom predictors must read the fields they need during ``on_access``
 and must not retain the outcome (or its ``access``) across calls; every
 in-tree predictor already obeys this.
@@ -61,7 +59,6 @@ from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tup
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
 from repro.core.interface import AccessOutcome, Prefetcher
-from repro.engines import validate_engine
 from repro.memory.bus import BusModel, TrafficCategory
 from repro.memory.request_queue import PrefetchRequestQueue
 from repro.obs.metrics import REGISTRY
@@ -94,9 +91,9 @@ ReplayLoop = Generator[None, Optional[int], None]
 #: A resumable replay: ``(run_chunk(start, stop), settle())``.
 ChunkedReplay = Tuple[Callable[[int, int], None], Callable[[], None]]
 
-#: Total references replayed by this process (all engines, all sim kinds).
+#: Total references replayed by this process (all tiers, all sim kinds).
 _ACCESSES_REPLAYED = REGISTRY.counter("replay.accesses")
-#: Fast-engine replays (whole traces and co-run lanes) on the interpreted tier.
+#: Replays (whole traces and co-run lanes) on the interpreted tier.
 _INTERPRETED_REPLAYS = REGISTRY.counter("replay.tier.interpreted")
 
 
@@ -253,20 +250,20 @@ class SimulationResult:
 class TraceDrivenSimulator:
     """Replays a trace against a predictor-augmented cache hierarchy."""
 
+    # perfbench/tracing.py reads this until its next benchmark change.
+    engine = "fast"
+
     def __init__(
         self,
         prefetcher: Optional[Prefetcher] = None,
         hierarchy_config: Optional[HierarchyConfig] = None,
         request_queue_size: int = 128,
-        engine: str = "fast",
         outcomes: Optional[array] = None,
     ) -> None:
-        validate_engine(engine)
-        self.engine = engine
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
         self.hierarchy_config = hierarchy_config or HierarchyConfig()
-        self.hierarchy = CacheHierarchy(self.hierarchy_config, engine=engine)
-        self.baseline = CacheHierarchy(self.hierarchy_config, engine=engine)
+        self.hierarchy = CacheHierarchy(self.hierarchy_config)
+        self.baseline = CacheHierarchy(self.hierarchy_config)
         self.request_queue = PrefetchRequestQueue(request_queue_size)
         self.bus = BusModel()
         self.breakdown = CoverageBreakdown()
@@ -274,8 +271,8 @@ class TraceDrivenSimulator:
         # Prefetched blocks currently resident (or outstanding): block address
         # -> (command tag, service level the data came from).
         self._prefetched: Dict[int, Tuple[object, ServiceLevel]] = {}
-        #: Replay tier of the last :meth:`replay`: ``"legacy"``, a
-        #: ``"kernel-*"`` tier or ``"interpreted"`` (see repro.sim.vector_replay).
+        #: Replay tier of the last :meth:`replay`: a ``"kernel-*"`` tier or
+        #: ``"interpreted"`` (see repro.sim.vector_replay).
         self.last_tier: Optional[str] = None
         #: Why the last replay of a kernel-eligible predictor ran interpreted.
         self.last_fallback: Optional[str] = None
@@ -283,7 +280,7 @@ class TraceDrivenSimulator:
         # unbuilt, so no further replay may continue from them.
         self._kernel_ran = False
         #: An ``array('b')`` receiving one outcome byte (see OUTCOME_BASE_MISS)
-        #: per replayed access from every engine and tier; the timing model
+        #: per replayed access from every tier; the timing model
         #: and the pairwise multiprogram runs consume it.
         self.outcomes = outcomes
         #: Exact fill counts of outcome bytes that saturated at OUTCOME_FILL_SPILL.
@@ -304,7 +301,7 @@ class TraceDrivenSimulator:
         self.prefetcher.on_prefetch_evicted_unused(evicted_address, tag)
 
     def _execute_prefetch_one(self, address: int, victim_address: Optional[int], tag: object) -> None:
-        """Execute a single prefetch request against the fast hierarchy."""
+        """Execute a single prefetch request against the hierarchy."""
         hierarchy = self.hierarchy
         source = hierarchy.prefetch_into_l1_fast(address, victim_address)
         if not source:
@@ -319,7 +316,7 @@ class TraceDrivenSimulator:
         self.prefetcher.on_prefetch_installed(block, l1_last.evicted_address, tag=tag)
 
     def _outcome_writer(self) -> Optional[Callable[[int], None]]:
-        """The interpreted and legacy loops' outcome writer (``None`` without a column).
+        """The interpreted loop's outcome writer (``None`` without a column).
 
         Called once per access, after the access's prefetches executed,
         with the level code and baseline-miss bit; adds the memory fills
@@ -344,26 +341,9 @@ class TraceDrivenSimulator:
         return write
 
     def _execute_prefetches(self) -> None:
-        if self.engine == "legacy":
-            self._execute_prefetches_legacy()
-            return
-        requests = self.request_queue.pop_all()
         execute_one = self._execute_prefetch_one
-        for request in requests:
-            execute_one(request.address, request.victim_address, request.tag)
-
-    def _execute_prefetches_legacy(self) -> None:
         for request in self.request_queue.pop_all():
-            outcome = self.hierarchy.prefetch_into_l1(request.address, request.victim_address)
-            if not outcome.installed:
-                continue
-            block = self.hierarchy_config.l1.block_address(request.address)
-            # Inserting may itself evict an unused prefetched block.
-            if outcome.evicted_was_unused_prefetch:
-                self._notify_unused_eviction(outcome.evicted_address)
-            # Track the inserted block for later used/unused classification.
-            self._prefetched[block] = (request.tag, outcome.source)
-            self.prefetcher.on_prefetch_installed(block, outcome.evicted_address, tag=request.tag)
+            execute_one(request.address, request.victim_address, request.tag)
 
     # ------------------------------------------------------------------ main loop
     def run(self, trace: TraceStream) -> SimulationResult:
@@ -372,7 +352,7 @@ class TraceDrivenSimulator:
         return self.build_result(trace)
 
     def replay(self, trace: TraceStream) -> None:
-        """The engine loop only: replay ``trace``, accumulating counters.
+        """The replay only: replay ``trace``, accumulating counters.
 
         Split from :meth:`build_result` so instrumented callers (the
         ``repro.obs`` phase timers in :func:`simulate_benchmark`) can
@@ -380,7 +360,7 @@ class TraceDrivenSimulator:
         unchanged one-call form.  With an :attr:`outcomes` column it also
         appends one outcome byte per access.
         """
-        if self.engine == "legacy" or not replay_kernel(self, trace):
+        if not replay_kernel(self, trace):
             run_chunk, settle = self.replay_chunks(trace)
             run_chunk(0, len(trace))
             settle()
@@ -395,16 +375,13 @@ class TraceDrivenSimulator:
         each other in order) and ``settle`` folds the loop's counters into
         the simulator's statistics once the trace is done.  The lane runs
         on ``kernel`` — this simulator's open kernel state over ``trace``,
-        one native call per chunk — when given, else on the legacy loop or
-        the interpreted tier.  :meth:`replay` takes the interpreted pair
+        one native call per chunk — when given, else on the interpreted
+        tier.  :meth:`replay` takes the interpreted pair
         over the whole trace when the kernel does not apply, and a
         multicore co-run interleaves one lane per core over a shared L2.
         """
         if kernel is not None:
             return kernel.run_chunk, kernel.settle
-        if self.engine == "legacy":
-            self.last_tier = "legacy"
-            return _resumable(self._legacy_loop(iter(trace)), len(trace))
         self.last_tier = "interpreted"
         _INTERPRETED_REPLAYS.inc()
         columns = trace.as_arrays()
@@ -617,72 +594,6 @@ class TraceDrivenSimulator:
             base_l2_hits, base_l2_misses, main_l1_hits, main_l2_hits, main_l2_misses,
         )
 
-    def _legacy_loop(self, accesses: Iterator[MemoryAccess]) -> ReplayLoop:
-        """The original object-per-access loop (reference engine).
-
-        Driven like :meth:`_fast_loop`, over the trace's access records;
-        statistics accumulate per access, so there is nothing to settle.
-        The main hierarchy's demand allocations into a shared L2 are
-        reported to it here.
-        """
-        block_size = self.hierarchy.block_size
-        l1_config = self.hierarchy_config.l1
-        shared_l2 = self.hierarchy.shared_l2
-        write_outcome = self._outcome_writer()
-
-        count = yield
-        while count is not None:
-            for access in islice(accesses, count):
-                base_result = self.baseline.access(access.address, access.is_write)
-                main_result = self.hierarchy.access(access.address, access.is_write)
-
-                block_address = l1_config.block_address(access.address)
-
-                # Classify against the prediction opportunity.
-                if base_result.l1_miss:
-                    self.breakdown.base_misses += 1
-                    if main_result.l1_hit:
-                        self.breakdown.correct += 1
-                    if base_result.l2_miss:
-                        self.bus.record(TrafficCategory.BASE_DATA, block_size)
-                elif main_result.l1_miss:
-                    self.breakdown.early += 1
-
-                if shared_l2 is not None and main_result.l2_miss:
-                    shared_l2.allocated(
-                        self.hierarchy.core, access.address, main_result.l2_result.evicted_address
-                    )
-
-                # Feedback for prefetched blocks.
-                if main_result.l1_hit and main_result.prefetch_hit:
-                    info = self._prefetched.pop(block_address, None)
-                    if info is not None:
-                        self.prefetcher.on_prefetch_used(block_address, info[0])
-                if main_result.l1_miss and main_result.l1_result.evicted_was_prefetched_unused:
-                    self._notify_unused_eviction(main_result.l1_result.evicted_address)
-
-                outcome = AccessOutcome(
-                    access=access,
-                    block_address=block_address,
-                    set_index=main_result.l1_result.set_index,
-                    l1_hit=main_result.l1_hit,
-                    l2_hit=main_result.level is ServiceLevel.L2,
-                    prefetch_hit=main_result.prefetch_hit,
-                    evicted_address=main_result.l1_result.evicted_address,
-                    evicted_was_unused_prefetch=main_result.l1_result.evicted_was_prefetched_unused,
-                )
-                for command in self.prefetcher.on_access(outcome):
-                    self.request_queue.push(
-                        command.address, command.victim_address, tag=command.tag
-                    )
-                self._execute_prefetches()
-                if write_outcome is not None:
-                    write_outcome(
-                        LEVEL_BY_CODE.index(main_result.level)
-                        | (OUTCOME_BASE_MISS if base_result.l1_miss else 0)
-                    )
-            count = yield
-
     def build_result(self, trace: TraceStream) -> SimulationResult:
         """Fold the accumulated counters into a :class:`SimulationResult`."""
         # Account the predictor's own off-chip metadata traffic.
@@ -714,8 +625,8 @@ class TraceDrivenSimulator:
 def _resumable(loop: ReplayLoop, length: int) -> ChunkedReplay:
     """A replay-loop generator over ``length`` accesses as ``(run_chunk, settle)``.
 
-    ``run_chunk(start, stop)`` sends ``loop`` (:meth:`TraceDrivenSimulator._fast_loop`
-    or ``_legacy_loop``) the count of its next chunk; ``settle()`` sends
+    ``run_chunk(start, stop)`` sends ``loop`` (:meth:`TraceDrivenSimulator._fast_loop`)
+    the count of its next chunk; ``settle()`` sends
     ``None``, which ends the loop.
     """
     next(loop)
@@ -747,7 +658,6 @@ def simulate_benchmark(
     num_accesses: int = 200_000,
     seed: int = 42,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    engine: str = "fast",
     trace_store=None,
     observer=None,
 ) -> SimulationResult:
@@ -767,9 +677,7 @@ def simulate_benchmark(
         trace = load_or_generate_trace(
             benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed), store=trace_store
         )
-    simulator = TraceDrivenSimulator(
-        prefetcher=prefetcher, hierarchy_config=hierarchy_config, engine=engine
-    )
+    simulator = TraceDrivenSimulator(prefetcher=prefetcher, hierarchy_config=hierarchy_config)
     with obs_phase(PHASE_REPLAY, observer=observer) as event:
         simulator.replay(trace)
         event.update(replay_event_fields([simulator]))

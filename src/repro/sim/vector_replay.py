@@ -1,4 +1,4 @@
-"""The fast engine's first tier: the compiled replay kernel, and when a run may take it.
+"""The first replay tier: the compiled replay kernel, and when a run may take it.
 
 Every replay on the kernel is a :class:`KernelLane`: one kernel state
 opened over the simulator's whole trace, run chunk by chunk (one native
@@ -178,7 +178,7 @@ class KernelLane:
 def replay_kernel(sim, trace: TraceStream) -> bool:
     """Replay ``trace`` on ``sim`` through the kernel; ``False`` if it must run interpreted.
 
-    ``sim`` is a fast-engine ``TraceDrivenSimulator``; a kernel-eligible
+    ``sim`` is a ``TraceDrivenSimulator``; a kernel-eligible
     predictor that cannot take the kernel has its fallback noted.  The
     lane opens, runs the whole trace as one chunk and settles.
     """

@@ -10,8 +10,7 @@ Streams carry two interchangeable views of the same references: the
 record view (``MemoryAccess`` objects, materialised lazily) and the
 compact columnar view (:class:`~repro.trace.stream.TraceColumns`,
 parallel ``array`` columns via :meth:`TraceStream.as_arrays`) that the
-workload generators emit directly and the fast simulation engine
-iterates — see :mod:`repro.trace.stream` for the details.
+workload generators emit directly and the replay loops iterate — see :mod:`repro.trace.stream` for the details.
 """
 
 from repro.trace.record import MemoryAccess, AccessType
@@ -23,7 +22,6 @@ from repro.trace.stream import (
     limit_trace,
     shift_addresses,
 )
-from repro.trace.io import TraceReader, TraceWriter, read_trace, write_trace
 from repro.trace.stats import TraceStatistics, compute_trace_statistics
 from repro.trace.store import (
     TRACE_FORMAT_VERSION,
@@ -45,14 +43,10 @@ __all__ = [
     "MemoryAccess",
     "TraceColumns",
     "TraceStream",
-    "TraceReader",
-    "TraceWriter",
     "TraceStatistics",
     "compute_trace_statistics",
     "concat_traces",
     "interleave_quantum",
     "limit_trace",
-    "read_trace",
     "shift_addresses",
-    "write_trace",
 ]

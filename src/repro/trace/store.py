@@ -3,7 +3,7 @@
 Every figure driver and every campaign sweep point replays a workload
 trace that is fully determined by ``(benchmark, num_accesses, seed,
 instructions_per_access)``.  Generating those traces is pure Python and
-costs as much as replaying them through the fast engine, so regenerating
+costs as much as replaying them, so regenerating
 one per sweep point is redundant work.  The trace store persists each
 generated trace once, in a versioned struct-packed binary format, and
 serves every later request — including requests from other worker

@@ -9,7 +9,7 @@ Internally a stream is backed by either
 * a :class:`TraceColumns` struct of parallel ``array`` columns
   (``pc`` / ``address`` / ``is_write`` / ``icount``), the compact
   representation the synthetic workload generators emit directly and the
-  fast simulation engine iterates.
+  replay loops iterate.
 
 Both views are always available: :meth:`TraceStream.as_arrays` returns
 (and caches) the columns, while iteration / indexing / ``.accesses``
@@ -40,7 +40,7 @@ class TraceColumns:
     is an ``array('b')`` of 0/1 flags.  Columns are position-aligned:
     element ``i`` of every column describes reference ``i``.
 
-    Addresses are non-negative (the address domain every engine shares):
+    Addresses are non-negative (the address domain every replay tier shares):
     the caches mark empty ways with tag ``-1``, which a negative address
     would alias, so negative addresses are rejected here, once.
     """

@@ -1,6 +1,7 @@
 """Tests for the top-level convenience API."""
 
 import pytest
+from oracle import LegacySimulator
 
 import repro
 from repro.core.ltcords import LTCordsPrefetcher
@@ -51,11 +52,11 @@ class TestBuilders:
         ],
     )
     def test_build_predictor_legacy(self, name, cls):
-        """The legacy engine runs the same class: the engine picks only the loop and caches."""
+        """The legacy oracle runs the same class: it differs only in its loop and caches."""
         trace = repro.build_workload("gzip", num_accesses=500).generate()
         results = []
-        for engine in ("legacy", "fast"):
-            sim = TraceDrivenSimulator(prefetcher=repro.build_predictor(name), engine=engine)
+        for simulator in (LegacySimulator, TraceDrivenSimulator):
+            sim = simulator(prefetcher=repro.build_predictor(name))
             assert type(sim.prefetcher) is cls
             results.append(sim.run(trace).to_dict())
         assert results[0] == results[1]
@@ -65,8 +66,9 @@ class TestBuilders:
             repro.build_predictor("markov")
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            repro.quick_simulation("gzip", "dbcp", max_accesses=100, engine="warp")
+        """There is one engine: ``engine=`` is not an argument any more."""
+        with pytest.raises(TypeError, match="engine"):
+            repro.quick_simulation("gzip", "dbcp", max_accesses=100, engine="legacy")
 
     def test_build_workload(self):
         workload = repro.build_workload("swim", num_accesses=1000)

@@ -9,7 +9,7 @@ multi-command accesses drop requests.  The traces, of 0-1500
 references, interleave strided and delta-pattern streams (either
 direction), pointer chases and scattered references, several of them
 sharing one PC, over a tiny hierarchy that evicts constantly.  The compiled kernel, the interpreted
-fast loop and the legacy object model must agree on the result payload,
+fast loop and the legacy oracle's object model must agree on the result payload,
 the predictor statistics, every cache's statistics, the request-queue
 counters and the per-access outcome column.
 """
@@ -19,6 +19,7 @@ from array import array
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacySimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -105,10 +106,10 @@ def mixed_traces(draw):
     return TraceStream.from_columns(columns, name="mixed")
 
 
-def _replay(prefetcher, trace, queue_size, engine="fast"):
-    sim = TraceDrivenSimulator(
+def _replay(prefetcher, trace, queue_size, simulator=TraceDrivenSimulator):
+    sim = simulator(
         prefetcher=prefetcher, hierarchy_config=HIERARCHY, request_queue_size=queue_size,
-        engine=engine, outcomes=array("b"),
+        outcomes=array("b"),
     )
     result = sim.run(trace)
     queue = sim.request_queue
@@ -131,7 +132,7 @@ def _agree(predictor, config, trace, queue_size):
     with kernel_disabled():
         interpreted_sim, interpreted = _replay(cls(config), trace, queue_size)
     assert interpreted_sim.last_tier == "interpreted"
-    _, reference = _replay(cls(config), trace, queue_size, engine="legacy")
+    _, reference = _replay(cls(config), trace, queue_size, simulator=LegacySimulator)
     assert kernel == interpreted
     assert kernel == reference
     return kernel
@@ -204,5 +205,5 @@ def test_predictions_past_the_kernel_range_fall_back_bit_identically():
         if load_kernel() is not None:
             assert sim.last_fallback == "address-range"
         assert sim.last_tier == "interpreted"
-        _, reference = _replay(cls(config), trace, 128, engine="legacy")
+        _, reference = _replay(cls(config), trace, 128, simulator=LegacySimulator)
         assert kernel == reference

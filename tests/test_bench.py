@@ -59,8 +59,6 @@ class TestScenarios:
     def test_registry_contains_the_headline_pair(self):
         names = scenario_names()
         assert "sim.dbcp.mcf" in names
-        assert "sim.dbcp.mcf.legacy" in names
-        assert get_scenario("sim.dbcp.mcf.legacy").speedup_of == "sim.dbcp.mcf"
         # The kill-switch twin chains onto the kernel scenario: the derived
         # ratio for "sim.ltcords.mcf" is the kernel's speedup.
         assert "sim.ltcords.mcf.interpreted" in names
@@ -71,7 +69,7 @@ class TestScenarios:
         quick = scenario_names(quick_only=True)
         assert set(quick) <= set(scenario_names())
         assert "calibrate" in quick
-        assert "sim.dbcp.mcf" in quick and "sim.dbcp.mcf.legacy" in quick
+        assert "sim.dbcp.mcf" in quick and "sim.ltcords.mcf.interpreted" in quick
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
@@ -89,11 +87,11 @@ class TestScenarios:
 
     def test_simulation_pair_speedup_derivation(self):
         results = run_scenarios(
-            ["sim.dbcp.mcf", "sim.dbcp.mcf.legacy"], scale=0.01, repeats=1
+            ["sim.timing.mcf", "sim.timing.mcf.interpreted"], scale=0.01, repeats=1
         )
         speedups = derive_speedups(results)
-        assert "sim.dbcp.mcf" in speedups
-        assert speedups["sim.dbcp.mcf"] > 0
+        assert "sim.timing.mcf" in speedups
+        assert speedups["sim.timing.mcf"] > 0
 
     def test_vector_twin_speedup_derivation(self):
         # The vector kernel against the same run under the kill switch.
@@ -107,12 +105,12 @@ class TestScenarios:
 
     def test_multicore_scenarios_run_and_pair(self):
         results = run_scenarios(
-            ["sim.multicore.2x", "sim.multicore.2x.legacy", "sim.multicore.4x"],
+            ["sim.multicore.2x", "sim.multicore.4x", "sim.multicore.4x.interpreted"],
             scale=0.02, repeats=1,
         )
         for result in results.values():
             assert result.wall_seconds > 0
-        assert "sim.multicore.2x" in derive_speedups(results)
+        assert "sim.multicore.4x" in derive_speedups(results)
 
     def test_scenario_scale_changes_ops(self):
         small = run_scenario("calibrate", scale=0.02, repeats=1)

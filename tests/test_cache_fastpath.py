@@ -4,17 +4,17 @@ Drives both implementations through identical access/prefetch sequences
 — through both LRU bodies of the fast cache, the branch-free two-way one
 and the n-way one — and asserts identical per-operation results
 (including victim choices, which show up as evicted addresses) and
-identical final statistics.  This is the gate that lets the fast engine
-replace the legacy one.
+identical final statistics.  The legacy model is the test suite's
+oracle (``tests/oracle.py``).
 """
 
 import random
 
 import pytest
+from oracle import LegacyHierarchy, LegacySetAssociativeCache
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.cache.legacy import LegacySetAssociativeCache
 
 
 def _result_fields(result: AccessResult) -> tuple:
@@ -78,7 +78,7 @@ def test_higher_associativity_agrees():
 
 
 class TestPrefetchEvictionAccounting:
-    """Satellite: ``by_prefetch`` is wired through both engines."""
+    """``by_prefetch`` is wired through both cache models."""
 
     @pytest.fixture(params=["fast", "legacy"])
     def cache(self, request):
@@ -134,11 +134,11 @@ class TestHierarchyFastPath:
 
     def test_codes_levels_and_stats_match_object_api(self):
         # The interpreted replay loop's walk: L1 access_fast, then the L2
-        # on a miss; it must match the object-returning access() walk.
+        # on a miss; it must match the oracle's object-returning walk.
         from repro.cache.hierarchy import CacheHierarchy, ServiceLevel
 
         fast = CacheHierarchy()
-        mirror = CacheHierarchy()
+        mirror = LegacyHierarchy()
         rng = random.Random(11)
         for _ in range(3000):
             address = rng.randrange(1 << 22)
@@ -158,7 +158,7 @@ class TestHierarchyFastPath:
 
         hierarchy = CacheHierarchy()
         assert hierarchy.prefetch_into_l1_fast(0x4000) == 2  # from memory
-        assert hierarchy.access(0x4000).prefetch_hit  # consumes the prefetch
+        assert hierarchy.l1.access_fast(0x4000, False) == 2  # consumes the prefetch
         assert hierarchy.prefetch_into_l1_fast(0x4000) == 0  # already resident
 
 

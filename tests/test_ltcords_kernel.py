@@ -7,7 +7,7 @@ delays of 0-8 references — and traces of length 0, 1 and n over a small
 hierarchy that evicts constantly.  The traces loop over a handful of
 blocks, so heads recur, fragments stream and prefetches are used and
 evicted unused within a few hundred references.  The compiled kernel,
-the interpreted fast loop and the legacy engine must agree on the result
+the interpreted fast loop and the legacy oracle must agree on the result
 payload and on every statistics object of the predictor.
 """
 
@@ -18,6 +18,7 @@ import sys
 from array import array
 
 from conftest import kernel_disabled
+from oracle import LegacySimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -77,8 +78,8 @@ def looping_traces(draw):
     return TraceStream.from_columns(columns, name="loop")
 
 
-def _replay(prefetcher, trace, engine="fast"):
-    sim = TraceDrivenSimulator(prefetcher=prefetcher, hierarchy_config=HIERARCHY, engine=engine)
+def _replay(prefetcher, trace, simulator=TraceDrivenSimulator):
+    sim = simulator(prefetcher=prefetcher, hierarchy_config=HIERARCHY)
     result = sim.run(trace)
     return sim, (
         result.to_dict(),
@@ -102,7 +103,7 @@ def test_kernel_interpreted_and_legacy_agree(config, trace):
     with kernel_disabled():
         interpreted_sim, interpreted = _replay(LTCordsPrefetcher(config), trace)
     assert interpreted_sim.last_tier == "interpreted"
-    _, legacy = _replay(LTCordsPrefetcher(config), trace, engine="legacy")
+    _, legacy = _replay(LTCordsPrefetcher(config), trace, simulator=LegacySimulator)
     assert kernel == interpreted
     assert kernel == legacy
 
@@ -129,7 +130,7 @@ def test_looping_trace_exercises_every_kernel_path():
     _, kernel = _replay(LTCordsPrefetcher(config), trace)
     with kernel_disabled():
         _, interpreted = _replay(LTCordsPrefetcher(config), trace)
-    _, legacy = _replay(LTCordsPrefetcher(config), trace, engine="legacy")
+    _, legacy = _replay(LTCordsPrefetcher(config), trace, simulator=LegacySimulator)
     assert kernel == interpreted == legacy
     result, ltstats, storage, signature_cache, stats, _ = kernel
     for name in ("head_matches", "signature_cache_predictions", "signatures_streamed",

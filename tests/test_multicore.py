@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from oracle import LegacyHierarchy, LegacySetAssociativeCache, legacy_engine, legacy_shared_l2
 
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, SharedL2
+from repro.cache.cache import SetAssociativeCache
+from repro.cache.hierarchy import HierarchyConfig, SharedL2
 from repro.cli import main
 from repro.multicore import (
     MulticoreResult,
@@ -54,7 +56,7 @@ class TestMulticoreSpec:
     def test_round_trips_through_json(self):
         spec = MulticoreSpec(
             benchmarks=("mcf", "art"), predictors=("dbcp", "ghb"),
-            num_accesses=5000, seed=7, interleave="icount", engine="legacy",
+            num_accesses=5000, seed=7, interleave="icount",
         )
         decoded = MulticoreSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert decoded.to_dict() == spec.to_dict()
@@ -91,20 +93,27 @@ class TestMulticoreSpec:
 
 
 class TestSharedL2Hierarchy:
-    """Per-core hierarchies over one SharedL2 (the co-run substrate)."""
+    """Per-core hierarchies over one SharedL2 (the co-run substrate).
+
+    Walked through the oracle's object-returning hierarchy, over the
+    package's array-backed caches (``"fast"``) or the legacy ones.
+    """
 
     @staticmethod
     def _hierarchies(num_cores, engine="fast"):
         config = HierarchyConfig()
-        shared = SharedL2(config.l2, engine, num_cores)
+        if engine == "fast":
+            shared, cache = SharedL2(config.l2, num_cores), SetAssociativeCache
+        else:
+            shared, cache = legacy_shared_l2(config.l2, num_cores), LegacySetAssociativeCache
         return shared, [
-            CacheHierarchy(config, engine, shared_l2=shared, core=core)
+            LegacyHierarchy(config, shared_l2=shared, core=core, cache=cache)
             for core in range(num_cores)
         ]
 
     def test_one_core_matches_private_hierarchy(self):
         _, (shared,) = self._hierarchies(1)
-        private = CacheHierarchy(HierarchyConfig())
+        private = LegacyHierarchy(HierarchyConfig(), cache=SetAssociativeCache)
         addresses = [0x1000 * i for i in range(64)] * 3
         for address in addresses:
             assert shared.access(address).level is private.access(address).level
@@ -182,37 +191,34 @@ class TestMulticoreSimulator:
 
 
 class TestEngineAgreement:
-    """Fast and legacy multicore engines are bit-identical."""
+    """Co-runs are bit-identical to the legacy oracle's."""
+
+    @staticmethod
+    def _agrees(spec):
+        with legacy_engine():
+            legacy = simulate_multicore(spec).to_dict()
+        return simulate_multicore(spec).to_dict() == legacy
 
     @pytest.mark.parametrize("interleave", ["rr", "icount"])
     def test_two_core_pair_agrees(self, interleave):
-        encoded = {}
-        for engine in ("fast", "legacy"):
-            spec = MulticoreSpec(
-                benchmarks=("mcf", "art"), predictors=("dbcp",),
-                num_accesses=4000, engine=engine, interleave=interleave,
-            )
-            encoded[engine] = simulate_multicore(spec).to_dict()
-        assert encoded["fast"] == encoded["legacy"]
+        assert self._agrees(MulticoreSpec(
+            benchmarks=("mcf", "art"), predictors=("dbcp",),
+            num_accesses=4000, interleave=interleave,
+        ))
 
     def test_quick_matrix_all_benchmarks(self):
         # The 28-benchmark quick matrix: every benchmark co-runs with mcf,
-        # rotating through the four real predictors; fast and legacy must
-        # agree bit-identically on the full result dict.
+        # rotating through the four real predictors; the package and the
+        # oracle must agree bit-identically on the full result dict.
         from repro.workloads.registry import BENCHMARK_NAMES
 
         predictors = ("ltcords", "dbcp", "ghb", "stride")
         for index, benchmark in enumerate(BENCHMARK_NAMES):
-            encoded = {}
-            for engine in ("fast", "legacy"):
-                spec = MulticoreSpec(
-                    benchmarks=(benchmark, "mcf"),
-                    predictors=(predictors[index % len(predictors)],),
-                    num_accesses=2000,
-                    engine=engine,
-                )
-                encoded[engine] = simulate_multicore(spec).to_dict()
-            assert encoded["fast"] == encoded["legacy"], benchmark
+            assert self._agrees(MulticoreSpec(
+                benchmarks=(benchmark, "mcf"),
+                predictors=(predictors[index % len(predictors)],),
+                num_accesses=2000,
+            )), benchmark
 
 
 class TestSessionIntegration:
@@ -244,16 +250,6 @@ class TestSessionIntegration:
         second = session.sweep(points)
         assert (second.cached_count, second.computed_count) == (2, 0)
         assert [a.to_dict() for a in first.results] == [b.to_dict() for b in second.results]
-
-    def test_session_engine_applies_to_multicore_sweep_points(self):
-        from repro.campaign.spec import SweepSpec
-
-        spec = SweepSpec(name="legacy-corun", extra_points=[
-            MulticoreSpec(benchmarks=("gzip", "swim"), predictors=("none",),
-                          num_accesses=1500)
-        ])
-        campaign = Session(engine="legacy", jobs=1, use_cache=False).sweep(spec)
-        assert campaign.points[0].engine == "legacy"
 
     def test_pool_and_serial_sweeps_agree(self):
         points = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter as Multiset
+from contextlib import nullcontext
 from typing import Any, Dict, List
 
 import pytest
@@ -45,6 +46,7 @@ from repro.obs.summary import format_summary
 from repro.run import Session
 
 from conftest import kernel_disabled
+from oracle import legacy_engine
 
 
 class ListObserver(RunObserver):
@@ -364,7 +366,7 @@ class TestSessionEvents:
 
     @pytest.mark.parametrize("engine", ["fast", "legacy"])
     def test_multicore_lanes_count_in_replay_tiers(self, engine):
-        """Every fast-engine co-run core counts as one replay on its tier.
+        """Every co-run core counts as one replay on its tier; the legacy oracle's count none.
 
         Without a kernel each core also counts as one fallback, for the
         reason the kernel is unavailable.
@@ -378,8 +380,9 @@ class TestSessionEvents:
         fallbacks = [REGISTRY.counter(f"replay.fallback.{reason}") for reason in FALLBACK_REASONS]
         before = (tier.value, [counter.value for counter in fallbacks])
         spec = MulticoreSpec(benchmarks=("mcf", "art", "gzip"), predictors=("dbcp",),
-                             num_accesses=1000, engine=engine)
-        Session(use_cache=False).run(spec)
+                             num_accesses=1000)
+        with legacy_engine() if engine == "legacy" else nullcontext():
+            Session(use_cache=False).run(spec)
         cores = 3 if engine == "fast" else 0
         missing = unavailable_reason()
         assert (tier.value, [counter.value for counter in fallbacks]) == (
@@ -562,6 +565,29 @@ class TestCampaignStreaming:
         counters = end["metrics"]["counters"]
         assert counters["replay.fallback.kill-switch"] == fallbacks + 2
         assert counters["replay.tier.interpreted"] == interpreted + 2
+
+    def test_pooled_run_end_counts_the_workers_replays(self, tmp_path):
+        """Serial and pooled runs of one campaign report equal replay totals in run_end."""
+        points = [PointSpec(benchmark=benchmark, predictor=predictor, num_accesses=1500, seed=42)
+                  for benchmark in ("mcf", "art") for predictor in ("dbcp", "none")]
+
+        def replay_counts(jobs):
+            observer = ListObserver()
+            before = REGISTRY.counter_values()
+            CampaignRunner(jobs=jobs, use_cache=False).run(
+                points, name="pooled-metrics", observer=observer
+            )
+            (end,) = [event for event in observer.events if event["type"] == "run_end"]
+            return {
+                name: value - before.get(name, 0)
+                for name, value in end["metrics"]["counters"].items()
+                if name.startswith("replay.tier.") or name == "replay.accesses"
+            }
+
+        serial = replay_counts(1)
+        assert serial["replay.accesses"] == 4 * 1500
+        assert sum(v for name, v in serial.items() if name.startswith("replay.tier.")) == 4
+        assert replay_counts(2) == serial
 
     def test_kernel_points_carry_no_fallback(self, tmp_path):
         observer = ListObserver()

@@ -2,8 +2,8 @@
 
 Timing runs (Table 3) and pairwise multiprogram runs (Figure 11) are
 consumers of the trace-driven replay's per-access outcome column, so
-they take the compiled kernel, the interpreted fast loops or the legacy
-engine like any trace run.  Hypothesis draws the inputs with a fixed
+they take the compiled kernel or the interpreted fast loops like any
+trace run, and are checked against the legacy oracle (``tests/oracle.py``).  Hypothesis draws the inputs with a fixed
 example budget and every tier must produce the same result payload (and,
 for timing runs, the same outcome column):
 
@@ -19,6 +19,7 @@ from array import array
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacyTimingSimulator, legacy_engine
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,12 +64,11 @@ def crowded_loops(draw):
     return TraceStream.from_columns(TraceColumns(pc, address, is_write, icount), name="loop")
 
 
-def _timing(predictor, trace, perfect_l1, hierarchy, engine="fast"):
+def _timing(predictor, trace, perfect_l1, hierarchy, simulator=TimingSimulator):
     """A timing run's simulator and its result payload plus outcome column."""
     prefetcher = None if predictor == "none" else build_predictor(predictor)
-    sim = TimingSimulator(
-        prefetcher=prefetcher, hierarchy_config=HIERARCHIES[hierarchy],
-        perfect_l1=perfect_l1, engine=engine,
+    sim = simulator(
+        prefetcher=prefetcher, hierarchy_config=HIERARCHIES[hierarchy], perfect_l1=perfect_l1
     )
     return sim, (sim.run(trace).to_dict(), sim.outcomes)
 
@@ -89,7 +89,9 @@ def test_timing_kernel_interpreted_and_legacy_agree(predictor, perfect_l1, hiera
         interpreted_sim, interpreted = _timing(predictor, trace, perfect_l1, hierarchy)
     assert interpreted_sim.simulator.last_tier == "interpreted"
     assert interpreted_sim.timing_tier == "interpreted"
-    legacy_sim, legacy = _timing(predictor, trace, perfect_l1, hierarchy, engine="legacy")
+    legacy_sim, legacy = _timing(
+        predictor, trace, perfect_l1, hierarchy, simulator=LegacyTimingSimulator
+    )
     assert legacy_sim.timing_tier == "interpreted"
     assert kernel == interpreted
     assert kernel == legacy
@@ -136,15 +138,15 @@ def test_deep_prefetch_degree_spills_exact_fill_counts():
     decoded = [next(spill) if count == OUTCOME_FILL_SPILL else count for count in fills]
     assert max(decoded) > OUTCOME_FILL_SPILL
     assert sum(decoded) == sim.hierarchy.stats.prefetches_from_memory
-    legacy = TimingSimulator(prefetcher=GHBPrefetcher(config), engine="legacy")
+    legacy = LegacyTimingSimulator(prefetcher=GHBPrefetcher(config))
     assert legacy.run(trace).to_dict() == result
     assert legacy.outcomes == sim.outcomes
     assert legacy.simulator.fill_spill == sim.simulator.fill_spill
 
 
-def _pair(primary, secondary, num_accesses, quantum, switches, engine="fast"):
+def _pair(primary, secondary, num_accesses, quantum, switches):
     spec = RunSpec(
-        benchmark=primary, secondary=secondary, sim="multiprogram", engine=engine,
+        benchmark=primary, secondary=secondary, sim="multiprogram",
         num_accesses=num_accesses, quantum_instructions=quantum, max_switches=switches,
     )
     return Session(use_cache=False).run(spec).to_dict()
@@ -162,7 +164,8 @@ def test_pairwise_kernel_interpreted_and_legacy_agree(pairing, num_accesses, qua
     kernel = _pair(*args)
     with kernel_disabled():
         interpreted = _pair(*args)
-    legacy = _pair(*args, engine="legacy")
+    with legacy_engine():
+        legacy = _pair(*args)
     assert kernel == interpreted
     assert kernel == legacy
 
@@ -175,8 +178,8 @@ def test_second_interpreted_timing_run_times_its_own_trace():
         array("b", bytes(600)),
         array("q", range(0, 1800, 3)),
     ))
-    for engine in ("fast", "legacy"):
-        sim = TimingSimulator(prefetcher=GHBPrefetcher(), engine=engine)
+    for simulator in (TimingSimulator, LegacyTimingSimulator):
+        sim = simulator(prefetcher=GHBPrefetcher())
         # A kernel run cannot be continued: the fast reuse is the interpreted tier's.
         with kernel_disabled():
             first = sim.run(trace)

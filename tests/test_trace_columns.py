@@ -41,10 +41,13 @@ class TestColumnsFromRecords:
         """Regression: a negative tag aliased the caches' empty-way marker.
 
         Tag ``-1`` marks an invalid way, so 3000 negative addresses used
-        to give 2954 L1 misses on the fast engine and 2962 on legacy.
+        to give 2954 L1 misses on the array-backed caches and 2962 on
+        the legacy oracle's.
         Such traces are now rejected where their columns are built; the
         same pattern shifted into the legal domain agrees exactly.
         """
+        from oracle import LegacySimulator
+
         from repro.api import build_predictor
         from repro.sim.trace_driven import TraceDrivenSimulator
 
@@ -55,8 +58,8 @@ class TestColumnsFromRecords:
         shifted = array("q", [a + (1 << 40) for a in addresses])
         trace = TraceStream.from_columns(TraceColumns(pcs, shifted, writes, icounts))
         results = [
-            TraceDrivenSimulator(prefetcher=build_predictor("none"), engine=engine).run(trace)
-            for engine in ("fast", "legacy")
+            simulator(prefetcher=build_predictor("none")).run(trace)
+            for simulator in (TraceDrivenSimulator, LegacySimulator)
         ]
         assert results[0].to_dict() == results[1].to_dict()
 

@@ -1,4 +1,4 @@
-"""Behavioural contract of the fast engine's compiled vector-kernel tier.
+"""Behavioural contract of the compiled vector-kernel tier.
 
 The equivalence suites pin kernel == interpreted on the full benchmark
 grid; this file pins everything *around* that equality: which tier the
@@ -17,6 +17,7 @@ import warnings
 
 import pytest
 from conftest import kernel_disabled
+from oracle import LegacySimulator
 
 import repro.cache.vector as vector_mod
 import repro.sim.vector_replay as replay_mod
@@ -41,11 +42,10 @@ def _trace(benchmark="mcf", num_accesses=NUM_ACCESSES, seed=11):
     return get_workload(benchmark, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
 
 
-def _run(predictor="dbcp", config=None, trace=None, hierarchy_config=None, engine="fast"):
-    sim = TraceDrivenSimulator(
-        prefetcher=build_predictor(predictor, config),
-        hierarchy_config=hierarchy_config,
-        engine=engine,
+def _run(predictor="dbcp", config=None, trace=None, hierarchy_config=None,
+         simulator=TraceDrivenSimulator):
+    sim = simulator(
+        prefetcher=build_predictor(predictor, config), hierarchy_config=hierarchy_config
     )
     result = sim.run(trace if trace is not None else _trace())
     return sim, result
@@ -113,7 +113,7 @@ def test_ghb_and_stride_take_their_kernel_tiers_and_plugins_stay_interpreted():
         assert sim.last_tier == _expected(f"kernel-{predictor}")
         assert tier.value == before + 1
         assert sim.last_fallback is None or load_kernel() is None
-        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        _, legacy = _run(predictor=predictor, trace=trace, simulator=LegacySimulator)
         assert result.to_dict() == legacy.to_dict()
     # A predictor without a kernel port is interpreted, and that is no
     # fallback: nothing is recorded or counted.
@@ -205,7 +205,7 @@ def test_kill_switch_forces_python_tier(no_kernel):
     counter = REGISTRY.counter("replay.fallback.kill-switch")
     for predictor in ("dbcp", "ghb", "stride"):
         before = counter.value
-        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        _, legacy = _run(predictor=predictor, trace=trace, simulator=LegacySimulator)
         sim, result = _run(predictor=predictor, trace=trace)
         assert sim.last_tier == "interpreted"
         assert sim.last_fallback == "kill-switch"
@@ -219,7 +219,7 @@ def test_open_fold_dbcp_uses_fast_fallback():
     config = DBCPConfig(signature_config=SignatureConfig(trace_hash_bits=16))
     trace = _trace(num_accesses=2500)
     sim, result = _run(config=config, trace=trace)
-    _, legacy = _run(config=config, trace=trace, engine="legacy")
+    _, legacy = _run(config=config, trace=trace, simulator=LegacySimulator)
     assert sim.last_tier == "interpreted"
     assert sim.last_fallback == "open-fold"
     assert result.to_dict() == legacy.to_dict()
@@ -234,7 +234,7 @@ def test_addresses_beyond_the_kernel_range_are_interpreted():
     trace = TraceStream.from_columns(shifted, name="high")
     for predictor in ("none", "dbcp", "ltcords", "ghb", "stride"):
         sim, result = _run(predictor=predictor, trace=trace)
-        _, legacy = _run(predictor=predictor, trace=trace, engine="legacy")
+        _, legacy = _run(predictor=predictor, trace=trace, simulator=LegacySimulator)
         assert sim.last_tier == "interpreted"
         if load_kernel() is not None:
             assert sim.last_fallback == "address-range"
@@ -326,9 +326,7 @@ def test_python_tier_supports_continued_replay(no_kernel):
     # second replay on the same simulator keeps matching legacy.
     first, second = _trace(seed=11), _trace("gcc", seed=12)
     fast_sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"))
-    legacy_sim = TraceDrivenSimulator(
-        prefetcher=build_predictor("dbcp"), engine="legacy"
-    )
+    legacy_sim = LegacySimulator(prefetcher=build_predictor("dbcp"))
     for sim in (fast_sim, legacy_sim):
         sim.replay(first)
         sim.replay(second)
