@@ -1,6 +1,7 @@
 """Analysis metrics used by the paper's trace-driven studies.
 
 * :mod:`repro.analysis.cdf` — shared cumulative-distribution helpers.
+* :mod:`repro.analysis.l1pass` — the one L1 replay the trace studies share.
 * :mod:`repro.analysis.deadtime` — cache-block dead-time distribution (Figure 2).
 * :mod:`repro.analysis.temporal` — temporal correlation distance and
   correlated-sequence lengths (Figure 6).

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -33,12 +33,15 @@ class CumulativeDistribution:
         return bisect_right(self.samples, threshold) / len(self.samples)
 
     def percentile(self, fraction: float) -> float:
-        """Smallest sample value at or above the given CDF ``fraction``."""
+        """Smallest sample ``v`` with ``fraction_at_or_below(v) >= fraction``."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        if not self.samples:
+        n = len(self.samples)
+        if not n:
             return 0.0
-        index = min(len(self.samples) - 1, max(0, int(fraction * len(self.samples)) - 1))
+        # samples[k - 1] for the first count k with k / n >= fraction, compared as
+        # fraction_at_or_below computes it (ceil(0.07 * 100) is 8, yet 7 / 100 >= 0.07).
+        index = bisect_left([count / n for count in range(1, n + 1)], fraction)
         return self.samples[index]
 
     def series(self, thresholds: Sequence[float]) -> List[Tuple[float, float]]:

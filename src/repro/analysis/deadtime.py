@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, L1D_CONFIG
 from repro.analysis.cdf import CumulativeDistribution
+from repro.analysis.l1pass import l1_outcomes
 from repro.trace.stream import TraceStream
 
 
@@ -56,19 +56,14 @@ def measure_dead_times(
     if cycles_per_instruction <= 0:
         raise ValueError("cycles_per_instruction must be positive")
     config = cache_config or L1D_CONFIG
-    cache = SetAssociativeCache(config)
+    columns = trace.as_arrays()
     last_touch_icount: Dict[int, int] = {}
     dead_times: List[float] = []
 
-    for access in trace:
-        block = config.block_address(access.address)
-        result = cache.access(access.address, access.is_write)
-        if result.evicted_address is not None:
-            evicted = result.evicted_address
-            touched_at = last_touch_icount.pop(evicted, None)
-            if touched_at is not None:
-                dead_times.append(max(0, access.icount - touched_at) * cycles_per_instruction)
-        last_touch_icount[block] = access.icount
+    for address, icount, evicted in zip(columns.address, columns.icount, l1_outcomes(columns, config)):
+        if evicted >= 0:
+            dead_times.append(max(0, icount - last_touch_icount.pop(evicted)) * cycles_per_instruction)
+        last_touch_icount[config.block_address(address)] = icount
 
     return DeadTimeResult(
         benchmark=trace.name,

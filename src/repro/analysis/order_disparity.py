@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, L1D_CONFIG
 from repro.analysis.cdf import CumulativeDistribution
+from repro.analysis.l1pass import l1_outcomes
 from repro.trace.stream import TraceStream
 
 
@@ -55,23 +55,17 @@ def measure_order_disparity(
 ) -> OrderDisparityResult:
     """Replay ``trace`` and compare last-touch order with eviction order."""
     config = cache_config or L1D_CONFIG
-    cache = SetAssociativeCache(config)
+    columns = trace.as_arrays()
 
     # Per resident block: the serial number (in accesses) of its last touch.
     last_touch_serial: Dict[int, int] = {}
     # For each eviction, in eviction order: the last-touch serial of the victim.
     eviction_last_touch: List[int] = []
 
-    serial = 0
-    for access in trace:
-        serial += 1
-        block = config.block_address(access.address)
-        result = cache.access(access.address, access.is_write)
-        if result.evicted_address is not None:
-            touched = last_touch_serial.pop(result.evicted_address, None)
-            if touched is not None:
-                eviction_last_touch.append(touched)
-        last_touch_serial[block] = serial
+    for serial, (address, evicted) in enumerate(zip(columns.address, l1_outcomes(columns, config)), 1):
+        if evicted >= 0:
+            eviction_last_touch.append(last_touch_serial.pop(evicted))
+        last_touch_serial[config.block_address(address)] = serial
 
     # Sort evictions by the time of their victim's last touch: consecutive
     # entries are consecutive last touches; their positions in eviction

@@ -16,14 +16,13 @@ signature sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, L1D_CONFIG
 from repro.analysis.cdf import CumulativeDistribution
+from repro.analysis.l1pass import HIT, l1_outcomes
 from repro.trace.stream import TraceStream
-
-MissLabel = Tuple[int, int, int]
 
 
 @dataclass
@@ -57,57 +56,6 @@ class TemporalCorrelationResult:
         return len(self.distances) * self.distances.fraction_at_or_below(distance) / self.num_misses
 
 
-def _miss_sequence(trace: TraceStream, config: CacheConfig) -> List[MissLabel]:
-    """The labelled L1D miss sequence of ``trace`` (misses that cause replacements)."""
-    cache = SetAssociativeCache(config)
-    misses: List[MissLabel] = []
-    for access in trace:
-        result = cache.access(access.address, access.is_write)
-        if result.miss:
-            evicted = result.evicted_address if result.evicted_address is not None else -1
-            misses.append((access.pc, result.block_address, evicted))
-    return misses
-
-
-def measure_temporal_correlation(
-    trace: TraceStream,
-    cache_config: Optional[CacheConfig] = None,
-) -> TemporalCorrelationResult:
-    """Compute the temporal correlation distance distribution for ``trace``."""
-    config = cache_config or L1D_CONFIG
-    misses = _miss_sequence(trace, config)
-
-    # previous_occurrence[i] is the index of the nearest preceding miss with
-    # the same label as misses[i], or None.
-    previous_occurrence: List[Optional[int]] = [None] * len(misses)
-    last_seen: Dict[MissLabel, int] = {}
-    for index, label in enumerate(misses):
-        previous_occurrence[index] = last_seen.get(label)
-        last_seen[label] = index
-
-    distances: List[float] = []
-    uncorrelated = 0
-    perfect = 0
-    for index in range(1, len(misses)):
-        prev_a = previous_occurrence[index - 1]
-        prev_b = previous_occurrence[index]
-        if prev_a is None or prev_b is None:
-            uncorrelated += 1
-            continue
-        distance = prev_b - prev_a
-        distances.append(abs(distance))
-        if distance == 1:
-            perfect += 1
-
-    return TemporalCorrelationResult(
-        benchmark=trace.name,
-        num_misses=max(0, len(misses) - 1),
-        distances=CumulativeDistribution(distances),
-        uncorrelated_misses=uncorrelated,
-        perfectly_correlated_misses=perfect,
-    )
-
-
 @dataclass
 class SequenceLengthResult:
     """Correlated-miss sequence lengths (Figure 6 right)."""
@@ -134,36 +82,65 @@ class SequenceLengthResult:
         return max(self.lengths) if self.lengths else 0
 
 
+def _correlation_distances(trace: TraceStream, config: CacheConfig) -> List[Optional[int]]:
+    """Signed correlation distance of each consecutive pair of L1D misses.
+
+    A miss is labelled ``(pc, block, evicted block or -1)``; the distance
+    of a pair is the gap between the previous occurrences of its two
+    labels, ``None`` when either label has not occurred before.  Both
+    Figure 6 measurements derive from this one L1 replay.
+    """
+    columns = trace.as_arrays()
+    # previous[i]: index of the nearest earlier miss labelled like miss i, or None.
+    previous: List[Optional[int]] = []
+    last_seen: Dict[Tuple[int, int, int], int] = {}
+    for pc, address, outcome in zip(columns.pc, columns.address, l1_outcomes(columns, config)):
+        if outcome != HIT:
+            label = (pc, config.block_address(address), outcome)  # NO_EVICTION is the label's -1
+            previous.append(last_seen.get(label))
+            last_seen[label] = len(previous) - 1
+    return [
+        None if prev_a is None or prev_b is None else prev_b - prev_a
+        for prev_a, prev_b in zip(previous, previous[1:])
+    ]
+
+
+def measure_figure6(
+    trace: TraceStream,
+    cache_config: Optional[CacheConfig] = None,
+    max_distance: int = 16,
+) -> Tuple[TemporalCorrelationResult, SequenceLengthResult]:
+    """Both Figure 6 measurements of ``trace`` from one L1 replay.
+
+    A correlated run is a maximal stretch of consecutive miss pairs whose
+    correlation distance is within ``max_distance``.
+    """
+    distances = _correlation_distances(trace, cache_config or L1D_CONFIG)
+    correlated = [distance for distance in distances if distance is not None]
+    runs = groupby(distances, key=lambda d: d is not None and abs(d) <= max_distance)
+    lengths = [sum(1 for _ in run) for in_run, run in runs if in_run]
+    correlation = TemporalCorrelationResult(
+        benchmark=trace.name,
+        num_misses=len(distances),
+        distances=CumulativeDistribution([abs(distance) for distance in correlated]),
+        uncorrelated_misses=len(distances) - len(correlated),
+        perfectly_correlated_misses=correlated.count(1),
+    )
+    return correlation, SequenceLengthResult(benchmark=trace.name, lengths=lengths)
+
+
+def measure_temporal_correlation(
+    trace: TraceStream,
+    cache_config: Optional[CacheConfig] = None,
+) -> TemporalCorrelationResult:
+    """Compute the temporal correlation distance distribution for ``trace``."""
+    return measure_figure6(trace, cache_config)[0]
+
+
 def correlated_sequence_lengths(
     trace: TraceStream,
     cache_config: Optional[CacheConfig] = None,
     max_distance: int = 16,
 ) -> SequenceLengthResult:
     """Measure maximal runs of misses whose correlation distance is within ``max_distance``."""
-    config = cache_config or L1D_CONFIG
-    misses = _miss_sequence(trace, config)
-
-    previous_occurrence: List[Optional[int]] = [None] * len(misses)
-    last_seen: Dict[MissLabel, int] = {}
-    for index, label in enumerate(misses):
-        previous_occurrence[index] = last_seen.get(label)
-        last_seen[label] = index
-
-    lengths: List[int] = []
-    current_run = 0
-    for index in range(1, len(misses)):
-        prev_a = previous_occurrence[index - 1]
-        prev_b = previous_occurrence[index]
-        correlated = (
-            prev_a is not None
-            and prev_b is not None
-            and abs(prev_b - prev_a) <= max_distance
-        )
-        if correlated:
-            current_run += 1
-        elif current_run:
-            lengths.append(current_run)
-            current_run = 0
-    if current_run:
-        lengths.append(current_run)
-    return SequenceLengthResult(benchmark=trace.name, lengths=lengths)
+    return measure_figure6(trace, cache_config, max_distance)[1]

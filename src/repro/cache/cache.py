@@ -37,8 +37,8 @@ The allocation-free entry points :meth:`access_fast` and
 :meth:`insert_prefetch_fast` write miss/eviction details into the
 reusable ``__slots__`` struct :attr:`SetAssociativeCache.last` and
 return a small int code; the object-returning :meth:`access` /
-:meth:`insert_prefetch` wrappers preserve the original API for the
-analysis drivers, tests and external callers.  The pre-fast-path
+:meth:`insert_prefetch` wrappers preserve the original API for tests,
+the oracle and external callers.  The pre-fast-path
 object-per-block model is the test suite's reference oracle
 (``tests/oracle.py``); the equivalence suite drives both on identical
 sequences and asserts identical results, victim choices and statistics.
@@ -476,7 +476,7 @@ class SetAssociativeCache:
 
         On a miss the block is allocated (write-allocate); the LRU victim
         is evicted if the set is full.  This wrapper allocates a fresh
-        :class:`AccessResult`; hot loops use :meth:`access_fast` instead.
+        :class:`AccessResult` for tests and the oracle; replays use :meth:`access_fast`.
         """
         code = self.access_fast(address, is_write)
         if code:

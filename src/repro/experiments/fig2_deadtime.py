@@ -8,8 +8,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.cdf import merge_distributions, power_of_two_buckets
 from repro.analysis.deadtime import measure_dead_times
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, selected_benchmarks
+from repro.trace.store import load_or_generate_trace
 from repro.workloads.base import WorkloadConfig
-from repro.workloads.registry import get_workload
 
 
 @dataclass
@@ -35,7 +35,7 @@ def run(
     """Measure the dead-time distribution averaged across benchmarks."""
     distributions = []
     for name in selected_benchmarks(benchmarks):
-        trace = get_workload(name, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
+        trace = load_or_generate_trace(name, WorkloadConfig(num_accesses=num_accesses, seed=seed))
         result = measure_dead_times(trace, memory_latency_cycles=memory_latency_cycles)
         distributions.append(result.distribution)
     pooled = merge_distributions(distributions)

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.temporal import correlated_sequence_lengths, measure_temporal_correlation
+from repro.analysis.temporal import measure_figure6
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, selected_benchmarks
+from repro.trace.store import load_or_generate_trace
 from repro.workloads.base import WorkloadConfig
-from repro.workloads.registry import get_workload
 
 #: Correlation-distance thresholds of the paper's x-axis (Figure 6, left).
 DISTANCE_THRESHOLDS = (1, 3, 7, 15, 31, 63, 127, 255)
@@ -34,9 +34,8 @@ def run(
     """Measure the Figure 6 metrics for each benchmark."""
     rows: List[TemporalCorrelationRow] = []
     for name in selected_benchmarks(benchmarks):
-        trace = get_workload(name, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
-        correlation = measure_temporal_correlation(trace)
-        sequences = correlated_sequence_lengths(trace, max_distance=sequence_distance)
+        trace = load_or_generate_trace(name, WorkloadConfig(num_accesses=num_accesses, seed=seed))
+        correlation, sequences = measure_figure6(trace, max_distance=sequence_distance)
         rows.append(
             TemporalCorrelationRow(
                 benchmark=name,

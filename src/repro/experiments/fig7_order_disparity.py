@@ -7,8 +7,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.order_disparity import measure_order_disparity
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, selected_benchmarks
+from repro.trace.store import load_or_generate_trace
 from repro.workloads.base import WorkloadConfig
-from repro.workloads.registry import get_workload
 
 #: The paper's x-axis: |last-touch to miss correlation distance| up to 2K.
 DISTANCE_THRESHOLDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
@@ -32,7 +32,7 @@ def run(
     """Measure Figure 7's distributions for each benchmark."""
     rows: List[OrderDisparityRow] = []
     for name in selected_benchmarks(benchmarks):
-        trace = get_workload(name, WorkloadConfig(num_accesses=num_accesses, seed=seed)).generate()
+        trace = load_or_generate_trace(name, WorkloadConfig(num_accesses=num_accesses, seed=seed))
         result = measure_order_disparity(trace)
         rows.append(
             OrderDisparityRow(

@@ -44,26 +44,17 @@ class TraceStatistics:
 
 def compute_trace_statistics(trace: TraceStream, block_size: int = 64) -> TraceStatistics:
     """Compute :class:`TraceStatistics` for ``trace``."""
-    mask = ~(block_size - 1)
-    blocks = set()
-    pcs = set()
-    loads = 0
-    stores = 0
-    for access in trace:
-        blocks.add(access.address & mask)
-        pcs.add(access.pc)
-        if access.is_write:
-            stores += 1
-        else:
-            loads += 1
+    columns = trace.as_arrays()
+    stores = sum(columns.is_write)
+    blocks = trace.unique_blocks(block_size)
     return TraceStatistics(
         name=trace.name,
         num_accesses=len(trace),
-        num_loads=loads,
+        num_loads=len(columns) - stores,
         num_stores=stores,
         instruction_count=trace.instruction_count,
-        unique_pcs=len(pcs),
-        unique_blocks_64b=len(blocks),
-        footprint_bytes=len(blocks) * block_size,
+        unique_pcs=len(set(columns.pc)),
+        unique_blocks_64b=blocks,
+        footprint_bytes=blocks * block_size,
         metadata=dict(trace.metadata),
     )

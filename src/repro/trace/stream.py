@@ -210,9 +210,7 @@ class TraceStream:
     def unique_blocks(self, block_size: int) -> int:
         """Number of distinct cache blocks touched by the trace."""
         mask = ~(block_size - 1)
-        if self._columns is not None:
-            return len({a & mask for a in self._columns.address})
-        return len({a.address & mask for a in self._accesses})
+        return len({a & mask for a in self.as_arrays().address})
 
     def __repr__(self) -> str:
         return f"TraceStream(name={self.name!r}, accesses={len(self)})"
@@ -236,32 +234,32 @@ def shift_addresses(trace: TraceStream, offset: int, name: Optional[str] = None)
     if offset < 0:
         raise ValueError("offset must be non-negative")
     shifted_name = name or f"{trace.name}+0x{offset:x}"
-    if trace._columns is not None and trace._accesses is None:
-        columns = trace._columns
-        try:
-            shifted = array("q", (a + offset for a in columns.address))
-        except OverflowError:
-            shifted = [a + offset for a in columns.address]
-        return TraceStream.from_columns(
-            TraceColumns(columns.pc, shifted, columns.is_write, columns.icount),
-            name=shifted_name,
-            metadata=trace.metadata,
-        )
-    return trace.map(lambda a: a.with_address(a.address + offset), name=shifted_name)
+    columns = trace.as_arrays()
+    try:
+        shifted = array("q", (a + offset for a in columns.address))
+    except OverflowError:
+        shifted = [a + offset for a in columns.address]
+    return TraceStream.from_columns(
+        TraceColumns(columns.pc, shifted, columns.is_write, columns.icount),
+        name=shifted_name,
+        metadata=trace.metadata,
+    )
 
 
 def concat_traces(traces: Sequence[TraceStream], name: str = "concat") -> TraceStream:
-    """Concatenate several traces, renumbering instruction counts to be monotonic."""
-    out: List[MemoryAccess] = []
+    """Concatenate several traces, renumbering instruction counts to be monotonic.
+
+    Each trace's icounts are shifted past the last icount of the traces
+    before it; an empty trace leaves the base where it was.
+    """
+    runs: List[tuple] = []
     icount_base = 0
     for trace in traces:
-        last = 0
-        for access in trace:
-            renumbered = MemoryAccess(access.pc, access.address, access.access_type, access.icount + icount_base)
-            out.append(renumbered)
-            last = renumbered.icount
-        icount_base = last + 1
-    return TraceStream(out, name=name)
+        columns = trace.as_arrays()
+        if len(columns):
+            runs.append((columns, 0, len(columns), icount_base))
+            icount_base += columns.icount[-1] + 1
+    return TraceStream.from_columns(_columns_from_runs(runs), name=name)
 
 
 def interleave_quantum(
@@ -320,15 +318,7 @@ def interleave_quantum(
             progressed = True
         if not progressed:
             break
-    return TraceStream.from_columns(
-        TraceColumns(
-            _gather(runs, "pc", "q"),
-            _gather(runs, "address", "q"),
-            _gather(runs, "is_write", "b"),
-            _renumbered_icounts(runs),
-        ),
-        name=name,
-    )
+    return TraceStream.from_columns(_columns_from_runs(runs), name=name)
 
 
 def _quantum_end(icount, start: int, limit: int) -> int:
@@ -340,8 +330,18 @@ def _quantum_end(icount, start: int, limit: int) -> int:
     return end
 
 
+def _columns_from_runs(runs) -> TraceColumns:
+    """One trace's columns from ``(columns, start, end, icount delta)`` runs."""
+    return TraceColumns(
+        _gather(runs, "pc", "q"),
+        _gather(runs, "address", "q"),
+        _gather(runs, "is_write", "b"),
+        _renumbered_icounts(runs),
+    )
+
+
 def _gather(runs, field: str, typecode: str):
-    """Concatenate one column over the quantum runs (buffer copies, no records)."""
+    """Concatenate one column over the runs (buffer copies, no records)."""
     out = array(typecode)
     try:
         for columns, start, end, _ in runs:

@@ -1,14 +1,24 @@
 """Tests for the analysis metrics (dead time, temporal correlation, order disparity, bandwidth)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import LegacySetAssociativeCache
 
+from repro.analysis import l1pass, temporal
 from repro.analysis.bandwidth import bandwidth_breakdown
 from repro.analysis.cdf import CumulativeDistribution, merge_distributions, power_of_two_buckets
 from repro.analysis.deadtime import measure_dead_times
+from repro.analysis.l1pass import HIT, NO_EVICTION, l1_outcomes
 from repro.analysis.order_disparity import measure_order_disparity
 from repro.analysis.temporal import correlated_sequence_lengths, measure_temporal_correlation
+from repro.cache.config import CacheConfig, L1D_CONFIG
 from repro.core.ltcords import LTCordsPrefetcher
+from repro.experiments import fig6_temporal
 from repro.sim.trace_driven import TraceDrivenSimulator
+from repro.trace.store import load_or_generate_trace
+from repro.trace.stream import TraceColumns
+from repro.workloads.base import WorkloadConfig
 
 from conftest import looping_trace, make_trace
 
@@ -24,6 +34,25 @@ class TestCumulativeDistribution:
         cdf = CumulativeDistribution([4, 1, 3, 2])
         assert cdf.percentile(0.5) == 2
         assert cdf.mean == pytest.approx(2.5)
+        # The smallest sample whose CDF reaches the fraction: 9's CDF is 0.9.
+        assert CumulativeDistribution(range(1, 11)).percentile(0.98) == 10
+        assert CumulativeDistribution([1, 2, 3]).percentile(0.5) == 2
+        # 0.07 * 100 is 7.000000000000001 in floats, yet 7 / 100 >= 0.07.
+        assert CumulativeDistribution(range(1, 101)).percentile(0.07) == 7
+        assert CumulativeDistribution([5, 6]).percentile(0.0) == 5
+        assert CumulativeDistribution([5, 6]).percentile(1.0) == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.integers(0, 50), min_size=1, max_size=60),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_percentile_is_the_smallest_sample_reaching_the_fraction(self, samples, fraction):
+        cdf = CumulativeDistribution(samples)
+        value = cdf.percentile(fraction)
+        assert value in samples
+        assert cdf.fraction_at_or_below(value) >= fraction
+        assert all(cdf.fraction_at_or_below(s) < fraction for s in samples if s < value)
 
     def test_empty_distribution(self):
         cdf = CumulativeDistribution([])
@@ -43,6 +72,52 @@ class TestCumulativeDistribution:
     def test_invalid_percentile(self):
         with pytest.raises(ValueError):
             CumulativeDistribution([1]).percentile(1.5)
+
+
+#: Geometries of the differential below, four sets each: the two-way body
+#: the L1D takes and the n-way one.
+_L1_GEOMETRIES = [CacheConfig("l1-2way", 512, 64, 2), CacheConfig("l1-4way", 1024, 64, 4)]
+_TOP = (1 << 63) - 1
+
+
+class TestL1Outcomes:
+    """The shared L1 pass against the oracle's object-per-block cache."""
+
+    @staticmethod
+    def _oracle_outcomes(columns, config):
+        cache = LegacySetAssociativeCache(config)
+        outcomes = []
+        for address, is_write in zip(columns.address, columns.is_write):
+            result = cache.access(address, bool(is_write))
+            if result.hit:
+                outcomes.append(HIT)
+            else:
+                evicted = result.evicted_address
+                outcomes.append(NO_EVICTION if evicted is None else evicted)
+        return outcomes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from(_L1_GEOMETRIES),
+        # 64 blocks (16 per set) at the bottom or the top of the address domain.
+        base=st.sampled_from([0, _TOP + 1 - 64 * 64]),
+        accesses=st.lists(
+            st.tuples(st.integers(0, 63), st.integers(0, 63), st.booleans()), max_size=300
+        ),
+    )
+    def test_matches_the_oracle(self, geometry, base, accesses):
+        columns = TraceColumns(
+            [0] * len(accesses),
+            [base + 64 * block + offset for block, offset, _ in accesses],
+            [int(is_write) for _, _, is_write in accesses],
+            list(range(len(accesses))),
+        )
+        assert l1_outcomes(columns, geometry) == self._oracle_outcomes(columns, geometry)
+
+    @pytest.mark.parametrize("geometry", _L1_GEOMETRIES, ids=lambda c: c.name)
+    def test_empty_and_one_access_traces(self, geometry):
+        assert l1_outcomes(make_trace([]).as_arrays(), geometry) == []
+        assert l1_outcomes(make_trace([_TOP]).as_arrays(), geometry) == [NO_EVICTION]
 
 
 class TestDeadTime:
@@ -78,10 +153,77 @@ class TestTemporalCorrelation:
         result = measure_temporal_correlation(trace)
         assert result.perfect_correlation_fraction < 0.2
 
+    def test_figure6_replays_each_benchmark_once(self, monkeypatch):
+        calls = []
+
+        def counting(columns, config):
+            calls.append(len(columns))
+            return l1pass.l1_outcomes(columns, config)
+
+        monkeypatch.setattr(temporal, "l1_outcomes", counting)
+        rows = fig6_temporal.run(benchmarks=["mcf", "gzip"], num_accesses=3000)
+        assert len(rows) == 2
+        assert calls == [3000, 3000]
+
     def test_sequence_lengths_grow_with_repetition(self):
         trace = looping_trace(num_blocks=3000, iterations=4)
         sequences = correlated_sequence_lengths(trace)
         assert sequences.longest_sequence > 100
+
+    @staticmethod
+    def _oracle_figure6(trace, config, max_distance=16):
+        """Figure 6 by the record-view loops: (|distances|, uncorrelated, perfect, run lengths)."""
+        cache = LegacySetAssociativeCache(config)
+        misses = []
+        for access in trace:
+            result = cache.access(access.address, access.is_write)
+            if result.miss:
+                evicted = -1 if result.evicted_address is None else result.evicted_address
+                misses.append((access.pc, result.block_address, evicted))
+        previous, last_seen = [], {}
+        for index, label in enumerate(misses):
+            previous.append(last_seen.get(label))
+            last_seen[label] = index
+        distances, uncorrelated, perfect, lengths, run = [], 0, 0, [], 0
+        for prev_a, prev_b in zip(previous, previous[1:]):
+            if prev_a is None or prev_b is None:
+                uncorrelated += 1
+            else:
+                distances.append(abs(prev_b - prev_a))
+                perfect += prev_b - prev_a == 1
+            if prev_a is not None and prev_b is not None and abs(prev_b - prev_a) <= max_distance:
+                run += 1
+            elif run:
+                lengths.append(run)
+                run = 0
+        if run:
+            lengths.append(run)
+        return sorted(distances), uncorrelated, perfect, lengths
+
+    def _assert_matches_oracle(self, trace, config, max_distance=16):
+        correlation, sequences = temporal.measure_figure6(trace, config, max_distance)
+        distances, uncorrelated, perfect, lengths = self._oracle_figure6(trace, config, max_distance)
+        assert correlation.distances.samples == distances
+        assert correlation.uncorrelated_misses == uncorrelated
+        assert correlation.perfectly_correlated_misses == perfect
+        assert correlation.num_misses == uncorrelated + len(distances)
+        assert sequences.lengths == lengths
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.sampled_from(_L1_GEOMETRIES),
+        # Few PCs and 32 blocks over a small L1: labels repeat, in and out of order.
+        accesses=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 31)), max_size=400),
+        max_distance=st.integers(0, 4),
+    )
+    def test_figure6_matches_the_record_view_loops(self, geometry, accesses, max_distance):
+        trace = make_trace([64 * block for _, block in accesses], pcs=[4 * pc for pc, _ in accesses])
+        self._assert_matches_oracle(trace, geometry, max_distance)
+
+    def test_figure6_matches_the_record_view_loops_on_gcc(self):
+        # gcc's miss pairs spread over signed distances, -1 and beyond 16 included.
+        trace = load_or_generate_trace("gcc", WorkloadConfig(num_accesses=60_000, seed=42))
+        self._assert_matches_oracle(trace, L1D_CONFIG)
 
 
 class TestOrderDisparity:

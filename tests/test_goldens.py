@@ -1,8 +1,9 @@
 """Golden-figure regression harness.
 
-Quick configurations of every paper campaign (Figures 4 and 8-12,
-Tables 2 and 3) are run end to end and compared against committed JSON
-under ``tests/goldens/``:
+Quick configurations of every paper artifact (the campaigns of Figures
+4 and 8-12 and Tables 2 and 3, the trace studies of Figures 2, 6 and 7,
+Section 5.9 and Table 1) are run end to end and compared against
+committed JSON under ``tests/goldens/``:
 integer counters must match **exactly** (the simulators are
 deterministic), derived ratios within 1e-9.  Any unintentional change to
 cache behaviour, predictor logic, trace generation, interleaving or
@@ -11,9 +12,10 @@ result serialisation shows up here as a field-level diff; after an
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
 
-Every golden is checked twice: by default, which replays
+Every campaign golden is checked twice: by default, which replays
 through the compiled vector kernel where a C compiler exists, and with
-the kernel switched off (the interpreted tier).
+the kernel switched off (the interpreted tier).  The analysis goldens
+replay no predictor, so they are checked once.
 """
 
 import dataclasses
@@ -53,6 +55,24 @@ CAMPAIGN_GOLDENS = {
     "table2_quick": "repro.experiments.table2_baseline",
     "table3_quick": "repro.experiments.table3_speedup",
 }
+
+#: Drivers outside the campaign layer, pinned at the campaign goldens'
+#: shape (the trace studies) or at their defaults (the analytical ones).
+ANALYSIS_GOLDENS = {
+    "fig2_quick": "repro.experiments.fig2_deadtime",
+    "fig6_quick": "repro.experiments.fig6_temporal",
+    "fig6_correlated": "repro.experiments.fig6_temporal",
+    "fig7_quick": "repro.experiments.fig7_order_disparity",
+    "sec59": "repro.experiments.sec59_power",
+    "table1": "repro.experiments.table1_config",
+}
+#: The analytical drivers take no trace.
+_TRACELESS = {"sec59", "table1"}
+#: Trace studies pinned at their own (benchmarks, accesses) shape.  At the
+#: quick shape no Figure 6 miss label repeats, so every distance is
+#: "uncorrelated"; here gcc's pairs spread over signed distances (-1 and
+#: beyond 16 included) and mcf's form runs of a thousand misses and more.
+_ANALYSIS_SHAPES = {"fig6_correlated": (["gcc", "mcf"], 60_000)}
 
 #: Tolerance for ratio fields (coverage fractions etc.); counts compare exactly.
 RATIO_TOLERANCE = 1e-9
@@ -141,16 +161,32 @@ def _compute_campaign(module_name):
     output = module.run(
         benchmarks=CAMPAIGN_BENCHMARKS, num_accesses=CAMPAIGN_ACCESSES, session=session
     )
-    rows = [dataclasses.asdict(row) for row in output] if isinstance(output, list) else (
-        dataclasses.asdict(output)
-    )
     return {
         "config": {"benchmarks": CAMPAIGN_BENCHMARKS, "num_accesses": CAMPAIGN_ACCESSES, "seed": 42},
-        "rows": rows,
+        "rows": _as_rows(output),
         "points": [
             result.to_dict() for campaign in session.campaigns for result in campaign.results
         ],
     }
+
+
+def _compute_analysis(name):
+    """A non-campaign driver's output, every row field included."""
+    module = importlib.import_module(ANALYSIS_GOLDENS[name])
+    if name in _TRACELESS:
+        return {"rows": _as_rows(module.run())}
+    benchmarks, num_accesses = _ANALYSIS_SHAPES.get(name, (CAMPAIGN_BENCHMARKS, CAMPAIGN_ACCESSES))
+    output = module.run(benchmarks=benchmarks, num_accesses=num_accesses)
+    return {
+        "config": {"benchmarks": benchmarks, "num_accesses": num_accesses, "seed": 42},
+        "rows": _as_rows(output),
+    }
+
+
+def _as_rows(output):
+    if isinstance(output, list):
+        return [dataclasses.asdict(row) if dataclasses.is_dataclass(row) else row for row in output]
+    return dataclasses.asdict(output)
 
 
 def assert_matches_golden(golden, actual, path="$"):
@@ -219,6 +255,11 @@ def test_figure_matches_golden(name, compute, request):
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_GOLDENS))
 def test_campaign_matches_golden(name, request):
     _check_golden(name, _golden_compute(name), request)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_GOLDENS))
+def test_analysis_matches_golden(name, request):
+    _check_golden(name, lambda: _compute_analysis(name), request)
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,10 @@ class TestTransformations:
         assert icounts == sorted(icounts)
         assert len(merged) == 4
         assert merged[2].icount > merged[1].icount
+        # An empty trace in the middle keeps the base (icounts 0, 3 | 4, 7).
+        merged = concat_traces([a, make_trace([]), a])
+        assert [x.icount for x in merged] == [0, 3, 4, 7]
+        assert [x.address for x in merged] == [0x100, 0x200, 0x100, 0x200]
 
 
 class TestInterleaveQuantum:
