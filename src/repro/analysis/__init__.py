@@ -12,11 +12,7 @@
 
 from repro.analysis.cdf import CumulativeDistribution, power_of_two_buckets
 from repro.analysis.deadtime import DeadTimeResult, measure_dead_times
-from repro.analysis.temporal import (
-    TemporalCorrelationResult,
-    correlated_sequence_lengths,
-    measure_temporal_correlation,
-)
+from repro.analysis.temporal import TemporalCorrelationResult
 from repro.analysis.order_disparity import OrderDisparityResult, measure_order_disparity
 from repro.analysis.bandwidth import BandwidthBreakdown, bandwidth_breakdown
 
@@ -27,9 +23,7 @@ __all__ = [
     "OrderDisparityResult",
     "TemporalCorrelationResult",
     "bandwidth_breakdown",
-    "correlated_sequence_lengths",
     "measure_dead_times",
     "measure_order_disparity",
-    "measure_temporal_correlation",
     "power_of_two_buckets",
 ]

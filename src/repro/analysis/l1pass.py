@@ -23,8 +23,10 @@ def l1_outcomes(columns: TraceColumns, config: CacheConfig) -> List[int]:
     """Replay ``columns`` through an empty ``config`` cache, one outcome per access.
 
     Each outcome is :data:`HIT`, :data:`NO_EVICTION`, or the (non-negative)
-    block address the miss evicted.
+    block address the miss evicted.  A negative address (which would alias
+    the cache's empty-way tag) raises ``ValueError``.
     """
+    columns.check_addresses()
     cache = SetAssociativeCache(config)
     access = cache.access_fast
     last = cache.last

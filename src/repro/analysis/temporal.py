@@ -128,19 +128,3 @@ def measure_figure6(
     )
     return correlation, SequenceLengthResult(benchmark=trace.name, lengths=lengths)
 
-
-def measure_temporal_correlation(
-    trace: TraceStream,
-    cache_config: Optional[CacheConfig] = None,
-) -> TemporalCorrelationResult:
-    """Compute the temporal correlation distance distribution for ``trace``."""
-    return measure_figure6(trace, cache_config)[0]
-
-
-def correlated_sequence_lengths(
-    trace: TraceStream,
-    cache_config: Optional[CacheConfig] = None,
-    max_distance: int = 16,
-) -> SequenceLengthResult:
-    """Measure maximal runs of misses whose correlation distance is within ``max_distance``."""
-    return measure_figure6(trace, cache_config, max_distance)[1]

@@ -185,8 +185,8 @@ def _safe_key(point: Any) -> Optional[str]:
         return None
 
 
-def _point_fields(point: Any) -> Dict[str, Any]:
-    """The identifying fields a ``point_done`` event carries.
+def _point_fields(point: Any, key: Optional[str]) -> Dict[str, Any]:
+    """The identifying fields a ``point_done`` event carries (``key`` is the point's).
 
     Mirrors the artifact layer's labelling: multicore co-runs join their
     benchmarks with ``+`` and per-core predictors with ``/``.
@@ -197,7 +197,7 @@ def _point_fields(point: Any) -> Dict[str, Any]:
         "benchmark": "+".join(benchmarks) if benchmarks else getattr(point, "benchmark", None),
         "predictor": "/".join(predictors) if predictors else getattr(point, "predictor", None),
         "sim": getattr(point, "sim", None),
-        "key": _safe_key(point),
+        "key": key,
     }
 
 
@@ -246,12 +246,13 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.integrity.locks import single_flight_disabled
 
         cache = ResultCache(payload["cache_root"])
+        key = point.key()
         if not single_flight_disabled():
-            lease = cache.claim(point)
+            lease = cache.claim(point, key=key)
             # Holding the claim, re-check the entry (double-checked
             # locking): a producer may have published between the
             # parent's miss and this worker's claim.
-            waited = cache.get(point) if lease is not None else cache.wait_for(point)
+            waited = cache.get(point, key) if lease is not None else cache.wait_for(point)
             if waited is not None:
                 if lease is not None:
                     lease.release()
@@ -275,7 +276,7 @@ def _execute_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         if cache is not None:
             if faults.diskfull_target(index, attempt):
                 cache.fail_next_put()
-            published = cache.put(point, result) is not None
+            published = cache.put(point, result, key) is not None
     finally:
         if lease is not None:
             lease.release()
@@ -516,7 +517,7 @@ class CampaignRunner:
                     phases=phases or {},
                     tiers=tiers or {},
                     fallbacks=fallbacks or {},
-                    **_point_fields(points[index]),
+                    **_point_fields(points[index], state.keys[index]),
                 )
             )
 
@@ -524,7 +525,7 @@ class CampaignRunner:
             pending: List[int] = []
             for index, point in enumerate(points):
                 lookup_started = time.perf_counter()
-                cached = self.cache.get(point) if self.use_cache else None
+                cached = self.cache.get(point, state.keys[index]) if self.use_cache else None
                 if cached is not None:
                     state.results[index] = cached
                     state.durations[index] = time.perf_counter() - lookup_started
@@ -614,12 +615,13 @@ class CampaignRunner:
         if not self.use_cache:
             return
         dispatch = state.dispatches[index]
+        point, key = state.points[index], state.keys[index]
         if published:
-            path: Optional[Path] = self.cache.path_for(state.points[index])
+            path: Optional[Path] = self.cache.path_for(point, key)
         else:
             if self.faults.diskfull_target(index, dispatch):
                 self.cache.fail_next_put()
-            path = self.cache.put(state.points[index], result)
+            path = self.cache.put(point, result, key)
         if path is not None and path.exists():
             self.faults.apply_post_write(index, dispatch, path)
 
@@ -682,19 +684,19 @@ class CampaignRunner:
         while queue:
             index = queue.pop(0)
             state.dispatches[index] += 1
-            point = state.points[index]
+            point, key = state.points[index], state.keys[index]
             point_started = time.perf_counter()
             lease = None
             if self.use_cache:
                 if self.faults.stalelock_target(index, state.dispatches[index]):
                     plant_stale_lease(self.cache.lease_path_for(point))
                 if not single_flight_disabled():
-                    lease = self.cache.claim(point)
+                    lease = self.cache.claim(point, key=key)
                     # Re-check under the claim (double-checked locking):
                     # a concurrent campaign may have published this point
                     # between our miss and our claim.
                     waited = (
-                        self.cache.get(point)
+                        self.cache.get(point, key)
                         if lease is not None
                         else self.cache.wait_for(point)
                     )

@@ -257,6 +257,7 @@ class Session:
         specs whose configs are not registered for serialisation.
         """
         spec = self.spec(spec, **overrides)
+        key = _safe_key(spec)
         observer = self.observer
         run_id = None
         started = time.perf_counter()
@@ -270,30 +271,25 @@ class Session:
                     benchmark=getattr(spec, "benchmark", None),
                     predictor=getattr(spec, "predictor", None),
                     sim=getattr(spec, "sim", None),
-                    key=_safe_key(spec),
+                    key=key,
                 )
             )
         cacheable = (
             (self.use_cache if use_cache is None else use_cache and not cache_disabled())
             and prefetcher is None
             and system_config is None
+            # A spec carrying an unregistered config class has no key: uncacheable.
+            and key is not None
         )
         cache_hit = False
         result: Optional[ResultType] = None
         if cacheable:
-            try:
-                cached = self.cache.get(spec)
-            except TypeError:
-                # Spec carries an unregistered config class: uncacheable.
-                cacheable = False
-            else:
-                if cached is not None:
-                    cache_hit = True
-                    result = cached
-                    if observer is not None:
-                        observer.emit(
-                            make_event("cache_hit", run_id=run_id, key=_safe_key(spec))
-                        )
+            cached = self.cache.get(spec, key)
+            if cached is not None:
+                cache_hit = True
+                result = cached
+                if observer is not None:
+                    observer.emit(make_event("cache_hit", run_id=run_id, key=key))
         if result is None:
             result = execute_spec(
                 spec,
@@ -303,7 +299,7 @@ class Session:
                 observer=observer,
             )
             if cacheable:
-                self.cache.put(spec, result)
+                self.cache.put(spec, result, key)
         if observer is not None:
             observer.emit(
                 make_event(

@@ -382,9 +382,10 @@ class TraceDrivenSimulator:
         """
         if kernel is not None:
             return kernel.run_chunk, kernel.settle
+        columns = trace.as_arrays()
+        columns.check_addresses()  # a negative address would alias the empty-way tag
         self.last_tier = "interpreted"
         _INTERPRETED_REPLAYS.inc()
-        columns = trace.as_arrays()
         rows = zip(columns.pc, columns.address, columns.is_write, columns.icount)
         return _resumable(self._fast_loop(rows), len(columns))
 

@@ -296,7 +296,10 @@ def read_trace_file(path: Union[str, Path], verify: Optional[bool] = None) -> Tr
 
     ``verify`` controls payload-checksum verification: ``None`` follows
     ``REPRO_VERIFY`` (default: verify each file version once per
-    process), ``True`` forces a recompute, ``False`` skips it.
+    process), ``True`` forces a recompute, ``False`` skips it.  Columns
+    whose CRC this process verified skip the address-domain scan of
+    :class:`~repro.trace.stream.TraceColumns`; v1 files and unverified
+    reads keep it.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -316,7 +319,7 @@ def read_trace_file(path: Union[str, Path], verify: Optional[bool] = None) -> Tr
             if check:
                 verify_payload_crc(header, memoryview(b""))
                 _VERIFIED.add((str(path), size, stat.st_mtime_ns))
-            columns = TraceColumns(array("q"), array("q"), array("b"), array("q"))
+            columns = (array("q"), array("q"), array("b"), array("q"))
         elif not swapped:
             view = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
             if check:
@@ -327,7 +330,7 @@ def read_trace_file(path: Union[str, Path], verify: Optional[bool] = None) -> Tr
             address = view[offset + span:offset + 2 * span].cast("q")
             icount = view[offset + 2 * span:offset + 3 * span].cast("q")
             is_write = view[offset + 3 * span:offset + 3 * span + count].cast("b")
-            columns = TraceColumns(pc, address, is_write, icount)
+            columns = (pc, address, is_write, icount)
         else:  # pragma: no cover - byte order differs from the writing host
             if check:
                 handle.seek(offset)
@@ -344,9 +347,16 @@ def read_trace_file(path: Union[str, Path], verify: Optional[bool] = None) -> Tr
             is_write.fromfile(handle, count)
             for column in (pc, address, icount):
                 column.byteswap()
-            columns = TraceColumns(pc, address, is_write, icount)
+            columns = (pc, address, is_write, icount)
+        # A payload whose CRC this process verified is what a writer
+        # serialised from checked columns.
+        verified = header.get("crc32") is not None and (
+            (str(path), size, stat.st_mtime_ns) in _VERIFIED
+        )
     return TraceStream.from_columns(
-        columns, name=header.get("name", "trace"), metadata=header.get("metadata") or {}
+        TraceColumns._trusted(*columns) if verified else TraceColumns(*columns),
+        name=header.get("name", "trace"),
+        metadata=header.get("metadata") or {},
     )
 
 

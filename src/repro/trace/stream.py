@@ -42,7 +42,17 @@ class TraceColumns:
 
     Addresses are non-negative (the address domain every replay tier shares):
     the caches mark empty ways with tag ``-1``, which a negative address
-    would alias, so negative addresses are rejected here, once.
+    would alias.  The domain is checked once, where columns are made from
+    unchecked data: this constructor (so :meth:`from_records` and the
+    workload generators) scans the address column.  Columns derived from
+    checked ones (:meth:`slice`, :func:`shift_addresses`, the runs of
+    :func:`interleave_quantum` / :func:`concat_traces`) and trace-store
+    payloads whose CRC this process verified are built by
+    :meth:`_trusted`, without a rescan.  The Python consumers that feed
+    addresses into a cache (the interpreted replay tier and
+    :func:`repro.analysis.l1pass.l1_outcomes`) call
+    :meth:`check_addresses` on what they receive; the compiled kernel's
+    own range gate sends a negative address to them (``address-range``).
     """
 
     __slots__ = ("pc", "address", "is_write", "icount")
@@ -50,22 +60,31 @@ class TraceColumns:
     def __init__(self, pc, address, is_write, icount) -> None:
         if not (len(pc) == len(address) == len(is_write) == len(icount)):
             raise ValueError("trace columns must have equal lengths")
+        self.pc, self.address, self.is_write, self.icount = pc, address, is_write, icount
+        self.check_addresses()
+
+    @classmethod
+    def _trusted(cls, pc, address, is_write, icount) -> "TraceColumns":
+        """Aligned columns whose addresses need no scan (see the class docstring)."""
+        columns = cls.__new__(cls)
+        columns.pc, columns.address, columns.is_write, columns.icount = pc, address, is_write, icount
+        return columns
+
+    def check_addresses(self) -> None:
+        """Raise ``ValueError`` naming the first negative address, if any."""
+        address = self.address
         if len(address) and min(address) < 0:
             index = next(i for i, value in enumerate(address) if value < 0)
             raise ValueError(
                 f"trace address {index} is negative ({address[index]}); addresses must be >= 0"
             )
-        self.pc = pc
-        self.address = address
-        self.is_write = is_write
-        self.icount = icount
 
     def __len__(self) -> int:
         return len(self.address)
 
     def slice(self, index: slice) -> "TraceColumns":
         """Columns restricted to ``index`` (a ``slice`` object)."""
-        return TraceColumns(
+        return TraceColumns._trusted(
             self.pc[index], self.address[index], self.is_write[index], self.icount[index]
         )
 
@@ -240,7 +259,7 @@ def shift_addresses(trace: TraceStream, offset: int, name: Optional[str] = None)
     except OverflowError:
         shifted = [a + offset for a in columns.address]
     return TraceStream.from_columns(
-        TraceColumns(columns.pc, shifted, columns.is_write, columns.icount),
+        TraceColumns._trusted(columns.pc, shifted, columns.is_write, columns.icount),
         name=shifted_name,
         metadata=trace.metadata,
     )
@@ -332,7 +351,7 @@ def _quantum_end(icount, start: int, limit: int) -> int:
 
 def _columns_from_runs(runs) -> TraceColumns:
     """One trace's columns from ``(columns, start, end, icount delta)`` runs."""
-    return TraceColumns(
+    return TraceColumns._trusted(
         _gather(runs, "pc", "q"),
         _gather(runs, "address", "q"),
         _gather(runs, "is_write", "b"),
@@ -345,7 +364,7 @@ def _gather(runs, field: str, typecode: str):
     out = array(typecode)
     try:
         for columns, start, end, _ in runs:
-            out.frombytes(getattr(columns, field)[start:end])
+            out.frombytes(memoryview(getattr(columns, field))[start:end].cast("B"))
     except TypeError:  # plain-list columns hold values beyond 64 bits
         return [
             value for columns, start, end, _ in runs for value in getattr(columns, field)[start:end]

@@ -11,7 +11,6 @@ from repro.analysis.cdf import CumulativeDistribution, merge_distributions, powe
 from repro.analysis.deadtime import measure_dead_times
 from repro.analysis.l1pass import HIT, NO_EVICTION, l1_outcomes
 from repro.analysis.order_disparity import measure_order_disparity
-from repro.analysis.temporal import correlated_sequence_lengths, measure_temporal_correlation
 from repro.cache.config import CacheConfig, L1D_CONFIG
 from repro.core.ltcords import LTCordsPrefetcher
 from repro.experiments import fig6_temporal
@@ -142,7 +141,7 @@ class TestDeadTime:
 class TestTemporalCorrelation:
     def test_repetitive_misses_highly_correlated(self):
         trace = looping_trace(num_blocks=3000, iterations=4)
-        result = measure_temporal_correlation(trace)
+        result, _ = temporal.measure_figure6(trace)
         assert result.perfect_correlation_fraction > 0.5
         assert result.uncorrelated_fraction < 0.5
 
@@ -150,7 +149,7 @@ class TestTemporalCorrelation:
         import random
         rng = random.Random(3)
         trace = make_trace([rng.randrange(1 << 24) * 64 for _ in range(6000)])
-        result = measure_temporal_correlation(trace)
+        result, _ = temporal.measure_figure6(trace)
         assert result.perfect_correlation_fraction < 0.2
 
     def test_figure6_replays_each_benchmark_once(self, monkeypatch):
@@ -167,7 +166,7 @@ class TestTemporalCorrelation:
 
     def test_sequence_lengths_grow_with_repetition(self):
         trace = looping_trace(num_blocks=3000, iterations=4)
-        sequences = correlated_sequence_lengths(trace)
+        _, sequences = temporal.measure_figure6(trace)
         assert sequences.longest_sequence > 100
 
     @staticmethod

@@ -208,6 +208,15 @@ class TestCampaignRunner:
             p_json = json.dumps(p_result.to_dict(), sort_keys=True)
             assert s_json == p_json, f"serial/pool divergence at {point.benchmark}/{point.predictor}"
 
+    def test_each_point_is_hashed_once_per_run(self, tmp_path, monkeypatch):
+        hashed = []
+        key = PointSpec.key
+        monkeypatch.setattr(PointSpec, "key", lambda point: hashed.append(point) or key(point))
+        cache = ResultCache(tmp_path / "cache")
+        CampaignRunner(jobs=1, cache=cache).run(_small_spec())  # computed and stored
+        CampaignRunner(jobs=1, cache=cache).run(_small_spec())  # served from the cache
+        assert len(hashed) == 8
+
     def test_find_and_one(self, tmp_path):
         campaign = CampaignRunner(jobs=1, cache=ResultCache(tmp_path / "c")).run(_small_spec())
         assert len(campaign.find(benchmark="gzip")) == 2

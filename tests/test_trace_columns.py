@@ -5,7 +5,14 @@ from array import array
 import pytest
 
 from repro.trace.record import AccessType, MemoryAccess
-from repro.trace.stream import TraceColumns, TraceStream, limit_trace, shift_addresses
+from repro.trace.stream import (
+    TraceColumns,
+    TraceStream,
+    concat_traces,
+    interleave_quantum,
+    limit_trace,
+    shift_addresses,
+)
 from repro.workloads.base import WorkloadConfig
 from repro.workloads.registry import get_workload
 
@@ -69,6 +76,34 @@ class TestColumnsFromRecords:
         columns = TraceColumns.from_records(records)
         assert columns.address[0] == huge
         assert list(TraceStream.from_columns(columns))[0].address == huge
+
+
+class TestDomainCheckedOnce:
+    def test_derived_columns_are_not_rescanned(self, monkeypatch):
+        traces = [  # columns checked here, from records
+            TraceStream.from_columns(make_trace(addresses).as_arrays())
+            for addresses in (range(0, 6400, 64), range(1 << 20, (1 << 20) + 3200, 32))
+        ]
+        scans = []
+        check = TraceColumns.check_addresses
+        monkeypatch.setattr(
+            TraceColumns, "check_addresses", lambda columns: scans.append(len(columns)) or check(columns)
+        )
+        derived = [
+            traces[0][10:40],
+            limit_trace(traces[1], 30),
+            shift_addresses(traces[0], 1 << 30),
+            interleave_quantum(traces, [30, 30]),
+            concat_traces(traces),
+        ]
+        assert scans == []
+        assert [a.address for a in derived[2]] == [a.address + (1 << 30) for a in traces[0]]
+        assert [len(trace) for trace in derived] == [30, 30, 100, 200, 200]
+
+    def test_shifting_past_64_bits_still_falls_back_to_lists(self):
+        trace = make_trace([0, 64])
+        shifted = shift_addresses(trace, (1 << 63) - 32)
+        assert shifted.as_arrays().address == [(1 << 63) - 32, (1 << 63) + 32]
 
 
 class TestColumnarStream:

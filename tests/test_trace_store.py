@@ -1,11 +1,21 @@
 """Tests for the content-addressed binary trace store (repro.trace.store)."""
 
+import json
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.l1pass import l1_outcomes
+from repro.api import build_predictor
+from repro.cache.config import L1D_CONFIG
+from repro.cache.vector import load_kernel
+from repro.obs.metrics import REGISTRY
+from repro.sim.trace_driven import TraceDrivenSimulator
 from repro.trace.store import (
+    _HEADER_STRUCT,
+    _MAGIC,
     TRACE_FORMAT_VERSION,
     TraceStore,
     TraceStoreError,
@@ -15,7 +25,7 @@ from repro.trace.store import (
     trace_key,
     write_trace_file,
 )
-from repro.trace.stream import TraceColumns, TraceStream
+from repro.trace.stream import TraceColumns, TraceStream, concat_traces, interleave_quantum
 from repro.workloads.base import WorkloadConfig
 from repro.workloads.registry import get_workload
 
@@ -219,6 +229,108 @@ class TestStoreBackedSimulation:
             "mcf", build_predictor("dbcp"), num_accesses=2000, trace_store=TraceStore(tmp_path / "x")
         )
         assert stored.to_dict() == loaded.to_dict() == fresh.to_dict()
+
+
+_NEGATIVE = (
+    array("q", [0x400000] * 3), array("q", [0x1000, -64, 0x2000]), array("b", [0] * 3),
+    array("q", [0, 3, 6]),
+)
+
+
+def _negative_address_file(path, version=TRACE_FORMAT_VERSION):
+    """A store file whose payload holds address -64 at position 1.
+
+    At format v2 the header CRC covers that payload, so the file verifies;
+    at v1 the header carries no CRC.
+    """
+    write_trace_file(TraceStream.from_columns(TraceColumns._trusted(*_NEGATIVE)), path)
+    if version == 1:
+        raw = path.read_bytes()
+        _, _, _, header_len = _HEADER_STRUCT.unpack(raw[: _HEADER_STRUCT.size])
+        header = json.loads(raw[_HEADER_STRUCT.size : _HEADER_STRUCT.size + header_len])
+        del header["crc32"]
+        header_json = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        payload = raw[_HEADER_STRUCT.size + header_len :]
+        path.write_bytes(_HEADER_STRUCT.pack(_MAGIC, 1, 0, len(header_json)) + header_json + payload)
+    return path
+
+
+class TestAddressDomain:
+    """The address domain is checked where columns come from unchecked data.
+
+    A CRC-verified store payload skips the scan; every Python consumer that
+    feeds addresses into a cache checks what it receives, and the kernel's
+    range gate sends a negative address to them (``address-range``).
+    """
+
+    def _message(self):
+        with pytest.raises(ValueError) as error:
+            TraceColumns(*_NEGATIVE)
+        return str(error.value)
+
+    @pytest.mark.filterwarnings("ignore:.*fell back from the compiled kernel:RuntimeWarning")
+    def test_verified_file_loads_and_every_tier_rejects_its_negative_address(self, tmp_path):
+        trace = read_trace_file(_negative_address_file(tmp_path / "neg.rtrc"))
+        assert list(trace.as_arrays().address) == list(_NEGATIVE[1])
+        message = self._message()
+        counter = REGISTRY.counter("replay.fallback.address-range")
+        before = counter.value
+        sim = TraceDrivenSimulator(prefetcher=build_predictor("none"))
+        with pytest.raises(ValueError) as error:
+            sim.replay(trace)
+        assert str(error.value) == message
+        if load_kernel() is not None:
+            assert sim.last_fallback == "address-range"
+            assert counter.value == before + 1
+        with pytest.raises(ValueError) as error:
+            l1_outcomes(trace.as_arrays(), L1D_CONFIG)
+        assert str(error.value) == message
+
+    def test_v1_file_rejects_a_negative_address_at_load(self, tmp_path):
+        path = _negative_address_file(tmp_path / "neg.rtrc", version=1)
+        with pytest.raises(ValueError, match="trace address 1 is negative"):
+            read_trace_file(path)
+
+    def test_unverified_read_rejects_a_negative_address_at_load(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "never")
+        path = _negative_address_file(tmp_path / "neg.rtrc")
+        with pytest.raises(ValueError, match="trace address 1 is negative"):
+            read_trace_file(path)
+
+    def test_warm_store_kernel_replays_scan_no_address_column(self, tmp_path, monkeypatch):
+        from repro.sim.multiprogram import _simulate_pair
+
+        if load_kernel() is None:
+            pytest.skip("the compiled kernel is unavailable")
+        store = TraceStore(tmp_path)
+        config = WorkloadConfig(num_accesses=3000)
+        store.prewarm(["mcf", "gzip"], [config])
+        scans = []
+        check = TraceColumns.check_addresses
+        monkeypatch.setattr(
+            TraceColumns, "check_addresses", lambda columns: scans.append(len(columns)) or check(columns)
+        )
+        sim = TraceDrivenSimulator(prefetcher=build_predictor("ltcords"))
+        sim.replay(store.load_or_generate("mcf", config))
+        assert sim.last_tier == "kernel-ltcords"
+        sim = TraceDrivenSimulator(prefetcher=build_predictor("dbcp"))
+        sim.replay(store.load_or_generate("mcf", WorkloadConfig(num_accesses=1000)))  # a prefix hit
+        assert sim.last_tier == "kernel-dbcp"
+        _simulate_pair("mcf", "gzip", num_accesses=3000, trace_store=store)  # shifted, interleaved
+        assert scans == []
+
+    def test_interleaving_and_concatenating_loaded_traces_stays_array(self, tmp_path):
+        store = TraceStore(tmp_path)
+        config = WorkloadConfig(num_accesses=500)
+        store.prewarm(["gcc", "mcf"], [config])
+        loaded = [store.load_or_generate(name, config) for name in ("gcc", "mcf")]
+        generated = [get_workload(name, config).generate() for name in ("gcc", "mcf")]
+        for combine in (lambda traces: interleave_quantum(traces, [300, 300]), concat_traces):
+            got, want = combine(loaded).as_arrays(), combine(generated).as_arrays()
+            for name, typecode in (("pc", "q"), ("address", "q"), ("is_write", "b"), ("icount", "q")):
+                column = getattr(got, name)
+                assert isinstance(column, array) and column.typecode == typecode, name
+                assert list(column) == list(getattr(want, name)), name
 
 
 class TestCli:
