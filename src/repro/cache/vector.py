@@ -10,30 +10,42 @@ the shared object on disk keyed by a hash of the source, and loads it
 through :mod:`ctypes`.
 
 The kernel is a bit-exact port of the fast engine's replay protocol
-(``TraceDrivenSimulator._fast_loop``) for five predictors, each a lane
-*kind* (:data:`KERNELS`):
+(``TraceDrivenSimulator._fast_loop``).  Like that loop, one C loop,
+``lane_run``, replays every prefetching lane: the demand access through
+the main and baseline hierarchies, the feedback for prefetched blocks,
+the predictor's ``on_access``, and its commands through the simulator's
+request queue (one command issued at once, more pushed and issued in
+order, the oldest dropped beyond the queue size).  A lane *kind*
+(:data:`KERNELS`) is a set of hooks over that loop mirroring the
+:class:`~repro.core.interface.Prefetcher` interface — ``access``
+(``on_access``, which lists the access's commands), ``used`` /
+``unused`` (``on_prefetch_used`` / ``on_prefetch_evicted_unused``) and
+``installed`` (``on_prefetch_installed``); a missing hook is the base
+class's no-op:
 
-* ``dbcp`` — fused with ``DBCPPrefetcher`` and its ``HistoryTable``:
-  an open-addressed block-keyed history map and an order-preserving
-  (LRU) correlation table.  Dict semantics are reproduced exactly —
-  linear probing with backward-shift deletion, and a doubly-linked node
-  pool for the insertion-ordered table.
-* ``ltcords`` — fused with ``LTCordsPrefetcher``: the same history
-  fold, ``SequenceStorage`` frames (fixed direct-mapped frames or
+* ``dbcp`` — ``DBCPPrefetcher`` and its ``HistoryTable``: an
+  open-addressed block-keyed history map and an order-preserving (LRU)
+  correlation table.  Dict semantics are reproduced exactly — linear
+  probing with backward-shift deletion, and a doubly-linked node pool
+  for the insertion-ordered table.
+* ``ltcords`` — ``LTCordsPrefetcher``: the same history fold,
+  ``SequenceStorage`` frames (fixed direct-mapped frames or
   ``unlimited_frames``), the head-lookahead window, the FIFO
   set-associative ``SignatureCache``, sliding-window streaming with the
   ``fetch_delay_accesses`` pending queue, and confidence feedback to
   both the signature cache and storage.
-* ``ghb`` — fused with ``GHBPrefetcher``: the slot ring with serial
-  validity, the PC index table as the same LRU node pool, the per-PC
-  chain walk and a line-for-line port of ``_delta_correlate``.
-* ``stride`` — fused with ``StridePrefetcher``: the insertion-ordered
-  reference prediction table.
-* ``baseline`` — the no-prefetcher loop (one simulated L1/L2 pair; the
-  caller mirrors the counters onto both hierarchies, which are
-  identical when nothing is ever prefetched), and ``null``, the
-  no-prefetcher co-run lane, which steps both hierarchies because other
-  cores' prefetches reach its shared L2.
+* ``ghb`` — ``GHBPrefetcher`` (an ``access`` hook only): the slot ring
+  with serial validity, the PC index table as the same LRU node pool,
+  the per-PC chain walk and a line-for-line port of
+  ``_delta_correlate``.
+* ``stride`` — ``StridePrefetcher`` (an ``access`` hook only): the
+  insertion-ordered reference prediction table.
+* ``null`` — no hooks: the no-prefetcher co-run lane, which steps both
+  hierarchies because other cores' prefetches reach its shared L2.
+* ``baseline`` — the one kind with its own loop, for single-core runs
+  without a prefetcher: one simulated L1/L2 pair (the caller mirrors the
+  counters onto both hierarchies, which are identical when nothing is
+  ever prefetched).
 
 Every replay is resumable: ``repro_open`` builds a kind's state over a
 lane's whole trace columns, ``repro_run`` replays the next chunk
@@ -45,12 +57,9 @@ with the block→core ownership map and the cross-core eviction counters
 of :class:`repro.cache.hierarchy.SharedL2`, dumped once by
 ``repro_shared_close``.
 
-GHB and stride answer one access with several prefetches; the kernel
-runs them through the simulator's request-queue semantics (drops
-beyond the queue size included).  Their predictions are computed
-addresses, so a prediction reaching 2^54 ends the lane (rc 2) and the
-interpreted tier replays the trace — the whole co-run, for a co-run
-lane — instead.
+GHB and stride predictions are computed addresses, so a prediction
+reaching 2^54 ends the lane (rc 2) and the interpreted tier replays the
+trace — the whole co-run, for a co-run lane — instead.
 
 Every predictor structure is allocated as the replay fills it (or
 bounded by the lane's trace length), so the kernel's heap grows with
@@ -554,10 +563,9 @@ typedef struct {
     int64_t block_mask;
     int64_t base_misses, correct, early, base_l2_hits, base_l2_misses,
         main_l1_hits, main_l2_hits, main_l2_misses;
-    int64_t prefetches_used, prefetches_evicted_unused, incorrect,
-        incorrect_mem;
+    int64_t prefetches_used, prefetches_evicted_unused, incorrect_mem;
     int64_t prefetches_issued, prefetches_from_l2, prefetches_from_memory;
-    int64_t queue_size, dropped; /* the request queue (see hier_issue) */
+    int64_t queue_size, dropped; /* the request queue (see lane_issue) */
     int8_t *col; /* per-access outcome bytes (see hier_init), or NULL */
     int64_t fills; /* memory-sourced fills after the current access */
     int64_t *spill, nspill; /* exact counts of saturated fills, or NULL */
@@ -574,7 +582,7 @@ typedef struct {
 
 /* cfg: 0 l1_num_sets, 1 l1_assoc, 2 l1_offset_bits, 3 l1_index_bits,
  *      4 l2_num_sets, 5 l2_assoc, 6 l2_offset_bits, 7 l2_index_bits,
- *      8 hier_block_mask
+ *      8 hier_block_mask, 9 request_queue_size
  * col: NULL, or one outcome byte per access: the main level (0 L1, 1 L2,
  *      2 memory) | 4 on a baseline L1 miss | 8 per memory-sourced fill,
  *      up to FILL_SPILL fills; a count that saturates is also appended
@@ -595,6 +603,7 @@ static void hier_init(jmp_buf *fail, Hier *h, const OpenArgs *a) {
     if (!a->shared_base) cache_init(fail, &h->own_l2[1], cfg + 4, cfg[8]);
     map_init(&h->prefetched, fail);
     h->block_mask = cfg[8];
+    h->queue_size = cfg[9];
 }
 
 static void hier_free(Hier *h) {
@@ -670,41 +679,31 @@ static int hier_prefetch(Hier *h, int64_t address, int has_victim, int64_t victi
     return source;
 }
 
-/* A demand hit consumed a tracked prefetch: pop its tag. */
-static int hier_used(Hier *h, int64_t block, uint64_t *tag_key,
-                     int64_t *tag_word, int64_t *tag_offset) {
+/* A prefetch's tag, handed back to the predictor when the block is used
+ * or evicted unused: a key, a word and an offset (tag_offset). */
+typedef struct {
+    uint64_t key;
+    int64_t word, offset;
+} Tag;
+
+/* Pop the tracked prefetch of `block`: its source (1 = L2, 2 = memory)
+ * and tag, or 0 when the block is not tracked. */
+static int hier_pop(Hier *h, int64_t block, Tag *tag) {
     int64_t slot = map_find(&h->prefetched, block);
     if (slot < 0) return 0;
-    *tag_key = h->prefetched.v0[slot];
-    *tag_word = h->prefetched.v1[slot];
-    *tag_offset = h->prefetched.v2[slot] >> 2;
+    tag->key = h->prefetched.v0[slot];
+    tag->word = h->prefetched.v1[slot];
+    tag->offset = h->prefetched.v2[slot] >> 2;
+    int source = (int)(h->prefetched.v2[slot] & 3);
     map_del(&h->prefetched, (uint64_t)slot);
-    h->prefetches_used++;
-    return 1;
+    return source;
 }
 
-/* _notify_unused_eviction: a tracked prefetch left the L1 unused. */
-static int hier_unused(Hier *h, int64_t block, uint64_t *tag_key,
-                       int64_t *tag_word, int64_t *tag_offset) {
-    int64_t slot = map_find(&h->prefetched, block);
-    if (slot < 0) return 0;
-    *tag_key = h->prefetched.v0[slot];
-    *tag_word = h->prefetched.v1[slot];
-    *tag_offset = h->prefetched.v2[slot] >> 2;
-    int64_t source = h->prefetched.v2[slot] & 3;
-    map_del(&h->prefetched, (uint64_t)slot);
-    h->incorrect++;
-    if (source == 2) h->incorrect_mem++;
-    h->prefetches_evicted_unused++;
-    return 1;
+static void hier_track(Hier *h, int64_t block, const Tag *tag, int source) {
+    map_set(&h->prefetched, block, tag->key, tag->word, (tag->offset << 2) | source);
 }
 
-static void hier_track(Hier *h, int64_t block, uint64_t tag_key,
-                       int64_t tag_word, int64_t tag_offset, int source) {
-    map_set(&h->prefetched, block, tag_key, tag_word, (tag_offset << 2) | source);
-}
-
-/* out: 0-7 loop counters, 8-15 prefetch accounting (see vector_replay),
+/* out: 0-7 loop counters, 9-15 prefetch accounting (see vector_replay),
  * 22 request-queue drops, 23 spilled fill counts, 24/34/44/54 per-cache
  * stats blocks; a shared L2's block stays zero (repro_shared_close dumps
  * it once for every lane). */
@@ -719,7 +718,7 @@ static void hier_dump(const Hier *h, int64_t *out) {
     out[7] = h->main_l2_misses;
     out[9] = h->prefetches_used;
     out[10] = h->prefetches_evicted_unused;
-    out[11] = h->incorrect;
+    out[11] = h->prefetches_evicted_unused; /* incorrect prefetches */
     out[12] = h->incorrect_mem;
     out[13] = h->prefetches_issued;
     out[14] = h->prefetches_from_l2;
@@ -740,12 +739,36 @@ static void hier_dump(const Hier *h, int64_t *out) {
 
 typedef struct Lane Lane;
 
+/* The demand access as the predictor's on_access sees it (AccessOutcome):
+ * the main L1's access code (0 miss, 1 hit, 2 hit on an unused prefetch)
+ * and, on a miss, the block it evicted. */
+typedef struct {
+    int64_t pc, address, block, evicted;
+    int code, has_evicted;
+} Access;
+
+/* A PrefetchCommand: the address, the victim the predictor names (if
+ * has_victim) and the tag the simulator tracks the prefetch by. */
+typedef struct {
+    int64_t address, victim;
+    int has_victim;
+    Tag tag;
+} Cmd;
+
+/* A kind: its state's size, set-up, loop, counters and the Prefetcher
+ * hooks lane_run drives.  A NULL hook is the base class's no-op. */
 typedef struct {
     size_t size;
     void (*init)(Lane *, const OpenArgs *);
     int (*run)(Lane *, int64_t start, int64_t stop); /* 0, or 2 out of range */
+    /* on_access: appends the access's commands; 0, or 2 out of range */
+    int (*access)(Lane *, const Access *);
+    void (*used)(Lane *, int64_t block, const Tag *);   /* on_prefetch_used */
+    void (*unused)(Lane *, int64_t block, const Tag *); /* on_prefetch_evicted_unused */
+    /* on_prefetch_installed: `block` displaced `evicted` if has_evicted */
+    void (*installed)(Lane *, int64_t block, int has_evicted, int64_t evicted);
     void (*dump)(Lane *, int64_t *out);
-    void (*release)(Lane *); /* frees what init allocated beyond the Hier */
+    void (*release)(Lane *); /* frees what init allocated beyond the Lane, or NULL */
 } Kind;
 
 struct Lane {
@@ -756,6 +779,9 @@ struct Lane {
     const int64_t *pc, *addr;
     const int8_t *is_write;
     Hier h;
+    Cmd *cmds; /* the current access's commands */
+    int64_t ncmds, cmds_cap;
+    int64_t issued; /* every command returned: predictions_issued */
 };
 
 /* Open kernel states (lanes and shared L2s), for leak checks. */
@@ -769,10 +795,89 @@ static void live_add(int64_t delta) {
     __atomic_add_fetch(&live_states, delta, __ATOMIC_SEQ_CST);
 }
 
-/* The Hier-only kinds' hooks: init, dump and (nothing to) release. */
+/* Append a command to the current access's list. */
+static void lane_push(Lane *s, int64_t address, int has_victim, int64_t victim,
+                      Tag tag) {
+    s->cmds = (Cmd *)grow(&s->fail, s->cmds, &s->cmds_cap, s->ncmds + 1, sizeof(Cmd));
+    s->cmds[s->ncmds++] = (Cmd){address, victim, has_victim, tag};
+    s->issued++;
+}
+
+/* _notify_unused_eviction: a tracked prefetch left the L1 unused. */
+static void lane_unused(Lane *s, int64_t block) {
+    Hier *h = &s->h;
+    Tag tag;
+    int source = hier_pop(h, block, &tag);
+    if (!source) return;
+    h->prefetches_evicted_unused++;
+    if (source == 2) h->incorrect_mem++;
+    if (s->kind->unused) s->kind->unused(s, block, &tag);
+}
+
+/* The simulator's request queue, drained after every access: one command
+ * is issued at once; k > 1 are pushed (the oldest dropped beyond the
+ * queue size, which is at least 1) and then issued in order. */
+static void lane_issue(Lane *s) {
+    const Kind *k = s->kind;
+    Hier *h = &s->h;
+    int64_t first = s->ncmds > h->queue_size ? s->ncmds - h->queue_size : 0;
+    h->dropped += first;
+    for (int64_t j = first; j < s->ncmds; j++) {
+        const Cmd *c = &s->cmds[j];
+        int64_t evicted = 0;
+        int has_evicted, ev_unused;
+        int source = hier_prefetch(h, c->address, c->has_victim, c->victim, &evicted,
+                                   &has_evicted, &ev_unused);
+        if (!source) continue;
+        int64_t block = c->address & h->block_mask;
+        if (ev_unused) lane_unused(s, evicted);
+        hier_track(h, block, &c->tag, source);
+        if (k->installed) k->installed(s, block, has_evicted, evicted);
+    }
+    if (h->spill && h->fills >= FILL_SPILL) h->spill[h->nspill++] = h->fills;
+}
+
+/* TraceDrivenSimulator._fast_loop for every prefetching kind: the demand
+ * access, the feedback for prefetched blocks, on_access, then its
+ * commands through the request queue. */
+static int lane_run(Lane *s, int64_t start, int64_t stop) {
+    const Kind *k = s->kind;
+    Hier *h = &s->h;
+    for (int64_t i = start; i < stop; i++) {
+        Access a;
+        int ev_unused = 0;
+        a.address = s->addr[i];
+        a.evicted = 0;
+        a.has_evicted = 0;
+        a.code = hier_demand(h, a.address, s->is_write[i], &a.evicted, &a.has_evicted,
+                             &ev_unused);
+        a.block = a.address & h->block_mask;
+        if (a.code == 2) {
+            Tag tag;
+            if (hier_pop(h, a.block, &tag)) {
+                h->prefetches_used++;
+                if (k->used) k->used(s, a.block, &tag);
+            }
+        } else if (!a.code && ev_unused) {
+            lane_unused(s, a.evicted);
+        }
+        if (!k->access) continue;
+        a.pc = s->pc[i];
+        s->ncmds = 0;
+        if (k->access(s, &a)) return 2;
+        if (s->ncmds) lane_issue(s);
+    }
+    return 0;
+}
+
+/* out: hier_dump's slots plus 8 predictions_issued. */
+static void lane_dump(Lane *s, int64_t *out) {
+    hier_dump(&s->h, out);
+    out[8] = s->issued;
+}
+
+/* The no-prefetcher co-run lane: a Hier and no hooks. */
 static void hier_only_init(Lane *s, const OpenArgs *a) { hier_init(&s->fail, &s->h, a); }
-static void hier_only_dump(Lane *s, int64_t *out) { hier_dump(&s->h, out); }
-static void nothing_to_release(Lane *s) { (void)s; }
 
 /* -------------------------------------------------- LRU-ordered table
  * The DBCP correlation table: uint64 signature key -> packed
@@ -906,8 +1011,7 @@ typedef struct {
     Map outstanding; /* predicted block -> signature key */
     Lru table;
     int64_t conf_threshold, init_conf, max_conf, table_entries;
-    int64_t table_hits, low_conf, signatures_recorded, table_evictions,
-        predictions_issued;
+    int64_t table_hits, low_conf, signatures_recorded, table_evictions;
 } Dbcp;
 
 /* DBCPPrefetcher._record */
@@ -936,9 +1040,9 @@ static void dbcp_evict_record(Dbcp *d, int64_t evicted, int64_t replacement) {
 
 /* _update_confidence: outstanding.pop(block) wins over the stored tag;
  * table.get (NO LRU refresh) then clamp into [0, max_confidence]. */
-static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
-                          int64_t delta) {
-    uint64_t key = tagkey;
+static void dbcp_feedback(Lane *s, int64_t block_address, const Tag *tag, int64_t delta) {
+    Dbcp *d = (Dbcp *)s;
+    uint64_t key = tag->key;
     int64_t oslot = map_find(&d->outstanding, block_address);
     if (oslot >= 0) {
         key = d->outstanding.v0[oslot];
@@ -954,88 +1058,61 @@ static void dbcp_feedback(Dbcp *d, int64_t block_address, uint64_t tagkey,
     d->table.npacked[node] = (packed & ~(int64_t)255) | conf;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 dbcp_block_mask, 10 key_bits,
- *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
- *      14 max_confidence, 15 table_entries (-1 = unlimited) */
+/* cfg: 0-9 hierarchy (see hier_init), 10 dbcp_block_mask, 11 key_bits,
+ *      12 key_mask, 13 confidence_threshold, 14 initial_confidence,
+ *      15 max_confidence, 16 table_entries (-1 = unlimited) */
 static void dbcp_init(Lane *s, const OpenArgs *a) {
     Dbcp *d = (Dbcp *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    hist_init(&s->fail, &d->hist, cfg + 9);
+    hist_init(&s->fail, &d->hist, cfg + 10);
     map_init(&d->outstanding, &s->fail);
-    d->conf_threshold = cfg[12];
-    d->init_conf = cfg[13];
-    d->max_conf = cfg[14];
-    d->table_entries = cfg[15];
+    d->conf_threshold = cfg[13];
+    d->init_conf = cfg[14];
+    d->max_conf = cfg[15];
+    d->table_entries = cfg[16];
     /* At most 2n correlation-table inserts in total. */
     int64_t pool = 2 * s->n + 16;
     if (d->table_entries >= 0 && d->table_entries < pool) pool = d->table_entries;
     lru_init(&s->fail, &d->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
 }
 
-static int dbcp_run(Lane *s, int64_t start, int64_t stop) {
+/* DBCPPrefetcher.on_access: the eviction's signature, then one command
+ * when the candidate signature's entry is confident. */
+static int dbcp_access(Lane *s, const Access *a) {
     Dbcp *d = (Dbcp *)s;
-    Hier *h = &s->h;
-    const int64_t *pc = s->pc, *addr = s->addr;
-    const int8_t *is_write = s->is_write;
-    for (int64_t i = start; i < stop; i++) {
-        int64_t address = addr[i];
-        int64_t evicted = 0, tag_word, tag_offset;
-        int has_evicted = 0, ev_unused = 0;
-        uint64_t tag_key;
-        int code = hier_demand(h, address, is_write[i], &evicted, &has_evicted,
-                               &ev_unused);
-        int64_t block_address = address & h->block_mask;
-
-        /* Feedback for prefetched blocks, then on_access's eviction. */
-        if (code) {
-            if (code == 2 && hier_used(h, block_address, &tag_key, &tag_word, &tag_offset))
-                dbcp_feedback(d, block_address, tag_key, 1);
-        } else {
-            if (ev_unused && hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset))
-                dbcp_feedback(d, evicted, tag_key, -1);
-            if (has_evicted) dbcp_evict_record(d, evicted, block_address);
-        }
-
-        uint64_t candidate_key = hist_access(&d->hist, pc[i], address);
-        int64_t tslot = lru_hfind(&d->table, candidate_key);
-        if (tslot < 0) continue;
-        int32_t node = d->table.hnode[tslot];
-        lru_touch(&d->table, node); /* a table hit refreshes the LRU position */
-        d->table_hits++;
-        int64_t packed = d->table.npacked[node];
-        if ((packed & 255) < d->conf_threshold) {
-            d->low_conf++;
-            continue;
-        }
-        d->predictions_issued++;
-        int64_t predicted = packed >> 8;
-        map_set(&d->outstanding, predicted, candidate_key, 0, 0);
-
-        /* The simulator executes the one command inline. */
-        int64_t pevicted = 0;
-        int phas = 0, punused = 0;
-        int source = hier_prefetch(h, predicted, 1, block_address, &pevicted,
-                                   &phas, &punused);
-        if (!source) continue;
-        int64_t pblock = predicted & h->block_mask;
-        if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
-            dbcp_feedback(d, pevicted, tag_key, -1);
-        hier_track(h, pblock, candidate_key, 0, 0, source);
-        /* on_prefetch_installed */
-        if (phas) dbcp_evict_record(d, pevicted, pblock);
+    if (a->has_evicted) dbcp_evict_record(d, a->evicted, a->block);
+    uint64_t key = hist_access(&d->hist, a->pc, a->address);
+    int64_t tslot = lru_hfind(&d->table, key);
+    if (tslot < 0) return 0;
+    int32_t node = d->table.hnode[tslot];
+    lru_touch(&d->table, node); /* a table hit refreshes the LRU position */
+    d->table_hits++;
+    int64_t packed = d->table.npacked[node];
+    if ((packed & 255) < d->conf_threshold) {
+        d->low_conf++;
+        return 0;
     }
+    int64_t predicted = packed >> 8;
+    map_set(&d->outstanding, predicted, key, 0, 0);
+    lane_push(s, predicted, 1, a->block, (Tag){key, 0, 0});
     return 0;
 }
 
-/* out: 0-15 as hier_dump plus 8 predictions_issued, 16 table_hits,
- *      17 low_conf, 18 signatures_recorded, 19 table_evictions,
- *      20 history evictions, 21 history cold evictions.
+static void dbcp_used(Lane *s, int64_t block, const Tag *tag) { dbcp_feedback(s, block, tag, 1); }
+static void dbcp_unused(Lane *s, int64_t block, const Tag *tag) { dbcp_feedback(s, block, tag, -1); }
+
+static void dbcp_installed(Lane *s, int64_t block, int has_evicted, int64_t evicted) {
+    if (has_evicted) dbcp_evict_record((Dbcp *)s, evicted, block);
+}
+
+/* out: 0-15 as lane_dump plus 16 table_hits, 17 low_conf,
+ *      18 signatures_recorded, 19 table_evictions, 20 history evictions,
+ *      21 history cold evictions.
  * spill goes unused: DBCP fills at most one block per access. */
 static void dbcp_dump(Lane *s, int64_t *out) {
     Dbcp *d = (Dbcp *)s;
-    hier_dump(&s->h, out);
-    out[8] = d->predictions_issued;
+    lane_dump(s, out);
     out[16] = d->table_hits;
     out[17] = d->low_conf;
     out[18] = d->signatures_recorded;
@@ -1095,8 +1172,7 @@ typedef struct {
     int64_t threshold, init_conf, max_conf, window, delay;
     int64_t num_frames, unlimited, fragment, sig_bytes;
     int64_t sc_set_mask, sc_index_bits, sc_assoc;
-    int64_t created, head_matches, predictions, low_conf, streamed,
-        conf_inc, conf_dec;
+    int64_t created, head_matches, low_conf, streamed, conf_inc, conf_dec;
     int64_t recorded, frames_allocated, frames_overwritten, fetched,
         bytes_written, bytes_read, conf_updates;
     int64_t sc_lookups, sc_hits, sc_inserts, sc_replacements;
@@ -1290,8 +1366,10 @@ static int64_t ltc_clamp(const Ltc *L, int64_t confidence) {
 }
 
 /* _update_confidence: the outstanding entry wins over the command tag. */
-static void ltc_feedback(Ltc *L, int64_t block, uint64_t key, int64_t frame,
-                         int64_t offset, int64_t delta) {
+static void ltc_feedback(Lane *s, int64_t block, const Tag *tag, int64_t delta) {
+    Ltc *L = (Ltc *)s;
+    uint64_t key = tag->key;
+    int64_t frame = tag->word, offset = tag->offset;
     int64_t os = map_find(&L->outstanding, block);
     if (os >= 0) {
         key = L->outstanding.v0[os];
@@ -1329,124 +1407,91 @@ static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
     L->created++;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 ltcords_block_mask, 10 key_bits,
- *      11 key_mask, 12 confidence_threshold, 13 initial_confidence,
- *      14 max_confidence, 15 stream_window, 16 fetch_delay_accesses,
- *      17 num_frames, 18 unlimited_frames, 19 fragment_size,
- *      20 max(1, head_lookahead), 21 stored bytes per signature,
- *      22 signature-cache sets, 23 its index bits, 24 its associativity */
+/* cfg: 0-9 hierarchy (see hier_init), 10 ltcords_block_mask, 11 key_bits,
+ *      12 key_mask, 13 confidence_threshold, 14 initial_confidence,
+ *      15 max_confidence, 16 stream_window, 17 fetch_delay_accesses,
+ *      18 num_frames, 19 unlimited_frames, 20 fragment_size,
+ *      21 max(1, head_lookahead), 22 stored bytes per signature,
+ *      23 signature-cache sets, 24 its index bits, 25 its associativity */
 static void ltc_init(Lane *s, const OpenArgs *a) {
     Ltc *L = (Ltc *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    hist_init(&s->fail, &L->hist, cfg + 9);
+    hist_init(&s->fail, &L->hist, cfg + 10);
     map_init(&L->outstanding, &s->fail);
     map_init(&L->frame_slots, &s->fail);
     map_init(&L->heads, &s->fail);
     map_init(&L->sc_sets, &s->fail);
-    L->threshold = cfg[12];
-    L->init_conf = cfg[13];
-    L->max_conf = cfg[14];
-    L->window = cfg[15];
-    L->delay = cfg[16];
-    L->num_frames = cfg[17];
-    L->unlimited = cfg[18];
-    L->fragment = cfg[19];
-    L->recent_max = cfg[20];
-    L->sig_bytes = cfg[21];
-    L->sc_set_mask = cfg[22] - 1;
-    L->sc_index_bits = cfg[23];
-    L->sc_assoc = cfg[24];
+    L->threshold = cfg[13];
+    L->init_conf = cfg[14];
+    L->max_conf = cfg[15];
+    L->window = cfg[16];
+    L->delay = cfg[17];
+    L->num_frames = cfg[18];
+    L->unlimited = cfg[19];
+    L->fragment = cfg[20];
+    L->recent_max = cfg[21];
+    L->sig_bytes = cfg[22];
+    L->sc_set_mask = cfg[23] - 1;
+    L->sc_index_bits = cfg[24];
+    L->sc_assoc = cfg[25];
     L->recording = -1;
 }
 
-static int ltc_run(Lane *s, int64_t start, int64_t stop) {
+/* LTCordsPrefetcher.on_access: drain the pending stream, record the
+ * eviction's signature, then predict from the signature cache and
+ * stream on a head match. */
+static int ltc_access(Lane *s, const Access *a) {
     Ltc *L = (Ltc *)s;
-    Hier *h = &s->h;
-    const int64_t *pc = s->pc, *addr = s->addr;
-    const int8_t *is_write = s->is_write;
-    for (int64_t i = start; i < stop; i++) {
-        int64_t address = addr[i];
-        int64_t evicted = 0, tag_word, tag_offset;
-        int has_evicted = 0, ev_unused = 0;
-        uint64_t tag_key;
-        int code = hier_demand(h, address, is_write[i], &evicted, &has_evicted,
-                               &ev_unused);
-        int64_t block_address = address & h->block_mask;
-
-        /* Feedback for prefetched blocks. */
-        if (code) {
-            if (code == 2 && hier_used(h, block_address, &tag_key, &tag_word, &tag_offset))
-                ltc_feedback(L, block_address, tag_key, tag_word, tag_offset, 1);
-        } else if (ev_unused && hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset)) {
-            ltc_feedback(L, evicted, tag_key, tag_word, tag_offset, -1);
+    L->now++;
+    if (L->pend_len) ltc_drain(L);
+    if (a->has_evicted) ltc_evict_record(L, a->evicted, a->block);
+    uint64_t key = hist_access(&L->hist, a->pc, a->address);
+    L->sc_lookups++;
+    SigWay *entry = sc_find(L, key);
+    if (entry) {
+        L->sc_hits++;
+        int64_t frame = entry->frame, offset = entry->offset;
+        if (entry->confidence >= L->threshold) {
+            map_set(&L->outstanding, entry->predicted, key, frame, offset);
+            lane_push(s, entry->predicted, 1, a->block, (Tag){key, frame, offset});
+        } else {
+            L->low_conf++;
         }
-
-        /* LTCordsPrefetcher.on_access */
-        L->now++;
-        if (L->pend_len) ltc_drain(L);
-        if (!code && has_evicted) ltc_evict_record(L, evicted, block_address);
-        uint64_t candidate_key = hist_access(&L->hist, pc[i], address);
-
-        int issue = 0;
-        int64_t predicted = 0, frame = 0, offset = 0;
-        L->sc_lookups++;
-        SigWay *entry = sc_find(L, candidate_key);
-        if (entry) {
-            L->sc_hits++;
-            frame = entry->frame;
-            offset = entry->offset;
-            if (entry->confidence >= L->threshold) {
-                L->predictions++;
-                predicted = entry->predicted;
-                issue = 1;
-                map_set(&L->outstanding, predicted, candidate_key, frame, offset);
-            } else {
-                L->low_conf++;
-            }
-            ltc_advance(L, frame, offset);
+        ltc_advance(L, frame, offset);
+    }
+    int64_t hs = map_find(&L->heads, (int64_t)key);
+    if (hs >= 0) {
+        int64_t index = L->heads.v1[hs];
+        int64_t slot = ltc_frame(L, index);
+        if (slot >= 0 && L->frames[slot].head == (int64_t)key) {
+            L->head_matches++;
+            ltc_stream(L, index, 0, L->window);
         }
-        int64_t hs = map_find(&L->heads, (int64_t)candidate_key);
-        if (hs >= 0) {
-            int64_t index = L->heads.v1[hs];
-            int64_t slot = ltc_frame(L, index);
-            if (slot >= 0 && L->frames[slot].head == (int64_t)candidate_key) {
-                L->head_matches++;
-                ltc_stream(L, index, 0, L->window);
-            }
-        }
-        if (!issue) continue;
-
-        /* The simulator executes the one command inline. */
-        int64_t pevicted = 0;
-        int phas = 0, punused = 0;
-        int source = hier_prefetch(h, predicted, 1, block_address, &pevicted,
-                                   &phas, &punused);
-        if (!source) continue;
-        int64_t pblock = predicted & h->block_mask;
-        if (punused && hier_unused(h, pevicted, &tag_key, &tag_word, &tag_offset))
-            ltc_feedback(L, pevicted, tag_key, tag_word, tag_offset, -1);
-        hier_track(h, pblock, candidate_key, frame, offset, source);
-        /* on_prefetch_installed */
-        if (phas) ltc_evict_record(L, pevicted, pblock);
     }
     return 0;
 }
 
-/* out: 0-15 as hier_dump plus 8 predictions_issued, 20/21 history
- *      evictions/cold, 64-70 LTCordsStats, 71-77 SequenceStorageStats,
- *      78-81 SignatureCacheStats (lookups, hits, inserts, replacements).
+static void ltc_used(Lane *s, int64_t block, const Tag *tag) { ltc_feedback(s, block, tag, 1); }
+static void ltc_unused(Lane *s, int64_t block, const Tag *tag) { ltc_feedback(s, block, tag, -1); }
+
+static void ltc_installed(Lane *s, int64_t block, int has_evicted, int64_t evicted) {
+    if (has_evicted) ltc_evict_record((Ltc *)s, evicted, block);
+}
+
+/* out: 0-15 as lane_dump plus 20/21 history evictions/cold, 64-70
+ *      LTCordsStats, 71-77 SequenceStorageStats, 78-81
+ *      SignatureCacheStats (lookups, hits, inserts, replacements).
  * spill goes unused: LT-cords fills at most one block per access. */
 static void ltc_dump(Lane *s, int64_t *out) {
     Ltc *L = (Ltc *)s;
-    hier_dump(&s->h, out);
-    out[8] = L->predictions;
+    lane_dump(s, out);
     out[20] = L->hist.evictions;
     out[21] = L->hist.cold;
     int64_t *lt = out + 64;
     lt[0] = L->created;
     lt[1] = L->head_matches;
-    lt[2] = L->predictions;
+    lt[2] = s->issued; /* signature-cache predictions */
     lt[3] = L->low_conf;
     lt[4] = L->streamed;
     lt[5] = L->conf_inc;
@@ -1483,55 +1528,16 @@ static void ltc_release(Lane *s) {
 /* ---------------------------------------- GHB PC/DC and stride replay
  * Both predictors answer a demand access with up to `degree` commands
  * carrying no victim and the PC as tag; their only feedback is the base
- * Prefetcher's use and unused-eviction counts. */
+ * Prefetcher's use and unused-eviction counts, so they have no other
+ * hooks. */
 
-/* One demand access and its feedback; returns the main L1's access code. */
-static int hier_step(Hier *h, int64_t address, int wr, int64_t *block) {
-    int64_t evicted = 0, tag_word, tag_offset;
-    int has_evicted = 0, ev_unused = 0;
-    uint64_t tag_key;
-    int code = hier_demand(h, address, wr, &evicted, &has_evicted, &ev_unused);
-    *block = address & h->block_mask;
-    if (code == 2)
-        hier_used(h, *block, &tag_key, &tag_word, &tag_offset);
-    else if (!code && ev_unused)
-        hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset);
-    return code;
-}
-
-/* The commands of one access: aligned targets, deduplicated against the
- * demand block and each other. */
-typedef struct {
-    int64_t *v;
-    int64_t n, cap, issued; /* issued: predictions_issued */
-} Targets;
-
-static void target_add(jmp_buf *fail, Targets *t, int64_t aligned, int64_t block) {
-    if (aligned == block) return;
-    for (int64_t j = 0; j < t->n; j++)
-        if (t->v[j] == aligned) return;
-    t->v = (int64_t *)grow(fail, t->v, &t->cap, t->n + 1, sizeof(int64_t));
-    t->v[t->n++] = aligned;
-    t->issued++;
-}
-
-/* The simulator's request queue, drained after every access: one command
- * is issued at once; k > 1 are pushed (the oldest dropped beyond the
- * queue size) and then issued in order. */
-static void hier_issue(Hier *h, const Targets *t, int64_t pc) {
-    int64_t first = t->n > h->queue_size ? t->n - h->queue_size : 0;
-    int64_t evicted, tag_word, tag_offset;
-    int has_evicted, ev_unused;
-    uint64_t tag_key;
-    h->dropped += first;
-    for (int64_t j = first; j < t->n; j++) {
-        int source = hier_prefetch(h, t->v[j], 0, 0, &evicted, &has_evicted,
-                                   &ev_unused);
-        if (!source) continue;
-        if (ev_unused) hier_unused(h, evicted, &tag_key, &tag_word, &tag_offset);
-        hier_track(h, t->v[j] & h->block_mask, (uint64_t)pc, 0, 0, source);
-    }
-    if (h->spill && h->fills >= FILL_SPILL) h->spill[h->nspill++] = h->fills;
+/* Append the command for an aligned target, unless it is the demand
+ * block or already listed. */
+static void push_target(Lane *s, int64_t aligned, const Access *a) {
+    if (aligned == a->block) return;
+    for (int64_t j = 0; j < s->ncmds; j++)
+        if (s->cmds[j].address == aligned) return;
+    lane_push(s, aligned, 0, 0, (Tag){(uint64_t)a->pc, 0, 0});
 }
 
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
@@ -1541,14 +1547,13 @@ typedef struct {
     Lru index; /* pc -> newest serial, in LRU order */
     int64_t *address, *pc, *link, *stored; /* the ring's slots */
     int64_t *hist, *deltas;
-    Targets t;
     int64_t entries, index_entries, degree, depth, block_mask, serial;
     int64_t inserted, correlations, stride_fallbacks, too_short;
 } Ghb;
 
 /* _delta_correlate over hist[0, len) (most recent first), adding the
  * aligned targets; 2 when a prediction reaches MAX_ADDRESS. */
-static int ghb_predict(Ghb *G, int64_t len, int64_t block) {
+static int ghb_predict(Ghb *G, int64_t len, const Access *a) {
     if (len < 3) {
         G->too_short++;
         return 0;
@@ -1576,19 +1581,18 @@ static int ghb_predict(Ghb *G, int64_t len, int64_t block) {
         if (delta >= MAX_ADDRESS - current) return 2;
         current += delta;
         if (current < 0) break;
-        target_add(&G->lane.fail, &G->t, current & G->block_mask, block);
+        push_target(&G->lane, current & G->block_mask, a);
     }
     return 0;
 }
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
- *      10 ghb_block_mask, 11 index_table_entries, 12 ghb_entries,
- *      13 degree, 14 history_depth */
+/* cfg: 0-9 hierarchy (see hier_init), 10 ghb_block_mask,
+ *      11 index_table_entries, 12 ghb_entries, 13 degree,
+ *      14 history_depth */
 static void ghb_init(Lane *s, const OpenArgs *a) {
     Ghb *G = (Ghb *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    s->h.queue_size = cfg[9];
     G->block_mask = cfg[10];
     G->index_entries = cfg[11];
     G->entries = cfg[12];
@@ -1607,58 +1611,50 @@ static void ghb_init(Lane *s, const OpenArgs *a) {
     lru_init(&s->fail, &G->index, next_pow2((uint64_t)(2 * pool + 64)), pool);
 }
 
-static int ghb_run(Lane *s, int64_t start, int64_t stop) {
+/* GHBPrefetcher.on_access: a miss enters the ring and its PC's chain
+ * predicts. */
+static int ghb_access(Lane *s, const Access *a) {
     Ghb *G = (Ghb *)s;
-    Hier *h = &s->h;
-    const int64_t *pc = s->pc, *addr = s->addr;
-    const int8_t *is_write = s->is_write;
-    for (int64_t i = start; i < stop; i++) {
-        int64_t block, p = pc[i];
-        if (hier_step(h, addr[i], is_write[i], &block)) continue;
+    if (a->code) return 0;
+    int64_t block = a->block, p = a->pc;
 
-        /* _insert_miss: the index table maps the PC to its newest serial. */
-        int64_t serial = ++G->serial, previous = 0;
-        Lru *it = &G->index;
-        int64_t s = lru_hfind(it, (uint64_t)p);
-        if (s >= 0) {
-            int32_t node = it->hnode[s];
-            previous = it->npacked[node];
-            it->npacked[node] = serial;
-            lru_touch(it, node);
-        } else {
-            if (it->count >= G->index_entries) lru_evict_oldest(it);
-            lru_insert(it, (uint64_t)p, serial);
-        }
-        int64_t slot = (serial - 1) % G->entries;
-        G->address[slot] = block;
-        G->pc[slot] = p;
-        G->link[slot] = previous;
-        G->stored[slot] = serial;
-        G->inserted++;
-
-        /* _pc_history: serials at or below the floor were overwritten. */
-        int64_t len = 1, current = previous, floor = serial - G->entries;
-        G->hist[0] = block;
-        while (current > floor && current > 0 && len < G->depth) {
-            slot = (current - 1) % G->entries;
-            if (G->stored[slot] != current || G->pc[slot] != p) break;
-            G->hist[len++] = G->address[slot];
-            current = G->link[slot];
-        }
-        G->t.n = 0;
-        if (ghb_predict(G, len, block)) return 2;
-        hier_issue(h, &G->t, p);
+    /* _insert_miss: the index table maps the PC to its newest serial. */
+    int64_t serial = ++G->serial, previous = 0;
+    Lru *it = &G->index;
+    int64_t found = lru_hfind(it, (uint64_t)p);
+    if (found >= 0) {
+        int32_t node = it->hnode[found];
+        previous = it->npacked[node];
+        it->npacked[node] = serial;
+        lru_touch(it, node);
+    } else {
+        if (it->count >= G->index_entries) lru_evict_oldest(it);
+        lru_insert(it, (uint64_t)p, serial);
     }
-    return 0;
+    int64_t slot = (serial - 1) % G->entries;
+    G->address[slot] = block;
+    G->pc[slot] = p;
+    G->link[slot] = previous;
+    G->stored[slot] = serial;
+    G->inserted++;
+
+    /* _pc_history: serials at or below the floor were overwritten. */
+    int64_t len = 1, current = previous, floor = serial - G->entries;
+    G->hist[0] = block;
+    while (current > floor && current > 0 && len < G->depth) {
+        slot = (current - 1) % G->entries;
+        if (G->stored[slot] != current || G->pc[slot] != p) break;
+        G->hist[len++] = G->address[slot];
+        current = G->link[slot];
+    }
+    return ghb_predict(G, len, a);
 }
 
-/* out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued, 16-19
- *      GHBStats (misses_inserted, delta_correlations, stride_fallbacks,
- *      chains_too_short). */
+/* out: 0-15, 22, 23 as lane_dump plus 16-19 GHBStats (misses_inserted,
+ *      delta_correlations, stride_fallbacks, chains_too_short). */
 static void ghb_dump(Lane *s, int64_t *out) {
     Ghb *G = (Ghb *)s;
-    hier_dump(&s->h, out);
-    out[8] = G->t.issued;
+    lane_dump(s, out);
     out[16] = G->inserted;
     out[17] = G->correlations;
     out[18] = G->stride_fallbacks;
@@ -1674,25 +1670,21 @@ static void ghb_release(Lane *s) {
     free(G->stored);
     free(G->hist);
     free(G->deltas);
-    free(G->t.v);
 }
 
 typedef struct {
     Lane lane;
     Lru table; /* pc -> last address, in LRU order */
     int64_t *stride, *conf; /* by table node */
-    Targets t;
     int64_t entries, degree, threshold, block_mask;
 } Stride;
 
-/* cfg: 0-8 hierarchy (see hier_init), 9 request_queue_size,
- *      10 stride_block_mask, 11 table_entries, 12 degree,
- *      13 train_threshold */
+/* cfg: 0-9 hierarchy (see hier_init), 10 stride_block_mask,
+ *      11 table_entries, 12 degree, 13 train_threshold */
 static void stride_init(Lane *s, const OpenArgs *a) {
     Stride *S = (Stride *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    s->h.queue_size = cfg[9];
     S->block_mask = cfg[10];
     S->entries = cfg[11];
     S->degree = cfg[12];
@@ -1703,54 +1695,40 @@ static void stride_init(Lane *s, const OpenArgs *a) {
     S->conf = (int64_t *)xalloc(&s->fail, NULL, (size_t)pool * sizeof(int64_t));
 }
 
-static int stride_run(Lane *s, int64_t start, int64_t stop) {
+/* StridePrefetcher.on_access: the RPT trains on every access (every
+ * probe refreshes its LRU position); a trained miss predicts. */
+static int stride_access(Lane *s, const Access *a) {
     Stride *S = (Stride *)s;
-    Hier *h = &s->h;
     Lru *t = &S->table;
-    const int64_t *pc = s->pc, *addr = s->addr;
-    const int8_t *is_write = s->is_write;
-    for (int64_t i = start; i < stop; i++) {
-        int64_t block, address = addr[i];
-        int code = hier_step(h, address, is_write[i], &block);
+    int64_t address = a->address;
+    int64_t found = lru_hfind(t, (uint64_t)a->pc);
+    if (found < 0) {
+        if (t->count >= S->entries) lru_evict_oldest(t);
+        lru_insert(t, (uint64_t)a->pc, address);
+        S->stride[t->tail] = 0;
+        S->conf[t->tail] = 0;
+        return 0;
+    }
+    int32_t node = t->hnode[found];
+    lru_touch(t, node);
+    int64_t stride = address - t->npacked[node];
+    if (stride == S->stride[node] && stride != 0) {
+        if (S->conf[node] < 3) S->conf[node]++;
+    } else {
+        S->conf[node] = 0;
+        S->stride[node] = stride;
+    }
+    t->npacked[node] = address;
+    if (a->code || S->conf[node] < S->threshold) return 0;
 
-        /* The RPT trains on every access; every probe refreshes its LRU position. */
-        int64_t s = lru_hfind(t, (uint64_t)pc[i]);
-        if (s < 0) {
-            if (t->count >= S->entries) lru_evict_oldest(t);
-            lru_insert(t, (uint64_t)pc[i], address);
-            S->stride[t->tail] = 0;
-            S->conf[t->tail] = 0;
-            continue;
-        }
-        int32_t node = t->hnode[s];
-        lru_touch(t, node);
-        int64_t stride = address - t->npacked[node];
-        if (stride == S->stride[node] && stride != 0) {
-            if (S->conf[node] < 3) S->conf[node]++;
-        } else {
-            S->conf[node] = 0;
-            S->stride[node] = stride;
-        }
-        t->npacked[node] = address;
-        if (code || S->conf[node] < S->threshold) continue;
-
-        S->t.n = 0;
-        int64_t target = address;
-        for (int64_t k = 0; k < S->degree; k++) {
-            if (stride >= MAX_ADDRESS - target) return 2;
-            target += stride;
-            if (target < 0) break;
-            target_add(&S->lane.fail, &S->t, target & S->block_mask, block);
-        }
-        hier_issue(h, &S->t, pc[i]);
+    int64_t target = address;
+    for (int64_t k = 0; k < S->degree; k++) {
+        if (stride >= MAX_ADDRESS - target) return 2;
+        target += stride;
+        if (target < 0) break;
+        push_target(s, target & S->block_mask, a);
     }
     return 0;
-}
-
-/* out: 0-15, 22, 23 as hier_dump plus 8 predictions_issued. */
-static void stride_dump(Lane *s, int64_t *out) {
-    hier_dump(&s->h, out);
-    out[8] = ((Stride *)s)->t.issued;
 }
 
 static void stride_release(Lane *s) {
@@ -1758,7 +1736,6 @@ static void stride_release(Lane *s) {
     lru_free(&S->table);
     free(S->stride);
     free(S->conf);
-    free(S->t.v);
 }
 
 /* ------------------------------------------------ no-prefetcher replay
@@ -1769,8 +1746,8 @@ static void stride_release(Lane *s) {
  * per-cache stats at 24 (L1) and 34 (L2).  col: as hier_init (every L1
  * miss is a baseline miss).  The pair is the Hier's main L1 and own L2.
  * A co-run lane cannot mirror (other cores' prefetches reach its shared
- * main L2): its "null" kind steps both hierarchies without a predictor
- * and dumps as hier_dump. */
+ * main L2): its "null" kind runs lane_run without hooks and dumps as
+ * lane_dump. */
 static void baseline_init(Lane *s, const OpenArgs *a) {
     Hier *h = &s->h;
     cache_init(&s->fail, &h->main_l1, a->cfg, a->cfg[8]);
@@ -1809,22 +1786,20 @@ static void baseline_dump(Lane *s, int64_t *out) {
     cache_dump_stats(&h->own_l2[0], out + 34);
 }
 
-static int null_run(Lane *s, int64_t start, int64_t stop) {
-    int64_t block;
-    for (int64_t i = start; i < stop; i++) hier_step(&s->h, s->addr[i], s->is_write[i], &block);
-    return 0;
-}
-
 /* ------------------------------------------------------- entry points */
 
-/* By the kind number repro_open takes: repro.cache.vector.KERNELS. */
+/* By the kind number repro_open takes: repro.cache.vector.KERNELS.
+ * size, init, run, access, used, unused, installed, dump, release */
 static const Kind KINDS[] = {
-    {sizeof(Lane), baseline_init, baseline_run, baseline_dump, nothing_to_release},
-    {sizeof(Dbcp), dbcp_init, dbcp_run, dbcp_dump, dbcp_release},
-    {sizeof(Ltc), ltc_init, ltc_run, ltc_dump, ltc_release},
-    {sizeof(Ghb), ghb_init, ghb_run, ghb_dump, ghb_release},
-    {sizeof(Stride), stride_init, stride_run, stride_dump, stride_release},
-    {sizeof(Lane), hier_only_init, null_run, hier_only_dump, nothing_to_release},
+    {sizeof(Lane), baseline_init, baseline_run, NULL, NULL, NULL, NULL, baseline_dump, NULL},
+    {sizeof(Dbcp), dbcp_init, lane_run, dbcp_access, dbcp_used, dbcp_unused, dbcp_installed,
+     dbcp_dump, dbcp_release},
+    {sizeof(Ltc), ltc_init, lane_run, ltc_access, ltc_used, ltc_unused, ltc_installed, ltc_dump,
+     ltc_release},
+    {sizeof(Ghb), ghb_init, lane_run, ghb_access, NULL, NULL, NULL, ghb_dump, ghb_release},
+    {sizeof(Stride), stride_init, lane_run, stride_access, NULL, NULL, NULL, lane_dump,
+     stride_release},
+    {sizeof(Lane), hier_only_init, lane_run, NULL, NULL, NULL, NULL, lane_dump, NULL},
 };
 
 /* A kind's state over n accesses (cfg, col and spill as the kind's
@@ -1882,7 +1857,8 @@ void repro_close(void *state, int64_t *out) {
         if (!s->dead) s->kind->dump(s, out);
     }
     hier_free(&s->h);
-    s->kind->release(s);
+    free(s->cmds);
+    if (s->kind->release) s->kind->release(s);
     free(s);
     live_add(-1);
 }

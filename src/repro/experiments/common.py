@@ -20,7 +20,7 @@ from repro.campaign.spec import DEFAULT_NUM_ACCESSES
 from repro.workloads.registry import BENCHMARK_NAMES
 
 if TYPE_CHECKING:
-    from repro.campaign.runner import CampaignResult, CampaignRunner
+    from repro.campaign.runner import CampaignResult
     from repro.campaign.spec import PointSpec, SweepSpec
     from repro.run import Session
 
@@ -55,21 +55,16 @@ def selected_benchmarks(benchmarks: Optional[Sequence[str]] = None) -> List[str]
 
 def run_sweep(
     spec: "SweepSpec | Sequence[PointSpec]",
-    runner: "Optional[CampaignRunner]" = None,
     session: "Optional[Session]" = None,
 ) -> "CampaignResult":
     """Execute a driver's sweep through the :class:`~repro.run.Session` facade.
 
     Every figure/table driver funnels its campaign through here, so the
-    facade owns caching and parallelism for all of them.  An explicit
-    ``runner`` (the drivers' historical parameter) is adopted by the
-    session; passing both prefers the session.
+    facade owns caching and parallelism for all of them.
     """
     from repro.run import Session
 
-    if session is None:
-        session = Session(runner=runner) if runner is not None else Session()
-    return session.sweep(spec)
+    return (session or Session()).sweep(spec)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.core.ltcords import LTCordsConfig
 from repro.core.sequence_storage import SequenceStorageConfig
@@ -67,7 +65,6 @@ def run(
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
     fragment_size: int = 512,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> StorageSweep:
     """Sweep the number of off-chip frames (capacity = frames x fragment size)."""
@@ -79,7 +76,7 @@ def run(
         fragment_size=fragment_size,
     )
     names = list(spec.benchmarks)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     coverage: Dict[str, List[float]] = {name: [] for name in names}
     for capacity in capacities:
         for name in names:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING, Tuple
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PointSpec, SweepSpec
 from repro.experiments.common import format_table, run_sweep
 from repro.multicore import MulticoreResult, MulticoreSpec
@@ -113,7 +111,6 @@ def run(
     max_switches: int = 60,
     seed: int = 42,
     shared_l2: bool = True,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> List[MultiProgramRow]:
     """Simulate each pairing in both co-scheduling modes."""
@@ -126,7 +123,7 @@ def run(
         seed=seed,
         shared_l2=shared_l2,
     )
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     # sweep() emits the pairwise points first, then the shared-L2 points,
     # both in pairing order.
     pairwise = campaign.results[: len(pairings)]

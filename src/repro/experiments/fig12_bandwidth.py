@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.bandwidth import BandwidthBreakdown, bandwidth_breakdown
-from repro.campaign.runner import CampaignRunner
 
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, run_sweep, selected_benchmarks
@@ -32,12 +31,11 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> List[BandwidthBreakdown]:
     """Measure the per-benchmark bus-traffic breakdown under LT-cords."""
     spec = sweep(benchmarks, num_accesses=num_accesses, seed=seed)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     return [bandwidth_breakdown(result) for result in campaign.results]
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, run_sweep, selected_benchmarks
 from repro.prefetchers.dbcp import DBCPConfig
@@ -64,13 +62,12 @@ def run(
     table_sizes: Sequence[int] = DEFAULT_TABLE_SIZES,
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> DBCPSensitivityResult:
     """Sweep DBCP table sizes and normalise coverage to the unlimited table."""
     spec = sweep(benchmarks, table_sizes=table_sizes, num_accesses=num_accesses, seed=seed)
     names = list(spec.benchmarks)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
 
     unlimited = {name: campaign.one(benchmark=name, label="unlimited").coverage for name in names}
     # Benchmarks with no achievable coverage cannot be normalised; drop them.

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.core.ltcords import LTCordsConfig
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, run_sweep, selected_benchmarks
@@ -54,12 +52,11 @@ def run(
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
     ltcords_config: Optional[LTCordsConfig] = None,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> List[CoverageRow]:
     """Run LT-cords and the unlimited-storage DBCP oracle on each benchmark."""
     spec = sweep(benchmarks, num_accesses=num_accesses, seed=seed, ltcords_config=ltcords_config)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     return [
         CoverageRow(
             benchmark=name,

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.core.ltcords import LTCordsConfig
 from repro.core.sequence_storage import SequenceStorageConfig
@@ -65,7 +63,6 @@ def run(
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
     associativity: int = 8,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> SignatureCacheSweep:
     """Sweep signature-cache sizes, normalising to the largest size swept.
@@ -78,7 +75,7 @@ def run(
         benchmarks, sizes=sizes, num_accesses=num_accesses, seed=seed, associativity=associativity
     )
     names = list(spec.benchmarks)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     per_benchmark: Dict[str, Dict[int, float]] = {name: {} for name in names}
     for size in sizes:
         for name in names:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.campaign.runner import CampaignRunner
-
 from repro.campaign.spec import PredictorVariant, SweepSpec
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, run_sweep, selected_benchmarks
 from repro.workloads.registry import benchmark_metadata
@@ -47,12 +45,11 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> List[BaselineRow]:
     """Measure baseline miss rates and model IPC for each benchmark."""
     spec = sweep(benchmarks, num_accesses=num_accesses, seed=seed)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     rows: List[BaselineRow] = []
     for name in spec.benchmarks:
         metadata = benchmark_metadata(name)

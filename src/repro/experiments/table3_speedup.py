@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.cache.config import L2_4MB_CONFIG
 from repro.cache.hierarchy import HierarchyConfig
-from repro.campaign.runner import CampaignRunner
 
 from repro.campaign.spec import PointSpec, SweepSpec
 from repro.experiments.common import DEFAULT_NUM_ACCESSES, format_table, run_sweep, selected_benchmarks
@@ -97,12 +96,11 @@ def run(
     num_accesses: int = DEFAULT_NUM_ACCESSES,
     seed: int = 42,
     configurations: Sequence[str] = CONFIGURATIONS,
-    runner: Optional[CampaignRunner] = None,
     session: Optional["Session"] = None,
 ) -> List[SpeedupRow]:
     """Measure Table 3's speedups for each benchmark and configuration."""
     spec = sweep(benchmarks, num_accesses=num_accesses, seed=seed, configurations=configurations)
-    campaign = run_sweep(spec, runner=runner, session=session)
+    campaign = run_sweep(spec, session=session)
     rows: List[SpeedupRow] = []
     for name in selected_benchmarks(benchmarks):
         baseline = campaign.one(benchmark=name, label="baseline")

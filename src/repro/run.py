@@ -160,9 +160,6 @@ class Session:
     trace_store:
         A :class:`~repro.trace.store.TraceStore` overriding the default
         resolution (``REPRO_TRACE_DIR`` / ``REPRO_NO_TRACE_STORE``).
-    runner:
-        A prebuilt :class:`CampaignRunner` to adopt (its cache settings
-        win); used by the experiment drivers' back-compat paths.
     observer:
         A :class:`~repro.obs.observer.RunObserver` receiving structured
         events from :meth:`run` (``run_start`` / ``phase`` /
@@ -188,7 +185,6 @@ class Session:
         cache: Optional[ResultCache] = None,
         use_cache: bool = True,
         trace_store: Optional[object] = None,
-        runner: Optional[CampaignRunner] = None,
         observer: Optional[RunObserver] = None,
         retry: Optional[RetryPolicy] = None,
         resume: bool = False,
@@ -198,13 +194,9 @@ class Session:
         self.observer = observer
         self.retry = retry
         self.resume = resume
-        self._runner = runner
-        if runner is not None:
-            self._cache: Optional[ResultCache] = runner.cache
-            self.use_cache = runner.use_cache
-        else:
-            self._cache = cache
-            self.use_cache = use_cache and not cache_disabled()
+        self._runner: Optional[CampaignRunner] = None
+        self._cache = cache
+        self.use_cache = use_cache and not cache_disabled()
 
     # ------------------------------------------------------------------ plumbing
     @property

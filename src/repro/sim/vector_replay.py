@@ -79,8 +79,9 @@ from repro.prefetchers.null import NullPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
 from repro.trace.stream import TraceStream
 
-#: Kernel node pools are indexed with int32.
-_MAX_KERNEL_ACCESSES = 1 << 30
+#: Kernel node pools are indexed with int32: an unlimited DBCP table
+#: preallocates 2n + 16 nodes, so n stays below this bound.
+_MAX_KERNEL_ACCESSES = (1 << 30) - 8
 
 # Output-slot layout shared with the C kernels (see repro/cache/vector.py).
 _OUT_MAIN_L1 = 24
@@ -432,7 +433,7 @@ def c_column(column, ctype, typecode: str):
 
 
 def _geometry_cfg(sim) -> list:
-    """cfg slots 0-8: cache geometry shared by every kernel."""
+    """cfg slots 0-9: the cache geometry and request-queue size every kernel shares."""
     l1 = sim.hierarchy_config.l1
     l2 = sim.hierarchy_config.l2
     return [
@@ -445,11 +446,12 @@ def _geometry_cfg(sim) -> list:
         l2.offset_bits,
         l2.index_bits,
         sim._block_mask,
+        sim.request_queue.capacity,
     ]
 
 
 def _history_cfg(config) -> list:
-    """DBCP/LT-cords cfg slots 9-14: the history fold and confidence counter."""
+    """DBCP/LT-cords cfg slots 10-15: the history fold and confidence counter."""
     key_bits = config.signature_config.trace_hash_bits
     return [
         ~(config.cache_config.block_size - 1),
@@ -488,7 +490,6 @@ def _ltcords_cfg(sim) -> list:
 def _ghb_cfg(sim) -> list:
     config = sim.prefetcher.config
     return [
-        sim.request_queue.capacity,
         ~(config.block_size - 1),
         config.index_table_entries,
         config.ghb_entries,
@@ -500,7 +501,6 @@ def _ghb_cfg(sim) -> list:
 def _stride_cfg(sim) -> list:
     config = sim.prefetcher.config
     return [
-        sim.request_queue.capacity,
         ~(config.block_size - 1),
         config.table_entries,
         config.degree,
@@ -673,7 +673,7 @@ class _Route(NamedTuple):
     kind: str
     #: Why the predictor's configuration or state keeps it off the kernel.
     unfit: Callable[[Any], Optional[str]]
-    #: The cfg slots after the geometry (9 on).
+    #: The cfg slots after the geometry (10 on).
     cfg: Callable[[Any], List[int]]
     #: Folds the ``out`` counters into the simulator's objects.
     settle: Callable[[Any, int, List[int]], None]

@@ -1,12 +1,16 @@
 """Differential suite: multicore co-runs on both tiers, the oracle, and one core.
 
 Hypothesis draws co-runs with a fixed example budget: 1-3 cores, the
-``rr`` or ``icount`` interleave, a quantum of 1-2000 accesses, one
-predictor per core (none, dbcp, ltcords, ghb or stride), per-core traces
-of length 0, 1 and n, an address shift of 0 or 1 GB between cores, and
-the default hierarchy or a small one whose L2 evicts within a few
-hundred accesses.  With shift 0 the cores touch the same blocks, so the
-shared L2's ownership map sees blocks reallocated across cores.
+``rr`` or ``icount`` interleave, a quantum of 1-2000 accesses, a
+different predictor per core (none, dbcp, ltcords, ghb or stride) with
+its configuration, per-core traces of length 0, 1 and n, an address shift
+of 0 or 1 GB between cores, a request queue of 1-128 entries, and a
+hierarchy.  Configurations and hierarchies come from the whole-domain
+suite's strategies (``test_domain_differential.py``): tables down to one
+entry, signature folds that keep a lane off the kernel, and shared L2s
+of 1-16 ways and 1-64 sets that evict within a few accesses.  With
+shift 0 the cores touch the same blocks, so the shared L2's ownership
+map sees blocks reallocated across cores.
 
 The compiled kernel (every lane a kernel state over C shared L2s), the
 interpreted tier and the legacy oracle (``tests/oracle.py``) must
@@ -25,6 +29,8 @@ from conftest import kernel_disabled
 from oracle import LegacyMulticoreSimulator
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_domain_differential import PREDICTORS as DOMAIN_PREDICTORS
+from test_domain_differential import hierarchies
 
 import repro.multicore.engine as engine_mod
 from repro.cache.config import CacheConfig
@@ -46,16 +52,14 @@ KERNEL_TIERS = {"none": "kernel-baseline", "dbcp": "kernel-dbcp", "ltcords": "ke
 GENERATED = 1500
 #: The co-run simulator of each side: the package's, or the legacy oracle.
 SIMULATORS = {"fast": MulticoreSimulator, "legacy": LegacyMulticoreSimulator}
-HIERARCHIES = {
-    "default": HierarchyConfig(),
-    "small": HierarchyConfig(
-        l1=CacheConfig("L1D", size_bytes=2048, block_size=64, associativity=2),
-        l2=CacheConfig("L2", size_bytes=8192, block_size=64, associativity=4),
-    ),
-}
+#: An L2 that evicts within a few hundred accesses.
+SMALL = HierarchyConfig(
+    l1=CacheConfig("L1D", size_bytes=2048, block_size=64, associativity=2),
+    l2=CacheConfig("L2", size_bytes=8192, block_size=64, associativity=4),
+)
 
 BUDGET = settings(
-    max_examples=30, deadline=None, derandomize=True,
+    max_examples=100, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
@@ -67,39 +71,51 @@ def _workload_trace(benchmark):
 
 @st.composite
 def co_runs(draw):
-    """Per-core ``(trace, predictor)`` pairs for 1-3 cores."""
+    """Per-core ``(trace, predictor, config)`` triples for 1-3 cores."""
     cores = draw(st.integers(1, 3))
     lengths = st.sampled_from([0, 1, draw(st.integers(2, GENERATED))])
     shift = draw(st.sampled_from([0, DEFAULT_ADDRESS_SHIFT]))
     run = []
-    for core in range(cores):
+    predictors = draw(st.permutations(PREDICTORS))
+    for core, predictor in zip(range(cores), predictors):
         trace = _workload_trace(draw(st.sampled_from(BENCHMARKS)))[: draw(lengths)]
         if core and shift:
             trace = shift_addresses(trace, core * shift)
-        run.append((trace, draw(st.sampled_from(PREDICTORS))))
+        run.append((trace, predictor, draw(DOMAIN_PREDICTORS[predictor][2])))
     return run
 
 
-def _co_run(run, hierarchy, interleave, quantum, engine):
+def _prefetcher(predictor, config):
+    cls = DOMAIN_PREDICTORS[predictor][1]
+    return cls() if config is None else cls(config)
+
+
+def _open_fold(predictor, config):
+    """A DBCP/LT-cords signature fold the kernel does not take."""
+    return predictor in ("dbcp", "ltcords") and config.signature_config.trace_hash_bits < 32
+
+
+def _co_run(run, hierarchy, queue_size, interleave, quantum, engine):
     simulator = SIMULATORS[engine](
-        [build_predictor(predictor) for _, predictor in run],
-        hierarchy_config=HIERARCHIES[hierarchy],
+        [_prefetcher(predictor, config) for _, predictor, config in run],
+        hierarchy_config=hierarchy, request_queue_size=queue_size,
         interleave=interleave, quantum_accesses=quantum,
     )
-    result = simulator.run([trace for trace, _ in run]).to_dict()
+    result = simulator.run([trace for trace, _, _ in run]).to_dict()
     if engine == "legacy":
         expected = ["legacy"] * len(run)
-    elif load_kernel() is None:
+    elif load_kernel() is None or any(_open_fold(p, config) for _, p, config in run):
         expected = ["interpreted"] * len(run)
     else:
-        expected = [KERNEL_TIERS[predictor] for _, predictor in run]
+        expected = [KERNEL_TIERS[predictor] for _, predictor, _ in run]
     assert [lane.last_tier for lane in simulator.lanes] == expected
     return result
 
 
-def _single_core(trace, predictor, hierarchy):
+def _single_core(trace, predictor, config, hierarchy, queue_size):
     simulator = TraceDrivenSimulator(
-        build_predictor(predictor), hierarchy_config=HIERARCHIES[hierarchy]
+        _prefetcher(predictor, config), hierarchy_config=hierarchy,
+        request_queue_size=queue_size,
     )
     return simulator, simulator.run(trace).to_dict()
 
@@ -107,28 +123,29 @@ def _single_core(trace, predictor, hierarchy):
 @BUDGET
 @given(
     run=co_runs(),
-    hierarchy=st.sampled_from(sorted(HIERARCHIES)),
+    hierarchy=hierarchies(),
+    queue_size=st.integers(1, 128),
     interleave=st.sampled_from(["rr", "icount"]),
     quantum=st.integers(1, 2000),
 )
 def test_co_run_engines_agree_and_one_core_is_the_single_core_run(
-    run, hierarchy, interleave, quantum
+    run, hierarchy, queue_size, interleave, quantum
 ):
-    schedule = (hierarchy, interleave, quantum)
+    schedule = (hierarchy, queue_size, interleave, quantum)
     fast = _co_run(run, *schedule, "fast")
     with kernel_disabled():
         assert _co_run(run, *schedule, "fast") == fast
     assert fast == _co_run(run, *schedule, "legacy")
     if len(run) > 1:
         return
-    ((trace, predictor),) = run
+    ((trace, predictor, config),) = run
     (per_core,) = fast["per_core"]
     assert fast["cross_core_evictions"] == 0
-    simulator, kernel = _single_core(trace, predictor, hierarchy)
-    if load_kernel() is not None:
+    simulator, kernel = _single_core(trace, predictor, config, hierarchy, queue_size)
+    if load_kernel() is not None and not _open_fold(predictor, config):
         assert simulator.last_tier == KERNEL_TIERS[predictor]
     with kernel_disabled():
-        simulator, interpreted = _single_core(trace, predictor, hierarchy)
+        simulator, interpreted = _single_core(trace, predictor, config, hierarchy, queue_size)
     assert simulator.last_tier == "interpreted"
     assert per_core == kernel
     assert per_core == interpreted
@@ -144,7 +161,7 @@ def test_shared_blocks_change_owners_across_cores():
     for simulator_class in SIMULATORS.values():
         simulator = simulator_class(
             [build_predictor("ghb"), build_predictor("dbcp")],
-            hierarchy_config=HIERARCHIES["small"], quantum_accesses=500,
+            hierarchy_config=SMALL, quantum_accesses=500,
         )
         result = simulator.run([trace, trace])
         owners = set(simulator.shared_l2.owners.values())
@@ -165,7 +182,7 @@ def _corun_result(predictors, traces, engine, quantum=100):
     simulator = SIMULATORS[engine](
         [build_predictor(predictor) if isinstance(predictor, str) else predictor
          for predictor in predictors],
-        hierarchy_config=HIERARCHIES["small"], quantum_accesses=quantum,
+        hierarchy_config=SMALL, quantum_accesses=quantum,
     )
     return simulator, simulator.run(traces).to_dict()
 

@@ -106,14 +106,6 @@ class TestSessionSweep:
         assert table["ghb"].predictor == "ghb"
         assert table["stride"].predictor == "stride"
 
-    def test_adopts_explicit_runner(self):
-        from repro.campaign.runner import CampaignRunner
-
-        runner = CampaignRunner(jobs=1, use_cache=False)
-        session = Session(runner=runner)
-        assert session.runner is runner
-        assert session.use_cache is False
-
     def test_sweep_threads_session_trace_store(self, tmp_path):
         from repro.trace.store import TraceStore
 

@@ -353,3 +353,35 @@ def test_kernel_failure_memo_is_process_wide(no_kernel, monkeypatch):
     # decision is memoised for the process.
     monkeypatch.delenv("REPRO_NO_VECTOR_KERNEL")
     assert load_kernel() is None
+
+
+def test_kernel_source_compiles_warning_clean(tmp_path):
+    """Unused static helpers, sign slips and the like fail the build here.
+
+    The kernel is compiled with its own flags plus ``-Wall -Wextra
+    -Werror``, so a loop or helper orphaned by a refactor shows up as
+    ``-Wunused-function``.
+    """
+    compiler = vector_mod._find_compiler()
+    if compiler is None:
+        pytest.skip("needs a C compiler")
+    source = tmp_path / "kernel.c"
+    source.write_text(vector_mod.KERNEL_SOURCE)
+    proc = subprocess.run(
+        [compiler, *vector_mod.COMPILE_FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(source)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_access_bound_keeps_node_pools_in_int32():
+    """An unlimited DBCP table preallocates 2n + 16 int32-indexed LRU nodes.
+
+    Every trace the kernel admits (n below the bound) keeps that pool
+    within ``INT32_MAX``; one access more would not.
+    """
+    int32_max = (1 << 31) - 1
+    largest = replay_mod._MAX_KERNEL_ACCESSES - 1
+    assert 2 * largest + 16 <= int32_max
+    assert 2 * (largest + 1) + 16 > int32_max
