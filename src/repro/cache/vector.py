@@ -23,12 +23,16 @@ order, the oldest dropped beyond the queue size).  A lane *kind*
 ``installed`` (``on_prefetch_installed``); a missing hook is the base
 class's no-op:
 
-* ``dbcp`` — ``DBCPPrefetcher`` and its ``HistoryTable``: an
-  open-addressed block-keyed history map and an order-preserving (LRU)
-  correlation table.  Dict semantics are reproduced exactly — linear
-  probing with backward-shift deletion, and a doubly-linked node pool
-  for the insertion-ordered table.
-* ``ltcords`` — ``LTCordsPrefetcher``: the same history fold,
+* ``dbcp`` — ``DBCPPrefetcher`` and its ``HistoryTable``, whose
+  block-keyed entries the kernel keeps in the ways of the main L1 (a
+  trace hash and a previous block per way, valid under a flag bit), as
+  the paper keeps the history beside the L1D tags: the dict's key set is
+  exactly the resident blocks, so no lookup is needed.  That takes a
+  history block size equal to the L1's (any other replays interpreted).
+  The order-preserving (LRU) correlation table reproduces dict
+  semantics exactly: a doubly-linked node pool in insertion order under
+  a linear-probing hash index with backward-shift deletion.
+* ``ltcords`` — ``LTCordsPrefetcher``: the same per-way history,
   ``SequenceStorage`` frames (fixed direct-mapped frames or
   ``unlimited_frames``), the head-lookahead window, the FIFO
   set-associative ``SignatureCache``, sliding-window streaming with the
@@ -115,6 +119,7 @@ KERNEL_SOURCE = r"""
 #define F_DIRTY 1u
 #define F_PREFETCHED 2u
 #define F_REFERENCED 4u
+#define F_HIST 8u /* the way holds a last-touch history entry (see History) */
 
 #define HASH_MULT 0x9E3779B1ULL
 #define HASH_INC 0x7F4A7C15ULL
@@ -149,6 +154,8 @@ static void *grow(jmp_buf *fail, void *p, int64_t *cap, int64_t need, size_t ele
     return p;
 }
 
+static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
+
 static int addresses_in_range(int64_t n, const int64_t *addr) {
     for (int64_t i = 0; i < n; i++)
         if ((uint64_t)addr[i] >= (uint64_t)MAX_ADDRESS) return 0;
@@ -163,6 +170,14 @@ typedef struct {
     int64_t *stamps; /* last-touch serial == complete LRU state */
     uint8_t *flags;
     int32_t *counts;
+    /* A history lane's main L1 only (else NULL): each way's last-touch
+     * history, valid under F_HIST; see History. */
+    uint64_t *htrace;
+    int64_t *hprev;
+    int64_t slot;     /* the way the last access or prefetch install used */
+    uint8_t vflags;   /* the last victim's flags, trace hash and previous block */
+    uint64_t vtrace;
+    int64_t vprev;
     int64_t serial;
     int64_t set_mask;
     int64_t block_mask;
@@ -199,6 +214,8 @@ static void cache_free(Cache *c) {
     free(c->stamps);
     free(c->flags);
     free(c->counts);
+    free(c->htrace);
+    free(c->hprev);
 }
 
 static int64_t lru_way(const Cache *c, int64_t base) {
@@ -216,10 +233,15 @@ static int64_t lru_way(const Cache *c, int64_t base) {
     return way;
 }
 
-/* Account the eviction of `way`; report the victim. */
+/* Account the eviction of `way`; report the victim, keeping its history. */
 static void cache_evict(Cache *c, int64_t slot, int64_t *evicted,
                         int *has_evicted, int *ev_unused) {
     uint8_t state = c->flags[slot];
+    if (c->htrace) {
+        c->vflags = state;
+        c->vtrace = c->htrace[slot];
+        c->vprev = c->hprev[slot];
+    }
     c->evictions++;
     if (state & F_DIRTY) c->writebacks++;
     if ((state & F_PREFETCHED) && !(state & F_REFERENCED)) {
@@ -255,6 +277,7 @@ static int cache_access(Cache *c, int64_t address, int is_write,
         c->flags[base + way] =
             is_write ? (state | F_REFERENCED | F_DIRTY) : (state | F_REFERENCED);
         c->stamps[base + way] = serial;
+        c->slot = base + way;
         if ((state & F_PREFETCHED) && !(state & F_REFERENCED)) {
             c->prefetch_hits++;
             return 2;
@@ -276,6 +299,7 @@ static int cache_access(Cache *c, int64_t address, int is_write,
     c->blocks[base + way] = address & c->block_mask;
     c->flags[base + way] = is_write ? (F_REFERENCED | F_DIRTY) : F_REFERENCED;
     c->stamps[base + way] = serial;
+    c->slot = base + way;
     return 0;
 }
 
@@ -318,6 +342,7 @@ static void cache_insert_prefetch(Cache *c, int64_t set_index, int64_t tag,
     c->blocks[base + way] = address & c->block_mask;
     c->flags[base + way] = F_PREFETCHED;
     c->stamps[base + way] = serial;
+    c->slot = base + way;
 }
 
 static void cache_dump_stats(const Cache *c, int64_t *out) {
@@ -459,12 +484,17 @@ static void map_del(Map *m, uint64_t i) {
 }
 
 /* ------------------------------------------------------ history table
- * HistoryTable with the closed-form fold (32-63 bit keys):
- * block -> (pc_trace_hash, previous_block). */
+ * HistoryTable with the closed-form fold (32-63 bit keys): block ->
+ * (pc_trace_hash, previous_block), held in the ways of the lane's main
+ * L1 (htrace, hprev, F_HIST) as the paper keeps it beside the L1D tags.
+ * The table's key set is exactly the resident blocks: an entry is made
+ * on a demand access or for an eviction's replacement, and every L1
+ * eviction (demand or prefetch install) removes the victim's, so a way
+ * without F_HIST is a block the dict does not hold.  This needs the
+ * history block size to equal the L1's (vector_replay gates on it). */
 
 typedef struct {
-    Map blocks;
-    int64_t block_mask;
+    Cache *l1;
     int key_bits;
     uint64_t key_mask;
     int64_t evictions, cold;
@@ -477,43 +507,49 @@ static uint64_t hist_key(const History *t, uint64_t trace_hash,
     return (raw & t->key_mask) ^ (raw >> t->key_bits);
 }
 
-/* observe_access: fold the pc into the block's trace; the candidate key. */
-static uint64_t hist_access(History *t, int64_t pc, int64_t address) {
-    int64_t block = address & t->block_mask;
-    int inserted;
-    int64_t s = map_get_or_insert(&t->blocks, block, &inserted);
-    uint64_t trace_hash = (t->blocks.v0[s] ^ (uint64_t)pc) * HASH_MULT + HASH_INC;
-    t->blocks.v0[s] = trace_hash;
-    return hist_key(t, trace_hash, t->blocks.v1[s], block);
+/* observe_access: fold the pc into the trace of the demand access's
+ * block (the L1's last access); the candidate key. */
+static uint64_t hist_access(History *t, int64_t pc, int64_t block) {
+    Cache *l1 = t->l1;
+    int64_t s = l1->slot;
+    if (!(l1->flags[s] & F_HIST)) {
+        l1->flags[s] |= F_HIST;
+        l1->htrace[s] = 0;
+        l1->hprev[s] = 0;
+    }
+    uint64_t trace_hash = (l1->htrace[s] ^ (uint64_t)pc) * HASH_MULT + HASH_INC;
+    l1->htrace[s] = trace_hash;
+    return hist_key(t, trace_hash, l1->hprev[s], block);
 }
 
-/* observe_eviction: the signature key; *predicted = the replacement block. */
-static uint64_t hist_evict(History *t, int64_t evicted_address,
-                           int64_t replacement_address, int64_t *predicted) {
+/* observe_eviction of the L1's last victim, `evicted_block`, by its last
+ * access or install (the replacement): the signature key. */
+static uint64_t hist_evict(History *t, int64_t evicted_block) {
+    Cache *l1 = t->l1;
     t->evictions++;
-    int64_t evicted_block = evicted_address & t->block_mask;
     uint64_t trace_hash = 0;
     int64_t previous = 0;
-    int64_t slot = map_find(&t->blocks, evicted_block);
-    if (slot >= 0) {
-        trace_hash = t->blocks.v0[slot];
-        previous = t->blocks.v1[slot];
-        map_del(&t->blocks, (uint64_t)slot);
+    if (l1->vflags & F_HIST) {
+        trace_hash = l1->vtrace;
+        previous = l1->vprev;
     } else {
         t->cold++;
     }
-    uint64_t key = hist_key(t, trace_hash, previous, evicted_block);
-    *predicted = replacement_address & t->block_mask;
-    map_set(&t->blocks, *predicted, 0, evicted_block, 0);
-    return key;
+    int64_t s = l1->slot;
+    l1->flags[s] |= F_HIST;
+    l1->htrace[s] = 0;
+    l1->hprev[s] = evicted_block;
+    return hist_key(t, trace_hash, previous, evicted_block);
 }
 
-/* cfg[9..11]: block_mask, key_bits, key_mask */
-static void hist_init(jmp_buf *fail, History *t, const int64_t *cfg) {
-    map_init(&t->blocks, fail);
-    t->block_mask = cfg[0];
-    t->key_bits = (int)cfg[1];
-    t->key_mask = (uint64_t)cfg[2];
+/* cfg[0..1]: key_bits, key_mask; l1 gains its per-way history. */
+static void hist_init(jmp_buf *fail, History *t, const int64_t *cfg, Cache *l1) {
+    size_t ways = (size_t)((l1->set_mask + 1) * l1->assoc);
+    l1->htrace = (uint64_t *)xalloc(fail, NULL, ways * sizeof(uint64_t));
+    l1->hprev = (int64_t *)xalloc(fail, NULL, ways * sizeof(int64_t));
+    t->l1 = l1;
+    t->key_bits = (int)cfg[0];
+    t->key_mask = (uint64_t)cfg[1];
 }
 
 /* ------------------------------------------------------- shared L2
@@ -883,7 +919,9 @@ static void hier_only_init(Lane *s, const OpenArgs *a) { hier_init(&s->fail, &s-
  * The DBCP correlation table: uint64 signature key -> packed
  * (predicted << 8) | confidence, with python-dict insertion order as
  * LRU order.  A hash index maps keys to nodes of a doubly-linked pool
- * (head = oldest, tail = most recent). */
+ * (head = oldest, tail = most recent).  The index doubles at half load
+ * and the pool doubles when full, up to `limit` nodes (the most the
+ * table ever holds at once), so both follow the live count. */
 
 typedef struct {
     uint64_t *hkeys;
@@ -895,25 +933,54 @@ typedef struct {
     int32_t *nprev;
     int32_t *nnext;
     int32_t head, tail, free_head;
-    int64_t count;
+    int64_t count, cap, limit;
+    jmp_buf *fail;
 } Lru;
 
-static void lru_init(jmp_buf *fail, Lru *t, uint64_t hash_cap_pow2,
-                     int64_t pool_cap) {
-    t->hkeys = (uint64_t *)xalloc(fail, NULL, hash_cap_pow2 * sizeof(uint64_t));
-    t->hnode = (int32_t *)xalloc(fail, NULL, hash_cap_pow2 * sizeof(int32_t));
-    t->hused = (uint8_t *)xzalloc(fail, hash_cap_pow2);
-    t->hmask = hash_cap_pow2 - 1;
-    t->nkey = (uint64_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(uint64_t));
-    t->npacked = (int64_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int64_t));
-    t->nprev = (int32_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int32_t));
-    t->nnext = (int32_t *)xalloc(fail, NULL, (size_t)pool_cap * sizeof(int32_t));
-    for (int64_t i = 0; i < pool_cap; i++) t->nnext[i] = (int32_t)(i + 1);
-    if (pool_cap > 0) t->nnext[pool_cap - 1] = -1;
-    t->free_head = pool_cap > 0 ? 0 : -1;
+static uint64_t next_pow2(uint64_t x) {
+    uint64_t p = 1;
+    while (p < x) p <<= 1;
+    return p;
+}
+
+/* An index of `hcap` slots (a power of two), refilled from the nodes. */
+static void lru_index(Lru *t, uint64_t hcap) {
+    t->hkeys = (uint64_t *)xalloc(t->fail, t->hkeys, hcap * sizeof(uint64_t));
+    t->hnode = (int32_t *)xalloc(t->fail, t->hnode, hcap * sizeof(int32_t));
+    t->hused = (uint8_t *)xalloc(t->fail, t->hused, hcap);
+    memset(t->hused, 0, hcap);
+    t->hmask = hcap - 1;
+    for (int32_t node = t->head; node >= 0; node = t->nnext[node]) {
+        uint64_t i = mix64(t->nkey[node]) & t->hmask;
+        while (t->hused[i]) i = (i + 1) & t->hmask;
+        t->hused[i] = 1;
+        t->hkeys[i] = t->nkey[node];
+        t->hnode[i] = node;
+    }
+}
+
+/* Grow the node pool to `cap` nodes, the new ones free. */
+static void lru_pool(Lru *t, int64_t cap) {
+    size_t n = (size_t)cap;
+    t->nkey = (uint64_t *)xalloc(t->fail, t->nkey, n * sizeof(uint64_t));
+    t->npacked = (int64_t *)xalloc(t->fail, t->npacked, n * sizeof(int64_t));
+    t->nprev = (int32_t *)xalloc(t->fail, t->nprev, n * sizeof(int32_t));
+    t->nnext = (int32_t *)xalloc(t->fail, t->nnext, n * sizeof(int32_t));
+    for (int64_t i = t->cap; i < cap; i++) t->nnext[i] = (int32_t)(i + 1);
+    t->nnext[cap - 1] = t->free_head;
+    t->free_head = (int32_t)t->cap;
+    t->cap = cap;
+}
+
+/* An empty table of `cap` nodes (at least one) that grows to at most `limit`. */
+static void lru_init(jmp_buf *fail, Lru *t, int64_t cap, int64_t limit) {
+    t->fail = fail;
     t->head = -1;
     t->tail = -1;
-    t->count = 0;
+    t->free_head = -1;
+    t->limit = limit;
+    lru_pool(t, cap);
+    lru_index(t, next_pow2((uint64_t)(2 * cap)));
 }
 
 static void lru_free(Lru *t) {
@@ -984,6 +1051,8 @@ static void lru_evict_oldest(Lru *t) {
 }
 
 static void lru_insert(Lru *t, uint64_t key, int64_t packed) {
+    if (t->free_head < 0) lru_pool(t, t->cap * 2 < t->limit ? t->cap * 2 : t->limit);
+    if ((uint64_t)(t->count + 1) * 2 > t->hmask + 1) lru_index(t, (t->hmask + 1) * 2);
     int32_t node = t->free_head;
     t->free_head = t->nnext[node];
     t->nkey[node] = key;
@@ -995,12 +1064,6 @@ static void lru_insert(Lru *t, uint64_t key, int64_t packed) {
     t->hkeys[i] = key;
     t->hnode[i] = node;
     t->count++;
-}
-
-static uint64_t next_pow2(uint64_t x) {
-    uint64_t p = 1;
-    while (p < x) p <<= 1;
-    return p;
 }
 
 /* ------------------------------------------------------- DBCP replay */
@@ -1033,9 +1096,7 @@ static void dbcp_record(Dbcp *d, uint64_t key, int64_t predicted) {
 }
 
 static void dbcp_evict_record(Dbcp *d, int64_t evicted, int64_t replacement) {
-    int64_t predicted;
-    uint64_t key = hist_evict(&d->hist, evicted, replacement, &predicted);
-    dbcp_record(d, key, predicted);
+    dbcp_record(d, hist_evict(&d->hist, evicted), replacement);
 }
 
 /* _update_confidence: outstanding.pop(block) wins over the stored tag;
@@ -1058,23 +1119,23 @@ static void dbcp_feedback(Lane *s, int64_t block_address, const Tag *tag, int64_
     d->table.npacked[node] = (packed & ~(int64_t)255) | conf;
 }
 
-/* cfg: 0-9 hierarchy (see hier_init), 10 dbcp_block_mask, 11 key_bits,
- *      12 key_mask, 13 confidence_threshold, 14 initial_confidence,
- *      15 max_confidence, 16 table_entries (-1 = unlimited) */
+/* cfg: 0-9 hierarchy (see hier_init), 10 key_bits, 11 key_mask,
+ *      12 confidence_threshold, 13 initial_confidence, 14 max_confidence,
+ *      15 table_entries (-1 = unlimited) */
 static void dbcp_init(Lane *s, const OpenArgs *a) {
     Dbcp *d = (Dbcp *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    hist_init(&s->fail, &d->hist, cfg + 10);
+    hist_init(&s->fail, &d->hist, cfg + 10, &s->h.main_l1);
     map_init(&d->outstanding, &s->fail);
-    d->conf_threshold = cfg[13];
-    d->init_conf = cfg[14];
-    d->max_conf = cfg[15];
-    d->table_entries = cfg[16];
+    d->conf_threshold = cfg[12];
+    d->init_conf = cfg[13];
+    d->max_conf = cfg[14];
+    d->table_entries = cfg[15];
     /* At most 2n correlation-table inserts in total. */
-    int64_t pool = 2 * s->n + 16;
-    if (d->table_entries >= 0 && d->table_entries < pool) pool = d->table_entries;
-    lru_init(&s->fail, &d->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    int64_t limit = 2 * s->n + 16;
+    if (d->table_entries >= 0 && d->table_entries < limit) limit = d->table_entries;
+    lru_init(&s->fail, &d->table, min64(limit, 64), limit);
 }
 
 /* DBCPPrefetcher.on_access: the eviction's signature, then one command
@@ -1082,7 +1143,7 @@ static void dbcp_init(Lane *s, const OpenArgs *a) {
 static int dbcp_access(Lane *s, const Access *a) {
     Dbcp *d = (Dbcp *)s;
     if (a->has_evicted) dbcp_evict_record(d, a->evicted, a->block);
-    uint64_t key = hist_access(&d->hist, a->pc, a->address);
+    uint64_t key = hist_access(&d->hist, a->pc, a->block);
     int64_t tslot = lru_hfind(&d->table, key);
     if (tslot < 0) return 0;
     int32_t node = d->table.hnode[tslot];
@@ -1123,7 +1184,6 @@ static void dbcp_dump(Lane *s, int64_t *out) {
 
 static void dbcp_release(Lane *s) {
     Dbcp *d = (Dbcp *)s;
-    map_free(&d->hist.blocks);
     map_free(&d->outstanding);
     lru_free(&d->table);
 }
@@ -1401,40 +1461,38 @@ static void ltc_feedback(Lane *s, int64_t block, const Tag *tag, int64_t delta) 
 
 /* observe_eviction + record: a new last-touch signature, in eviction order. */
 static void ltc_evict_record(Ltc *L, int64_t evicted, int64_t replacement) {
-    int64_t predicted;
-    uint64_t key = hist_evict(&L->hist, evicted, replacement, &predicted);
-    ltc_record(L, (int64_t)key, predicted);
+    ltc_record(L, (int64_t)hist_evict(&L->hist, evicted), replacement);
     L->created++;
 }
 
-/* cfg: 0-9 hierarchy (see hier_init), 10 ltcords_block_mask, 11 key_bits,
- *      12 key_mask, 13 confidence_threshold, 14 initial_confidence,
- *      15 max_confidence, 16 stream_window, 17 fetch_delay_accesses,
- *      18 num_frames, 19 unlimited_frames, 20 fragment_size,
- *      21 max(1, head_lookahead), 22 stored bytes per signature,
- *      23 signature-cache sets, 24 its index bits, 25 its associativity */
+/* cfg: 0-9 hierarchy (see hier_init), 10 key_bits, 11 key_mask,
+ *      12 confidence_threshold, 13 initial_confidence, 14 max_confidence,
+ *      15 stream_window, 16 fetch_delay_accesses, 17 num_frames,
+ *      18 unlimited_frames, 19 fragment_size, 20 max(1, head_lookahead),
+ *      21 stored bytes per signature, 22 signature-cache sets, 23 its
+ *      index bits, 24 its associativity */
 static void ltc_init(Lane *s, const OpenArgs *a) {
     Ltc *L = (Ltc *)s;
     const int64_t *cfg = a->cfg;
     hier_init(&s->fail, &s->h, a);
-    hist_init(&s->fail, &L->hist, cfg + 10);
+    hist_init(&s->fail, &L->hist, cfg + 10, &s->h.main_l1);
     map_init(&L->outstanding, &s->fail);
     map_init(&L->frame_slots, &s->fail);
     map_init(&L->heads, &s->fail);
     map_init(&L->sc_sets, &s->fail);
-    L->threshold = cfg[13];
-    L->init_conf = cfg[14];
-    L->max_conf = cfg[15];
-    L->window = cfg[16];
-    L->delay = cfg[17];
-    L->num_frames = cfg[18];
-    L->unlimited = cfg[19];
-    L->fragment = cfg[20];
-    L->recent_max = cfg[21];
-    L->sig_bytes = cfg[22];
-    L->sc_set_mask = cfg[23] - 1;
-    L->sc_index_bits = cfg[24];
-    L->sc_assoc = cfg[25];
+    L->threshold = cfg[12];
+    L->init_conf = cfg[13];
+    L->max_conf = cfg[14];
+    L->window = cfg[15];
+    L->delay = cfg[16];
+    L->num_frames = cfg[17];
+    L->unlimited = cfg[18];
+    L->fragment = cfg[19];
+    L->recent_max = cfg[20];
+    L->sig_bytes = cfg[21];
+    L->sc_set_mask = cfg[22] - 1;
+    L->sc_index_bits = cfg[23];
+    L->sc_assoc = cfg[24];
     L->recording = -1;
 }
 
@@ -1446,7 +1504,7 @@ static int ltc_access(Lane *s, const Access *a) {
     L->now++;
     if (L->pend_len) ltc_drain(L);
     if (a->has_evicted) ltc_evict_record(L, a->evicted, a->block);
-    uint64_t key = hist_access(&L->hist, a->pc, a->address);
+    uint64_t key = hist_access(&L->hist, a->pc, a->block);
     L->sc_lookups++;
     SigWay *entry = sc_find(L, key);
     if (entry) {
@@ -1511,7 +1569,6 @@ static void ltc_dump(Lane *s, int64_t *out) {
 
 static void ltc_release(Lane *s) {
     Ltc *L = (Ltc *)s;
-    map_free(&L->hist.blocks);
     map_free(&L->outstanding);
     map_free(&L->frame_slots);
     map_free(&L->heads);
@@ -1539,8 +1596,6 @@ static void push_target(Lane *s, int64_t aligned, const Access *a) {
         if (s->cmds[j].address == aligned) return;
     lane_push(s, aligned, 0, 0, (Tag){(uint64_t)a->pc, 0, 0});
 }
-
-static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
 typedef struct {
     Lane lane;
@@ -1608,7 +1663,7 @@ static void ghb_init(Lane *s, const OpenArgs *a) {
     G->hist = (int64_t *)xalloc(&s->fail, NULL, (size_t)chain * sizeof(int64_t));
     G->deltas = (int64_t *)xalloc(&s->fail, NULL, (size_t)chain * sizeof(int64_t));
     int64_t pool = min64(G->index_entries, s->n) + 1;
-    lru_init(&s->fail, &G->index, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    lru_init(&s->fail, &G->index, pool, pool);
 }
 
 /* GHBPrefetcher.on_access: a miss enters the ring and its PC's chain
@@ -1631,18 +1686,20 @@ static int ghb_access(Lane *s, const Access *a) {
         if (it->count >= G->index_entries) lru_evict_oldest(it);
         lru_insert(it, (uint64_t)p, serial);
     }
-    int64_t slot = (serial - 1) % G->entries;
+    int64_t top = (serial - 1) % G->entries, slot = top;
     G->address[slot] = block;
     G->pc[slot] = p;
     G->link[slot] = previous;
     G->stored[slot] = serial;
     G->inserted++;
 
-    /* _pc_history: serials at or below the floor were overwritten. */
+    /* _pc_history: serials at or below the floor were overwritten.  A
+     * chain serial lies in (floor, serial), within one lap below top. */
     int64_t len = 1, current = previous, floor = serial - G->entries;
     G->hist[0] = block;
     while (current > floor && current > 0 && len < G->depth) {
-        slot = (current - 1) % G->entries;
+        slot = top - (serial - current);
+        if (slot < 0) slot += G->entries;
         if (G->stored[slot] != current || G->pc[slot] != p) break;
         G->hist[len++] = G->address[slot];
         current = G->link[slot];
@@ -1689,8 +1746,9 @@ static void stride_init(Lane *s, const OpenArgs *a) {
     S->entries = cfg[11];
     S->degree = cfg[12];
     S->threshold = cfg[13];
+    /* Sized to its bound, the pool never grows: stride and conf stay per node. */
     int64_t pool = min64(S->entries, s->n) + 1;
-    lru_init(&s->fail, &S->table, next_pow2((uint64_t)(2 * pool + 64)), pool);
+    lru_init(&s->fail, &S->table, pool, pool);
     S->stride = (int64_t *)xalloc(&s->fail, NULL, (size_t)pool * sizeof(int64_t));
     S->conf = (int64_t *)xalloc(&s->fail, NULL, (size_t)pool * sizeof(int64_t));
 }

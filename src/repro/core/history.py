@@ -44,8 +44,12 @@ class HistoryTable:
     bijection of the block address, so this is the per-set table of
     Figure 1 without the per-set split).  The xor-fold of the 64-bit raw
     hash down to the key width is closed-form for keys of 32 bits or more
-    (at most two fold terms); the compiled replay kernel mirrors exactly
-    this layout and fold.
+    (at most two fold terms).  The compiled replay kernel uses the same
+    fold, but keeps each record in the simulated L1 way holding its block:
+    the predictors create a record on a demand access or for an
+    eviction's replacement and drop the victim's on every L1 eviction, so
+    the tracked blocks are exactly the resident ones whenever the
+    history's block size is the L1's (the kernel's condition).
     """
 
     def __init__(

@@ -20,7 +20,8 @@ with the kernel on and off):
    predictors — the :class:`~repro.prefetchers.null.NullPrefetcher`, the
    :class:`~repro.prefetchers.dbcp.DBCPPrefetcher` or the
    :class:`~repro.core.ltcords.LTCordsPrefetcher` with closed-fold
-   signatures of 32–63 bits (the library defaults), the
+   signatures of 32–63 bits and a history at the L1's block size (the
+   library defaults), the
    :class:`~repro.prefetchers.ghb.GHBPrefetcher` or the
    :class:`~repro.prefetchers.stride.StridePrefetcher` — on a fresh
    simulator, over addresses below 2^54 whose GHB/stride predictions
@@ -43,7 +44,8 @@ The tier taken is recorded as ``sim.last_tier`` and counted in the
 ``replay.tier.<tier>`` counters of :data:`repro.obs.metrics.REGISTRY`.
 When a kernel-eligible run falls to the interpreted tier, the reason —
 ``no-compiler``, ``kill-switch`` (``REPRO_NO_VECTOR_KERNEL``),
-``address-range``, ``not-fresh``, ``open-fold`` or ``co-runner``
+``address-range``, ``not-fresh``, ``open-fold``, ``history-block`` (a
+DBCP/LT-cords history block size other than the L1's) or ``co-runner``
 (another core of its co-run kept it off the kernel) — is recorded as
 ``sim.last_fallback`` and counted in ``replay.fallback.<reason>``, and
 the first such fallback in a process emits a :class:`RuntimeWarning`:
@@ -80,7 +82,7 @@ from repro.prefetchers.stride import StridePrefetcher
 from repro.trace.stream import TraceStream
 
 #: Kernel node pools are indexed with int32: an unlimited DBCP table
-#: preallocates 2n + 16 nodes, so n stays below this bound.
+#: grows to at most 2n + 16 nodes, so n stays below this bound.
 _MAX_KERNEL_ACCESSES = (1 << 30) - 8
 
 # Output-slot layout shared with the C kernels (see repro/cache/vector.py).
@@ -95,7 +97,8 @@ TIERS = (
     "interpreted",
 )
 FALLBACK_REASONS = (
-    "no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold", "co-runner",
+    "no-compiler", "kill-switch", "address-range", "not-fresh", "open-fold", "history-block",
+    "co-runner",
 )
 
 _TIER_COUNTERS = {tier: REGISTRY.counter(f"replay.tier.{tier}") for tier in TIERS}
@@ -349,7 +352,7 @@ def _gate(sim) -> Tuple[Optional["_Route"], Optional[str]]:
     route = _ROUTES.get(type(sim.prefetcher))
     if route is None:
         return None, None
-    reason = route.unfit(sim.prefetcher)
+    reason = route.unfit(sim)
     if reason is None and not _sim_is_fresh(sim):
         reason = "not-fresh"
     if reason is None and vector.load_kernel() is None:
@@ -386,22 +389,32 @@ def _fresh(is_fresh: bool) -> Optional[str]:
     return None if is_fresh else "not-fresh"
 
 
-def _history_unfit(prefetcher, is_fresh: bool) -> Optional[str]:
-    """The DBCP/LT-cords gate: the kernel folds history keys of 32-63 bits in two terms."""
-    if not 32 <= prefetcher.config.signature_config.trace_hash_bits < 64:
+def _history_unfit(sim, is_fresh: bool) -> Optional[str]:
+    """The DBCP/LT-cords gate.
+
+    The kernel folds history keys of 32-63 bits in two terms, and keeps
+    the history in the ways of the main L1, one entry per resident block,
+    so the history's block size must be the L1's.
+    """
+    config = sim.prefetcher.config
+    if not 32 <= config.signature_config.trace_hash_bits < 64:
         return "open-fold"
-    history = prefetcher.history
+    if config.cache_config.block_size != sim.hierarchy_config.l1.block_size:
+        return "history-block"
+    history = sim.prefetcher.history
     return _fresh(is_fresh and not (history.tracked_blocks() or history.stats.evictions))
 
 
-def _dbcp_unfit(prefetcher: DBCPPrefetcher) -> Optional[str]:
-    return _history_unfit(prefetcher, not (
+def _dbcp_unfit(sim) -> Optional[str]:
+    prefetcher: DBCPPrefetcher = sim.prefetcher
+    return _history_unfit(sim, not (
         prefetcher._table or prefetcher._outstanding or prefetcher.dbcp_stats.signatures_recorded
     ))
 
 
-def _ltcords_unfit(prefetcher: LTCordsPrefetcher) -> Optional[str]:
-    return _history_unfit(prefetcher, not (
+def _ltcords_unfit(sim) -> Optional[str]:
+    prefetcher: LTCordsPrefetcher = sim.prefetcher
+    return _history_unfit(sim, not (
         prefetcher._outstanding or prefetcher._pending or prefetcher._access_counter
         or prefetcher.storage.stats.signatures_recorded
         or prefetcher.signature_cache.stats.inserts
@@ -451,10 +464,9 @@ def _geometry_cfg(sim) -> list:
 
 
 def _history_cfg(config) -> list:
-    """DBCP/LT-cords cfg slots 10-15: the history fold and confidence counter."""
+    """DBCP/LT-cords cfg slots 10-14: the history fold and confidence counter."""
     key_bits = config.signature_config.trace_hash_bits
     return [
-        ~(config.cache_config.block_size - 1),
         key_bits,
         (1 << key_bits) - 1,
         config.confidence_threshold,
@@ -671,7 +683,7 @@ class _Route(NamedTuple):
 
     #: The tier is ``kernel-<kind>``; the kernel's lane kind (``vector.KERNELS``).
     kind: str
-    #: Why the predictor's configuration or state keeps it off the kernel.
+    #: Why the simulator's predictor (its configuration or state) keeps it off the kernel.
     unfit: Callable[[Any], Optional[str]]
     #: The cfg slots after the geometry (10 on).
     cfg: Callable[[Any], List[int]]
@@ -680,17 +692,17 @@ class _Route(NamedTuple):
 
 
 _ROUTES = {
-    NullPrefetcher: _Route("baseline", lambda prefetcher: None, lambda sim: [], _settle_baseline),
+    NullPrefetcher: _Route("baseline", lambda sim: None, lambda sim: [], _settle_baseline),
     DBCPPrefetcher: _Route("dbcp", _dbcp_unfit, _dbcp_cfg, _settle_dbcp),
     LTCordsPrefetcher: _Route("ltcords", _ltcords_unfit, _ltcords_cfg, _settle_ltcords),
     GHBPrefetcher: _Route(
         "ghb",
-        lambda prefetcher: _fresh(prefetcher._serial == 0 and not prefetcher._index_table),
+        lambda sim: _fresh(sim.prefetcher._serial == 0 and not sim.prefetcher._index_table),
         _ghb_cfg,
         _settle_ghb,
     ),
     StridePrefetcher: _Route(
-        "stride", lambda prefetcher: _fresh(not prefetcher._table), _stride_cfg,
+        "stride", lambda sim: _fresh(not sim.prefetcher._table), _stride_cfg,
         _settle_prefetching,
     ),
 }

@@ -7,8 +7,9 @@ its configuration, per-core traces of length 0, 1 and n, an address shift
 of 0 or 1 GB between cores, a request queue of 1-128 entries, and a
 hierarchy.  Configurations and hierarchies come from the whole-domain
 suite's strategies (``test_domain_differential.py``): tables down to one
-entry, signature folds that keep a lane off the kernel, and shared L2s
-of 1-16 ways and 1-64 sets that evict within a few accesses.  With
+entry, signature folds and history block sizes that keep a lane off the
+kernel, and shared L2s of 1-16 ways and 1-64 sets that evict within a
+few accesses.  With
 shift 0 the cores touch the same blocks, so the shared L2's ownership
 map sees blocks reallocated across cores.
 
@@ -71,7 +72,8 @@ def _workload_trace(benchmark):
 
 @st.composite
 def co_runs(draw):
-    """Per-core ``(trace, predictor, config)`` triples for 1-3 cores."""
+    """A hierarchy and per-core ``(trace, predictor, config)`` triples for 1-3 cores."""
+    hierarchy = draw(hierarchies())
     cores = draw(st.integers(1, 3))
     lengths = st.sampled_from([0, 1, draw(st.integers(2, GENERATED))])
     shift = draw(st.sampled_from([0, DEFAULT_ADDRESS_SHIFT]))
@@ -81,8 +83,9 @@ def co_runs(draw):
         trace = _workload_trace(draw(st.sampled_from(BENCHMARKS)))[: draw(lengths)]
         if core and shift:
             trace = shift_addresses(trace, core * shift)
-        run.append((trace, predictor, draw(DOMAIN_PREDICTORS[predictor][2])))
-    return run
+        config = draw(DOMAIN_PREDICTORS[predictor][2](hierarchy.l1.block_size))
+        run.append((trace, predictor, config))
+    return hierarchy, run
 
 
 def _prefetcher(predictor, config):
@@ -90,9 +93,15 @@ def _prefetcher(predictor, config):
     return cls() if config is None else cls(config)
 
 
-def _open_fold(predictor, config):
-    """A DBCP/LT-cords signature fold the kernel does not take."""
-    return predictor in ("dbcp", "ltcords") and config.signature_config.trace_hash_bits < 32
+def _unfit(predictor, config, hierarchy):
+    """Why a DBCP/LT-cords configuration keeps its lane off the kernel, or ``None``."""
+    if predictor not in ("dbcp", "ltcords"):
+        return None
+    if config.signature_config.trace_hash_bits < 32:
+        return "open-fold"
+    if config.cache_config.block_size != hierarchy.l1.block_size:
+        return "history-block"
+    return None
 
 
 def _co_run(run, hierarchy, queue_size, interleave, quantum, engine):
@@ -102,13 +111,17 @@ def _co_run(run, hierarchy, queue_size, interleave, quantum, engine):
         interleave=interleave, quantum_accesses=quantum,
     )
     result = simulator.run([trace for trace, _, _ in run]).to_dict()
+    reasons = [_unfit(predictor, config, hierarchy) for _, predictor, config in run]
     if engine == "legacy":
         expected = ["legacy"] * len(run)
-    elif load_kernel() is None or any(_open_fold(p, config) for _, p, config in run):
+    elif load_kernel() is None or any(reasons):
         expected = ["interpreted"] * len(run)
     else:
         expected = [KERNEL_TIERS[predictor] for _, predictor, _ in run]
     assert [lane.last_tier for lane in simulator.lanes] == expected
+    if engine == "fast" and load_kernel() is not None and any(reasons):
+        fallbacks = [reason or "co-runner" for reason in reasons]
+        assert [lane.last_fallback for lane in simulator.lanes] == fallbacks
     return result
 
 
@@ -122,15 +135,15 @@ def _single_core(trace, predictor, config, hierarchy, queue_size):
 
 @BUDGET
 @given(
-    run=co_runs(),
-    hierarchy=hierarchies(),
+    co_run=co_runs(),
     queue_size=st.integers(1, 128),
     interleave=st.sampled_from(["rr", "icount"]),
     quantum=st.integers(1, 2000),
 )
 def test_co_run_engines_agree_and_one_core_is_the_single_core_run(
-    run, hierarchy, queue_size, interleave, quantum
+    co_run, queue_size, interleave, quantum
 ):
+    hierarchy, run = co_run
     schedule = (hierarchy, queue_size, interleave, quantum)
     fast = _co_run(run, *schedule, "fast")
     with kernel_disabled():
@@ -142,7 +155,7 @@ def test_co_run_engines_agree_and_one_core_is_the_single_core_run(
     (per_core,) = fast["per_core"]
     assert fast["cross_core_evictions"] == 0
     simulator, kernel = _single_core(trace, predictor, config, hierarchy, queue_size)
-    if load_kernel() is not None and not _open_fold(predictor, config):
+    if load_kernel() is not None and not _unfit(predictor, config, hierarchy):
         assert simulator.last_tier == KERNEL_TIERS[predictor]
     with kernel_disabled():
         simulator, interpreted = _single_core(trace, predictor, config, hierarchy, queue_size)

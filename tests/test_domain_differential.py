@@ -6,9 +6,10 @@ The per-predictor suites (``test_baseline_kernel.py``,
 * an L1 and an L2 of 1-16 ways and 1-64 sets sharing one block size of
   16, 32, 64 or 128 bytes (the L2 may be smaller than the L1);
 * any of the five built-in predictors, with tables down to one entry
-  (DBCP's table also unlimited), predictor block sizes and DBCP/LT-cords
-  history caches independent of the hierarchy, and signature widths of
-  8-63 bits (keys under 32 bits fold open and replay interpreted);
+  (DBCP's table also unlimited), GHB/stride block sizes independent of
+  the hierarchy, DBCP/LT-cords history caches mostly at the L1's block
+  size (any other replays interpreted), and signature widths of 8-63
+  bits (keys under 32 bits fold open and replay interpreted);
 * a request queue of 1-128 entries;
 * traces of length 0, 1 or n mixing loops, strided streams and strays,
   placed anywhere in the non-negative 64-bit range (runs at or above
@@ -77,9 +78,17 @@ def hierarchies(draw):
     )
 
 
-def history_caches():
-    """The cache geometry a DBCP/LT-cords history table tracks, any block size."""
-    return st.sampled_from(BLOCK_SIZES).flatmap(lambda block: cache_configs("history", block))
+def history_caches(l1_block_size):
+    """The cache geometry a DBCP/LT-cords history table tracks.
+
+    Three draws in four are at the L1's block size, as the kernel needs;
+    the rest at any block size (another replays interpreted, a
+    ``history-block`` fallback).
+    """
+    block_sizes = st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(BLOCK_SIZES) if k == 0 else st.just(l1_block_size)
+    )
+    return block_sizes.flatmap(lambda block: cache_configs("history", block))
 
 
 signature_configs = st.builds(
@@ -97,10 +106,10 @@ def confidence(draw):
 
 
 @st.composite
-def dbcp_configs(draw):
+def dbcp_configs(draw, l1_block_size):
     threshold, initial, maximum = draw(confidence())
     return DBCPConfig(
-        cache_config=draw(history_caches()),
+        cache_config=draw(history_caches(l1_block_size)),
         signature_config=draw(signature_configs),
         table_entries=draw(st.one_of(st.none(), st.integers(1, 64))),
         confidence_threshold=threshold,
@@ -110,12 +119,12 @@ def dbcp_configs(draw):
 
 
 @st.composite
-def ltcords_configs(draw):
+def ltcords_configs(draw, l1_block_size):
     threshold, initial, maximum = draw(confidence())
     ways = draw(st.integers(1, 8))
     sets = draw(st.sampled_from([s for s in SETS if s * ways <= 64]))
     return LTCordsConfig(
-        cache_config=draw(history_caches()),
+        cache_config=draw(history_caches(l1_block_size)),
         signature_config=draw(signature_configs),
         signature_cache_config=SignatureCacheConfig(num_entries=sets * ways, associativity=ways),
         storage_config=SequenceStorageConfig(
@@ -148,13 +157,13 @@ stride_configs = st.builds(
     train_threshold=st.integers(1, 3),
 )
 
-#: predictor name -> (kernel tier, class, config strategy).
+#: predictor name -> (kernel tier, class, config strategy given the L1 block size).
 PREDICTORS = {
-    "none": ("kernel-baseline", NullPrefetcher, st.none()),
-    "dbcp": ("kernel-dbcp", DBCPPrefetcher, dbcp_configs()),
-    "ltcords": ("kernel-ltcords", LTCordsPrefetcher, ltcords_configs()),
-    "ghb": ("kernel-ghb", GHBPrefetcher, ghb_configs),
-    "stride": ("kernel-stride", StridePrefetcher, stride_configs),
+    "none": ("kernel-baseline", NullPrefetcher, lambda l1_block_size: st.none()),
+    "dbcp": ("kernel-dbcp", DBCPPrefetcher, dbcp_configs),
+    "ltcords": ("kernel-ltcords", LTCordsPrefetcher, ltcords_configs),
+    "ghb": ("kernel-ghb", GHBPrefetcher, lambda l1_block_size: ghb_configs),
+    "stride": ("kernel-stride", StridePrefetcher, lambda l1_block_size: stride_configs),
 }
 #: Every statistics object a built-in predictor may carry, by attribute path.
 STATS = (
@@ -246,6 +255,10 @@ def _check_tier(sim, predictor, config, trace):
         assert sim.last_tier == "interpreted"
     elif predictor in ("dbcp", "ltcords") and config.signature_config.trace_hash_bits < 32:
         assert (sim.last_tier, sim.last_fallback) == ("interpreted", "open-fold")
+    elif predictor in ("dbcp", "ltcords") and (
+        config.cache_config.block_size != sim.hierarchy_config.l1.block_size
+    ):
+        assert (sim.last_tier, sim.last_fallback) == ("interpreted", "history-block")
     elif len(trace) and max(trace.as_arrays().address) >= KERNEL_ADDRESS_LIMIT:
         assert (sim.last_tier, sim.last_fallback) == ("interpreted", "address-range")
     elif predictor in ("ghb", "stride") and sim.last_fallback == "address-range":
@@ -272,7 +285,7 @@ def _agree(predictor, config, trace, hierarchy, queue_size):
 @given(data=st.data(), hierarchy=hierarchies(), trace=domain_traces(),
        queue_size=st.integers(1, 128))
 def test_every_tier_agrees_over_the_domain(predictor, data, hierarchy, trace, queue_size):
-    config = data.draw(PREDICTORS[predictor][2], label="config")
+    config = data.draw(PREDICTORS[predictor][2](hierarchy.l1.block_size), label="config")
     _agree(predictor, config, trace, hierarchy, queue_size)
 
 

@@ -4,16 +4,17 @@ The equivalence suites pin kernel == interpreted on the full benchmark
 grid; this file pins everything *around* that equality: which tier the
 dispatcher picks (``sim.last_tier``) and why it falls back
 (``sim.last_fallback``), the interpreted fallbacks (kill-switch, open
-fold, continued replay, out-of-range addresses), the fallback warning and
-counters, per-cache statistics fidelity, the stale-state guard after a
-kernel run, NumPy staying unimported, and the kernel compilation cache
-plumbing.
+fold, history block size, continued replay, out-of-range addresses), the
+fallback warning and counters, per-cache statistics fidelity, the
+stale-state guard after a kernel run, NumPy staying unimported, and the
+kernel compilation cache plumbing.
 """
 
 import json
 import subprocess
 import sys
 import warnings
+from array import array
 
 import pytest
 from conftest import kernel_disabled
@@ -26,6 +27,7 @@ from repro.cache.cache import DeferredSets
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.vector import kernel_cache_dir, load_kernel
+from repro.core.ltcords import LTCordsConfig
 from repro.core.signatures import SignatureConfig
 from repro.obs.metrics import REGISTRY
 from repro.prefetchers.dbcp import DBCPConfig
@@ -140,8 +142,8 @@ def test_small_correlation_tables_exercise_kernel_lru_eviction(table_entries):
 
 
 def test_custom_geometry_and_mismatched_dbcp_block_size_match():
-    # Direct-mapped 32B-block hierarchy while DBCP folds 64B blocks:
-    # the kernel carries two distinct block masks.
+    # Direct-mapped 32B-block hierarchy while DBCP folds 64B blocks: the
+    # kernel keeps the history in the L1's ways, so the run falls back.
     hierarchy = HierarchyConfig(
         l1=CacheConfig(name="L1-dm", size_bytes=2048, block_size=32, associativity=1),
         l2=CacheConfig(name="L2-sm", size_bytes=16384, block_size=32, associativity=4),
@@ -153,12 +155,13 @@ def test_custom_geometry_and_mismatched_dbcp_block_size_match():
     trace = _trace()
     _, interpreted = _interpreted(config=config, trace=trace, hierarchy_config=hierarchy)
     sim, kernel = _run(config=config, trace=trace, hierarchy_config=hierarchy)
-    assert sim.last_tier == _expected("kernel-dbcp")
+    if load_kernel() is not None:
+        assert (sim.last_tier, sim.last_fallback) == ("interpreted", "history-block")
     assert kernel.to_dict() == interpreted.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# Interpreted fallbacks: kill-switch, open fold, address range; no NumPy.
+# Interpreted fallbacks: kill-switch, open fold, history block, address range; no NumPy.
 # ---------------------------------------------------------------------------
 
 
@@ -223,6 +226,57 @@ def test_open_fold_dbcp_uses_fast_fallback():
     assert sim.last_tier == "interpreted"
     assert sim.last_fallback == "open-fold"
     assert result.to_dict() == legacy.to_dict()
+
+
+def _stats(prefetcher):
+    """The DBCP/LT-cords predictor's own and its history table's statistics."""
+    own = prefetcher.dbcp_stats if hasattr(prefetcher, "dbcp_stats") else prefetcher.ltstats
+    return vars(prefetcher.stats), vars(prefetcher.history.stats), vars(own)
+
+
+@pytest.mark.parametrize("history_block", [32, 64, 128])
+@pytest.mark.parametrize("predictor", ["dbcp", "ltcords"])
+def test_a_history_block_other_than_the_l1s_falls_back(predictor, history_block):
+    # The kernel keeps the last-touch history in the main L1's ways, one
+    # entry per resident 64-byte block: a history over other blocks
+    # replays interpreted.  A loop over 40 blocks through a 16-block L1
+    # evicts on demand misses and on prefetch installs alike.
+    hierarchy = HierarchyConfig(
+        l1=CacheConfig(name="L1", size_bytes=1024, block_size=64, associativity=2),
+        l2=CacheConfig(name="L2", size_bytes=4096, block_size=64, associativity=4),
+    )
+    history = CacheConfig(
+        name="history", size_bytes=64 * history_block, block_size=history_block, associativity=2,
+    )
+    config = (DBCPConfig if predictor == "dbcp" else LTCordsConfig)(cache_config=history)
+    n = 3000
+    blocks = [(37 * k + 5) % 4096 for k in range(40)]
+    trace = TraceStream.from_columns(TraceColumns(
+        array("q", [0x400000 + 4 * (i % 40 % 13) for i in range(n)]),
+        array("q", [blocks[i % 40] * 64 for i in range(n)]),
+        array("b", bytes(n)), array("q", range(0, 3 * n, 3)),
+    ), name="loop")
+    counter = REGISTRY.counter("replay.fallback.history-block")
+    runs = {}
+    for simulator in (TraceDrivenSimulator, LegacySimulator):
+        before = counter.value
+        sim, result = _run(
+            predictor, config, trace, hierarchy_config=hierarchy, simulator=simulator,
+        )
+        runs[simulator] = (result.to_dict(), _stats(sim.prefetcher))
+        if simulator is TraceDrivenSimulator and load_kernel() is not None:
+            if history_block == 64:
+                assert (sim.last_tier, sim.last_fallback) == (f"kernel-{predictor}", None)
+                assert counter.value == before
+            else:
+                assert (sim.last_tier, sim.last_fallback) == ("interpreted", "history-block")
+                assert counter.value == before + 1
+    with kernel_disabled():
+        sim, result = _run(predictor, config, trace, hierarchy_config=hierarchy)
+    assert sim.last_tier == "interpreted"
+    interpreted = (result.to_dict(), _stats(sim.prefetcher))
+    assert runs[TraceDrivenSimulator] == interpreted == runs[LegacySimulator]
+    assert interpreted[0]["breakdown"]["correct"] > 0  # prefetches installed and hit
 
 
 def test_addresses_beyond_the_kernel_range_are_interpreted():
@@ -376,7 +430,7 @@ def test_kernel_source_compiles_warning_clean(tmp_path):
 
 
 def test_kernel_access_bound_keeps_node_pools_in_int32():
-    """An unlimited DBCP table preallocates 2n + 16 int32-indexed LRU nodes.
+    """An unlimited DBCP table grows to at most 2n + 16 int32-indexed LRU nodes.
 
     Every trace the kernel admits (n below the bound) keeps that pool
     within ``INT32_MAX``; one access more would not.
